@@ -9,7 +9,7 @@
 //! The `blast-radius` subcommand lifts the analysis from statements to
 //! transaction profiles: it computes the static inter-profile conflict
 //! graph and, per profile, the worst-case transitive damage closure a
-//! compromise of that profile could cause (see DESIGN.md §15).
+//! compromise of that profile could cause (see DESIGN.md §11).
 //!
 //! ```text
 //! resildb-lint [OPTIONS] [FILE...]

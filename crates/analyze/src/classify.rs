@@ -85,28 +85,12 @@ impl SchemaSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
     granularity: Granularity,
-    schema: Option<SchemaSnapshot>,
 }
 
 impl Analyzer {
     /// An analyzer for a deployment tracking at `granularity`.
     pub fn new(granularity: Granularity) -> Self {
-        Self {
-            granularity,
-            schema: None,
-        }
-    }
-
-    /// Attaches a schema snapshot (enables wildcard expansion and precise
-    /// unqualified-column attribution in derivability inference).
-    pub fn with_schema(mut self, schema: SchemaSnapshot) -> Self {
-        self.schema = Some(schema);
-        self
-    }
-
-    /// The attached schema snapshot, if any.
-    pub fn schema(&self) -> Option<&SchemaSnapshot> {
-        self.schema.as_ref()
+        Self { granularity }
     }
 
     /// The deployment granularity this analyzer assumes.

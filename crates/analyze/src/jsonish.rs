@@ -1,13 +1,16 @@
-//! A minimal JSON reader for baseline files.
+//! The workspace's one JSON reader.
 //!
 //! The workspace is dependency-free by policy, so machine-readable
-//! artifacts are written with hand-rolled emitters ([`crate::escape_json`]
-//! and friends) and read back with this recursive-descent parser. It
-//! accepts the full JSON grammar the emitters produce — objects, arrays,
-//! strings with `\uXXXX` escapes, numbers, booleans, null — and reports
-//! the byte offset of the first violation otherwise, which is what lets
+//! artifacts are written with hand-rolled emitters and read back with
+//! this recursive-descent parser: lint and blast-radius baselines,
+//! flight-recorder captures, the `/incidents` document, benchmark result
+//! files. It accepts the full JSON grammar — objects, arrays, strings
+//! with `\uXXXX` escapes, numbers, booleans, null — and reports the byte
+//! offset of the first violation otherwise, which is what lets
 //! `resildb-lint` fail *loudly* on a corrupted baseline instead of
-//! silently gating against garbage.
+//! silently gating against garbage. Its inputs are operator-supplied
+//! files, so nesting depth is bounded and the integer accessors never
+//! round.
 
 use std::collections::BTreeMap;
 
@@ -60,13 +63,48 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The boolean, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The number as an integer, if it is one an `f64` holds exactly:
+    /// integral and strictly inside ±2^53. `1.5`, `1e300` and ids past
+    /// 2^53 (which the `f64` already rounded) are `None`, never a
+    /// truncated neighbour.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonValue::Number(n) if n.fract() == 0.0 && n.abs() < EXACT_INT_BOUND => {
+                Some(*n as i64)
+            }
+            _ => None,
+        }
+    }
+
+    /// [`Self::as_i64`] restricted to non-negative values.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
+    }
 }
+
+/// 2^53: below it every integer has its own `f64`.
+const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// Deepest container nesting accepted. The parser recurses once per
+/// level and reads operator-supplied files, so the bound is what turns a
+/// hostile `[[[[…` into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -80,6 +118,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -113,8 +153,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -122,6 +162,22 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -295,6 +351,43 @@ mod tests {
         for bad in ["{", "[1,", "tru", "{\"a\" 1}", "1 2", "", "\"unterminated"] {
             assert!(parse_json(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        for n in [MAX_DEPTH - 1, MAX_DEPTH] {
+            assert!(parse_json(&arrays(n)).is_ok(), "{n} arrays");
+            assert!(parse_json(&objects(n)).is_ok(), "{n} objects");
+        }
+        assert_eq!(
+            parse_json(&arrays(MAX_DEPTH + 1)).unwrap_err(),
+            "nesting deeper than 128 at byte 128"
+        );
+        assert!(parse_json(&objects(MAX_DEPTH + 1)).is_err());
+        // Hostile depth is an error, not a stack overflow.
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        assert!(parse_json(&"{\"k\":".repeat(200_000)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(parse_json(&format!("[{}]", vec!["[]"; 1000].join(","))).is_ok());
+    }
+
+    #[test]
+    fn integer_accessors_refuse_lossy_values() {
+        let num = |text: &str| parse_json(text).unwrap();
+        assert_eq!(num("42").as_u64(), Some(42));
+        assert_eq!(num("-7").as_i64(), Some(-7));
+        assert_eq!(num("-1").as_u64(), None);
+        assert_eq!(num("1.5").as_u64(), None);
+        assert_eq!(num("1.5").as_i64(), None);
+        assert_eq!(num("1e300").as_i64(), None);
+        assert_eq!(num("9007199254740991").as_u64(), Some((1 << 53) - 1));
+        assert_eq!(num("9007199254740993").as_u64(), None);
+        assert_eq!(num("-9007199254740993").as_i64(), None);
+        assert_eq!(num("\"1\"").as_u64(), None);
+        assert_eq!(num("true").as_bool(), Some(true));
+        assert_eq!(num("1").as_bool(), None);
     }
 
     #[test]

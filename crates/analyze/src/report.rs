@@ -52,20 +52,8 @@ impl CoverageReport {
                 parsed.push(stmt);
             }
         }
-        let corpus_schema;
-        let schema = match analyzer.schema() {
-            Some(s) => Some(s),
-            None => {
-                let snap = SchemaSnapshot::from_statements(&parsed);
-                if snap.is_empty() {
-                    None
-                } else {
-                    corpus_schema = snap;
-                    Some(&corpus_schema)
-                }
-            }
-        };
-        let derivable = infer_derivable_columns(&parsed, schema);
+        let schema = SchemaSnapshot::from_statements(&parsed);
+        let derivable = infer_derivable_columns(&parsed, (!schema.is_empty()).then_some(&schema));
         CoverageReport {
             statements,
             derivable,
@@ -78,7 +66,7 @@ impl CoverageReport {
     }
 
     /// Count of sound statements.
-    pub fn sound_count(&self) -> usize {
+    pub(crate) fn sound_count(&self) -> usize {
         self.statements
             .iter()
             .filter(|s| s.verdict.is_sound())
@@ -86,7 +74,7 @@ impl CoverageReport {
     }
 
     /// Count of degraded (tracked, imprecise) statements.
-    pub fn degraded_count(&self) -> usize {
+    pub(crate) fn degraded_count(&self) -> usize {
         self.statements
             .iter()
             .filter(|s| matches!(s.verdict, Verdict::Degraded(_)))
@@ -94,7 +82,7 @@ impl CoverageReport {
     }
 
     /// Count of untracked statements.
-    pub fn untracked_count(&self) -> usize {
+    pub(crate) fn untracked_count(&self) -> usize {
         self.statements
             .iter()
             .filter(|s| s.verdict.is_untracked())
@@ -111,7 +99,7 @@ impl CoverageReport {
     }
 
     /// Reason-code histogram over all non-sound statements.
-    pub fn reason_histogram(&self) -> BTreeMap<&'static str, usize> {
+    pub(crate) fn reason_histogram(&self) -> BTreeMap<&'static str, usize> {
         let mut hist = BTreeMap::new();
         for s in &self.statements {
             for r in s.verdict.reasons() {
@@ -225,6 +213,8 @@ fn truncate(s: &str, max: usize) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control characters).
+// A copy of `resildb_telemetry::export::json_string`'s escaping: this crate
+// cannot depend on telemetry until `benchmark/Cargo.lock` is refreshed.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

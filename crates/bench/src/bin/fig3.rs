@@ -1,7 +1,6 @@
 //! Regenerates paper Figure 3: prints the dependency-graph DOT to stdout.
 //! Pipe through GraphViz (`fig3 | dot -Tpng -o fig3.png`) to render.
-//! `--json-out [PATH]` additionally emits a machine-readable report
-//! (default `BENCH_pr4.json`).
+//! `--json-out PATH` additionally emits a machine-readable report.
 
 // Harness target: setup failures panic with context by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -9,9 +8,9 @@ use resildb_bench::json::{self, Probe};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let json_out = json::json_out_path(&args);
+    let json_out = json::flag_value_or_exit(&args, "--json-out");
     let probe = json_out.as_ref().map(|_| Probe::new());
-    let dot = resildb_bench::fig3::render_probed(probe.as_ref());
+    let dot = resildb_bench::fig3::render(probe.as_ref());
     print!("{dot}");
     if let (Some(path), Some(probe)) = (json_out, probe) {
         let results = format!(

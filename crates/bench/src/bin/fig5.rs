@@ -1,13 +1,14 @@
 //! Regenerates paper Figure 5: rolled-back transaction counts and saved
 //! percentages vs T_detect for W in {2, 5}, tracking all dependencies vs
 //! discarding false (ytd-mediated) dependencies. `--quick` reduces the
-//! T_detect grid; `--json-out [PATH]` additionally emits a
-//! machine-readable report (default `BENCH_pr4.json`).
+//! T_detect grid; `--json-out PATH` additionally emits a
+//! machine-readable report.
 
 // Harness target: setup failures panic with context by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use resildb_bench::fig5::Point;
 use resildb_bench::json::{self, Probe};
+use resildb_core::telemetry::export::format_f64;
 
 fn points_json(points: &[Point]) -> String {
     let items: Vec<String> = points
@@ -20,9 +21,9 @@ fn points_json(points: &[Point]) -> String {
                 p.w,
                 p.t_detect,
                 p.rolled_back_all,
-                json::json_f64(p.saved_pct_all),
+                format_f64(p.saved_pct_all),
                 p.rolled_back_filtered,
-                json::json_f64(p.saved_pct_filtered),
+                format_f64(p.saved_pct_filtered),
             )
         })
         .collect();
@@ -37,9 +38,9 @@ fn main() {
     } else {
         vec![50, 100, 200, 300, 400, 500, 600, 700]
     };
-    let json_out = json::json_out_path(&args);
+    let json_out = json::flag_value_or_exit(&args, "--json-out");
     let probe = json_out.as_ref().map(|_| Probe::new());
-    let points = resildb_bench::fig5::run_probed(&[2, 5], &t_detects, probe.as_ref());
+    let points = resildb_bench::fig5::run(&[2, 5], &t_detects, probe.as_ref());
     print!("{}", resildb_bench::fig5::render(&points));
     if let (Some(path), Some(probe)) = (json_out, probe) {
         json::write_report(

@@ -23,6 +23,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use resildb_analyze::{parse_json, JsonValue};
+
 /// One HTTP GET against the endpoint: returns (status-code, body).
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
@@ -59,21 +61,18 @@ fn metric(body: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// Crude count of incidents in the `/incidents` JSON (no parser needed:
-/// every incident object opens with `{"id":`).
-fn incident_count(json: &str) -> usize {
-    json.matches("{\"id\":").count()
-}
-
-/// `wall_ns` of the last decomposition in the `/incidents` JSON.
-fn last_wall_ns(json: &str) -> Option<u64> {
-    let at = json.rfind("\"wall_ns\":")?;
-    json[at + "\"wall_ns\":".len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .ok()
+/// Incident count and the `wall_ns` of the latest decomposition in the
+/// `/incidents` document.
+fn incident_summary(json: &str) -> Result<(usize, Option<u64>), String> {
+    let doc = parse_json(json).map_err(|e| format!("/incidents: {e}"))?;
+    let incidents = doc
+        .get("incidents")
+        .and_then(JsonValue::as_array)
+        .ok_or("/incidents: no incidents array")?;
+    let wall_ns = incidents
+        .last()
+        .and_then(|i| i.get("decomposition")?.get("wall_ns")?.as_u64());
+    Ok((incidents.len(), wall_ns))
 }
 
 const PHASES: [&str; 7] = [
@@ -116,7 +115,8 @@ fn fmt_rate(r: Option<f64>) -> String {
 struct Frame {
     ready: bool,
     metrics: String,
-    incidents: String,
+    incidents: usize,
+    latest_wall_ns: Option<u64>,
 }
 
 fn scrape(addr: &str) -> Result<Frame, String> {
@@ -129,10 +129,12 @@ fn scrape(addr: &str) -> Result<Frame, String> {
     if status != 200 {
         return Err(format!("/incidents returned {status}"));
     }
+    let (incidents, latest_wall_ns) = incident_summary(&incidents)?;
     Ok(Frame {
         ready: ready_status == 200,
         metrics,
         incidents,
+        latest_wall_ns,
     })
 }
 
@@ -158,8 +160,7 @@ fn render(addr: &str, frame: &Frame, prev: Option<&(Frame, Instant)>, now: Insta
         metric(m, "resildb_repair_progress_total").unwrap_or(0.0),
         32,
     );
-    let incidents = incident_count(&frame.incidents);
-    let wall = last_wall_ns(&frame.incidents).map_or_else(String::new, |ns| {
+    let wall = frame.latest_wall_ns.map_or_else(String::new, |ns| {
         format!(" (latest wall {:.1} ms)", ns as f64 / 1e6)
     });
     format!(
@@ -175,7 +176,7 @@ fn render(addr: &str, frame: &Frame, prev: Option<&(Frame, Instant)>, now: Insta
         phase,
         rounds as u64,
         bar,
-        incidents,
+        frame.incidents,
         wall,
     )
 }
@@ -262,8 +263,9 @@ resildb_repair_progress_total 31\n";
         assert!(bar.starts_with("[####"), "{bar}");
         let json = "{\"incidents\":[{\"id\":1,\"open\":false,\"marks\":[],\
              \"decomposition\":{\"mttd_ns\":1,\"mttc_ns\":2,\"mttr_ns\":3,\"wall_ns\":6}}]}";
-        assert_eq!(incident_count(json), 1);
-        assert_eq!(last_wall_ns(json), Some(6));
+        assert_eq!(incident_summary(json), Ok((1, Some(6))));
+        assert_eq!(incident_summary("{\"incidents\":[]}"), Ok((0, None)));
+        assert!(incident_summary("{\"id\":1,\"wall_ns\":6}").is_err());
     }
 
     #[test]

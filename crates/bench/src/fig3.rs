@@ -10,23 +10,12 @@ use crate::{prepare, Setup};
 
 /// Runs a small annotated TPC-C mix and renders the dependency graph as
 /// DOT, highlighting the damage closure of the earliest New-Order
-/// transaction.
-pub fn render() -> String {
-    render_probed(None)
-}
-
-/// Like [`render`], with an optional telemetry probe attached (the
-/// analysis pass populates the `repair.*` phase histograms).
-pub fn render_probed(probe: Option<&Probe>) -> String {
+/// transaction. An attached telemetry probe gets the `repair.*` phase
+/// histograms the analysis pass populates.
+pub fn render(probe: Option<&Probe>) -> String {
     let config = TpccConfig::tiny();
-    let mut builder = ProxyConfig::builder(Flavor::Postgres).record_read_only_deps(true);
-    if let Some(probe) = probe {
-        builder = builder.telemetry(probe.telemetry().clone());
-    }
-    let pc = builder.build();
-    if let Some(probe) = probe {
-        probe.note_proxy_config(pc.summary());
-    }
+    let builder = ProxyConfig::builder(Flavor::Postgres).record_read_only_deps(true);
+    let pc = Probe::proxy_config(probe, builder);
     let mut bench = prepare(
         Flavor::Postgres,
         Setup::Tracked,
@@ -62,7 +51,7 @@ pub fn render_probed(probe: Option<&Probe>) -> String {
         None => Default::default(),
     };
     if let Some(probe) = probe {
-        probe.capture(&*bench.conn);
+        probe.capture(bench.conn.metrics());
     }
     analysis.to_dot(&highlight)
 }
@@ -71,7 +60,7 @@ pub fn render_probed(probe: Option<&Probe>) -> String {
 mod tests {
     #[test]
     fn dot_has_paper_style_labels_and_edges() {
-        let dot = super::render();
+        let dot = super::render(None);
         assert!(dot.starts_with("digraph"));
         assert!(dot.contains("Order_") || dot.contains("Payment_"), "{dot}");
         assert!(dot.contains("->"), "graph should have edges:\n{dot}");

@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use resildb_core::telemetry::export::{format_f64, json_string};
 use resildb_core::{Flavor, LinkProfile};
 use resildb_tpcc::{Mix, TpccConfig, TpccRunner};
 
@@ -114,13 +115,7 @@ fn throughput(
     if !rewrite_cache {
         builder = builder.rewrite_cache_capacity(0);
     }
-    if let Some(probe) = probe {
-        builder = builder.telemetry(probe.telemetry().clone());
-    }
-    let pc = builder.build();
-    if let Some(probe) = probe {
-        probe.note_proxy_config(pc.summary());
-    }
+    let pc = Probe::proxy_config(probe, builder);
     let mut bench = prepare(flavor, setup, &config, sim, link, Some(pc), 42).expect("prepare");
 
     let mix = match (read_intensive, scale) {
@@ -152,81 +147,20 @@ fn throughput(
     // The tracked connection's metrics fold carries the proxy counters the
     // registry alone cannot see (rewrite cache, enforcement).
     if let (Some(probe), Setup::Tracked) = (probe, setup) {
-        probe.capture(&*bench.conn);
+        probe.capture(bench.conn.metrics());
     }
     (tps, ratio)
 }
 
-/// Runs one cell (baseline + proxy) with the proxy's rewrite cache on.
+/// Runs one cell (baseline + proxy). `rewrite_cache` off is the
+/// `fig4 --no-rewrite-cache` ablation; `probe` attaches telemetry to the
+/// simulation contexts and the proxy (`--json-out`). The baseline is
+/// measured at most once per configuration: the memo keys on (flavor,
+/// link, mix, footprint), so repeat runs of the same configuration — the
+/// rewrite-cache ablation pair in particular — reuse the earlier baseline
+/// instead of re-measuring an identical run.
+#[allow(clippy::too_many_arguments)]
 pub fn run_cell(
-    flavor: Flavor,
-    networked: bool,
-    read_intensive: bool,
-    large_footprint: bool,
-    scale: Scale,
-) -> Cell {
-    run_cell_with(
-        flavor,
-        networked,
-        read_intensive,
-        large_footprint,
-        scale,
-        true,
-    )
-}
-
-/// Runs one cell, optionally with the proxy's statement-template rewrite
-/// cache disabled (`fig4 --no-rewrite-cache` — the ablation showing what
-/// the cache buys back of the tracking overhead).
-pub fn run_cell_with(
-    flavor: Flavor,
-    networked: bool,
-    read_intensive: bool,
-    large_footprint: bool,
-    scale: Scale,
-    rewrite_cache: bool,
-) -> Cell {
-    run_cell_probed(
-        flavor,
-        networked,
-        read_intensive,
-        large_footprint,
-        scale,
-        rewrite_cache,
-        None,
-    )
-}
-
-/// Runs one cell with an optional telemetry probe attached to the
-/// simulation contexts and the proxy (`--json-out` instrumented runs).
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_probed(
-    flavor: Flavor,
-    networked: bool,
-    read_intensive: bool,
-    large_footprint: bool,
-    scale: Scale,
-    rewrite_cache: bool,
-    probe: Option<&Probe>,
-) -> Cell {
-    run_cell_memo(
-        flavor,
-        networked,
-        read_intensive,
-        large_footprint,
-        scale,
-        rewrite_cache,
-        probe,
-        &mut BaseMemo::new(),
-    )
-}
-
-/// Runs one cell, measuring the baseline at most once per configuration:
-/// the memo keys on (flavor, link, mix, footprint), so repeat runs of the
-/// same configuration — the rewrite-cache ablation pair in particular —
-/// reuse the earlier baseline instead of re-measuring an identical run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cell_memo(
     flavor: Flavor,
     networked: bool,
     read_intensive: bool,
@@ -270,27 +204,18 @@ pub fn run_cell_memo(
     }
 }
 
-/// Runs all 24 cells of Figure 4 (4 panels × 3 flavors × 2 links).
-pub fn run(scale: Scale) -> Vec<Cell> {
-    run_with(scale, true)
-}
-
-/// Runs all 24 cells, optionally with the rewrite cache disabled.
-pub fn run_with(scale: Scale, rewrite_cache: bool) -> Vec<Cell> {
-    run_probed(scale, rewrite_cache, None)
-}
-
-/// Runs all 24 cells with an optional telemetry probe shared across them.
-/// One [`BaseMemo`] spans the run, so each configuration's baseline is
-/// measured exactly once even if cells repeat.
-pub fn run_probed(scale: Scale, rewrite_cache: bool, probe: Option<&Probe>) -> Vec<Cell> {
+/// Runs all 24 cells of Figure 4 (4 panels × 3 flavors × 2 links),
+/// optionally with the rewrite cache disabled and a telemetry probe
+/// shared across them. One [`BaseMemo`] spans the run, so each
+/// configuration's baseline is measured exactly once even if cells repeat.
+pub fn run(scale: Scale, rewrite_cache: bool, probe: Option<&Probe>) -> Vec<Cell> {
     let mut out = Vec::with_capacity(24);
     let mut memo = BaseMemo::new();
     for read_intensive in [true, false] {
         for large_footprint in [true, false] {
             for flavor in Flavor::ALL {
                 for networked in [false, true] {
-                    out.push(run_cell_memo(
+                    out.push(run_cell(
                         flavor,
                         networked,
                         read_intensive,
@@ -305,6 +230,28 @@ pub fn run_probed(scale: Scale, rewrite_cache: bool, probe: Option<&Probe>) -> V
         }
     }
     out
+}
+
+/// The cells as the `results` array of the `--json-out` report.
+pub fn cells_json(cells: &[Cell]) -> String {
+    let items: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"flavor\":{},\"networked\":{},\"read_intensive\":{},\
+                 \"large_footprint\":{},\"base_tps\":{},\"proxy_tps\":{},\
+                 \"overhead_pct\":{}}}",
+                json_string(c.flavor.name()),
+                c.networked,
+                c.read_intensive,
+                c.large_footprint,
+                format_f64(c.base_tps),
+                format_f64(c.proxy_tps),
+                format_f64(c.overhead_pct()),
+            )
+        })
+        .collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Renders the four panels the way the paper lays them out.
@@ -364,9 +311,28 @@ pub fn render(cells: &[Cell]) -> String {
 mod tests {
     use super::*;
 
+    /// One quick cell with the rewrite cache on, no probe, fresh memo.
+    fn quick_cell(
+        flavor: Flavor,
+        networked: bool,
+        read_intensive: bool,
+        large_footprint: bool,
+    ) -> Cell {
+        run_cell(
+            flavor,
+            networked,
+            read_intensive,
+            large_footprint,
+            Scale::Quick,
+            true,
+            None,
+            &mut BaseMemo::new(),
+        )
+    }
+
     #[test]
     fn quick_cell_shows_positive_overhead() {
-        let cell = run_cell(Flavor::Postgres, true, true, true, Scale::Quick);
+        let cell = quick_cell(Flavor::Postgres, true, true, true);
         assert!(cell.base_tps > 0.0);
         assert!(cell.proxy_tps > 0.0);
         assert!(
@@ -380,8 +346,8 @@ mod tests {
 
     #[test]
     fn footprint_axis_drives_hit_ratio() {
-        let small = run_cell(Flavor::Oracle, true, true, false, Scale::Quick);
-        let large = run_cell(Flavor::Oracle, true, true, true, Scale::Quick);
+        let small = quick_cell(Flavor::Oracle, true, true, false);
+        let large = quick_cell(Flavor::Oracle, true, true, true);
         assert!(
             small.base_hit_ratio > large.base_hit_ratio,
             "W=1 ({:.2}) must cache better than W=10 ({:.2})",
@@ -393,7 +359,7 @@ mod tests {
     #[test]
     fn rewrite_cache_reduces_tracking_overhead() {
         let mut memo = BaseMemo::new();
-        let on = run_cell_memo(
+        let on = run_cell(
             Flavor::Postgres,
             false,
             true,
@@ -403,7 +369,7 @@ mod tests {
             None,
             &mut memo,
         );
-        let off = run_cell_memo(
+        let off = run_cell(
             Flavor::Postgres,
             false,
             true,
@@ -432,7 +398,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_panels() {
-        let cells = vec![run_cell(Flavor::Sybase, false, true, true, Scale::Quick)];
+        let cells = vec![quick_cell(Flavor::Sybase, false, true, true)];
         let text = render(&cells);
         assert!(text.contains("Read intensive transactions, W=10"));
         assert!(text.contains("Sybase"));

@@ -50,24 +50,14 @@ pub fn fig5_config(w: u32) -> TpccConfig {
     config
 }
 
-/// Runs one (W, T_detect) experiment and measures both variants.
-pub fn run_point(w: u32, t_detect: usize, seed: u64) -> Point {
-    run_point_probed(w, t_detect, seed, None)
-}
-
-/// Like [`run_point`], with an optional telemetry probe attached.
-pub fn run_point_probed(w: u32, t_detect: usize, seed: u64, probe: Option<&Probe>) -> Point {
+/// Runs one (W, T_detect) experiment and measures both variants, with
+/// an optional telemetry probe attached.
+pub fn run_point(w: u32, t_detect: usize, seed: u64, probe: Option<&Probe>) -> Point {
     let config = fig5_config(w);
     // Costs are irrelevant here; track read-only transactions too so the
     // saved-percentage accounts for every transaction, as in the paper.
-    let mut builder = ProxyConfig::builder(Flavor::Postgres).record_read_only_deps(true);
-    if let Some(probe) = probe {
-        builder = builder.telemetry(probe.telemetry().clone());
-    }
-    let pc = builder.build();
-    if let Some(probe) = probe {
-        probe.note_proxy_config(pc.summary());
-    }
+    let builder = ProxyConfig::builder(Flavor::Postgres).record_read_only_deps(true);
+    let pc = Probe::proxy_config(probe, builder);
     let mut bench = prepare(
         Flavor::Postgres,
         Setup::Tracked,
@@ -135,7 +125,7 @@ pub fn run_point_probed(w: u32, t_detect: usize, seed: u64, probe: Option<&Probe
     let (rolled_back_all, saved_pct_all) = measure(&[]);
     let (rolled_back_filtered, saved_pct_filtered) = measure(&ytd_rules());
     if let Some(probe) = probe {
-        probe.capture(&*bench.conn);
+        probe.capture(bench.conn.metrics());
     }
 
     Point {
@@ -148,17 +138,12 @@ pub fn run_point_probed(w: u32, t_detect: usize, seed: u64, probe: Option<&Probe
     }
 }
 
-/// Runs the full grid.
-pub fn run(ws: &[u32], t_detects: &[usize]) -> Vec<Point> {
-    run_probed(ws, t_detects, None)
-}
-
 /// Runs the full grid with an optional telemetry probe shared across it.
-pub fn run_probed(ws: &[u32], t_detects: &[usize], probe: Option<&Probe>) -> Vec<Point> {
+pub fn run(ws: &[u32], t_detects: &[usize], probe: Option<&Probe>) -> Vec<Point> {
     let mut out = Vec::new();
     for &w in ws {
         for &t in t_detects {
-            out.push(run_point_probed(w, t, 1000 + u64::from(w), probe));
+            out.push(run_point(w, t, 1000 + u64::from(w), probe));
         }
     }
     out
@@ -200,7 +185,7 @@ mod tests {
 
     #[test]
     fn filtering_never_increases_rollbacks() {
-        let p = run_point(2, 30, 5);
+        let p = run_point(2, 30, 5, None);
         assert!(p.rolled_back_filtered <= p.rolled_back_all, "{p:?}");
         assert!(p.saved_pct_filtered >= p.saved_pct_all, "{p:?}");
         assert!(p.rolled_back_all >= 1, "attack itself is rolled back");
@@ -208,8 +193,8 @@ mod tests {
 
     #[test]
     fn rollbacks_grow_with_t_detect() {
-        let short = run_point(2, 10, 5);
-        let long = run_point(2, 60, 5);
+        let short = run_point(2, 10, 5, None);
+        let long = run_point(2, 60, 5, None);
         assert!(
             long.rolled_back_all >= short.rolled_back_all,
             "short {short:?} vs long {long:?}"

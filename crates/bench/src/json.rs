@@ -3,21 +3,14 @@
 //! Every figure binary can emit one JSON document combining its figure
 //! results with a telemetry snapshot of an instrumented run — per-stage
 //! latency histograms (p50/p95/p99) for the proxy rewrite, engine
-//! execute/WAL/commit and repair phases, plus the layer counters. The CI
-//! `bench-smoke` job runs `fig4 --quick --json-out` and fails when the
-//! required metric keys are missing from the artifact.
+//! execute/WAL/commit and repair phases, plus the layer counters.
+//! `tests/reports.rs` asserts the documents' keys and required metrics.
 
 use std::cell::RefCell;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use resildb_core::{telemetry::export, telemetry::trace, Connection, MetricsSnapshot, Telemetry};
-
-/// Default output path of `--json-out` when no explicit path follows.
-pub const DEFAULT_JSON_PATH: &str = "BENCH_pr4.json";
-
-/// Default `--json-out` path in threaded mode (`fig4 --threads N`), whose
-/// document carries the wall-clock scaling curve instead of the cells.
-pub const DEFAULT_THREADS_JSON_PATH: &str = "BENCH_pr6.json";
+use resildb_core::telemetry::export::{self, json_string};
+use resildb_core::{telemetry::trace, MetricsSnapshot, ProxyConfig, ProxyConfigBuilder, Telemetry};
 
 /// Parses `--threads N` from a binary's argument list. Returns `None`
 /// when the flag is absent; panics on a missing or malformed count (a
@@ -32,32 +25,26 @@ pub fn threads_arg(args: &[String]) -> Option<usize> {
     Some(n)
 }
 
-/// Default output path of `--trace-out` when no explicit path follows
-/// (Chrome Trace Event Format — loadable in Perfetto).
-pub const DEFAULT_TRACE_PATH: &str = "BENCH_trace.json";
+/// Parses `flag VALUE` from a binary's argument list: `Ok(None)` when the
+/// flag is absent, a usage error when it is last or followed by another
+/// flag — an output path the operator did not name is never invented.
+pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(at + 1) {
+        Some(next) if !next.starts_with("--") => Ok(Some(next.clone())),
+        _ => Err(format!("{flag} requires a value")),
+    }
+}
 
-/// Parses `flag [PATH]` from a binary's argument list: `None` when the
-/// flag is absent, `default` when it is last or followed by another flag.
-pub fn flag_path(args: &[String], flag: &str, default: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    Some(match args.get(at + 1) {
-        Some(next) if !next.starts_with("--") => next.clone(),
-        _ => default.to_string(),
+/// [`flag_value`] for a binary's `main`: a usage error is printed and
+/// the process exits with status 2.
+pub fn flag_value_or_exit(args: &[String], flag: &str) -> Option<String> {
+    flag_value(args, flag).unwrap_or_else(|e| {
+        eprintln!("usage error: {e}");
+        std::process::exit(2)
     })
-}
-
-/// Parses `--json-out [PATH]` from a binary's argument list. Returns
-/// `None` when the flag is absent; the default path when the flag is last
-/// or followed by another flag.
-pub fn json_out_path(args: &[String]) -> Option<String> {
-    flag_path(args, "--json-out", DEFAULT_JSON_PATH)
-}
-
-/// Parses `--trace-out [PATH]` (same conventions as [`json_out_path`]).
-/// A `.jsonl` path selects JSONL output; anything else gets Chrome Trace
-/// Event Format.
-pub fn trace_out_path(args: &[String]) -> Option<String> {
-    flag_path(args, "--trace-out", DEFAULT_TRACE_PATH)
 }
 
 /// Provenance stamped into every `--json-out` report: which commit and
@@ -87,13 +74,13 @@ impl RunMeta {
     /// Renders the meta block as a JSON object.
     pub fn to_json(&self) -> String {
         let proxy = match &self.proxy_config {
-            Some(s) => json_str(s),
+            Some(s) => json_string(s),
             None => "null".to_string(),
         };
         format!(
             "{{\"git_sha\":{},\"timestamp_utc\":{},\"proxy_config\":{proxy}}}",
-            json_str(&self.git_sha),
-            json_str(&self.timestamp_utc),
+            json_string(&self.git_sha),
+            json_string(&self.timestamp_utc),
         )
     }
 }
@@ -168,10 +155,17 @@ impl Probe {
         self.telemetry.flight().set_enabled(true);
     }
 
-    /// Records the active proxy configuration summary (for the report's
-    /// meta block). Later calls win; figures run one configuration.
-    pub fn note_proxy_config(&self, summary: String) {
-        *self.proxy_config.borrow_mut() = Some(summary);
+    /// Finishes `builder` for a run `probe` (if any) observes: the proxy
+    /// records into the probe's telemetry domain, and the configuration
+    /// summary is noted for the report's meta block (later calls win;
+    /// figures run one configuration).
+    pub fn proxy_config(probe: Option<&Probe>, builder: ProxyConfigBuilder) -> ProxyConfig {
+        let Some(probe) = probe else {
+            return builder.build();
+        };
+        let config = builder.telemetry(probe.telemetry.clone()).build();
+        *probe.proxy_config.borrow_mut() = Some(config.summary());
+        config
     }
 
     /// Provenance for [`write_report`], including any noted proxy config.
@@ -185,18 +179,12 @@ impl Probe {
         &self.telemetry
     }
 
-    /// Captures the full metrics fold of `conn` (registry spans + the
-    /// connection's layer counters), replacing any earlier capture. Call
-    /// it at the end of a measured cell; the span histograms are
-    /// cumulative across cells because the domain is shared.
-    pub fn capture(&self, conn: &dyn Connection) {
-        *self.captured.borrow_mut() = Some(conn.metrics());
-    }
-
-    /// Captures an already-assembled snapshot (the threaded runner merges
-    /// its per-worker snapshots with the database fold before handing the
-    /// result over). Replaces any earlier capture, like [`Probe::capture`].
-    pub fn capture_snapshot(&self, snapshot: MetricsSnapshot) {
+    /// Captures a metrics fold, replacing any earlier capture: a tracked
+    /// connection's `metrics()` at the end of a measured cell (registry
+    /// spans + the connection's layer counters; the span histograms are
+    /// cumulative across cells because the domain is shared), or the
+    /// threaded runner's merge of its per-worker snapshots.
+    pub fn capture(&self, snapshot: MetricsSnapshot) {
         *self.captured.borrow_mut() = Some(snapshot);
     }
 
@@ -227,7 +215,7 @@ pub fn write_report(
         meta.to_json(),
         export::to_json(snapshot)
     );
-    std::fs::write(path, doc)
+    write_creating_dir(path, doc)
 }
 
 /// Writes a flight-recorder capture: JSONL when `path` ends in `.jsonl`,
@@ -242,35 +230,16 @@ pub fn write_trace(path: &str, snapshot: &trace::TraceSnapshot) -> std::io::Resu
     } else {
         trace::to_chrome_trace(snapshot)
     };
+    write_creating_dir(path, doc)
+}
+
+/// Writes `doc` to `path`, creating the directory it names first (CI
+/// writes under `target/bench/`, which no build step creates).
+fn write_creating_dir(path: &str, doc: String) -> std::io::Result<()> {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     std::fs::write(path, doc)
-}
-
-/// Escapes a string for inclusion in hand-rolled JSON.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (non-finite values render as `0`).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -293,19 +262,15 @@ mod tests {
 
     #[test]
     fn json_out_parsing() {
-        assert_eq!(json_out_path(&args(&["fig4"])), None);
+        let json_out = |list: &[&str]| flag_value(&args(list), "--json-out");
+        assert_eq!(json_out(&["fig4"]), Ok(None));
         assert_eq!(
-            json_out_path(&args(&["fig4", "--json-out"])),
-            Some(DEFAULT_JSON_PATH.to_string())
+            json_out(&["fig4", "--json-out", "out.json", "--quick"]),
+            Ok(Some("out.json".to_string()))
         );
-        assert_eq!(
-            json_out_path(&args(&["fig4", "--json-out", "out.json", "--quick"])),
-            Some("out.json".to_string())
-        );
-        assert_eq!(
-            json_out_path(&args(&["fig4", "--json-out", "--quick"])),
-            Some(DEFAULT_JSON_PATH.to_string())
-        );
+        // No silent default: a missing path is a usage error.
+        assert!(json_out(&["fig4", "--json-out"]).is_err());
+        assert!(json_out(&["fig4", "--json-out", "--quick"]).is_err());
     }
 
     #[test]
@@ -316,22 +281,16 @@ mod tests {
     }
 
     #[test]
-    fn json_helpers_escape_and_format() {
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(1.5), "1.5");
-    }
-
-    #[test]
     fn trace_out_parsing() {
-        assert_eq!(trace_out_path(&args(&["fig4"])), None);
+        let trace_out = |list: &[&str]| flag_value(&args(list), "--trace-out");
+        assert_eq!(trace_out(&["fig4"]), Ok(None));
         assert_eq!(
-            trace_out_path(&args(&["fig4", "--trace-out"])),
-            Some(DEFAULT_TRACE_PATH.to_string())
+            trace_out(&["fig4", "--trace-out", "t.jsonl", "--quick"]),
+            Ok(Some("t.jsonl".to_string()))
         );
         assert_eq!(
-            trace_out_path(&args(&["fig4", "--trace-out", "t.jsonl", "--quick"])),
-            Some("t.jsonl".to_string())
+            trace_out(&["fig4", "--trace-out"]),
+            Err("--trace-out requires a value".to_string())
         );
     }
 
@@ -356,11 +315,10 @@ mod tests {
     fn probe_notes_proxy_config_into_meta() {
         let probe = Probe::new();
         assert_eq!(probe.run_meta().proxy_config, None);
-        probe.note_proxy_config("granularity=row".into());
-        assert_eq!(
-            probe.run_meta().proxy_config.as_deref(),
-            Some("granularity=row")
-        );
+        let builder = ProxyConfig::builder(resildb_core::Flavor::Postgres);
+        let config = Probe::proxy_config(Some(&probe), builder);
+        assert_eq!(config.telemetry.as_ref(), Some(probe.telemetry()));
+        assert_eq!(probe.run_meta().proxy_config, Some(config.summary()));
     }
 
     #[test]

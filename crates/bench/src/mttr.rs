@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use resildb_core::telemetry::export::format_f64;
 use resildb_core::{
     ContainmentPolicy, Driver as _, FenceAction, Flavor, IncidentRecord, IncidentTimeline,
     LinkProfile, Micros, ProxyConfig, RepairProgress, ResilientDb, SimContext, WireError,
@@ -48,7 +49,7 @@ fn workload(
     runner: &mut TpccRunner,
     conn: &mut dyn resildb_core::Connection,
     t_detect: usize,
-    timeline: Option<&IncidentTimeline>,
+    timeline: &IncidentTimeline,
 ) {
     Mix::standard(25, 11).run(runner, conn).expect("warmup");
     Attack {
@@ -62,23 +63,16 @@ fn workload(
     // Ground truth for the incident timeline: the driver knows exactly
     // when the attack committed, so MTTD can be measured rather than
     // assumed zero.
-    if let Some(timeline) = timeline {
-        timeline.note_attack();
-    }
+    timeline.note_attack();
     Mix::standard(t_detect, 12)
         .run(runner, conn)
         .expect("post-attack");
 }
 
-/// Runs one point.
-pub fn run_point(t_detect: usize) -> MttrPoint {
-    run_point_probed(t_detect, None)
-}
-
-/// Like [`run_point`], with an optional telemetry probe attached to the
+/// Runs one point, with an optional telemetry probe attached to the
 /// tracked (world A) run — the repair sweep populates the `repair.*`
 /// phase histograms.
-pub fn run_point_probed(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
+pub fn run_point(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
     let config = TpccConfig::scaled(2);
 
     // --- world A: tracked database, attacked, selectively repaired -----
@@ -87,14 +81,8 @@ pub fn run_point_probed(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
         costs::POOL_PAGES,
         probe.map(Probe::telemetry),
     );
-    let mut builder = ProxyConfig::builder(Flavor::Postgres).record_read_only_deps(true);
-    if let Some(probe) = probe {
-        builder = builder.telemetry(probe.telemetry().clone());
-    }
-    let pc = builder.build();
-    if let Some(probe) = probe {
-        probe.note_proxy_config(pc.summary());
-    }
+    let builder = ProxyConfig::builder(Flavor::Postgres).record_read_only_deps(true);
+    let pc = Probe::proxy_config(probe, builder);
     let mut bench = prepare(
         Flavor::Postgres,
         Setup::Tracked,
@@ -107,7 +95,7 @@ pub fn run_point_probed(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
     .expect("prepare");
     let mut runner = TpccRunner::new(config.clone(), 9);
     let timeline = bench.db.sim().telemetry().timeline();
-    workload(&mut runner, &mut *bench.conn, t_detect, Some(timeline));
+    workload(&mut runner, &mut *bench.conn, t_detect, timeline);
 
     let tool = resildb_core::RepairController::new(bench.db.clone());
     let t0 = bench.db.sim().clock().now();
@@ -132,7 +120,7 @@ pub fn run_point_probed(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
     let report = tool.execute(&analysis, &plan).expect("repair");
     let selective_repair = bench.db.sim().clock().now() - t0;
     if let Some(probe) = probe {
-        probe.capture(&*bench.conn);
+        probe.capture(bench.conn.metrics());
     }
 
     // --- world B: untracked database; restore backup + replay ----------
@@ -164,17 +152,29 @@ pub fn run_point_probed(t_detect: usize, probe: Option<&Probe>) -> MttrPoint {
     }
 }
 
-/// Runs the sweep.
-pub fn run(t_detects: &[usize]) -> Vec<MttrPoint> {
-    run_probed(t_detects, None)
+/// Runs the sweep with an optional telemetry probe shared across points.
+pub fn run(t_detects: &[usize], probe: Option<&Probe>) -> Vec<MttrPoint> {
+    t_detects.iter().map(|&t| run_point(t, probe)).collect()
 }
 
-/// Runs the sweep with an optional telemetry probe shared across points.
-pub fn run_probed(t_detects: &[usize], probe: Option<&Probe>) -> Vec<MttrPoint> {
-    t_detects
+/// The points as the `results` array of the `--json-out` report.
+pub fn points_json(points: &[MttrPoint]) -> String {
+    let items: Vec<String> = points
         .iter()
-        .map(|&t| run_point_probed(t, probe))
-        .collect()
+        .map(|p| {
+            format!(
+                "{{\"t_detect\":{},\"selective_repair_us\":{},\
+                 \"compensating_statements\":{},\"restore_and_replay_us\":{},\
+                 \"speedup\":{}}}",
+                p.t_detect,
+                p.selective_repair.as_micros(),
+                p.compensating_statements,
+                p.restore_and_replay.as_micros(),
+                format_f64(p.speedup()),
+            )
+        })
+        .collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Renders the comparison table.
@@ -252,22 +252,11 @@ pub fn lock_slot(
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Runs one live-availability point.
-pub fn run_live_point(t_detect: usize) -> LiveMttrPoint {
-    run_live_point_observed(t_detect, None, None)
-}
-
-/// Like [`run_live_point`], with an optional telemetry probe: the final
-/// metrics fold (including the `proxy.fence.*` counters and the
-/// `repair.live.fence_size` gauge) is captured into it.
-pub fn run_live_point_probed(t_detect: usize, probe: Option<&Probe>) -> LiveMttrPoint {
-    run_live_point_observed(t_detect, probe, None)
-}
-
-/// Like [`run_live_point_probed`], additionally publishing the instance
-/// and its repair progress into `observe` for a concurrently running
-/// metrics endpoint.
-pub fn run_live_point_observed(
+/// Runs one live-availability point. The final metrics fold (including
+/// the `proxy.fence.*` counters and the `repair.live.fence_size` gauge)
+/// is captured into `probe`; the instance and its repair progress are
+/// published into `observe` for a concurrently running metrics endpoint.
+pub fn run_live_point(
     t_detect: usize,
     probe: Option<&Probe>,
     observe: Option<&ObserveSlot>,
@@ -289,7 +278,7 @@ pub fn run_live_point_observed(
             &mut runner,
             &mut *conn,
             t_detect,
-            Some(rdb.telemetry().timeline()),
+            rdb.telemetry().timeline(),
         );
     }
     let attack = rdb
@@ -363,7 +352,7 @@ pub fn run_live_point_observed(
         (wall, report)
     });
     if let Some(probe) = probe {
-        probe.capture_snapshot(rdb.metrics());
+        probe.capture(rdb.metrics());
     }
 
     let stats = report.live.expect("live execution reports live stats");
@@ -381,27 +370,70 @@ pub fn run_live_point_observed(
     }
 }
 
-/// Runs the live-availability sweep.
-pub fn run_live(t_detects: &[usize]) -> Vec<LiveMttrPoint> {
-    run_live_probed(t_detects, None)
-}
-
-/// Runs the live-availability sweep with an optional shared probe.
-pub fn run_live_probed(t_detects: &[usize], probe: Option<&Probe>) -> Vec<LiveMttrPoint> {
-    run_live_observed(t_detects, probe, None)
-}
-
-/// Runs the live-availability sweep, publishing each point into
-/// `observe` for a concurrently running metrics endpoint.
-pub fn run_live_observed(
+/// Runs the live-availability sweep with an optional shared probe,
+/// publishing each point into `observe` for a concurrently running
+/// metrics endpoint.
+pub fn run_live(
     t_detects: &[usize],
     probe: Option<&Probe>,
     observe: Option<&ObserveSlot>,
 ) -> Vec<LiveMttrPoint> {
     t_detects
         .iter()
-        .map(|&t| run_live_point_observed(t, probe, observe))
+        .map(|&t| run_live_point(t, probe, observe))
         .collect()
+}
+
+/// The per-incident timeline of a live point: phase marks plus the
+/// MTTD/MTTC/MTTR decomposition (nanoseconds, so the three phases sum
+/// to the wall time *exactly* — microsecond rounding would break that).
+fn timeline_json(p: &LiveMttrPoint) -> String {
+    let Some(incident) = &p.incident else {
+        return "null".to_string();
+    };
+    let d = incident.decomposition();
+    let marks: Vec<String> = incident
+        .marks
+        .iter()
+        .map(|m| format!("{{\"phase\":\"{}\",\"at_ns\":{}}}", m.phase.name(), m.at_ns))
+        .collect();
+    format!(
+        "{{\"incident\":{},\"marks\":[{}],\"mttd_ns\":{},\"mttc_ns\":{},\
+         \"mttr_ns\":{},\"wall_ns\":{}}}",
+        incident.id,
+        marks.join(","),
+        d.mttd_ns,
+        d.mttc_ns,
+        d.mttr_ns,
+        d.wall_ns,
+    )
+}
+
+/// The live points as the `results` array of the `--json-out` report.
+pub fn live_points_json(points: &[LiveMttrPoint]) -> String {
+    let items: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"t_detect\":{},\"repair_wall_us\":{},\"attempted\":{},\
+                 \"served\":{},\"fenced\":{},\"availability\":{},\
+                 \"fenced_tables\":{},\"fenced_rows\":{},\
+                 \"extension_rounds\":{},\"undo_set\":{},\"timeline\":{}}}",
+                p.t_detect,
+                p.repair_wall.as_micros(),
+                p.attempted,
+                p.served,
+                p.fenced,
+                format_f64(p.availability()),
+                p.fenced_tables,
+                p.fenced_rows,
+                p.extension_rounds,
+                p.undo_set,
+                timeline_json(p),
+            )
+        })
+        .collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Renders the live-availability table.
@@ -445,7 +477,7 @@ mod tests {
 
     #[test]
     fn selective_repair_beats_restore_and_replay() {
-        let p = run_point(30);
+        let p = run_point(30, None);
         assert!(
             p.speedup() > 1.0,
             "selective {} vs restore {}",
@@ -457,7 +489,7 @@ mod tests {
 
     #[test]
     fn live_repair_serves_clean_traffic_mid_sweep() {
-        let p = run_live_point(20);
+        let p = run_live_point(20, None, None);
         assert!(p.attempted > 0, "worker never ran during repair: {p:?}");
         assert!(
             p.served > 0,

@@ -21,6 +21,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use resildb_core::telemetry::export::format_f64;
 use resildb_core::{
     prepare_database, CostModel, Database, Driver, Flavor, LinkProfile, MetricsSnapshot, Micros,
     NativeDriver, Telemetry, TrackingProxy,
@@ -127,16 +128,10 @@ fn build(setup: Setup, config: &TpccConfig, probe: Option<&Probe>) -> (Database,
             prepare_database(&mut *native.connect().expect("native connect"))
                 .expect("prepare tracking tables");
             // Same paper-literal tracking set as the figure-4 cells.
-            let mut builder = resildb_core::ProxyConfig::builder(flavor)
+            let builder = resildb_core::ProxyConfig::builder(flavor)
                 .record_provenance(false)
                 .record_read_only_deps(true);
-            if let Some(probe) = probe {
-                builder = builder.telemetry(probe.telemetry().clone());
-            }
-            let pc = builder.build();
-            if let Some(probe) = probe {
-                probe.note_proxy_config(pc.summary());
-            }
+            let pc = Probe::proxy_config(probe, builder);
             Arc::new(TrackingProxy::single_proxy(db.clone(), link, pc))
         }
     };
@@ -222,7 +217,7 @@ pub fn run(counts: &[usize], scale: Scale, probe: Option<&Probe>) -> Vec<ThreadC
             let (base_tps, _) = wall_clock_tps(Setup::Baseline, threads, scale, probe);
             let (proxy_tps, merged) = wall_clock_tps(Setup::Tracked, threads, scale, probe);
             if let Some(probe) = probe {
-                probe.capture_snapshot(merged);
+                probe.capture(merged);
             }
             ThreadCell {
                 threads,
@@ -231,6 +226,31 @@ pub fn run(counts: &[usize], scale: Scale, probe: Option<&Probe>) -> Vec<ThreadC
             }
         })
         .collect()
+}
+
+/// The scaling curve as the `results` object of the `--json-out` report.
+pub fn scaling_json(cells: &[ThreadCell]) -> String {
+    let anchor = cells.first().map_or(0.0, |c| c.base_tps);
+    let items: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let scaling = if anchor > 0.0 {
+                c.base_tps / anchor
+            } else {
+                0.0
+            };
+            format!(
+                "{{\"threads\":{},\"base_tps\":{},\"proxy_tps\":{},\
+                 \"overhead_pct\":{},\"base_scaling\":{}}}",
+                c.threads,
+                format_f64(c.base_tps),
+                format_f64(c.proxy_tps),
+                format_f64(c.overhead_pct()),
+                format_f64(scaling),
+            )
+        })
+        .collect();
+    format!("{{\"scaling\":[{}]}}", items.join(","))
 }
 
 /// Renders the scaling curve as a report table.

@@ -88,8 +88,7 @@ pub use resildb_sim::{
     failpoints, telemetry, CostModel, EventKind, FaultAction, FaultPlan, FaultTrigger,
     FlightRecorder, HistogramSnapshot, IncidentDecomposition, IncidentMark, IncidentPhase,
     IncidentRecord, IncidentTimeline, InjectedFault, MetricsServer, MetricsSnapshot, Micros,
-    SampleRates, Sampler, SamplerHandle, ServerRoutes, SimContext, Telemetry, TraceEvent,
-    TraceSnapshot, TraceVerdict,
+    ServerRoutes, SimContext, Telemetry, TraceEvent, TraceSnapshot, TraceVerdict,
 };
 pub use resildb_sql::{parse_statement, Literal, Statement};
 pub use resildb_wire::{

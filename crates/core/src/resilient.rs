@@ -4,14 +4,16 @@ use std::sync::Arc;
 
 use resildb_engine::{Database, Flavor, Value};
 use resildb_proxy::{
-    prepare_database, ContainmentPolicy, DepStore, ProxyConfig, ProxyRuntime, RewriteCache,
-    TrackerStats, TrackingGranularity, TrackingProxy,
+    prepare_database, ContainmentPolicy, ProxyConfig, ProxyRuntime, TrackingGranularity,
+    TrackingProxy,
 };
 use resildb_repair::{
     Analysis, FalseDepRule, RepairController, RepairError, RepairOptions, RepairReport,
 };
 use resildb_sim::{CostModel, MetricsSnapshot, SimContext, Telemetry};
-use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver, WireError};
+use resildb_wire::{
+    dual_proxy, single_proxy, Connection, Driver, LinkProfile, NativeDriver, WireError,
+};
 
 /// Where the tracking proxy sits (paper Figures 1 and 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,11 +32,10 @@ pub enum ProxyPlacement {
 /// # Examples
 ///
 /// ```
-/// use resildb_core::{CostModel, Error, Flavor, LinkProfile, ProxyPlacement, ResilientDb};
+/// use resildb_core::{Error, Flavor, LinkProfile, ProxyPlacement, ResilientDb};
 ///
 /// # fn main() -> Result<(), Error> {
 /// let rdb = ResilientDb::builder(Flavor::Sybase)
-///     .cost_model(CostModel::disk_bound_oltp(), 256)
 ///     .client_link(LinkProfile::lan())
 ///     .placement(ProxyPlacement::Dual)
 ///     .build()?;
@@ -45,12 +46,8 @@ pub enum ProxyPlacement {
 #[derive(Debug)]
 pub struct ResilientDbBuilder {
     flavor: Flavor,
-    cost: CostModel,
-    pool_pages: usize,
     link: LinkProfile,
     placement: ProxyPlacement,
-    track_reads: bool,
-    record_deps_at_commit: bool,
     granularity: TrackingGranularity,
     containment: ContainmentPolicy,
 }
@@ -59,23 +56,11 @@ impl ResilientDbBuilder {
     fn new(flavor: Flavor) -> Self {
         Self {
             flavor,
-            cost: CostModel::free(),
-            pool_pages: usize::MAX,
             link: LinkProfile::local(),
             placement: ProxyPlacement::Single,
-            track_reads: true,
-            record_deps_at_commit: true,
             granularity: TrackingGranularity::Row,
             containment: ContainmentPolicy::default(),
         }
-    }
-
-    /// Uses `cost` with a buffer pool of `pool_pages` pages (defaults to a
-    /// free cost model — functional use).
-    pub fn cost_model(mut self, cost: CostModel, pool_pages: usize) -> Self {
-        self.cost = cost;
-        self.pool_pages = pool_pages;
-        self
     }
 
     /// Sets the client↔server link profile.
@@ -94,18 +79,6 @@ impl ResilientDbBuilder {
     /// dependency tracking.
     pub fn granularity(mut self, granularity: TrackingGranularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// Disables SELECT read-dependency harvesting (ablation).
-    pub fn without_read_tracking(mut self) -> Self {
-        self.track_reads = false;
-        self
-    }
-
-    /// Disables the commit-time `trans_dep` record (ablation).
-    pub fn without_commit_records(mut self) -> Self {
-        self.record_deps_at_commit = false;
         self
     }
 
@@ -131,42 +104,25 @@ impl ResilientDbBuilder {
         // the facade turns it on so every instance gets a forensic event
         // window for free (one relaxed atomic + a ring slot per event).
         telemetry.flight().set_enabled(true);
-        let sim = SimContext::with_telemetry(self.cost, self.pool_pages, telemetry.clone());
+        // Functional use: no simulated costs, unbounded buffer pool.
+        let sim = SimContext::with_telemetry(CostModel::free(), usize::MAX, telemetry.clone());
         let db = Database::new("resildb", self.flavor, sim);
         let native = NativeDriver::new(db.clone(), LinkProfile::local());
         prepare_database(&mut *native.connect()?)?;
         let config = ProxyConfig::builder(self.flavor)
-            .track_reads(self.track_reads)
-            .record_deps_at_commit(self.record_deps_at_commit)
             .granularity(self.granularity)
             .containment(self.containment)
             .telemetry(telemetry.clone())
             .build();
-        let (driver, rewrite_cache, tracker_stats, dep_store, runtime): (
-            Box<dyn Driver>,
-            _,
-            _,
-            _,
-            _,
-        ) = match self.placement {
-            ProxyPlacement::Single => {
-                let (driver, cache, stats, deps, runtime) =
-                    TrackingProxy::single_proxy_instrumented(db.clone(), self.link, config);
-                (Box::new(driver), cache, stats, deps, runtime)
-            }
-            ProxyPlacement::Dual => {
-                let (driver, cache, stats, deps, runtime) =
-                    TrackingProxy::dual_proxy_instrumented(db.clone(), self.link, config);
-                (Box::new(driver), cache, stats, deps, runtime)
-            }
+        let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
+        let driver: Box<dyn Driver> = match self.placement {
+            ProxyPlacement::Single => Box::new(single_proxy(db.clone(), self.link, factory)),
+            ProxyPlacement::Dual => Box::new(dual_proxy(db.clone(), self.link, factory)),
         };
         Ok(ResilientDb {
             db,
             driver,
             telemetry,
-            rewrite_cache,
-            tracker_stats,
-            dep_store,
             runtime,
             containment: self.containment,
         })
@@ -179,9 +135,6 @@ pub struct ResilientDb {
     db: Database,
     driver: Box<dyn Driver>,
     telemetry: Telemetry,
-    rewrite_cache: Arc<RewriteCache>,
-    tracker_stats: Arc<TrackerStats>,
-    dep_store: Arc<DepStore>,
     runtime: Arc<ProxyRuntime>,
     containment: ContainmentPolicy,
 }
@@ -251,10 +204,7 @@ impl ResilientDb {
     /// [`resildb_sim::telemetry::export::to_json`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.db.metrics();
-        self.rewrite_cache.fold_metrics(&mut snap);
-        self.tracker_stats.fold_metrics(&mut snap);
-        self.dep_store.fold_metrics(&mut snap);
-        self.runtime.fence().fold_metrics(&mut snap);
+        self.runtime.fold_metrics(&mut snap);
         snap
     }
 

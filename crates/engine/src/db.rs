@@ -387,11 +387,6 @@ pub struct PreparedStatement {
 }
 
 impl PreparedStatement {
-    /// Number of `?` placeholders the statement expects.
-    pub fn param_count(&self) -> u32 {
-        self.params
-    }
-
     /// The parsed template (placeholders included) — for diagnostics.
     pub fn statement(&self) -> &Statement {
         &self.template
@@ -430,11 +425,6 @@ impl Session {
     /// Whether an explicit transaction is open.
     pub fn in_transaction(&self) -> bool {
         self.txn.as_ref().is_some_and(|t| t.explicit)
-    }
-
-    /// The open transaction's internal id, if any.
-    pub fn current_txn(&self) -> Option<InternalTxnId> {
-        self.txn.as_ref().map(|t| t.id)
     }
 
     /// Parses and executes one SQL statement.
@@ -876,7 +866,6 @@ mod tests {
         let mut s = db.session();
         s.execute_sql("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
         let ins = s.prepare("INSERT INTO t (a, b) VALUES (?, ?)").unwrap();
-        assert_eq!(ins.param_count(), 2);
         for (a, b) in [(1, "x"), (2, "y")] {
             s.execute_prepared(&ins, &[Literal::Int(a), Literal::Str(b.into())])
                 .unwrap();

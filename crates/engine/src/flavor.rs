@@ -53,15 +53,6 @@ impl Flavor {
     pub fn logs_update_deltas(self) -> bool {
         matches!(self, Flavor::Sybase)
     }
-
-    /// Name of the update operation in this flavor's log dump (cosmetic,
-    /// but keeps test output recognisable: Sybase calls it `MODIFY`).
-    pub fn update_op_name(self) -> &'static str {
-        match self {
-            Flavor::Sybase => "MODIFY",
-            _ => "UPDATE",
-        }
-    }
 }
 
 impl fmt::Display for Flavor {
@@ -81,7 +72,6 @@ mod tests {
         assert_eq!(Flavor::Sybase.rowid_pseudocolumn(), None);
         assert!(Flavor::Sybase.logs_update_deltas());
         assert!(!Flavor::Oracle.logs_update_deltas());
-        assert_eq!(Flavor::Sybase.update_op_name(), "MODIFY");
     }
 
     #[test]

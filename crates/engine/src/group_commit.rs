@@ -14,7 +14,7 @@
 //! Lock-contention observability: time spent waiting for the publication
 //! ticket is recorded in the `engine.wal.group_commit_wait` histogram, and
 //! time a follower spends waiting for the leader's force in
-//! `engine.wal.group_force_wait` (DESIGN.md §13).
+//! `engine.wal.group_force_wait` (DESIGN.md §9).
 
 use std::time::Instant;
 

@@ -11,7 +11,7 @@
 //! different rows never serialize against each other; per-transaction
 //! owned-sets are likewise sharded by transaction id. Only the *blocking*
 //! path — an actual owner conflict — falls back to the single wait-for
-//! graph mutex, whose condvar serializes waiters (DESIGN.md §13 covers the
+//! graph mutex, whose condvar serializes waiters (DESIGN.md §9 covers the
 //! lock ordering: waiting lock, then stripe lock, never the reverse).
 
 use std::collections::{HashMap, HashSet};

@@ -91,7 +91,7 @@ impl Table {
 
     /// Serialises a caller-supplied key-value list (in PK column order)
     /// with the same order-preserving encoding the index uses.
-    pub fn pk_key_for(&self, values: &[Value]) -> Vec<u8> {
+    pub(crate) fn pk_key_for(&self, values: &[Value]) -> Vec<u8> {
         let mut key = Vec::new();
         for v in values {
             encode_key_part(v, &mut key);
@@ -455,22 +455,6 @@ impl Table {
     /// Sybase-flavor repair path.
     pub fn read_page_bytes(&self, page: u64, offset: usize, len: usize) -> Option<&[u8]> {
         self.pages.get(page as usize)?.read_at(offset, len)
-    }
-
-    /// Current slot of `rowid` (page + offset), for diagnostics and tests.
-    pub fn locate(&self, rowid: RowId) -> Option<RowLocation> {
-        let &page_no = self.directory.get(&rowid)?;
-        let slot = self.pages[page_no as usize].slot_of(rowid)?;
-        Some(RowLocation {
-            page: page_no,
-            offset: slot.offset,
-            len: slot.len,
-        })
-    }
-
-    /// All live row ids (unordered).
-    pub fn row_ids(&self) -> Vec<RowId> {
-        self.directory.keys().copied().collect()
     }
 }
 

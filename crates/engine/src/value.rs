@@ -258,7 +258,7 @@ impl Value {
     }
 
     /// Plain (unquoted) textual form, used for concatenation and display.
-    pub fn to_plain_string(&self) -> String {
+    pub(crate) fn to_plain_string(&self) -> String {
         match self {
             Value::Str(s) => s.clone(),
             other => other.to_sql_literal(),

@@ -105,7 +105,7 @@ impl LogOp {
     /// Bytes this record occupies in `flavor`'s physical log. The Sybase
     /// flavor logs only the modified attributes of an UPDATE; the others
     /// log full before/after images.
-    pub fn logged_bytes(&self, flavor: Flavor, schema: Option<&TableSchema>) -> usize {
+    pub(crate) fn logged_bytes(&self, flavor: Flavor, schema: Option<&TableSchema>) -> usize {
         const HEADER: usize = 32;
         match self {
             LogOp::Insert { .. } | LogOp::Delete { .. } => {

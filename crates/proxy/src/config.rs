@@ -214,14 +214,6 @@ impl ProxyConfig {
         }
     }
 
-    /// The standard configuration with column-level tracking enabled.
-    pub fn column_level(flavor: Flavor) -> Self {
-        Self {
-            granularity: TrackingGranularity::Column,
-            ..Self::new(flavor)
-        }
-    }
-
     /// This configuration with the rewrite cache disabled — every
     /// statement pays the full lex+parse+rewrite+print cost.
     pub fn without_rewrite_cache(mut self) -> Self {
@@ -370,13 +362,6 @@ mod tests {
         assert!(c.rewrite_cpu > Micros::ZERO);
         assert_eq!(c.flavor, Flavor::Sybase);
         assert_eq!(c.granularity, TrackingGranularity::Row);
-    }
-
-    #[test]
-    fn column_level_preset() {
-        let c = ProxyConfig::column_level(Flavor::Oracle);
-        assert_eq!(c.granularity, TrackingGranularity::Column);
-        assert!(c.track_reads);
     }
 
     #[test]

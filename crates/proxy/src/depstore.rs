@@ -79,28 +79,22 @@ impl DepStore {
 
     /// Locks the shard for `trid`, recording the wait in the
     /// `proxy.trans_dep.shard_wait` histogram when telemetry is recording.
-    fn shard(
-        &self,
-        trid: i64,
-        telemetry: Option<&Telemetry>,
-    ) -> MutexGuard<'_, HashMap<i64, InFlight>> {
+    fn shard(&self, trid: i64, telemetry: &Telemetry) -> MutexGuard<'_, HashMap<i64, InFlight>> {
         let mutex = &self.shards[(trid.unsigned_abs() as usize) % self.shards.len()];
-        match telemetry.filter(|t| t.is_enabled()) {
-            None => mutex.lock(),
-            Some(t) => {
-                let start = Instant::now();
-                let guard = mutex.lock();
-                t.record_span_ns(
-                    span_names::PROXY_TRANS_DEP_SHARD_WAIT,
-                    start.elapsed().as_nanos() as u64,
-                );
-                guard
-            }
+        if !telemetry.is_enabled() {
+            return mutex.lock();
         }
+        let start = Instant::now();
+        let guard = mutex.lock();
+        telemetry.record_span_ns(
+            span_names::PROXY_TRANS_DEP_SHARD_WAIT,
+            start.elapsed().as_nanos() as u64,
+        );
+        guard
     }
 
     /// Registers a tracked transaction as in flight.
-    pub fn begin(&self, trid: i64, telemetry: Option<&Telemetry>) {
+    pub fn begin(&self, trid: i64, telemetry: &Telemetry) {
         self.shard(trid, telemetry).insert(trid, InFlight);
     }
 
@@ -108,7 +102,7 @@ impl DepStore {
     /// whether the entry existed — `false` means a double commit or a
     /// commit without a begin, which the stress suite treats as a tracking
     /// bug.
-    pub fn commit(&self, trid: i64, deps: usize, telemetry: Option<&Telemetry>) -> bool {
+    pub fn commit(&self, trid: i64, deps: usize, telemetry: &Telemetry) -> bool {
         let mut shard = self.shard(trid, telemetry);
         let existed = shard.remove(&trid).is_some();
         drop(shard);
@@ -120,7 +114,7 @@ impl DepStore {
     }
 
     /// Retires a transaction without a dependency record.
-    pub fn abort(&self, trid: i64, telemetry: Option<&Telemetry>) {
+    pub fn abort(&self, trid: i64, telemetry: &Telemetry) {
         if self.shard(trid, telemetry).remove(&trid).is_some() {
             self.aborted.fetch_add(1, Ordering::Relaxed);
         }
@@ -166,10 +160,11 @@ mod tests {
     #[test]
     fn begin_commit_retires_exactly_once() {
         let store = DepStore::new();
-        store.begin(7, None);
+        let off = Telemetry::disabled();
+        store.begin(7, &off);
         assert_eq!(store.stats().inflight, 1);
-        assert!(store.commit(7, 3, None), "first commit retires the entry");
-        assert!(!store.commit(7, 3, None), "second commit finds nothing");
+        assert!(store.commit(7, 3, &off), "first commit retires the entry");
+        assert!(!store.commit(7, 3, &off), "second commit finds nothing");
         let s = store.stats();
         assert_eq!((s.inflight, s.committed, s.aborted), (0, 1, 0));
         assert_eq!(s.harvested, 3, "only the first commit counts its deps");
@@ -178,28 +173,30 @@ mod tests {
     #[test]
     fn abort_leaves_no_record() {
         let store = DepStore::new();
-        store.begin(1, None);
-        store.abort(1, None);
+        let off = Telemetry::disabled();
+        store.begin(1, &off);
+        store.abort(1, &off);
         let s = store.stats();
         assert_eq!((s.inflight, s.committed, s.aborted), (0, 0, 1));
         // Aborting an unknown transaction is harmless.
-        store.abort(99, None);
+        store.abort(99, &off);
         assert_eq!(store.stats().aborted, 1);
     }
 
     #[test]
     fn inflight_watermark_sees_only_older_transactions() {
         let store = DepStore::new();
-        store.begin(3, None);
-        store.begin(8, None);
+        let off = Telemetry::disabled();
+        store.begin(3, &off);
+        store.begin(8, &off);
         assert!(store.any_inflight_below(4), "txn 3 is below the watermark");
         assert!(!store.any_inflight_below(3), "3 itself is not below 3");
-        store.commit(3, 0, None);
+        store.commit(3, 0, &off);
         assert!(
             !store.any_inflight_below(4),
             "only txn 8 remains, above the watermark"
         );
-        store.abort(8, None);
+        store.abort(8, &off);
         assert!(!store.any_inflight_below(i64::MAX));
     }
 
@@ -207,8 +204,8 @@ mod tests {
     fn shard_wait_histogram_records_under_telemetry() {
         let store = DepStore::new();
         let tel = Telemetry::recording();
-        store.begin(5, Some(&tel));
-        store.commit(5, 0, Some(&tel));
+        store.begin(5, &tel);
+        store.commit(5, 0, &tel);
         let snap = tel.snapshot();
         let hist = snap
             .histogram(span_names::PROXY_TRANS_DEP_SHARD_WAIT)

@@ -223,7 +223,7 @@ impl Fence {
     }
 
     /// Current fence extent: (wholly-fenced tables, fenced rows).
-    pub fn size(&self) -> (usize, usize) {
+    pub(crate) fn size(&self) -> (usize, usize) {
         self.state.lock().size()
     }
 

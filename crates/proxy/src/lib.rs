@@ -62,7 +62,6 @@ pub use config::{
     ContainmentPolicy, EnforcementPolicy, FenceAction, ProxyConfig, ProxyConfigBuilder,
     TrackingGranularity,
 };
-pub use depstore::{DepStore, DepStoreStats};
 pub use fence::{
     canon_value, composite_key, Fence, FenceDecision, FenceStats, RowFence, FENCE_DEFER_BUDGET,
 };

@@ -54,14 +54,6 @@ pub enum SelectSkip {
     NoFrom,
 }
 
-impl SelectSkip {
-    /// Whether the passthrough loses dependencies (as opposed to the
-    /// benign FROM-less case).
-    pub fn loses_dependencies(self) -> bool {
-        !matches!(self, SelectSkip::NoFrom)
-    }
-}
-
 /// The outcome of [`rewrite_select`]: either a rewritten statement with
 /// its harvest plan, or an explicit record of why the statement was passed
 /// through unmodified. Earlier revisions returned `Option` here, which
@@ -515,7 +507,6 @@ mod tests {
         let s = sel("SELECT DISTINCT ol_i_id FROM order_line WHERE ol_w_id = 1");
         let out = rewrite_select(&s, TrackingGranularity::Row);
         assert_eq!(out, SelectOutcome::Passthrough(SelectSkip::Distinct));
-        assert!(SelectSkip::Distinct.loses_dependencies());
     }
 
     #[test]
@@ -523,7 +514,6 @@ mod tests {
         let s = sel("SELECT 1");
         let out = rewrite_select(&s, TrackingGranularity::Row);
         assert_eq!(out, SelectOutcome::Passthrough(SelectSkip::NoFrom));
-        assert!(!SelectSkip::NoFrom.loses_dependencies());
     }
 
     // ---- column-level tracking (§6 extension) --------------------------

@@ -16,8 +16,8 @@ use resildb_sql::{
     TRID_PARAM,
 };
 use resildb_wire::{
-    dual_proxy, single_proxy, Connection, InterceptDriver, Interceptor, InterceptorFactory,
-    LinkProfile, NativeDriver, Response, WireError,
+    single_proxy, Connection, InterceptDriver, Interceptor, InterceptorFactory, LinkProfile,
+    NativeDriver, Response, WireError,
 };
 
 use resildb_analyze::{classify_statement, Verdict};
@@ -104,23 +104,37 @@ pub struct TrackerStatsSnapshot {
     pub rejected: u64,
 }
 
-/// The live-repair control surface of one proxy factory: the containment
-/// [`Fence`] every connection consults, plus the in-flight state the
-/// repair controller needs to raise it *safely* — the transaction-id
-/// allocator (for the drain watermark) and the in-flight ledger (to wait
-/// until every pre-fence transaction has finished, so the log analysis
-/// that follows sees a complete prefix).
+/// Everything the connections of one proxy factory share — the proxy
+/// process of the paper: the transaction-id and session-id allocators,
+/// the rewrite cache, the enforcement counters, the in-flight dependency
+/// ledger and the containment [`Fence`]. It is also the live-repair
+/// control surface: the allocator gives the drain watermark, the ledger
+/// says when every pre-fence transaction has finished (so the log
+/// analysis that follows sees a complete prefix).
 #[derive(Debug)]
 pub struct ProxyRuntime {
     fence: Fence,
-    counter: Arc<AtomicI64>,
-    deps: Arc<DepStore>,
+    counter: AtomicI64,
+    sessions: AtomicU64,
+    cache: RewriteCache,
+    stats: TrackerStats,
+    deps: DepStore,
 }
 
 impl ProxyRuntime {
     /// The shared containment fence.
     pub fn fence(&self) -> &Fence {
         &self.fence
+    }
+
+    /// The shared statement-shape rewrite cache.
+    pub fn rewrite_cache(&self) -> &RewriteCache {
+        &self.cache
+    }
+
+    /// The shared enforcement (verdict and rejection) counters.
+    pub fn tracker_stats(&self) -> &TrackerStats {
+        &self.stats
     }
 
     /// The next transaction id the allocator would hand out. Every
@@ -131,22 +145,21 @@ impl ProxyRuntime {
     }
 
     /// Whether any transaction with an id below `watermark` is still in
-    /// flight (see [`DepStore::any_inflight_below`]).
+    /// flight. Once this returns `false`, every transaction the pre-fence
+    /// world admitted has committed or aborted.
     pub fn any_inflight_below(&self, watermark: i64) -> bool {
         self.deps.any_inflight_below(watermark)
     }
-}
 
-/// A driver (or factory) plus the shared handles behind it that the
-/// `ResilientDb` facade retains: rewrite cache, enforcement statistics,
-/// in-flight dependency ledger, and the live-repair runtime.
-pub type Instrumented<D> = (
-    D,
-    Arc<RewriteCache>,
-    Arc<TrackerStats>,
-    Arc<DepStore>,
-    Arc<ProxyRuntime>,
-);
+    /// Folds every proxy counter — rewrite cache, enforcement, dependency
+    /// ledger, fence — into `snap`.
+    pub fn fold_metrics(&self, snap: &mut MetricsSnapshot) {
+        self.cache.fold_metrics(snap);
+        self.stats.fold_metrics(snap);
+        self.deps.fold_metrics(snap);
+        self.fence.fold_metrics(snap);
+    }
+}
 
 /// Constructors for tracking-proxy drivers.
 ///
@@ -156,57 +169,41 @@ pub type Instrumented<D> = (
 pub struct TrackingProxy;
 
 impl TrackingProxy {
-    /// An [`InterceptorFactory`] running the tracker, for custom wiring.
-    /// Without a simulation context the tracker's own CPU costs are not
-    /// charged; prefer [`Self::factory_with_sim`].
-    pub fn factory(config: ProxyConfig) -> Box<dyn InterceptorFactory> {
-        Self::factory_inner(config, None).0
-    }
-
-    /// Like [`Self::factory`], charging rewrite/harvest CPU to `sim`.
-    pub fn factory_with_sim(config: ProxyConfig, sim: SimContext) -> Box<dyn InterceptorFactory> {
-        Self::factory_inner(config, Some(sim)).0
-    }
-
-    fn factory_inner(
+    /// An [`InterceptorFactory`] running the tracker — hand it to
+    /// `resildb_wire::single_proxy` (Figure 1) or `dual_proxy` (Figure 2)
+    /// — plus the [`ProxyRuntime`] its connections share. The tracker's
+    /// rewrite/harvest CPU is charged to `sim`.
+    // `TrackingProxy` is a namespace of constructors, never a value.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(
         config: ProxyConfig,
-        sim: Option<SimContext>,
-    ) -> Instrumented<Box<dyn InterceptorFactory>> {
-        let counter = Arc::new(AtomicI64::new(1));
-        let sessions = Arc::new(AtomicU64::new(1));
-        let cache = Arc::new(RewriteCache::new(config.rewrite_cache_capacity));
-        let stats = Arc::new(TrackerStats::default());
-        let deps = Arc::new(DepStore::new());
+        sim: SimContext,
+    ) -> (Box<dyn InterceptorFactory>, Arc<ProxyRuntime>) {
         let runtime = Arc::new(ProxyRuntime {
             fence: Fence::new(),
-            counter: Arc::clone(&counter),
-            deps: Arc::clone(&deps),
+            counter: AtomicI64::new(1),
+            sessions: AtomicU64::new(1),
+            cache: RewriteCache::new(config.rewrite_cache_capacity),
+            stats: TrackerStats::default(),
+            deps: DepStore::new(),
         });
-        let deps_handle = Arc::clone(&deps);
-        let cache_handle = Arc::clone(&cache);
-        let stats_handle = Arc::clone(&stats);
-        let runtime_handle = Arc::clone(&runtime);
+        let shared = Arc::clone(&runtime);
         let factory = Box::new(move || {
             Box::new(Tracker {
                 config: config.clone(),
-                counter: Arc::clone(&counter),
-                session: sessions.fetch_add(1, Ordering::Relaxed),
-                cache: Arc::clone(&cache),
-                stats: Arc::clone(&stats),
-                deps: Arc::clone(&deps),
-                runtime: Arc::clone(&runtime),
+                session: shared.sessions.fetch_add(1, Ordering::Relaxed),
+                runtime: Arc::clone(&shared),
                 txn: None,
                 next_annotation: None,
                 sim: sim.clone(),
             }) as Box<dyn Interceptor>
         });
-        (
-            factory,
-            cache_handle,
-            stats_handle,
-            deps_handle,
-            runtime_handle,
-        )
+        (factory, runtime)
+    }
+
+    /// [`Self::new`] without the runtime handle.
+    pub fn factory_with_sim(config: ProxyConfig, sim: SimContext) -> Box<dyn InterceptorFactory> {
+        Self::new(config, sim).0
     }
 
     /// Figure 1 deployment: client-side proxy driver over `link`.
@@ -215,70 +212,8 @@ impl TrackingProxy {
         link: LinkProfile,
         config: ProxyConfig,
     ) -> InterceptDriver<NativeDriver> {
-        Self::single_proxy_with_cache(db, link, config).0
-    }
-
-    /// Like [`Self::single_proxy`], additionally returning a handle to the
-    /// shared rewrite cache so callers can inspect hit/miss/eviction
-    /// counters.
-    pub fn single_proxy_with_cache(
-        db: Database,
-        link: LinkProfile,
-        config: ProxyConfig,
-    ) -> (InterceptDriver<NativeDriver>, Arc<RewriteCache>) {
         let sim = db.sim().clone();
-        let (factory, cache, _, _, _) = Self::factory_inner(config, Some(sim));
-        (single_proxy(db, link, factory), cache)
-    }
-
-    /// Like [`Self::single_proxy`], additionally returning a handle to the
-    /// shared enforcement statistics (verdict and rejection counters).
-    pub fn single_proxy_with_stats(
-        db: Database,
-        link: LinkProfile,
-        config: ProxyConfig,
-    ) -> (InterceptDriver<NativeDriver>, Arc<TrackerStats>) {
-        let sim = db.sim().clone();
-        let (factory, _, stats, _, _) = Self::factory_inner(config, Some(sim));
-        (single_proxy(db, link, factory), stats)
-    }
-
-    /// Like [`Self::single_proxy`], additionally returning handles to the
-    /// shared rewrite cache, the enforcement statistics, the in-flight
-    /// dependency store and the live-repair runtime (fence + drain state)
-    /// — what the `ResilientDb` facade retains so `metrics()` can fold
-    /// every proxy counter into one snapshot and live repair can drive
-    /// the fence.
-    pub fn single_proxy_instrumented(
-        db: Database,
-        link: LinkProfile,
-        config: ProxyConfig,
-    ) -> Instrumented<InterceptDriver<NativeDriver>> {
-        let sim = db.sim().clone();
-        let (factory, cache, stats, deps, runtime) = Self::factory_inner(config, Some(sim));
-        (single_proxy(db, link, factory), cache, stats, deps, runtime)
-    }
-
-    /// Figure 2 deployment: client proxy + server proxy pair; the tracker
-    /// and its extra statements run on the server-side (local) leg.
-    pub fn dual_proxy(
-        db: Database,
-        link: LinkProfile,
-        config: ProxyConfig,
-    ) -> resildb_wire::DualProxyDriver {
-        Self::dual_proxy_instrumented(db, link, config).0
-    }
-
-    /// Like [`Self::dual_proxy`], additionally returning the rewrite-cache,
-    /// enforcement-stats, dependency-store and live-repair runtime handles.
-    pub fn dual_proxy_instrumented(
-        db: Database,
-        link: LinkProfile,
-        config: ProxyConfig,
-    ) -> Instrumented<resildb_wire::DualProxyDriver> {
-        let sim = db.sim().clone();
-        let (factory, cache, stats, deps, runtime) = Self::factory_inner(config, Some(sim));
-        (dual_proxy(db, link, factory), cache, stats, deps, runtime)
+        single_proxy(db, link, Self::factory_with_sim(config, sim))
     }
 }
 
@@ -321,17 +256,17 @@ impl TxnTrack {
 /// so the regular paths `defuse` it and retire explicitly; only an unwind
 /// reaches its `Drop`.
 struct RetireOnUnwind {
-    deps: Arc<DepStore>,
-    tel: Option<Telemetry>,
+    runtime: Arc<ProxyRuntime>,
+    tel: Telemetry,
     trid: i64,
     session: u64,
     armed: bool,
 }
 
 impl RetireOnUnwind {
-    fn arm(deps: Arc<DepStore>, tel: Option<Telemetry>, trid: i64, session: u64) -> Self {
+    fn arm(runtime: Arc<ProxyRuntime>, tel: Telemetry, trid: i64, session: u64) -> Self {
         Self {
-            deps,
+            runtime,
             tel,
             trid,
             session,
@@ -351,33 +286,24 @@ impl Drop for RetireOnUnwind {
         if !self.armed {
             return;
         }
-        self.deps.abort(self.trid, self.tel.as_ref());
-        if let Some(t) = &self.tel {
-            t.flight().emit(self.trid, self.session, EventKind::Abort);
-        }
+        self.runtime.deps.abort(self.trid, &self.tel);
+        self.tel
+            .flight()
+            .emit(self.trid, self.session, EventKind::Abort);
     }
 }
 
 struct Tracker {
     config: ProxyConfig,
-    counter: Arc<AtomicI64>,
     /// Flight-recorder session (connection) id, unique per proxy factory.
     session: u64,
-    /// Statement-shape → rewrite-template cache shared across all
-    /// connections of this proxy factory.
-    cache: Arc<RewriteCache>,
-    /// Enforcement counters shared across all connections.
-    stats: Arc<TrackerStats>,
-    /// Sharded factory-wide ledger of in-flight tracked transactions.
-    deps: Arc<DepStore>,
-    /// Live-repair control surface (containment fence + drain state)
-    /// shared across all connections of this factory.
+    /// State shared across all connections of this proxy factory.
     runtime: Arc<ProxyRuntime>,
     txn: Option<TxnTrack>,
     /// Annotation staged by `ANNOTATE` before the transaction begins.
     next_annotation: Option<String>,
     /// Virtual clock to charge the proxy's own CPU costs to.
-    sim: Option<SimContext>,
+    sim: SimContext,
 }
 
 fn sql_str(s: &str) -> String {
@@ -413,37 +339,35 @@ fn is_tracking_table(name: &str) -> bool {
 
 impl Tracker {
     fn alloc_trid(&self) -> i64 {
-        self.counter.fetch_add(1, Ordering::Relaxed)
+        self.runtime.counter.fetch_add(1, Ordering::Relaxed)
     }
 
     /// The telemetry domain the tracker reports into: the domain named by
     /// the config when set, else the simulation context's domain.
-    fn tel(&self) -> Option<&Telemetry> {
-        match &self.config.telemetry {
-            Some(t) => Some(t),
-            None => self.sim.as_ref().map(SimContext::telemetry),
-        }
+    fn tel(&self) -> &Telemetry {
+        self.config
+            .telemetry
+            .as_ref()
+            .unwrap_or_else(|| self.sim.telemetry())
     }
 
     /// Starts a telemetry span (disabled by default, so this costs one
     /// relaxed atomic load on untelemetered deployments).
-    fn tel_span(&self, name: &'static str) -> Option<OwnedSpan> {
-        self.tel().map(|t| t.owned_span(name))
+    fn tel_span(&self, name: &'static str) -> OwnedSpan {
+        self.tel().owned_span(name)
     }
 
     /// Whether flight-recorder event tracing is live — the one relaxed
     /// load guarding every emission site, so callers can skip building
     /// event payloads (strings) on the disabled path.
     fn tracing(&self) -> bool {
-        self.tel().is_some_and(|t| t.flight().is_enabled())
+        self.tel().flight().is_enabled()
     }
 
     /// Records one flight-recorder event, stamped with this connection's
     /// session id.
     fn trace(&self, txn: i64, kind: EventKind) {
-        if let Some(t) = self.tel() {
-            t.flight().emit(txn, self.session, kind);
-        }
+        self.tel().flight().emit(txn, self.session, kind);
     }
 
     /// Records the statement-interception event: rewrite-cache outcome
@@ -472,33 +396,27 @@ impl Tracker {
     /// retiring it from the dependency ledger without a record.
     fn clear_txn(&mut self) {
         if let Some(t) = self.txn.take() {
-            self.deps.abort(t.trid, self.tel());
+            self.runtime.deps.abort(t.trid, self.tel());
             self.trace(t.trid, EventKind::Abort);
         }
     }
 
     /// Charges the interception/parsing/rewriting cost for one statement.
     fn charge_rewrite(&self) {
-        if let Some(sim) = &self.sim {
-            sim.advance(self.config.rewrite_cpu);
-        }
+        self.sim.advance(self.config.rewrite_cpu);
     }
 
     /// Charges the much smaller replay cost of a rewrite-cache hit
     /// (fingerprint hash + literal splice).
     fn charge_rewrite_cached(&self) {
-        if let Some(sim) = &self.sim {
-            sim.advance(self.config.rewrite_cached_cpu);
-        }
+        self.sim.advance(self.config.rewrite_cached_cpu);
     }
 
     /// Charges the harvesting/stripping cost for `rows` result rows.
     fn charge_harvest(&self, rows: usize) {
-        if let Some(sim) = &self.sim {
-            sim.advance(Micros::from_nanos(
-                self.config.harvest_per_row_ns * rows as u64,
-            ));
-        }
+        self.sim.advance(Micros::from_nanos(
+            self.config.harvest_per_row_ns * rows as u64,
+        ));
     }
 
     /// Whether the finished transaction warrants tracking rows.
@@ -506,13 +424,9 @@ impl Tracker {
         self.config.record_deps_at_commit && (t.wrote || self.config.record_read_only_deps)
     }
 
-    /// Evaluates a proxy failpoint against the shared fault plan (inert
-    /// when the tracker runs without a simulation context).
+    /// Evaluates a proxy failpoint against the shared fault plan.
     fn fault(&self, name: &str) -> Result<(), WireError> {
-        let Some(sim) = &self.sim else {
-            return Ok(());
-        };
-        match sim.fault_check(name) {
+        match self.sim.fault_check(name) {
             None => Ok(()),
             Some(InjectedFault::Disconnect) => Err(WireError::ConnectionDropped),
             Some(InjectedFault::Error) => Err(WireError::Protocol(format!(
@@ -541,9 +455,9 @@ impl Tracker {
     /// Counts `verdict` and, under [`EnforcementPolicy::Reject`], refuses
     /// untracked statements before they reach the DBMS.
     fn enforce(&self, verdict: &Verdict) -> Result<(), WireError> {
-        self.stats.count(verdict);
+        self.runtime.stats.count(verdict);
         if verdict.is_untracked() && self.config.enforcement == EnforcementPolicy::Reject {
-            self.stats.count_rejected();
+            self.runtime.stats.count_rejected();
             return Err(WireError::Protocol(format!(
                 "statement refused by tracking enforcement policy: {verdict}"
             )));
@@ -740,7 +654,7 @@ impl Tracker {
             let annotation = self.next_annotation.take();
             downstream.execute("BEGIN")?;
             self.txn = Some(TxnTrack::new(trid, false, annotation));
-            self.deps.begin(trid, self.tel());
+            self.runtime.deps.begin(trid, self.tel());
             self.trace(trid, EventKind::TxnBegin);
         }
         let Some(trid) = self.txn.as_ref().map(|t| t.trid) else {
@@ -763,8 +677,8 @@ impl Tracker {
                     // failpoint or the engine commit would skip the
                     // retirement below, so the guard covers the unwind.
                     let mut guard = RetireOnUnwind::arm(
-                        Arc::clone(&self.deps),
-                        self.tel().cloned(),
+                        Arc::clone(&self.runtime),
+                        self.tel().clone(),
                         t.trid,
                         self.session,
                     );
@@ -777,12 +691,12 @@ impl Tracker {
                     .and_then(|()| downstream.execute("COMMIT").map(|_| ()));
                     guard.defuse();
                     if let Err(e) = finished {
-                        self.deps.abort(t.trid, self.tel());
+                        self.runtime.deps.abort(t.trid, self.tel());
                         self.trace(t.trid, EventKind::Abort);
                         self.abort_txn(downstream);
                         return Err(e);
                     }
-                    self.deps.commit(t.trid, t.deps.len(), self.tel());
+                    self.runtime.deps.commit(t.trid, t.deps.len(), self.tel());
                     self.trace(t.trid, EventKind::Commit);
                 }
                 Ok(resp)
@@ -918,7 +832,7 @@ impl Tracker {
                 let trid = self.alloc_trid();
                 let annotation = self.next_annotation.take();
                 self.txn = Some(TxnTrack::new(trid, true, annotation));
-                self.deps.begin(trid, self.tel());
+                self.runtime.deps.begin(trid, self.tel());
                 self.trace(trid, EventKind::TxnBegin);
                 Ok(resp)
             }
@@ -933,8 +847,8 @@ impl Tracker {
                 // proxy state cleared but the engine transaction open would
                 // leave the two permanently diverged.
                 let mut guard = RetireOnUnwind::arm(
-                    Arc::clone(&self.deps),
-                    self.tel().cloned(),
+                    Arc::clone(&self.runtime),
+                    self.tel().clone(),
                     t.trid,
                     self.session,
                 );
@@ -946,7 +860,7 @@ impl Tracker {
                 .and_then(|()| self.fault(failpoints::PROXY_BEFORE_COMMIT));
                 if let Err(e) = recorded {
                     guard.defuse();
-                    self.deps.abort(t.trid, self.tel());
+                    self.runtime.deps.abort(t.trid, self.tel());
                     self.trace(t.trid, EventKind::Abort);
                     self.abort_txn(downstream);
                     return Err(e);
@@ -954,7 +868,7 @@ impl Tracker {
                 match downstream.execute("COMMIT") {
                     Ok(resp) => {
                         guard.defuse();
-                        self.deps.commit(t.trid, t.deps.len(), self.tel());
+                        self.runtime.deps.commit(t.trid, t.deps.len(), self.tel());
                         self.trace(t.trid, EventKind::Commit);
                         Ok(resp)
                     }
@@ -962,7 +876,7 @@ impl Tracker {
                         // A COMMIT that fails did not commit; make sure the
                         // engine side is closed too.
                         guard.defuse();
-                        self.deps.abort(t.trid, self.tel());
+                        self.runtime.deps.abort(t.trid, self.tel());
                         self.trace(t.trid, EventKind::Abort);
                         self.abort_txn(downstream);
                         Err(e)
@@ -1064,10 +978,7 @@ impl Interceptor for Tracker {
     }
 
     fn fold_metrics(&self, snap: &mut MetricsSnapshot) {
-        self.cache.fold_metrics(snap);
-        self.stats.fold_metrics(snap);
-        self.deps.fold_metrics(snap);
-        self.runtime.fence().fold_metrics(snap);
+        self.runtime.fold_metrics(snap);
     }
 }
 
@@ -1115,55 +1026,51 @@ impl Tracker {
         // Template fast path: statements whose shape is already cached are
         // replayed with a fingerprint lookup plus literal splice instead of
         // the full lex/parse/rewrite/print pipeline.
-        if self.cache.enabled() {
-            if let Some(scan) = scan_statement(sql) {
-                let hit = {
-                    let _span = self.tel_span(span_names::PROXY_CACHE_LOOKUP);
-                    self.cache.lookup(scan.fingerprint, scan.spans.len())
-                };
-                if let Some(shape) = hit {
-                    self.charge_rewrite_cached();
-                    self.trace_rewrite(true, shape.verdict.as_ref());
-                    // The verdict was computed once on the cold path; on
-                    // hits enforcement costs one enum inspection.
-                    if let Some(v) = &shape.verdict {
-                        self.enforce(v)?;
-                    }
-                    return self.execute_cached(&shape.entry, sql, &scan, downstream);
-                }
-                let rewrite_span = self.tel_span(span_names::PROXY_REWRITE);
-                let stmt = resildb_sql::parse_statement(sql).map_err(|e| {
-                    WireError::Protocol(format!("proxy cannot parse statement: {e}"))
-                })?;
-                self.charge_rewrite();
-                let verdict = self.classify_for_enforcement(&stmt);
-                if let Some(entry) = self.build_entry(sql, &scan, &stmt) {
-                    self.cache.insert(
-                        scan.fingerprint,
-                        CachedShape {
-                            entry,
-                            verdict: verdict.clone(),
-                        },
-                    );
-                }
-                drop(rewrite_span);
-                self.trace_rewrite(false, verdict.as_ref());
-                if let Some(v) = &verdict {
+        let scan = if self.runtime.cache.enabled() {
+            scan_statement(sql)
+        } else {
+            None
+        };
+        if let Some(scan) = &scan {
+            let hit = {
+                let _span = self.tel_span(span_names::PROXY_CACHE_LOOKUP);
+                self.runtime
+                    .cache
+                    .lookup(scan.fingerprint, scan.spans.len())
+            };
+            if let Some(shape) = hit {
+                self.charge_rewrite_cached();
+                self.trace_rewrite(true, shape.verdict.as_ref());
+                // The verdict was computed once on the cold path; on
+                // hits enforcement costs one enum inspection.
+                if let Some(v) = &shape.verdict {
                     self.enforce(v)?;
                 }
-                return self.execute_cold(&stmt, sql, downstream);
+                return self.execute_cached(&shape.entry, sql, scan, downstream);
             }
         }
 
+        // Cold path; a shape the scanner admitted is cached for next time.
         let rewrite_span = self.tel_span(span_names::PROXY_REWRITE);
         let stmt = resildb_sql::parse_statement(sql)
             .map_err(|e| WireError::Protocol(format!("proxy cannot parse statement: {e}")))?;
         self.charge_rewrite();
         let verdict = self.classify_for_enforcement(&stmt);
+        if let Some(scan) = &scan {
+            if let Some(entry) = self.build_entry(sql, scan, &stmt) {
+                self.runtime.cache.insert(
+                    scan.fingerprint,
+                    CachedShape {
+                        entry,
+                        verdict: verdict.clone(),
+                    },
+                );
+            }
+        }
         drop(rewrite_span);
         self.trace_rewrite(false, verdict.as_ref());
-        if let Some(v) = verdict {
-            self.enforce(&v)?;
+        if let Some(v) = &verdict {
+            self.enforce(v)?;
         }
         self.execute_cold(&stmt, sql, downstream)
     }

@@ -30,8 +30,8 @@
 
 use std::process::ExitCode;
 
+use resildb_repair::trace::parse_capture;
 use resildb_repair::{FalseDepRule, TraceExplorer};
-use resildb_sim::telemetry::trace::parse_capture;
 use resildb_sim::TraceSnapshot;
 
 struct Options {

@@ -69,17 +69,6 @@ impl Analysis {
         self.graph.to_dot(highlight)
     }
 
-    /// Renders the dependency graph as forensic DOT: the attack set
-    /// `initial` filled red, the rest of its damage closure under `rules`
-    /// filled orange, and rule-pruned edges dashed gray.
-    pub fn to_dot_forensic(&self, initial: &[i64], rules: &[FalseDepRule]) -> String {
-        let attack: BTreeSet<i64> = initial.iter().copied().collect();
-        let closure = self.graph.closure(initial, rules);
-        let pruned = self.graph.pruned_edges(rules);
-        self.graph
-            .to_dot_styled(&attack, Some(&closure), Some(&pruned))
-    }
-
     /// Every tracked (committed, correlated) proxy transaction id.
     pub fn tracked_transactions(&self) -> BTreeSet<i64> {
         self.correlation.internal_of.keys().copied().collect()
@@ -99,6 +88,13 @@ pub enum RepairMode {
     /// the background. Requires [`RepairOptions::live`].
     Live,
 }
+
+/// How long a live repair waits for pre-fence transactions to drain.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How many fence-extension rounds a live repair tolerates before
+/// concluding the closure is not converging.
+const MAX_EXTENSION_ROUNDS: usize = 8;
 
 /// Options for a [`RepairController`], built fluently:
 ///
@@ -121,7 +117,7 @@ pub struct RepairOptions {
     pub rules: Vec<FalseDepRule>,
     /// The static blast-radius surface a live repair fences before any
     /// log analysis. `None` means every user table (always sound); a
-    /// profile-conflict analysis (DESIGN.md §15) can narrow it.
+    /// profile-conflict analysis (DESIGN.md §11) can narrow it.
     pub static_surface: Option<Vec<String>>,
     /// The proxy runtime whose fence and in-flight ledger a live repair
     /// drives. Required for [`RepairMode::Live`].
@@ -130,11 +126,6 @@ pub struct RepairOptions {
     /// the fence to row level once the closure is known; `FenceStatic`
     /// keeps the table-level fence until the sweep commits.
     pub containment: ContainmentPolicy,
-    /// How long a live repair waits for pre-fence transactions to drain.
-    pub drain_timeout: Duration,
-    /// How many fence-extension rounds a live repair tolerates before
-    /// concluding the closure is not converging.
-    pub max_extension_rounds: usize,
     /// Failpoints to arm on the database's fault plan for the duration of
     /// [`RepairController::execute`] (disarmed on exit, even on error).
     pub faults: Vec<(String, FaultAction, FaultTrigger)>,
@@ -155,8 +146,6 @@ impl RepairOptions {
             static_surface: None,
             runtime: None,
             containment: ContainmentPolicy::Off,
-            drain_timeout: Duration::from_secs(10),
-            max_extension_rounds: 8,
             faults: Vec::new(),
         }
     }
@@ -196,20 +185,6 @@ impl RepairOptions {
     #[must_use]
     pub fn static_surface(mut self, tables: impl IntoIterator<Item = impl Into<String>>) -> Self {
         self.static_surface = Some(tables.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Sets the in-flight drain timeout of a live repair.
-    #[must_use]
-    pub fn drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
-        self
-    }
-
-    /// Sets the fence-extension round budget of a live repair.
-    #[must_use]
-    pub fn max_extension_rounds(mut self, rounds: usize) -> Self {
-        self.max_extension_rounds = rounds;
         self
     }
 
@@ -757,7 +732,7 @@ impl RepairController {
         self.progress.set_phase(RepairPhase::Drain);
         let drain_start = Instant::now();
         let watermark = runtime.trid_watermark();
-        let deadline = drain_start + self.options.drain_timeout;
+        let deadline = drain_start + DRAIN_TIMEOUT;
         while runtime.any_inflight_below(watermark) {
             if Instant::now() >= deadline {
                 return Err(RepairError::Analysis(
@@ -853,10 +828,9 @@ impl RepairController {
             self.progress.set_phase(RepairPhase::Extend);
             self.progress.set_extension_rounds(extension_rounds as u64);
             self.progress.set_total((undone.len() + fresh.len()) as u64);
-            if extension_rounds > self.options.max_extension_rounds {
+            if extension_rounds > MAX_EXTENSION_ROUNDS {
                 return Err(RepairError::Analysis(format!(
-                    "live repair closure still growing after {} extension rounds",
-                    self.options.max_extension_rounds
+                    "live repair closure still growing after {MAX_EXTENSION_ROUNDS} extension rounds"
                 )));
             }
             // Extend the fence over the new members' rows before they

@@ -196,11 +196,6 @@ impl DepGraph {
         self.deps.get(&txn).cloned().unwrap_or_default()
     }
 
-    /// The direct dependents of `txn`.
-    pub fn dependents_of(&self, txn: i64) -> BTreeSet<i64> {
-        self.rdeps.get(&txn).cloned().unwrap_or_default()
-    }
-
     /// Provenance list of an edge.
     pub fn edge(&self, dependent: i64, dependee: i64) -> &[EdgeProvenance] {
         self.edges

@@ -60,6 +60,7 @@ pub mod explore;
 mod graph;
 mod progress;
 mod record;
+pub mod trace;
 mod whatif;
 
 pub use compensate::{CompensatingStatement, CompensationOutcome};

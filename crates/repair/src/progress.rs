@@ -124,7 +124,7 @@ impl RepairProgress {
     }
 
     /// Tables fenced by a live repair's static raise.
-    pub fn fence_tables(&self) -> u64 {
+    pub(crate) fn fence_tables(&self) -> u64 {
         self.inner.fence_tables.load(Ordering::Relaxed)
     }
 

@@ -117,13 +117,6 @@ impl<'a> WhatIfSession<'a> {
         self
     }
 
-    /// Clears a manual decision for `txn`.
-    pub fn clear_override(&mut self, txn: i64) -> &mut Self {
-        self.force_include.remove(&txn);
-        self.force_exclude.remove(&txn);
-        self
-    }
-
     /// The active rules.
     pub fn rules(&self) -> &[FalseDepRule] {
         &self.rules
@@ -145,16 +138,6 @@ impl<'a> WhatIfSession<'a> {
             set.remove(t);
         }
         set
-    }
-
-    /// The transactions saved under the current decisions.
-    pub fn saved_set(&self) -> BTreeSet<i64> {
-        let undo = self.undo_set();
-        self.analysis
-            .tracked_transactions()
-            .into_iter()
-            .filter(|t| !undo.contains(t))
-            .collect()
     }
 
     /// Renders the graph with the current undo set highlighted
@@ -238,7 +221,7 @@ mod tests {
         assert!(wi.undo_set().is_empty());
         wi.add_initial(attack);
         assert_eq!(wi.undo_set(), [attack, dependent].into_iter().collect());
-        assert!(wi.saved_set().contains(&independent));
+        assert!(!wi.undo_set().contains(&independent));
         wi.remove_initial(attack);
         assert!(wi.undo_set().is_empty());
     }
@@ -268,8 +251,6 @@ mod tests {
         let undo = wi.undo_set();
         assert!(undo.contains(&attack));
         assert!(!undo.contains(&dependent));
-        wi.clear_override(dependent);
-        assert!(wi.undo_set().contains(&dependent));
     }
 
     #[test]

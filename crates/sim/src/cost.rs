@@ -64,21 +64,6 @@ impl CostModel {
             network_per_byte_ns: 80,
         }
     }
-
-    /// Variant of [`Self::disk_bound_oltp`] with the network free — models
-    /// the paper's "local configuration" where client and server share one
-    /// machine (the shared-CPU penalty is modelled by a higher per-statement
-    /// cost instead of network latency).
-    pub fn local_oltp() -> Self {
-        Self {
-            network_rtt: Micros::new(15),
-            network_per_byte_ns: 2,
-            // Client and server compete for the same CPU.
-            cpu_per_statement: Micros::new(90),
-            cpu_per_row: Micros::new(6),
-            ..Self::disk_bound_oltp()
-        }
-    }
 }
 
 impl Default for CostModel {
@@ -98,14 +83,6 @@ mod tests {
         assert!(m.log_force > m.network_rtt);
         assert!(m.network_rtt > m.cpu_per_statement);
         assert!(m.cpu_per_statement > m.buffer_hit);
-    }
-
-    #[test]
-    fn local_profile_trades_network_for_cpu() {
-        let net = CostModel::disk_bound_oltp();
-        let local = CostModel::local_oltp();
-        assert!(local.network_rtt < net.network_rtt);
-        assert!(local.cpu_per_statement > net.cpu_per_statement);
     }
 
     #[test]

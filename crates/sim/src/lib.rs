@@ -58,8 +58,8 @@ pub use resildb_telemetry as telemetry;
 pub use resildb_telemetry::{
     EventKind, FlightRecorder, HistogramSnapshot, IncidentDecomposition, IncidentMark,
     IncidentPhase, IncidentRecord, IncidentTimeline, MetricsRegistry, MetricsServer,
-    MetricsSnapshot, OwnedSpan, Recorder, Sample, SampleRates, Sampler, SamplerHandle,
-    ServerRoutes, Span, Telemetry, TraceEvent, TraceSnapshot, TraceVerdict,
+    MetricsSnapshot, OwnedSpan, ServerRoutes, Span, Telemetry, TraceEvent, TraceSnapshot,
+    TraceVerdict,
 };
 
 use std::cell::Cell;
@@ -194,11 +194,6 @@ impl SimContext {
         self.inner.realtime.store(on, Ordering::Relaxed);
     }
 
-    /// Whether realtime mode is on.
-    pub fn is_realtime(&self) -> bool {
-        self.inner.realtime.load(Ordering::Relaxed)
-    }
-
     /// Sleeps off the calling thread's accrued virtual-time balance (no-op
     /// when nothing is owed or realtime mode is off). Callers must hold no
     /// engine latches: the wire layer invokes this once per statement,
@@ -311,14 +306,6 @@ impl SimContext {
         self.tick(c.cpu_per_statement + c.cpu_per_row * rows as u64);
     }
 
-    /// Charges one client↔server round trip carrying `bytes` bytes.
-    pub fn charge_round_trip(&self, bytes: usize) {
-        self.inner.stats.round_trips.add(1);
-        self.inner.stats.network_bytes.add(bytes as u64);
-        let c = &self.inner.cost;
-        self.tick(c.network_rtt + Micros::from_nanos(c.network_per_byte_ns * bytes as u64));
-    }
-
     /// Charges one round trip over an explicitly described link — used by
     /// the wire layer, where the client↔server and proxy↔server legs can
     /// have different latencies (paper Figure 2's dual-proxy deployment).
@@ -326,16 +313,6 @@ impl SimContext {
         self.inner.stats.round_trips.add(1);
         self.inner.stats.network_bytes.add(bytes as u64);
         self.tick(rtt + Micros::from_nanos(per_byte_ns * bytes as u64));
-    }
-
-    /// Drops every cached page (e.g. between benchmark phases).
-    pub fn flush_pool(&self) {
-        self.inner.pool.lock().clear();
-    }
-
-    /// Buffer-pool occupancy in pages (for diagnostics).
-    pub fn pool_len(&self) -> usize {
-        self.inner.pool.lock().len()
     }
 }
 
@@ -373,7 +350,6 @@ mod tests {
         let sim = SimContext::free();
         sim.charge_page_read(PageKey::new(1, 0));
         sim.charge_statement(100);
-        sim.charge_round_trip(4096);
         sim.charge_log_append(1 << 20);
         sim.charge_log_force();
         assert_eq!(sim.clock().now(), Micros::ZERO);

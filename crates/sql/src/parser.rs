@@ -507,7 +507,7 @@ impl Parser {
     // ---- expressions (precedence climbing) -----------------------------
 
     /// Parses a full expression (lowest precedence: OR).
-    pub fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+    pub(crate) fn parse_expr(&mut self) -> Result<Expr, ParseError> {
         self.parse_expr_at(1)
     }
 

@@ -132,7 +132,7 @@ impl MetricsServer {
     }
 
     /// Stop the accept loop and join the server thread.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();

@@ -5,24 +5,23 @@
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket log-scale latency [`Histogram`]s (p50/p95/p99/max
 //!   snapshots);
-//! * [`Telemetry`] + [`Span`] — RAII span guards with a pluggable
-//!   [`Recorder`]; when disabled, starting a span costs one relaxed
-//!   atomic load (mirroring the disarmed-failpoint fast path in
+//! * [`Telemetry`] + [`Span`] — RAII span guards recording into the
+//!   registry; when disabled, starting a span costs one relaxed atomic
+//!   load (mirroring the disarmed-failpoint fast path in
 //!   `crates/sim/src/fault.rs`);
 //! * [`export::to_text`] / [`export::to_json`] — stable exporters that
 //!   serialize a [`MetricsSnapshot`] identically;
 //! * [`FlightRecorder`] — a bounded ring buffer of typed lifecycle
 //!   [`TraceEvent`]s (see [`trace`]) forming per-transaction causal
 //!   timelines, exportable as JSONL or Chrome Trace Event Format;
-//! * the live observability plane (DESIGN.md §17):
-//!   [`IncidentTimeline`] phase marks with an MTTD/MTTC/MTTR
-//!   decomposition per incident, a background [`Sampler`] ring with
-//!   delta/rate queries, the [`prometheus`] text-format exporter, and
-//!   the dependency-free [`http`] pull endpoint serving `/metrics`,
-//!   `/health`, `/ready` and `/incidents`.
+//! * the live observability plane: [`IncidentTimeline`] phase marks
+//!   with an MTTD/MTTC/MTTR decomposition per incident, the
+//!   [`prometheus`] text-format exporter, and the dependency-free
+//!   [`http`] pull endpoint serving `/metrics`, `/health`, `/ready` and
+//!   `/incidents`.
 //!
 //! The span taxonomy threaded through the statement and repair
-//! pipelines lives in [`names`]; see DESIGN.md §11 for the full metric
+//! pipelines lives in [`names`]; see DESIGN.md §12 for the full metric
 //! naming scheme.
 //!
 //! ```
@@ -47,7 +46,6 @@ pub mod export;
 pub mod http;
 mod metrics;
 pub mod prometheus;
-pub mod sampler;
 mod span;
 pub mod timeline;
 pub mod trace;
@@ -58,8 +56,7 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use prometheus::to_prometheus;
-pub use sampler::{Sample, SampleRates, Sampler, SamplerHandle, DEFAULT_SAMPLER_CAPACITY};
-pub use span::{OwnedSpan, Recorder, Span, Telemetry};
+pub use span::{OwnedSpan, Span, Telemetry};
 pub use timeline::{
     IncidentDecomposition, IncidentMark, IncidentPhase, IncidentRecord, IncidentTimeline,
 };

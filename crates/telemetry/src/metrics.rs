@@ -33,11 +33,6 @@ impl Counter {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Increment the counter by one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -184,13 +179,6 @@ impl Default for HistogramSnapshot {
             p99_ns: 0,
             buckets: [0; HISTOGRAM_BUCKETS],
         }
-    }
-}
-
-impl HistogramSnapshot {
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -389,7 +377,7 @@ mod tests {
         let a = reg.counter("x");
         let b = reg.counter("x");
         a.add(2);
-        b.incr();
+        b.add(1);
         assert_eq!(reg.counter("x").get(), 3);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("x"), 3);

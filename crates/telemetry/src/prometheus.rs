@@ -12,7 +12,7 @@ use crate::metrics::{bucket_upper, HistogramSnapshot, MetricsSnapshot};
 
 /// Sanitize a dotted internal name into a legal Prometheus metric name
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`) under the `resildb_` prefix.
-pub fn metric_name(raw: &str) -> String {
+pub(crate) fn metric_name(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 8);
     out.push_str("resildb_");
     for c in raw.chars() {
@@ -111,8 +111,8 @@ mod tests {
         first_ok && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
     }
 
-    /// Every exported metric name (and the `le` label) must satisfy the
-    /// Prometheus grammar.
+    /// Every exported line must satisfy the Prometheus text-format grammar:
+    /// legal metric names, only the `le` label, a numeric sample value.
     #[test]
     fn names_and_labels_are_legal() {
         let text = to_prometheus(&sample_snapshot());
@@ -123,7 +123,12 @@ mod tests {
             } else if let Some(rest) = line.strip_prefix("# TYPE ") {
                 rest.split_whitespace().next().unwrap()
             } else {
-                let metric = line.split_whitespace().next().unwrap();
+                // A sample line is exactly `name[{labels}] value`.
+                let (metric, value) = line.split_once(' ').unwrap();
+                assert!(
+                    value == "NaN" || value.bytes().all(|b| b"0123456789.eE+-".contains(&b)),
+                    "malformed sample value in {line:?}"
+                );
                 if let Some((base, labels)) = metric.split_once('{') {
                     let labels = labels.strip_suffix('}').unwrap();
                     assert!(

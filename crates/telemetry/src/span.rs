@@ -9,44 +9,23 @@
 //! path pays effectively nothing.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::timeline::IncidentTimeline;
 use crate::trace::FlightRecorder;
 
-/// Destination for span durations and counter bumps. The default
-/// recorder is the registry itself; tests or embedders can install a
-/// custom one (e.g. a printing recorder) via [`Telemetry::set_recorder`].
-pub trait Recorder: std::fmt::Debug + Send + Sync {
-    /// Record that span `name` took `nanos` wall-clock nanoseconds.
-    fn record_span(&self, name: &str, nanos: u64);
-    /// Add `delta` to counter `name`.
-    fn add_counter(&self, name: &str, delta: u64);
-}
-
-impl Recorder for MetricsRegistry {
-    fn record_span(&self, name: &str, nanos: u64) {
-        self.histogram(name).record(nanos);
-    }
-
-    fn add_counter(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-}
-
 #[derive(Debug, Default)]
 struct TelemetryInner {
     enabled: AtomicBool,
     registry: MetricsRegistry,
-    sink: RwLock<Option<Arc<dyn Recorder>>>,
     flight: FlightRecorder,
     timeline: IncidentTimeline,
 }
 
 /// Shared, cloneable handle to one telemetry domain: an enabled flag, a
-/// [`MetricsRegistry`], and an optional custom [`Recorder`] sink.
+/// [`MetricsRegistry`], a flight recorder and an incident timeline.
 ///
 /// Clones share state (`Arc` inside); equality is identity so that
 /// config structs carrying a `Telemetry` can stay `PartialEq`/`Eq`.
@@ -85,17 +64,6 @@ impl Telemetry {
     /// Enable or disable recording.
     pub fn set_enabled(&self, enabled: bool) {
         self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Install (or clear) a custom recorder sink. When `None` (the
-    /// default), samples go to the built-in registry.
-    pub fn set_recorder(&self, recorder: Option<Arc<dyn Recorder>>) {
-        let mut sink = self
-            .inner
-            .sink
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        *sink = recorder;
     }
 
     /// The built-in registry backing this domain.
@@ -165,7 +133,7 @@ impl Telemetry {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.dispatch_counter(name, delta);
+        self.inner.registry.counter(name).add(delta);
     }
 
     /// Record a span duration directly (for pre-measured intervals).
@@ -173,31 +141,7 @@ impl Telemetry {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.dispatch_span(name, nanos);
-    }
-
-    fn dispatch_span(&self, name: &str, nanos: u64) {
-        let sink = self
-            .inner
-            .sink
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        match sink.as_ref() {
-            Some(r) => r.record_span(name, nanos),
-            None => self.inner.registry.record_span(name, nanos),
-        }
-    }
-
-    fn dispatch_counter(&self, name: &str, delta: u64) {
-        let sink = self
-            .inner
-            .sink
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        match sink.as_ref() {
-            Some(r) => r.add_counter(name, delta),
-            None => self.inner.registry.add_counter(name, delta),
-        }
+        self.inner.registry.histogram(name).record(nanos);
     }
 }
 
@@ -224,7 +168,8 @@ impl Drop for Span<'_> {
         if let Some(active) = self.active.take() {
             let nanos = active.started.elapsed().as_nanos();
             let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-            active.telemetry.dispatch_span(active.name, nanos);
+            let registry = &active.telemetry.inner.registry;
+            registry.histogram(active.name).record(nanos);
         }
     }
 }
@@ -252,7 +197,8 @@ impl Drop for OwnedSpan {
         if let Some(active) = self.active.take() {
             let nanos = active.started.elapsed().as_nanos();
             let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-            active.telemetry.dispatch_span(active.name, nanos);
+            let registry = &active.telemetry.inner.registry;
+            registry.histogram(active.name).record(nanos);
         }
     }
 }
@@ -306,35 +252,6 @@ mod tests {
         assert!(t2.is_enabled());
         drop(t2.span("s"));
         assert_eq!(t.snapshot().histogram("s").map(|h| h.count), Some(1));
-    }
-
-    #[test]
-    fn custom_recorder_receives_samples() {
-        #[derive(Debug, Default)]
-        struct Capture(MetricsRegistry);
-        impl Recorder for Capture {
-            fn record_span(&self, name: &str, nanos: u64) {
-                self.0.histogram(name).record(nanos);
-            }
-            fn add_counter(&self, name: &str, delta: u64) {
-                self.0.counter(name).add(delta);
-            }
-        }
-        let capture = Arc::new(Capture::default());
-        let t = Telemetry::recording();
-        t.set_recorder(Some(Arc::clone(&capture) as Arc<dyn Recorder>));
-        drop(t.span("s"));
-        t.count("c", 1);
-        // Samples went to the custom sink, not the built-in registry
-        // (whose snapshot holds only the flight-recorder ring fold).
-        let snap = t.snapshot();
-        assert!(snap.histograms.is_empty());
-        assert_eq!(snap.counter("c"), 0);
-        assert_eq!(capture.0.snapshot().counter("c"), 1);
-        assert_eq!(
-            capture.0.snapshot().histogram("s").map(|h| h.count),
-            Some(1)
-        );
     }
 
     #[test]

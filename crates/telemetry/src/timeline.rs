@@ -98,7 +98,7 @@ pub struct IncidentRecord {
 
 impl IncidentRecord {
     /// Stamp of the first mark of `phase`, if present.
-    pub fn mark_ns(&self, phase: IncidentPhase) -> Option<u64> {
+    pub(crate) fn mark_ns(&self, phase: IncidentPhase) -> Option<u64> {
         self.marks
             .iter()
             .find(|m| m.phase == phase)

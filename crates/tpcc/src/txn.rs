@@ -125,12 +125,6 @@ impl TpccRunner {
         }
     }
 
-    /// The most recently used annotation label (for locating the txn in
-    /// the dependency graph).
-    pub fn last_label(&self) -> String {
-        format!("seq_{}", self.seq)
-    }
-
     fn pick_wdc(&mut self) -> (u32, u32, u32) {
         let w = self.pick_warehouse();
         let d = self.rng.gen_range(1..=self.config.districts_per_warehouse);
@@ -366,7 +360,7 @@ impl TpccRunner {
     }
 
     /// TPC-C Order-Status (read-only).
-    pub fn order_status(&mut self, conn: &mut dyn Connection) -> Result<(), WireError> {
+    pub(crate) fn order_status(&mut self, conn: &mut dyn Connection) -> Result<(), WireError> {
         let (w, d, c) = self.pick_wdc();
         self.begin(conn, TxnKind::OrderStatus, w, d, c)?;
         query(
@@ -401,7 +395,7 @@ impl TpccRunner {
     /// examines the order lines of the last 20 orders and counts distinct
     /// items below a threshold, joining client-side so the reads remain
     /// visible to the tracking proxy.
-    pub fn stock_level(&mut self, conn: &mut dyn Connection) -> Result<(), WireError> {
+    pub(crate) fn stock_level(&mut self, conn: &mut dyn Connection) -> Result<(), WireError> {
         let w = self.pick_warehouse();
         let d = self.rng.gen_range(1..=self.config.districts_per_warehouse);
         let threshold = self.rng.gen_range(10..=20);

@@ -21,7 +21,7 @@
 //!    shows exactly one `txn_begin` and one `commit` and no `abort`.
 //! 6. **Static blast-radius soundness** — every transaction the repair
 //!    undid lies inside the static conflict-graph closure of the
-//!    committed malicious profiles (DESIGN.md §15), checked both without
+//!    committed malicious profiles (DESIGN.md §11), checked both without
 //!    rules and with the derivable-column false-dependency rules applied
 //!    on both sides. Valid under any interleaving: the static graph is
 //!    order-agnostic.
@@ -166,7 +166,7 @@ pub fn attack_eradicated(a: &ResilientDb, b: &ResilientDb) -> Vec<String> {
 /// overwrote was last written by a tainted transaction. Read-only
 /// transactions never enter the closure (they record no tracking rows and
 /// have nothing to undo) — matching the repair tool's graph by design.
-pub fn ground_truth_closure(scenario: &Scenario, outcomes: &[Outcome]) -> BTreeSet<String> {
+pub(crate) fn ground_truth_closure(scenario: &Scenario, outcomes: &[Outcome]) -> BTreeSet<String> {
     let mut last_writer: BTreeMap<RowKey, usize> = BTreeMap::new();
     let mut tainted: BTreeSet<usize> = BTreeSet::new();
     for (i, txn) in scenario.txns.iter().enumerate() {

@@ -17,6 +17,7 @@ use resildb_core::{
     LinkProfile, NativeDriver, ProxyConfig, ResilientDb, Response, TrackingGranularity,
     TrackingProxy, Value, WireError,
 };
+use resildb_wire::single_proxy;
 
 const COLUMNS: [&str; 4] = ["id", "grp", "amt", "name"];
 
@@ -235,8 +236,8 @@ fn run_workload(stmts: &[String], cache: bool) -> (Vec<String>, Vec<String>, u64
     if !cache {
         config = config.without_rewrite_cache();
     }
-    let (driver, cache_handle) =
-        TrackingProxy::single_proxy_with_cache(db.clone(), LinkProfile::local(), config);
+    let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
+    let driver = single_proxy(db.clone(), LinkProfile::local(), factory);
     let mut conn = driver.connect().unwrap();
     let responses: Vec<String> = stmts
         .iter()
@@ -251,7 +252,7 @@ fn run_workload(stmts: &[String], cache: bool) -> (Vec<String>, Vec<String>, u64
         .iter()
         .map(|t| format!("{:?}", db.snapshot_rows(t).unwrap()))
         .collect();
-    (responses, tracking, cache_handle.stats().hits)
+    (responses, tracking, runtime.rewrite_cache().stats().hits)
 }
 
 proptest! {
@@ -282,11 +283,10 @@ proptest! {
             &mut *NativeDriver::new(db.clone(), LinkProfile::local()).connect().unwrap(),
         )
         .unwrap();
-        let (driver, cache) = TrackingProxy::single_proxy_with_cache(
-            db,
-            LinkProfile::local(),
-            ProxyConfig::new(Flavor::Postgres),
-        );
+        let (factory, runtime) =
+            TrackingProxy::new(ProxyConfig::new(Flavor::Postgres), db.sim().clone());
+        let cache = runtime.rewrite_cache();
+        let driver = single_proxy(db, LinkProfile::local(), factory);
         let mut conn = driver.connect().unwrap();
         load(&mut *conn);
         let cold: Vec<String> = queries
@@ -418,8 +418,7 @@ fn run_commit_failure_workload(
     if !cache {
         config = config.without_rewrite_cache();
     }
-    let (driver, _cache) =
-        TrackingProxy::single_proxy_with_cache(db.clone(), LinkProfile::local(), config);
+    let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), config);
     let mut conn = driver.connect().unwrap();
     let mut responses = Vec::with_capacity(stmts.len());
     for (i, s) in stmts.iter().enumerate() {

@@ -6,8 +6,9 @@
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use proptest::prelude::*;
-use resildb_core::telemetry::trace::{parse_capture, to_chrome_trace, to_jsonl};
+use resildb_core::telemetry::trace::{to_chrome_trace, to_jsonl};
 use resildb_core::{Flavor, ResilientDb, TraceExplorer, TraceSnapshot};
+use resildb_repair::trace::parse_capture;
 
 /// Runs `committed` committed transactions (each annotated `txn_<i>`) and
 /// `aborted` rolled-back ones against a fresh instance; returns it.

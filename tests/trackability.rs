@@ -16,31 +16,33 @@ use resildb_engine::{Database, Flavor, Value};
 use resildb_proxy::{prepare_database, EnforcementPolicy, ProxyConfig, TrackingProxy};
 use resildb_repair::RepairOp;
 use resildb_tpcc::{record_profiled_corpus, Loader, TpccConfig, TpccRunner, TxnKind};
-use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver, WireError};
+use resildb_wire::{single_proxy, Connection, Driver, LinkProfile, NativeDriver, WireError};
 
-/// A tracking proxy plus its statistics handle over a fresh database.
+/// A tracking proxy plus its runtime handle (for the enforcement
+/// statistics) over a fresh database.
 fn proxy_with(
     policy: EnforcementPolicy,
     read_only_deps: bool,
 ) -> (
     Database,
     Box<dyn Connection>,
-    std::sync::Arc<resildb_proxy::TrackerStats>,
+    std::sync::Arc<resildb_proxy::ProxyRuntime>,
 ) {
     let db = Database::in_memory(Flavor::Postgres);
     let native = NativeDriver::new(db.clone(), LinkProfile::local());
     prepare_database(&mut *native.connect().unwrap()).unwrap();
     let mut config = ProxyConfig::new(Flavor::Postgres).with_enforcement(policy);
     config.record_read_only_deps = read_only_deps;
-    let (driver, stats) =
-        TrackingProxy::single_proxy_with_stats(db.clone(), LinkProfile::local(), config);
-    let conn = driver.connect().unwrap();
-    (db, conn, stats)
+    let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
+    let conn = single_proxy(db.clone(), LinkProfile::local(), factory)
+        .connect()
+        .unwrap();
+    (db, conn, runtime)
 }
 
 #[test]
 fn reject_policy_refuses_untracked_statements() {
-    let (db, mut conn, stats) = proxy_with(EnforcementPolicy::Reject, false);
+    let (db, mut conn, runtime) = proxy_with(EnforcementPolicy::Reject, false);
     conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         .unwrap();
     conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
@@ -64,7 +66,7 @@ fn reject_policy_refuses_untracked_statements() {
         other => panic!("{other:?}"),
     }
 
-    let snap = stats.snapshot();
+    let snap = runtime.tracker_stats().snapshot();
     assert_eq!(snap.rejected, 1);
     assert_eq!(snap.untracked, 1);
     assert!(snap.sound >= 2, "{snap:?}");
@@ -74,19 +76,19 @@ fn reject_policy_refuses_untracked_statements() {
 
 #[test]
 fn reject_policy_applies_on_rewrite_cache_hits_too() {
-    let (_db, mut conn, stats) = proxy_with(EnforcementPolicy::Reject, false);
+    let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Reject, false);
     conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         .unwrap();
     // Same statement shape twice: the second execution takes the cached
     // path and must still be refused via the memoised verdict.
     assert!(conn.execute("SELECT MAX(v) FROM t").is_err());
     assert!(conn.execute("SELECT MAX(v) FROM t").is_err());
-    assert_eq!(stats.snapshot().rejected, 2);
+    assert_eq!(runtime.tracker_stats().snapshot().rejected, 2);
 }
 
 #[test]
 fn warn_policy_forwards_but_counts() {
-    let (_db, mut conn, stats) = proxy_with(EnforcementPolicy::Warn, false);
+    let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Warn, false);
     conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         .unwrap();
     conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
@@ -94,7 +96,7 @@ fn warn_policy_forwards_but_counts() {
     // Forwarded despite being untracked…
     conn.execute("SELECT COUNT(v) FROM t").unwrap();
     // …but the audit trail knows.
-    let snap = stats.snapshot();
+    let snap = runtime.tracker_stats().snapshot();
     assert_eq!(snap.untracked, 1);
     assert_eq!(snap.rejected, 0);
     assert!(snap.sound >= 2, "{snap:?}");
@@ -102,14 +104,14 @@ fn warn_policy_forwards_but_counts() {
 
 #[test]
 fn allow_policy_keeps_the_classifier_off_the_statement_path() {
-    let (_db, mut conn, stats) = proxy_with(EnforcementPolicy::Allow, false);
+    let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Allow, false);
     conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         .unwrap();
     conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
         .unwrap();
     conn.execute("SELECT COUNT(v) FROM t").unwrap();
     // The paper's behaviour: nothing classified, nothing counted.
-    let snap = stats.snapshot();
+    let snap = runtime.tracker_stats().snapshot();
     assert_eq!(
         (snap.sound, snap.degraded, snap.untracked, snap.rejected),
         (0, 0, 0, 0)
@@ -341,7 +343,7 @@ proptest! {
         k in 1i64..50,
         shape in reader_shape(),
     ) {
-        let (db, mut conn, _stats) = proxy_with(EnforcementPolicy::Allow, true);
+        let (db, mut conn, _runtime) = proxy_with(EnforcementPolicy::Allow, true);
         conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)").unwrap();
 
         conn.execute("ANNOTATE writer").unwrap();
