@@ -55,16 +55,11 @@ pub fn run(quick: bool) -> Vec<AblationRow> {
         tps: base,
         overhead_pct: 0.0,
     }];
-    let full = ProxyConfig::new(Flavor::Postgres);
-    let mut paper_faithful = full.clone();
-    paper_faithful.record_provenance = false;
-    let mut no_reads = paper_faithful.clone();
-    no_reads.track_reads = false;
-    let mut no_commit = paper_faithful.clone();
-    no_commit.record_deps_at_commit = false;
-    let mut stamp_only = paper_faithful.clone();
-    stamp_only.track_reads = false;
-    stamp_only.record_deps_at_commit = false;
+    let full = ProxyConfig::builder(Flavor::Postgres);
+    let paper_faithful = full.clone().record_provenance(false);
+    let no_reads = paper_faithful.clone().track_reads(false);
+    let no_commit = paper_faithful.clone().record_deps_at_commit(false);
+    let stamp_only = no_reads.clone().record_deps_at_commit(false);
     for (name, pc) in [
         ("trid stamping only", stamp_only),
         ("+ read-set harvesting", no_commit),
@@ -72,7 +67,7 @@ pub fn run(quick: bool) -> Vec<AblationRow> {
         ("paper-faithful tracking", paper_faithful),
         ("full tracking (with provenance)", full),
     ] {
-        let tps = run_config(name, Setup::Tracked, Some(pc), quick);
+        let tps = run_config(name, Setup::Tracked, Some(pc.build()), quick);
         rows.push(AblationRow {
             name,
             tps,

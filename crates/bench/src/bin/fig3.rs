@@ -7,9 +7,9 @@
 use resildb_bench::json::{self, Probe};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_out = json::flag_value_or_exit(&args, "--json-out");
-    let probe = json_out.as_ref().map(|_| Probe::new());
+    let flags = json::flags_or_exit(&[], &["--json-out"]);
+    let json_out = flags.value("--json-out");
+    let probe = json_out.map(|_| Probe::new());
     let dot = resildb_bench::fig3::render(probe.as_ref());
     print!("{dot}");
     if let (Some(path), Some(probe)) = (json_out, probe) {
@@ -18,14 +18,8 @@ fn main() {
             dot.len(),
             dot.matches("->").count()
         );
-        json::write_report(
-            &path,
-            "fig3",
-            &results,
-            &probe.snapshot(),
-            &probe.run_meta(),
-        )
-        .expect("write json report");
+        json::write_report(path, "fig3", &results, &probe.snapshot(), &probe.run_meta())
+            .expect("write json report");
         eprintln!("JSON report written to {path}");
     }
 }

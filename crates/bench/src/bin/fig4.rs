@@ -21,16 +21,19 @@ use resildb_bench::json::{self, Probe};
 use resildb_bench::threads::{self, scaling_json, thread_counts};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = if args.iter().any(|a| a == "--quick") {
+    let flags = json::flags_or_exit(
+        &["--quick", "--no-rewrite-cache", "--wall-clock"],
+        &["--threads", "--json-out", "--trace-out"],
+    );
+    let scale = if flags.has("--quick") {
         Scale::Quick
     } else {
         Scale::Full
     };
-    let rewrite_cache = !args.iter().any(|a| a == "--no-rewrite-cache");
-    let threads = json::threads_arg(&args);
-    let json_out = json::flag_value_or_exit(&args, "--json-out");
-    let trace_out = json::flag_value_or_exit(&args, "--trace-out");
+    let rewrite_cache = !flags.has("--no-rewrite-cache");
+    let threads = json::or_usage_exit(flags.positive("--threads"));
+    let json_out = flags.value("--json-out");
+    let trace_out = flags.value("--trace-out");
     let probe = (json_out.is_some() || trace_out.is_some()).then(Probe::new);
     if trace_out.is_some() {
         if let Some(probe) = &probe {
@@ -40,7 +43,7 @@ fn main() {
 
     let (bench, results) = if let Some(n) = threads {
         // Threaded wall-clock mode (--wall-clock is implied).
-        let cells = threads::run(&thread_counts(n), scale, probe.as_ref());
+        let cells = threads::run(&thread_counts(n as usize), scale, probe.as_ref());
         print!("{}", threads::render(&cells));
         ("fig4-threads", scaling_json(&cells))
     } else {
@@ -51,12 +54,12 @@ fn main() {
         print!("{}", render(&cells));
         ("fig4", cells_json(&cells))
     };
-    if let (Some(path), Some(probe)) = (&json_out, &probe) {
+    if let (Some(path), Some(probe)) = (json_out, &probe) {
         json::write_report(path, bench, &results, &probe.snapshot(), &probe.run_meta())
             .expect("write json report");
         println!("\nJSON report written to {path}");
     }
-    if let (Some(path), Some(probe)) = (&trace_out, &probe) {
+    if let (Some(path), Some(probe)) = (trace_out, &probe) {
         json::write_trace(path, &probe.telemetry().flight().snapshot())
             .expect("write trace capture");
         println!("trace capture written to {path}");

@@ -31,20 +31,19 @@ fn points_json(points: &[Point]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let t_detects: Vec<usize> = if quick {
+    let flags = json::flags_or_exit(&["--quick"], &["--json-out"]);
+    let t_detects: Vec<usize> = if flags.has("--quick") {
         vec![20, 60]
     } else {
         vec![50, 100, 200, 300, 400, 500, 600, 700]
     };
-    let json_out = json::flag_value_or_exit(&args, "--json-out");
-    let probe = json_out.as_ref().map(|_| Probe::new());
+    let json_out = flags.value("--json-out");
+    let probe = json_out.map(|_| Probe::new());
     let points = resildb_bench::fig5::run(&[2, 5], &t_detects, probe.as_ref());
     print!("{}", resildb_bench::fig5::render(&points));
     if let (Some(path), Some(probe)) = (json_out, probe) {
         json::write_report(
-            &path,
+            path,
             "fig5",
             &points_json(&points),
             &probe.snapshot(),

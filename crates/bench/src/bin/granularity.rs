@@ -4,7 +4,7 @@
 // Harness target: setup failures panic with context by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = resildb_bench::json::flags_or_exit(&["--quick"], &[]).has("--quick");
     let t_detect = if quick { 40 } else { 150 };
     let cost = resildb_bench::granularity::run_cost_comparison(quick);
     let accuracy = resildb_bench::granularity::run_accuracy_comparison(t_detect);

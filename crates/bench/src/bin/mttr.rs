@@ -31,44 +31,39 @@ fn observe_routes(slot: &Arc<ObserveSlot>) -> ServerRoutes {
     let incidents_slot = Arc::clone(slot);
     ServerRoutes::new()
         .metrics(move || match &*lock_slot(&metrics_slot) {
-            Some((rdb, progress)) => {
-                let mut snap = rdb.metrics();
-                progress.fold_metrics(&mut snap);
-                snap
-            }
+            Some(rdb) => rdb.metrics(),
             None => MetricsSnapshot::default(),
         })
         .ready(move || match &*lock_slot(&ready_slot) {
-            Some((rdb, progress)) => {
-                !rdb.proxy_runtime().fence().is_active() && !progress.is_executing()
+            Some(rdb) => {
+                !rdb.proxy_runtime().fence().is_active()
+                    && rdb.telemetry().timeline().current().is_none()
             }
             None => true,
         })
         .incidents(move || match &*lock_slot(&incidents_slot) {
-            Some((rdb, _)) => rdb.telemetry().timeline().to_json(),
+            Some(rdb) => rdb.telemetry().timeline().to_json(),
             None => "{\"incidents\":[]}".to_string(),
         })
         .allow_quit(true)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let live = args.iter().any(|a| a == "--live");
-    let grid: Vec<usize> = if quick {
+    let flags = json::flags_or_exit(
+        &["--quick", "--live"],
+        &["--json-out", "--trace-out", "--serve"],
+    );
+    let live = flags.has("--live");
+    let grid: Vec<usize> = if flags.has("--quick") {
         vec![30]
     } else {
         vec![50, 100, 200, 400, 700]
     };
-    let json_out = json::flag_value_or_exit(&args, "--json-out");
-    let serve = live
-        .then(|| json::flag_value_or_exit(&args, "--serve"))
-        .flatten();
+    let json_out = flags.value("--json-out");
+    let serve = live.then(|| flags.value("--serve")).flatten();
     // Live points run on their own `ResilientDb` telemetry domain, which
     // the probe's flight recorder does not see: no capture under `--live`.
-    let trace_out = (!live)
-        .then(|| json::flag_value_or_exit(&args, "--trace-out"))
-        .flatten();
+    let trace_out = (!live).then(|| flags.value("--trace-out")).flatten();
     let probe = (json_out.is_some() || trace_out.is_some()).then(Probe::new);
     if trace_out.is_some() {
         if let Some(probe) = &probe {
@@ -77,7 +72,7 @@ fn main() {
     }
     // `serve` is only ever set under `--live`.
     let slot: Arc<ObserveSlot> = Arc::new(ObserveSlot::default());
-    let mut server = serve.as_deref().map(|addr| {
+    let mut server = serve.map(|addr| {
         let server =
             MetricsServer::serve(addr, observe_routes(&slot)).expect("bind metrics endpoint");
         println!("observability endpoint on http://{}/", server.addr());
@@ -93,12 +88,12 @@ fn main() {
         print!("{}", mttr::render(&points));
         ("mttr", mttr::points_json(&points))
     };
-    if let (Some(path), Some(probe)) = (&json_out, &probe) {
+    if let (Some(path), Some(probe)) = (json_out, &probe) {
         json::write_report(path, bench, &results, &probe.snapshot(), &probe.run_meta())
             .expect("write json report");
         println!("\nJSON report written to {path}");
     }
-    if let (Some(path), Some(probe)) = (&trace_out, &probe) {
+    if let (Some(path), Some(probe)) = (trace_out, &probe) {
         json::write_trace(path, &probe.telemetry().flight().snapshot())
             .expect("write trace capture");
         println!("trace capture written to {path}");

@@ -7,7 +7,7 @@
 //! ```text
 //! resildb-top — http://127.0.0.1:9188  (ready: NO)
 //!   commits/s: 1234.5   fence rejects/s: 12.0
-//!   fence: 17 entries   phase: sweep   extension rounds: 0
+//!   fence: 17 entries   phase: quarantine_shrunk   extension rounds: 0
 //!   repair [#########################........] 23/31 txns
 //!   incidents: 1 (latest wall 48.2 ms)
 //! ```
@@ -19,37 +19,15 @@
 // Harness target: setup failures panic with context by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use resildb_analyze::{parse_json, JsonValue};
+use resildb_bench::json::{flags_or_exit, or_usage_exit};
 
 /// One HTTP GET against the endpoint: returns (status-code, body).
 fn http_get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| format!("write {path}: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("read {path}: {e}"))?;
-    let status: u16 = response
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split_whitespace().next())
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed response from {path}"))?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok((status, body))
+    resildb_core::telemetry::http::get(addr, path).map_err(|e| format!("GET {path}: {e}"))
 }
 
 /// Value of a plain `name value` sample line in Prometheus text format.
@@ -61,27 +39,33 @@ fn metric(body: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// Incident count and the `wall_ns` of the latest decomposition in the
-/// `/incidents` document.
-fn incident_summary(json: &str) -> Result<(usize, Option<u64>), String> {
+/// What the frame shows of the `/incidents` document.
+#[derive(Debug, PartialEq)]
+struct IncidentSummary {
+    count: usize,
+    /// `wall_ns` of the latest incident's decomposition.
+    latest_wall_ns: Option<u64>,
+    /// The latest incident's last phase mark while it is open, as the
+    /// endpoint names it; `idle` otherwise.
+    phase: String,
+}
+
+fn incident_summary(json: &str) -> Result<IncidentSummary, String> {
     let doc = parse_json(json).map_err(|e| format!("/incidents: {e}"))?;
     let incidents = doc
         .get("incidents")
         .and_then(JsonValue::as_array)
         .ok_or("/incidents: no incidents array")?;
-    let wall_ns = incidents
-        .last()
-        .and_then(|i| i.get("decomposition")?.get("wall_ns")?.as_u64());
-    Ok((incidents.len(), wall_ns))
-}
-
-const PHASES: [&str; 7] = [
-    "idle", "analyze", "plan", "drain", "sweep", "extend", "done",
-];
-
-fn phase_name(gauge: Option<f64>) -> &'static str {
-    let idx = gauge.unwrap_or(0.0) as usize;
-    PHASES.get(idx).copied().unwrap_or("?")
+    let latest = incidents.last();
+    let phase = latest
+        .filter(|i| i.get("open").and_then(JsonValue::as_bool) == Some(true))
+        .and_then(|i| i.get("marks")?.as_array()?.last()?.get("phase")?.as_str())
+        .unwrap_or("idle");
+    Ok(IncidentSummary {
+        count: incidents.len(),
+        latest_wall_ns: latest.and_then(|i| i.get("decomposition")?.get("wall_ns")?.as_u64()),
+        phase: phase.to_string(),
+    })
 }
 
 fn progress_bar(compensated: f64, total: f64, width: usize) -> String {
@@ -115,8 +99,7 @@ fn fmt_rate(r: Option<f64>) -> String {
 struct Frame {
     ready: bool,
     metrics: String,
-    incidents: usize,
-    latest_wall_ns: Option<u64>,
+    incidents: IncidentSummary,
 }
 
 fn scrape(addr: &str) -> Result<Frame, String> {
@@ -129,12 +112,10 @@ fn scrape(addr: &str) -> Result<Frame, String> {
     if status != 200 {
         return Err(format!("/incidents returned {status}"));
     }
-    let (incidents, latest_wall_ns) = incident_summary(&incidents)?;
     Ok(Frame {
         ready: ready_status == 200,
         metrics,
-        incidents,
-        latest_wall_ns,
+        incidents: incident_summary(&incidents)?,
     })
 }
 
@@ -153,16 +134,18 @@ fn render(addr: &str, frame: &Frame, prev: Option<&(Frame, Instant)>, now: Insta
         dt,
     );
     let fence_size = metric(m, "resildb_repair_live_fence_size").unwrap_or(0.0);
-    let phase = phase_name(metric(m, "resildb_repair_progress_phase"));
     let rounds = metric(m, "resildb_repair_progress_extension_rounds").unwrap_or(0.0);
     let bar = progress_bar(
         metric(m, "resildb_repair_progress_compensated").unwrap_or(0.0),
         metric(m, "resildb_repair_progress_total").unwrap_or(0.0),
         32,
     );
-    let wall = frame.latest_wall_ns.map_or_else(String::new, |ns| {
-        format!(" (latest wall {:.1} ms)", ns as f64 / 1e6)
-    });
+    let wall = frame
+        .incidents
+        .latest_wall_ns
+        .map_or_else(String::new, |ns| {
+            format!(" (latest wall {:.1} ms)", ns as f64 / 1e6)
+        });
     format!(
         "resildb-top — http://{addr}/  (ready: {})\n\
          \x20 commits/s: {}   fence rejects/s: {}\n\
@@ -173,30 +156,24 @@ fn render(addr: &str, frame: &Frame, prev: Option<&(Frame, Instant)>, now: Insta
         fmt_rate(commits),
         fmt_rate(rejects),
         fence_size as u64,
-        phase,
+        frame.incidents.phase,
         rounds as u64,
         bar,
-        frame.incidents,
+        frame.incidents.count,
         wall,
     )
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let addr = value_of("--addr").unwrap_or_else(|| "127.0.0.1:9188".to_string());
-    let interval = Duration::from_millis(
-        value_of("--interval-ms")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1000),
-    );
-    let once = args.iter().any(|a| a == "--once");
-    let frames: Option<u64> = value_of("--frames").and_then(|v| v.parse().ok());
+    let flags = flags_or_exit(&["--once"], &["--addr", "--interval-ms", "--frames"]);
+    let addr = flags
+        .value("--addr")
+        .unwrap_or("127.0.0.1:9188")
+        .to_string();
+    let interval =
+        Duration::from_millis(or_usage_exit(flags.positive("--interval-ms")).unwrap_or(1000));
+    let once = flags.has("--once");
+    let frames = or_usage_exit(flags.positive("--frames"));
 
     let mut prev: Option<(Frame, Instant)> = None;
     let mut rendered = 0u64;
@@ -256,15 +233,36 @@ resildb_repair_progress_total 31\n";
 
     #[test]
     fn renders_phase_bar_and_incident_summary() {
-        assert_eq!(phase_name(Some(4.0)), "sweep");
-        assert_eq!(phase_name(Some(99.0)), "?");
         let bar = progress_bar(23.0, 31.0, 32);
         assert!(bar.contains("23/31 txns"), "{bar}");
         assert!(bar.starts_with("[####"), "{bar}");
-        let json = "{\"incidents\":[{\"id\":1,\"open\":false,\"marks\":[],\
-             \"decomposition\":{\"mttd_ns\":1,\"mttc_ns\":2,\"mttr_ns\":3,\"wall_ns\":6}}]}";
-        assert_eq!(incident_summary(json), Ok((1, Some(6))));
-        assert_eq!(incident_summary("{\"incidents\":[]}"), Ok((0, None)));
+        let incident = |open: bool| {
+            format!(
+                "{{\"incidents\":[{{\"id\":1,\"open\":{open},\"marks\":[\
+                 {{\"phase\":\"detected\",\"at_ns\":1}},\
+                 {{\"phase\":\"quarantine_shrunk\",\"at_ns\":7}}],\
+                 \"decomposition\":{{\"mttd_ns\":0,\"mttc_ns\":6,\"mttr_ns\":0,\"wall_ns\":6}}}}]}}"
+            )
+        };
+        let summary = |count, latest_wall_ns, phase: &str| IncidentSummary {
+            count,
+            latest_wall_ns,
+            phase: phase.to_string(),
+        };
+        // The phase is the endpoint's own name for the last mark of an
+        // open incident; a closed one reads idle.
+        assert_eq!(
+            incident_summary(&incident(true)),
+            Ok(summary(1, Some(6), "quarantine_shrunk"))
+        );
+        assert_eq!(
+            incident_summary(&incident(false)),
+            Ok(summary(1, Some(6), "idle"))
+        );
+        assert_eq!(
+            incident_summary("{\"incidents\":[]}"),
+            Ok(summary(0, None, "idle"))
+        );
         assert!(incident_summary("{\"id\":1,\"wall_ns\":6}").is_err());
     }
 

@@ -7,44 +7,92 @@
 //! `tests/reports.rs` asserts the documents' keys and required metrics.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use resildb_core::telemetry::export::{self, json_string};
 use resildb_core::{telemetry::trace, MetricsSnapshot, ProxyConfig, ProxyConfigBuilder, Telemetry};
 
-/// Parses `--threads N` from a binary's argument list. Returns `None`
-/// when the flag is absent; panics on a missing or malformed count (a
-/// usage error worth failing loudly on in a harness binary).
-pub fn threads_arg(args: &[String]) -> Option<usize> {
-    let at = args.iter().position(|a| a == "--threads")?;
-    let n = args
-        .get(at + 1)
-        .and_then(|v| v.parse::<usize>().ok())
-        .expect("--threads requires a positive integer");
-    assert!(n >= 1, "--threads requires a positive integer");
-    Some(n)
-}
+/// A bench binary's parsed command line: each flag given, with its value
+/// if it takes one; see [`parse_flags`].
+#[derive(Debug)]
+pub struct Flags(BTreeMap<String, Option<String>>);
 
-/// Parses `flag VALUE` from a binary's argument list: `Ok(None)` when the
-/// flag is absent, a usage error when it is last or followed by another
-/// flag — an output path the operator did not name is never invented.
-pub fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    let Some(at) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    match args.get(at + 1) {
-        Some(next) if !next.starts_with("--") => Ok(Some(next.clone())),
-        _ => Err(format!("{flag} requires a value")),
+impl Flags {
+    /// Whether `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.0.contains_key(switch)
+    }
+
+    /// The value of valued flag `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.0.get(flag)?.as_deref()
+    }
+
+    /// The value of `flag` as a positive integer (`--threads 4`), if it
+    /// was given.
+    ///
+    /// # Errors
+    ///
+    /// A usage error when the value is not an integer or is zero.
+    pub fn positive(&self, flag: &str) -> Result<Option<u64>, String> {
+        match self.value(flag).map(str::parse::<u64>) {
+            None => Ok(None),
+            Some(Ok(n)) if n > 0 => Ok(Some(n)),
+            Some(_) => Err(format!("{flag} requires a positive integer")),
+        }
     }
 }
 
-/// [`flag_value`] for a binary's `main`: a usage error is printed and
-/// the process exits with status 2.
-pub fn flag_value_or_exit(args: &[String], flag: &str) -> Option<String> {
-    flag_value(args, flag).unwrap_or_else(|e| {
+/// The one strict flag parser of the bench binaries. `args` (without the
+/// program name) may hold each of `switches` bare and each of `valued`
+/// followed by its value, at most once and in any order.
+///
+/// # Errors
+///
+/// A usage error naming the offence and the accepted flags: an argument
+/// in neither list (a typo must not silently run the default grid), a
+/// repeated flag, or a valued flag that is last or followed by another
+/// flag — an output path the operator did not name is never invented.
+pub fn parse_flags(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Flags, String> {
+    let accepted = switches
+        .iter()
+        .map(|s| format!("[{s}]"))
+        .chain(valued.iter().map(|v| format!("[{v} VALUE]")));
+    let usage = format!("accepted flags: {}", accepted.collect::<Vec<_>>().join(" "));
+    let mut given = BTreeMap::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let value = if valued.contains(&arg.as_str()) {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => Some(v.clone()),
+                _ => return Err(format!("{arg} requires a value\n{usage}")),
+            }
+        } else if switches.contains(&arg.as_str()) {
+            None
+        } else {
+            return Err(format!("unknown flag `{arg}`\n{usage}"));
+        };
+        if given.insert(arg.clone(), value).is_some() {
+            return Err(format!("{arg} given more than once\n{usage}"));
+        }
+    }
+    Ok(Flags(given))
+}
+
+/// Unwraps a command-line result in a binary's `main`: a usage error is
+/// printed and the process exits with status 2.
+pub fn or_usage_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
         eprintln!("usage error: {e}");
         std::process::exit(2)
     })
+}
+
+/// [`parse_flags`] over the process arguments, for a binary's `main`.
+pub fn flags_or_exit(switches: &[&str], valued: &[&str]) -> Flags {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    or_usage_exit(parse_flags(&args, switches, valued))
 }
 
 /// Provenance stamped into every `--json-out` report: which commit and
@@ -250,27 +298,46 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    const FIG4_SWITCHES: [&str; 2] = ["--quick", "--no-rewrite-cache"];
+    const FIG4_VALUED: [&str; 3] = ["--threads", "--json-out", "--trace-out"];
+
+    fn fig4(list: &[&str]) -> Result<Flags, String> {
+        parse_flags(&args(list), &FIG4_SWITCHES, &FIG4_VALUED)
+    }
+
     #[test]
     fn threads_arg_parsing() {
-        assert_eq!(threads_arg(&args(&["fig4"])), None);
-        assert_eq!(threads_arg(&args(&["fig4", "--threads", "4"])), Some(4));
-        assert_eq!(
-            threads_arg(&args(&["fig4", "--threads", "8", "--quick"])),
-            Some(8)
-        );
+        let threads = |list: &[&str]| fig4(list).unwrap().positive("--threads");
+        assert_eq!(threads(&[]), Ok(None));
+        assert_eq!(threads(&["--threads", "4"]), Ok(Some(4)));
+        assert_eq!(threads(&["--threads", "8", "--quick"]), Ok(Some(8)));
+        for bad in ["0", "-1", "four"] {
+            let err = threads(&["--threads", bad]).unwrap_err();
+            assert!(err.starts_with("--threads requires a positive integer"));
+        }
     }
 
     #[test]
     fn json_out_parsing() {
-        let json_out = |list: &[&str]| flag_value(&args(list), "--json-out");
-        assert_eq!(json_out(&["fig4"]), Ok(None));
-        assert_eq!(
-            json_out(&["fig4", "--json-out", "out.json", "--quick"]),
-            Ok(Some("out.json".to_string()))
-        );
+        let flags = fig4(&["--json-out", "out.json", "--quick"]).unwrap();
+        assert_eq!(flags.value("--json-out"), Some("out.json"));
+        assert!(flags.has("--quick") && !flags.has("--no-rewrite-cache"));
+        assert_eq!(fig4(&[]).unwrap().value("--json-out"), None);
         // No silent default: a missing path is a usage error.
-        assert!(json_out(&["fig4", "--json-out"]).is_err());
-        assert!(json_out(&["fig4", "--json-out", "--quick"]).is_err());
+        assert!(fig4(&["--json-out"]).is_err());
+        assert!(fig4(&["--json-out", "--quick"]).is_err());
+    }
+
+    #[test]
+    fn unknown_and_repeated_flags_are_usage_errors() {
+        // The typo that used to run the full grid with exit 0.
+        let err = fig4(&["--quik", "--json-out", "x"]).unwrap_err();
+        assert!(err.starts_with("unknown flag `--quik`"), "{err}");
+        assert!(err.contains("[--quick]") && err.contains("[--json-out VALUE]"));
+        assert!(fig4(&["stray"]).is_err());
+        let err = fig4(&["--quick", "--quick"]).unwrap_err();
+        assert!(err.starts_with("--quick given more than once"), "{err}");
+        assert!(fig4(&["--threads", "2", "--threads", "4"]).is_err());
     }
 
     #[test]
@@ -282,16 +349,10 @@ mod tests {
 
     #[test]
     fn trace_out_parsing() {
-        let trace_out = |list: &[&str]| flag_value(&args(list), "--trace-out");
-        assert_eq!(trace_out(&["fig4"]), Ok(None));
-        assert_eq!(
-            trace_out(&["fig4", "--trace-out", "t.jsonl", "--quick"]),
-            Ok(Some("t.jsonl".to_string()))
-        );
-        assert_eq!(
-            trace_out(&["fig4", "--trace-out"]),
-            Err("--trace-out requires a value".to_string())
-        );
+        let flags = fig4(&["--trace-out", "t.jsonl", "--quick"]).unwrap();
+        assert_eq!(flags.value("--trace-out"), Some("t.jsonl"));
+        let err = fig4(&["--trace-out"]).unwrap_err();
+        assert!(err.starts_with("--trace-out requires a value"), "{err}");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use resildb_core::telemetry::export::format_f64;
 use resildb_core::{
     ContainmentPolicy, Driver as _, FenceAction, Flavor, IncidentRecord, IncidentTimeline,
-    LinkProfile, Micros, ProxyConfig, RepairProgress, ResilientDb, SimContext, WireError,
+    LinkProfile, Micros, ProxyConfig, ResilientDb, SimContext, WireError,
 };
 use resildb_tpcc::{Attack, AttackKind, Loader, Mix, TpccConfig, TpccRunner, ATTACK_LABEL};
 
@@ -239,23 +239,21 @@ impl LiveMttrPoint {
 }
 
 /// Shared observation slot for the metrics endpoint: the live instance
-/// being measured and the progress handle of its repair controller.
-/// `mttr --live --serve` installs each point here before the repair
-/// starts, and the endpoint's route closures read whatever is current.
-pub type ObserveSlot = Mutex<Option<(Arc<ResilientDb>, RepairProgress)>>;
+/// being measured. `mttr --live --serve` installs each point here before
+/// the repair starts, and the endpoint's route closures read whatever is
+/// current.
+pub type ObserveSlot = Mutex<Option<Arc<ResilientDb>>>;
 
 /// Lock an [`ObserveSlot`], surviving a poisoned mutex (a panicking
 /// bench point must not take the endpoint down with it).
-pub fn lock_slot(
-    slot: &ObserveSlot,
-) -> std::sync::MutexGuard<'_, Option<(Arc<ResilientDb>, RepairProgress)>> {
+pub fn lock_slot(slot: &ObserveSlot) -> std::sync::MutexGuard<'_, Option<Arc<ResilientDb>>> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs one live-availability point. The final metrics fold (including
 /// the `proxy.fence.*` counters and the `repair.live.fence_size` gauge)
-/// is captured into `probe`; the instance and its repair progress are
-/// published into `observe` for a concurrently running metrics endpoint.
+/// is captured into `probe`; the instance is published into `observe`
+/// for a concurrently running metrics endpoint.
 pub fn run_live_point(
     t_detect: usize,
     probe: Option<&Probe>,
@@ -297,11 +295,11 @@ pub fn run_live_point(
         AtomicUsize::new(0),
         AtomicUsize::new(0),
     );
-    // Build the controller before the repair starts so the endpoint can
-    // watch the whole episode, Idle phase included.
+    // Publish before the repair starts so the endpoint can watch the
+    // whole episode.
     let controller = rdb.repair_controller_with(rdb.live_repair_options());
     if let Some(slot) = observe {
-        *lock_slot(slot) = Some((Arc::clone(&rdb), controller.progress()));
+        *lock_slot(slot) = Some(Arc::clone(&rdb));
     }
     let (wall, report) = std::thread::scope(|scope| {
         let (rdb_w, in_repair, done) = (&rdb, &in_repair, &done);
@@ -489,7 +487,46 @@ mod tests {
 
     #[test]
     fn live_repair_serves_clean_traffic_mid_sweep() {
-        let p = run_live_point(20, None, None);
+        // An observer with nothing but the instance — what the endpoint
+        // has — polls the fold while the point runs.
+        let slot = ObserveSlot::default();
+        let finished = AtomicBool::new(false);
+        let (p, seen_in_flight) = std::thread::scope(|scope| {
+            let poller = scope.spawn(|| {
+                let mut seen_in_flight = 0usize;
+                while !finished.load(Ordering::Relaxed) {
+                    let Some(rdb) = lock_slot(&slot).clone() else {
+                        std::thread::yield_now();
+                        continue;
+                    };
+                    // The incident opens before the fence goes up and
+                    // closes after it lifts, so `/ready` cannot flap.
+                    let fenced = rdb.proxy_runtime().fence().is_active();
+                    let open = rdb.telemetry().timeline().current().is_some();
+                    assert!(!fenced || open, "fence up outside an incident");
+                    seen_in_flight += usize::from(open);
+                    let snap = rdb.metrics();
+                    let gauge = |name: &str| {
+                        snap.gauge(&format!("repair.progress.{name}"))
+                            .unwrap_or_else(|| panic!("metrics() lacks repair.progress.{name}"))
+                    };
+                    assert!(gauge("compensated") <= gauge("total"), "{snap:?}");
+                }
+                seen_in_flight
+            });
+            let p = run_live_point(20, None, Some(&slot));
+            finished.store(true, Ordering::Relaxed);
+            (p, poller.join().expect("poller"))
+        });
+        assert!(seen_in_flight > 0, "poller never saw the repair in flight");
+        let rdb = lock_slot(&slot).take().expect("point published itself");
+        assert_eq!(rdb.telemetry().timeline().current(), None);
+        let done = rdb.metrics();
+        assert_eq!(done.gauge("repair.progress.phase"), Some(0.0));
+        assert_eq!(
+            done.gauge("repair.progress.compensated"),
+            Some(p.undo_set as f64)
+        );
         assert!(p.attempted > 0, "worker never ran during repair: {p:?}");
         assert!(
             p.served > 0,

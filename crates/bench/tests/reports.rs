@@ -204,15 +204,13 @@ fn live_repair_report_and_incident_timeline() {
 
     // What the endpoint serves for the same instance: `/incidents` parses,
     // `/metrics` carries the engine, fence and repair-progress families.
-    let (rdb, progress) = lock_slot(&slot).take().expect("point published itself");
+    let rdb = lock_slot(&slot).take().expect("point published itself");
     let served = parse_json(&rdb.telemetry().timeline().to_json()).unwrap();
     assert_eq!(
         at(&served, &["incidents"]).as_array().map(<[_]>::len),
         Some(1)
     );
-    let mut snap = rdb.metrics();
-    progress.fold_metrics(&mut snap);
-    let exposition = to_prometheus(&snap);
+    let exposition = to_prometheus(&rdb.metrics());
     for required in [
         "resildb_engine_commit_count_total ",
         "resildb_repair_live_fence_size ",

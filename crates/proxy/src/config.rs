@@ -214,19 +214,6 @@ impl ProxyConfig {
         }
     }
 
-    /// This configuration with the rewrite cache disabled — every
-    /// statement pays the full lex+parse+rewrite+print cost.
-    pub fn without_rewrite_cache(mut self) -> Self {
-        self.rewrite_cache_capacity = 0;
-        self
-    }
-
-    /// This configuration with `policy` applied to untracked statements.
-    pub fn with_enforcement(mut self, policy: EnforcementPolicy) -> Self {
-        self.enforcement = policy;
-        self
-    }
-
     /// A compact one-line description of the knobs that shape tracking
     /// behaviour — stamped into bench `--json-out` reports so every
     /// `BENCH_*.json` artifact records the configuration that produced it.
@@ -372,12 +359,14 @@ mod tests {
             .granularity(TrackingGranularity::Column)
             .enforcement(EnforcementPolicy::Reject)
             .build();
-        let mut manual = ProxyConfig::new(Flavor::Oracle);
-        manual.track_reads = false;
-        manual.rewrite_cache_capacity = 8;
-        manual.granularity = TrackingGranularity::Column;
-        manual.enforcement = EnforcementPolicy::Reject;
-        assert_eq!(built, manual);
+        assert!(!built.track_reads);
+        assert_eq!(built.rewrite_cache_capacity, 8);
+        assert_eq!(built.granularity, TrackingGranularity::Column);
+        assert_eq!(built.enforcement, EnforcementPolicy::Reject);
+        // Everything not named keeps the standard value.
+        let standard = ProxyConfig::new(Flavor::Oracle);
+        assert_eq!(built.record_provenance, standard.record_provenance);
+        assert_eq!(ProxyConfig::builder(Flavor::Oracle).build(), standard);
     }
 
     #[test]
@@ -409,7 +398,9 @@ mod tests {
         let c = ProxyConfig::new(Flavor::Postgres);
         assert!(c.rewrite_cache_capacity > 0);
         assert!(c.rewrite_cached_cpu < c.rewrite_cpu);
-        let off = c.without_rewrite_cache();
+        let off = ProxyConfig::builder(Flavor::Postgres)
+            .rewrite_cache_capacity(0)
+            .build();
         assert_eq!(off.rewrite_cache_capacity, 0);
     }
 }

@@ -91,7 +91,7 @@ struct FenceState {
     tables: BTreeSet<String>,
     /// Row-fenced tables (lower-cased): the dynamic phase.
     rows: HashMap<String, RowFence>,
-    /// Bumped on every raise/shrink/extend/lift (forensics; deferred
+    /// Bumped on every raise/shrink/lift (forensics; deferred
     /// statements wake on the condvar, not by polling this).
     epoch: u64,
 }
@@ -183,32 +183,6 @@ impl Fence {
         drop(state);
         self.changed.notify_all();
         size
-    }
-
-    /// Extends the row fence of `table` with additional keys (re-analysis
-    /// grew the closure mid-sweep). Returns the number of keys newly
-    /// fenced.
-    pub fn extend<I: IntoIterator<Item = String>>(
-        &self,
-        table: &str,
-        key_columns: &[String],
-        keys: I,
-    ) -> usize {
-        let mut state = self.state.lock();
-        let table = table.to_lowercase();
-        if state.tables.contains(&table) {
-            // Already wholly fenced: the rows are covered.
-            return 0;
-        }
-        let entry = state.rows.entry(table).or_insert_with(|| RowFence {
-            key_columns: key_columns.iter().map(|c| c.to_lowercase()).collect(),
-            keys: HashSet::new(),
-        });
-        let before = entry.keys.len();
-        entry.keys.extend(keys);
-        let added = entry.keys.len() - before;
-        state.epoch += 1;
-        added
     }
 
     /// Lifts the fence (repair finished), waking deferred statements.
@@ -551,26 +525,6 @@ mod tests {
         assert!(f.would_block(&stmt("INSERT INTO account (id, b) VALUES (7, 0)")));
         // Positional inserts and computed keys are conservative.
         assert!(f.would_block(&stmt("INSERT INTO account VALUES (8, 0)")));
-    }
-
-    #[test]
-    fn extend_grows_the_row_fence_and_lift_clears_it() {
-        let f = Fence::new();
-        f.raise(vec!["account".into()]);
-        f.shrink(
-            BTreeSet::new(),
-            [("account".to_string(), row_fence(&["id"], &[&["7"]]))]
-                .into_iter()
-                .collect(),
-        );
-        assert!(!f.would_block(&stmt("SELECT * FROM account WHERE id = 4")));
-        let added = f.extend("account", &["id".into()], vec!["4".to_string()]);
-        assert_eq!(added, 1);
-        assert!(f.would_block(&stmt("SELECT * FROM account WHERE id = 4")));
-        assert_eq!(f.size(), (0, 2));
-        f.lift();
-        assert!(!f.is_active());
-        assert!(!f.would_block(&stmt("SELECT * FROM account WHERE id = 7")));
     }
 
     #[test]

@@ -83,30 +83,28 @@ pub(crate) fn run_compensation(
         let _ = conn.execute("ROLLBACK");
     }
     if let Ok(outcome) = &result {
-        // Flight-record the per-transaction compensation tally — one event
-        // per undone proxy transaction, durable only after the sweep's
-        // COMMIT (a rolled-back repair compensated nothing). Transactions
-        // in the undo set whose every record needed no statement (e.g.
-        // no-op updates) still get a zero-count event.
-        let flight = db.sim().telemetry().flight();
-        if flight.is_enabled() {
-            let mut per_txn: BTreeMap<i64, u32> =
-                undo_internal.values().map(|&proxy| (proxy, 0)).collect();
-            for stmt in &outcome.statements {
-                if let Some(n) = per_txn.get_mut(&stmt.proxy_txn) {
-                    *n += 1;
-                }
+        // Report the per-transaction compensation tally — one event per
+        // undone proxy transaction, only after the sweep's COMMIT (a
+        // rolled-back repair compensated nothing). Transactions in the
+        // undo set whose every record needed no statement (e.g. no-op
+        // updates) still get a zero-count event.
+        let mut per_txn: BTreeMap<i64, u32> =
+            undo_internal.values().map(|&proxy| (proxy, 0)).collect();
+        for stmt in &outcome.statements {
+            if let Some(n) = per_txn.get_mut(&stmt.proxy_txn) {
+                *n += 1;
             }
-            for (proxy, statements) in per_txn {
-                flight.emit(proxy, 0, EventKind::Compensated { statements });
-            }
+        }
+        let telemetry = db.sim().telemetry();
+        for (proxy, statements) in per_txn {
+            telemetry.repair_event(proxy, EventKind::Compensated { statements });
         }
     }
     result
 }
 
 /// Maps an injected repair-layer fault to a [`RepairError`].
-fn repair_fault(db: &Database, name: &str) -> Result<(), RepairError> {
+pub(crate) fn repair_fault(db: &Database, name: &str) -> Result<(), RepairError> {
     match db.sim().fault_check(name) {
         None => Ok(()),
         Some(InjectedFault::Disconnect) => Err(RepairError::Wire(WireError::ConnectionDropped)),

@@ -32,15 +32,14 @@ use std::time::{Duration, Instant};
 use resildb_engine::{Database, Value};
 use resildb_proxy::{canon_value, composite_key, ContainmentPolicy, ProxyRuntime, RowFence};
 use resildb_sim::telemetry::names as span_names;
-use resildb_sim::{failpoints, EventKind, FaultAction, FaultTrigger, IncidentPhase};
+use resildb_sim::{failpoints, EventKind, FaultAction, FaultTrigger};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver, Response};
 
 use crate::adapters::{adapter_for, LogAdapter};
-use crate::compensate::{run_compensation, CompensationOutcome};
+use crate::compensate::{repair_fault, run_compensation, CompensationOutcome};
 use crate::correlate::TxnCorrelation;
 use crate::error::RepairError;
 use crate::graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
-use crate::progress::{PhaseDone, RepairPhase, RepairProgress};
 use crate::record::{NamedRow, RepairOp, RepairRecord, RowAddress};
 
 /// Everything the analysis phase learns from the database and its log.
@@ -53,6 +52,10 @@ pub struct Analysis {
     /// The full dependency graph (online read deps + log-reconstructed
     /// write deps), labelled from `annot`.
     pub graph: DepGraph,
+    /// Incident-clock stamp taken when this analysis began. Analysis
+    /// alone leaves no incident behind; [`RepairController::execute`]
+    /// opens one whose `detected` mark carries this stamp.
+    pub detected_at_ns: u64,
 }
 
 impl Analysis {
@@ -274,7 +277,6 @@ pub struct RepairController {
     db: Database,
     adapter: Box<dyn LogAdapter>,
     options: RepairOptions,
-    progress: RepairProgress,
 }
 
 impl std::fmt::Debug for RepairController {
@@ -315,21 +317,12 @@ impl RepairController {
             db,
             adapter,
             options,
-            progress: RepairProgress::default(),
         }
     }
 
     /// The options this controller executes under.
     pub fn options(&self) -> &RepairOptions {
         &self.options
-    }
-
-    /// A cloneable handle observing this controller's live repair
-    /// progress (phase, compensated/total, fence size, extension
-    /// rounds). Poll it from another thread — e.g. the metrics
-    /// endpoint's `/ready` predicate and `resildb-top` both do.
-    pub fn progress(&self) -> RepairProgress {
-        self.progress.clone()
     }
 
     /// Phase 1: reads the log and tracking tables and builds the
@@ -340,26 +333,12 @@ impl RepairController {
     /// Log introspection or tracking-table read failures.
     pub fn analyze(&self) -> Result<Analysis, RepairError> {
         let telemetry = self.db.sim().telemetry();
-        // Analysis is the detection step of an incident: open one on the
-        // timeline unless a repair episode is already in flight (the live
-        // protocol re-analyzes several times per incident).
-        let timeline = telemetry.timeline();
-        if timeline.current().is_none() {
-            let incident = timeline.open_incident();
-            timeline.mark(IncidentPhase::Detected);
-            telemetry
-                .flight()
-                .emit(0, 0, EventKind::IncidentDetected { incident });
-        }
-        if self.progress.is_executing() {
-            self.progress.set_phase(RepairPhase::Analyze);
-        }
+        let detected_at_ns = telemetry.incident_stamp();
         let records = {
             let _span = telemetry.span(span_names::REPAIR_LOG_SCAN);
             self.adapter.scan(&self.db)?
         };
-        telemetry.flight().emit(
-            0,
+        telemetry.repair_event(
             0,
             EventKind::LogScan {
                 records: records.len() as u64,
@@ -369,8 +348,7 @@ impl RepairController {
             let _span = telemetry.span(span_names::REPAIR_CORRELATE);
             TxnCorrelation::from_records(&records)
         };
-        telemetry.flight().emit(
-            0,
+        telemetry.repair_event(
             0,
             EventKind::Correlate {
                 pairs: correlation.len() as u64,
@@ -526,6 +504,7 @@ impl RepairController {
             records,
             correlation,
             graph,
+            detected_at_ns,
         })
     }
 
@@ -536,15 +515,7 @@ impl RepairController {
             let _span = self.db.sim().telemetry().span(span_names::REPAIR_CLOSURE);
             analysis.undo_set(initial, &self.options.rules)
         };
-        self.progress.set_closure(undo_set.len() as u64);
-        self.db.sim().telemetry().flight().emit(
-            0,
-            0,
-            EventKind::ClosureComputed {
-                initial: u32::try_from(initial.len()).unwrap_or(u32::MAX),
-                nodes: u32::try_from(undo_set.len()).unwrap_or(u32::MAX),
-            },
-        );
+        self.closure_computed(initial, undo_set.len());
         RepairPlan {
             initial: initial.to_vec(),
             undo_set,
@@ -578,29 +549,43 @@ impl RepairController {
                 })
                 .collect(),
         };
-        // Progress lands on `Done` and the incident closes on every exit
-        // path — success, error, or a panic unwinding out of a
-        // failpoint. For live mode the incident's `fence_lifted` mark is
-        // placed by the inner `FenceLift` guard, which drops first.
-        self.progress.begin(plan.undo_set.len() as u64);
-        let _done = PhaseDone {
-            progress: self.progress.clone(),
-        };
-        struct CloseIncident<'a> {
-            timeline: &'a resildb_sim::IncidentTimeline,
-        }
+        // The incident lives exactly as long as this call: it opens here,
+        // `detected` when `analysis` began, and closes on every exit path
+        // — success, error, or a panic unwinding out of a failpoint. For
+        // live mode the `fence_lifted` event comes from the inner
+        // `FenceLift` guard, which drops first.
+        let telemetry = self.db.sim().telemetry();
+        telemetry.repair_event(
+            0,
+            EventKind::IncidentDetected {
+                at_ns: analysis.detected_at_ns,
+            },
+        );
+        struct CloseIncident<'a>(&'a resildb_sim::Telemetry);
         impl Drop for CloseIncident<'_> {
             fn drop(&mut self) {
-                self.timeline.close_incident();
+                self.0.repair_event(0, EventKind::IncidentClosed);
             }
         }
-        let _close = CloseIncident {
-            timeline: self.db.sim().telemetry().timeline(),
-        };
+        let _close = CloseIncident(telemetry);
+        // The plan may have been hand-edited since `plan()` computed it.
+        self.closure_computed(&plan.initial, plan.undo_set.len());
         match self.options.mode {
             RepairMode::Quiesced => self.execute_quiesced(analysis, &plan.undo_set),
             RepairMode::Live => self.execute_live(analysis, plan),
         }
+    }
+
+    /// Reports a freshly established undo set of `nodes` transactions for
+    /// `initial`.
+    fn closure_computed(&self, initial: &[i64], nodes: usize) {
+        self.db.sim().telemetry().repair_event(
+            0,
+            EventKind::ClosureComputed {
+                initial: u32::try_from(initial.len()).unwrap_or(u32::MAX),
+                nodes: u32::try_from(nodes).unwrap_or(u32::MAX),
+            },
+        );
     }
 
     /// Convenience: `analyze` → `plan(initial)` → `execute`.
@@ -623,7 +608,6 @@ impl RepairController {
     ) -> Result<RepairReport, RepairError> {
         let telemetry = self.db.sim().telemetry();
         let _span = telemetry.span(span_names::REPAIR_COMPENSATE);
-        self.progress.set_phase(RepairPhase::Sweep);
         let undo_internal = internal_map(analysis, undo_set);
         let driver = NativeDriver::new(self.db.clone(), LinkProfile::local());
         let mut conn = driver.connect()?;
@@ -635,11 +619,7 @@ impl RepairController {
             self.adapter.address_column(),
             &BTreeSet::new(),
         )?;
-        self.progress.add_compensated(undo_set.len() as u64);
-        telemetry.timeline().mark(IncidentPhase::SweepComplete);
-        telemetry
-            .flight()
-            .emit(0, 0, EventKind::SweepComplete { rounds: 0 });
+        telemetry.repair_event(0, EventKind::SweepComplete { rounds: 1 });
         Ok(build_report(analysis, undo_set.clone(), outcome, None))
     }
 
@@ -672,10 +652,7 @@ impl RepairController {
                 .collect(),
         };
         let tables = fence.raise(surface);
-        self.progress.set_fence_tables(tables as u64);
-        telemetry.timeline().mark(IncidentPhase::FenceRaised);
-        telemetry.flight().emit(
-            0,
+        telemetry.repair_event(
             0,
             EventKind::FenceRaised {
                 tables: u32::try_from(tables).unwrap_or(u32::MAX),
@@ -692,8 +669,7 @@ impl RepairController {
         impl Drop for FenceLift<'_> {
             fn drop(&mut self) {
                 self.fence.lift();
-                self.telemetry.timeline().mark(IncidentPhase::FenceLifted);
-                self.telemetry.flight().emit(0, 0, EventKind::FenceLifted);
+                self.telemetry.repair_event(0, EventKind::FenceLifted);
             }
         }
         let _lift = FenceLift { fence, telemetry };
@@ -729,7 +705,6 @@ impl RepairController {
         // 2. Drain: every transaction admitted before the fence went up
         //    must commit or abort before analysis, so the log prefix the
         //    closure is computed from is complete.
-        self.progress.set_phase(RepairPhase::Drain);
         let drain_start = Instant::now();
         let watermark = runtime.trid_watermark();
         let deadline = drain_start + DRAIN_TIMEOUT;
@@ -746,16 +721,7 @@ impl RepairController {
         // 3. Fresh analysis behind the fence, and the real closure.
         let mut analysis = self.analyze()?;
         let mut undo = adjust(analysis.undo_set(&plan.initial, &self.options.rules));
-        self.progress.set_closure(undo.len() as u64);
-        self.progress.set_total(undo.len() as u64);
-        telemetry.flight().emit(
-            0,
-            0,
-            EventKind::ClosureComputed {
-                initial: u32::try_from(plan.initial.len()).unwrap_or(u32::MAX),
-                nodes: u32::try_from(undo.len()).unwrap_or(u32::MAX),
-            },
-        );
+        self.closure_computed(&plan.initial, undo.len());
 
         // 4. Shrink from the static table surface to the dynamic
         //    row-level closure (when the policy allows).
@@ -771,10 +737,7 @@ impl RepairController {
             (closure_tables(&analysis, &undo), HashMap::new())
         };
         let (shrunk_tables, fenced_rows) = fence.shrink(whole.clone(), rows.clone());
-        self.progress.set_fence_rows(fenced_rows as u64);
-        telemetry.timeline().mark(IncidentPhase::QuarantineShrunk);
-        telemetry.flight().emit(
-            0,
+        telemetry.repair_event(
             0,
             EventKind::FenceShrunk {
                 tables: u32::try_from(shrunk_tables).unwrap_or(u32::MAX),
@@ -795,7 +758,6 @@ impl RepairController {
         loop {
             if !current.is_empty() {
                 let _span = telemetry.span(span_names::REPAIR_COMPENSATE);
-                self.progress.set_phase(RepairPhase::Sweep);
                 let undo_internal = internal_map(&analysis, &current);
                 let round = run_compensation(
                     &self.db,
@@ -807,27 +769,25 @@ impl RepairController {
                 )?;
                 merge_outcome(&mut outcome, round);
                 undone.extend(current.iter().copied());
-                self.progress.add_compensated(current.len() as u64);
             }
 
             analysis = self.analyze()?;
             undo = adjust(analysis.undo_set(&plan.initial, &self.options.rules));
             let fresh: BTreeSet<i64> = undo.difference(&undone).copied().collect();
+            // Compensation deletes the undone transactions' tracking
+            // rows, so this closure no longer reaches them: report it
+            // together with what earlier rounds already swept.
+            self.closure_computed(&plan.initial, undone.len() + fresh.len());
             if fresh.is_empty() {
-                telemetry.timeline().mark(IncidentPhase::SweepComplete);
-                telemetry.flight().emit(
-                    0,
+                telemetry.repair_event(
                     0,
                     EventKind::SweepComplete {
-                        rounds: u32::try_from(extension_rounds).unwrap_or(u32::MAX),
+                        rounds: u32::try_from(extension_rounds + 1).unwrap_or(u32::MAX),
                     },
                 );
                 break;
             }
             extension_rounds += 1;
-            self.progress.set_phase(RepairPhase::Extend);
-            self.progress.set_extension_rounds(extension_rounds as u64);
-            self.progress.set_total((undone.len() + fresh.len()) as u64);
             if extension_rounds > MAX_EXTENSION_ROUNDS {
                 return Err(RepairError::Analysis(format!(
                     "live repair closure still growing after {MAX_EXTENSION_ROUNDS} extension rounds"
@@ -855,9 +815,7 @@ impl RepairController {
                 added_rows += entry.keys.len() - before;
             }
             fence.shrink(whole.clone(), rows.clone());
-            telemetry.timeline().mark(IncidentPhase::FenceExtended);
-            telemetry.flight().emit(
-                0,
+            telemetry.repair_event(
                 0,
                 EventKind::FenceExtended {
                     rows: u32::try_from(added_rows).unwrap_or(u32::MAX),
@@ -1094,20 +1052,4 @@ fn merge_outcome(total: &mut CompensationOutcome, round: CompensationOutcome) {
     total.rows_deleted += round.rows_deleted;
     total.rows_reinserted += round.rows_reinserted;
     total.rows_restored += round.rows_restored;
-}
-
-/// Maps an injected repair-layer fault to a [`RepairError`].
-fn repair_fault(db: &Database, name: &str) -> Result<(), RepairError> {
-    match db.sim().fault_check(name) {
-        None => Ok(()),
-        Some(resildb_sim::InjectedFault::Disconnect) => Err(RepairError::Wire(
-            resildb_wire::WireError::ConnectionDropped,
-        )),
-        Some(resildb_sim::InjectedFault::Error) => Err(RepairError::Wire(
-            resildb_wire::WireError::Protocol(format!("injected fault at failpoint {name}")),
-        )),
-        Some(resildb_sim::InjectedFault::Delay(_)) => {
-            unreachable!("fault_check consumes delays")
-        }
-    }
 }

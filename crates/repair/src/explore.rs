@@ -9,6 +9,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use resildb_sim::telemetry::timeline::replay;
 use resildb_sim::{EventKind, TraceSnapshot};
 
 use crate::graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
@@ -176,28 +177,35 @@ impl TraceExplorer {
         out
     }
 
-    /// The repair timeline: every repair-phase and containment-fence
-    /// event in tick order, one line each. This is the live-repair view —
-    /// `fence_raised → fence_shrunk → compensated… → fence_lifted`
-    /// interleaved with analysis phases — reconstructed from the capture.
+    /// The repair timeline: the capture replayed through the incident
+    /// fold (`resildb_sim::telemetry::timeline::replay`) — every repair
+    /// and containment event it consumed, one line each in tick order,
+    /// then one line per incident with the phases and progress numbers
+    /// they add up to. This is the offline twin of `/incidents` and the
+    /// `repair.progress.*` gauges.
     pub fn repair_timeline(&self) -> String {
+        let (events, incidents) = replay(&self.snapshot.events);
         let mut out = String::new();
-        for ev in &self.snapshot.events {
-            if matches!(
-                ev.kind,
-                EventKind::LogScan { .. }
-                    | EventKind::Correlate { .. }
-                    | EventKind::ClosureComputed { .. }
-                    | EventKind::Compensated { .. }
-                    | EventKind::IncidentDetected { .. }
-                    | EventKind::SweepComplete { .. }
-                    | EventKind::FenceRaised { .. }
-                    | EventKind::FenceShrunk { .. }
-                    | EventKind::FenceExtended { .. }
-                    | EventKind::FenceLifted
-            ) {
-                let _ = writeln!(out, "#{:<8} {}", ev.seq, ev.kind);
-            }
+        for ev in events {
+            let _ = writeln!(out, "#{:<8} {}", ev.seq, ev.kind);
+        }
+        for incident in &incidents {
+            let phases: Vec<&str> = incident.marks.iter().map(|m| m.phase.name()).collect();
+            let p = incident.progress;
+            let _ = writeln!(
+                out,
+                "incident #{} ({}): {} | compensated {}/{} closure {} \
+                 fence {} tables/{} rows extension rounds {}",
+                incident.id,
+                if incident.open { "open" } else { "closed" },
+                phases.join(" > "),
+                p.compensated,
+                p.total,
+                p.closure,
+                p.fence_tables,
+                p.fence_rows,
+                p.extension_rounds,
+            );
         }
         if out.is_empty() {
             out.push_str("(no repair events in capture window)\n");

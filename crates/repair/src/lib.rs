@@ -58,7 +58,6 @@ pub mod detect;
 mod error;
 pub mod explore;
 mod graph;
-mod progress;
 mod record;
 pub mod trace;
 mod whatif;
@@ -73,7 +72,6 @@ pub use detect::{detect, AnomalyRule, Detection};
 pub use error::RepairError;
 pub use explore::{CausalChain, TraceExplorer};
 pub use graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
-pub use progress::{RepairPhase, RepairProgress};
 pub use record::{NamedRow, RepairOp, RepairRecord, RowAddress};
 pub use whatif::WhatIfSession;
 

@@ -83,8 +83,9 @@ fn kind_from_fields(event: &str, detail: &JsonValue) -> Result<EventKind, String
             statements: int_field(detail, "statements")?,
         },
         "incident_detected" => EventKind::IncidentDetected {
-            incident: int_field(detail, "incident")?,
+            at_ns: int_field(detail, "at_ns")?,
         },
+        "incident_closed" => EventKind::IncidentClosed,
         "sweep_complete" => EventKind::SweepComplete {
             rounds: int_field(detail, "rounds")?,
         },
@@ -213,7 +214,8 @@ mod tests {
                 nodes: 4,
             },
             EventKind::Compensated { statements: 3 },
-            EventKind::IncidentDetected { incident: 1 },
+            EventKind::IncidentDetected { at_ns: 1_500 },
+            EventKind::IncidentClosed,
             EventKind::SweepComplete { rounds: 2 },
             EventKind::FenceRaised { tables: 6 },
             EventKind::FenceShrunk {

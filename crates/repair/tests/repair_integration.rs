@@ -410,3 +410,35 @@ fn what_if_analysis_with_ignore_table() {
     assert!(!undo.contains(&via_scratch));
     assert!(undo.contains(&via_data));
 }
+
+/// Analysis alone (what-if sessions, `fig3`, `ResilientDb::analyze`) is
+/// not an incident; the repair that follows gets its own `detected`
+/// stamp and absorbs the attack noted before it.
+#[test]
+fn analysis_only_leaves_no_incident_behind() {
+    use resildb_sim::IncidentPhase as P;
+    let mut fx = fixture(Flavor::Postgres);
+    fx.exec("CREATE TABLE acct (id INTEGER PRIMARY KEY, bal FLOAT)");
+    fx.txn("load", &["INSERT INTO acct (id, bal) VALUES (1, 100.0)"]);
+    fx.txn("attack", &["UPDATE acct SET bal = 1000000.0 WHERE id = 1"]);
+    let controller = RepairController::new(fx.db.clone());
+    let timeline = fx.db.sim().telemetry().timeline();
+
+    controller.analyze().unwrap();
+    assert!(
+        timeline.snapshot().is_empty(),
+        "analysis opened an incident"
+    );
+    assert_eq!(timeline.current(), None);
+
+    timeline.note_attack();
+    controller.repair(&[fx.txn_id("attack")]).unwrap();
+    let incidents = timeline.snapshot();
+    assert_eq!(incidents.len(), 1);
+    let incident = &incidents[0];
+    assert!(!incident.open);
+    let phases: Vec<P> = incident.marks.iter().map(|m| m.phase).collect();
+    assert_eq!(phases, [P::AttackCommitted, P::Detected, P::SweepComplete]);
+    let p = incident.progress;
+    assert_eq!((p.closure, p.total, p.compensated), (1, 1, 1));
+}

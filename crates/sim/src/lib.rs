@@ -57,9 +57,9 @@ pub use stats::SimStats;
 pub use resildb_telemetry as telemetry;
 pub use resildb_telemetry::{
     EventKind, FlightRecorder, HistogramSnapshot, IncidentDecomposition, IncidentMark,
-    IncidentPhase, IncidentRecord, IncidentTimeline, MetricsRegistry, MetricsServer,
-    MetricsSnapshot, OwnedSpan, ServerRoutes, Span, Telemetry, TraceEvent, TraceSnapshot,
-    TraceVerdict,
+    IncidentPhase, IncidentProgress, IncidentRecord, IncidentTimeline, MetricsRegistry,
+    MetricsServer, MetricsSnapshot, OwnedSpan, ServerRoutes, Span, Telemetry, TraceEvent,
+    TraceSnapshot, TraceVerdict,
 };
 
 use std::cell::Cell;

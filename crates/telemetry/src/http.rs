@@ -13,11 +13,11 @@
 //! source is injected as a closure by the embedding layer.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::MetricsSnapshot;
 use crate::prometheus::to_prometheus;
@@ -154,9 +154,12 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Connections are served one at a time, so a request gets this long in
+/// total (not per read) before the next client's turn.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
 fn handle_connection(mut stream: TcpStream, routes: &ServerRoutes, stop: &AtomicBool) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
     let Some(path) = read_request_path(&mut stream) else {
         return;
     };
@@ -202,11 +205,19 @@ fn handle_connection(mut stream: TcpStream, routes: &ServerRoutes, stop: &Atomic
 }
 
 /// Read the request head and return the GET path (query string
-/// stripped), or `None` for anything we do not serve.
+/// stripped), or `None` for anything we do not serve — including a head
+/// that has not arrived in full by [`REQUEST_DEADLINE`], however steadily
+/// the client dribbles bytes.
 fn read_request_path(stream: &mut TcpStream) -> Option<String> {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
+        let remaining = deadline.checked_duration_since(Instant::now())?;
+        // A zero timeout would mean "block forever".
+        stream
+            .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
+            .ok()?;
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -227,31 +238,36 @@ fn read_request_path(stream: &mut TcpStream) -> Option<String> {
     Some(path.to_string())
 }
 
+/// The client side of the endpoint: one `GET path` against `addr`,
+/// returning the status code and body. `resildb-top` and the tests scrape
+/// through this.
+///
+/// # Errors
+///
+/// Connection, I/O and timeout failures; a response without an HTTP/1.1
+/// status line is `InvalidData`.
+pub fn get(addr: impl ToSocketAddrs, path: &str) -> std::io::Result<(u16, String)> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.write_all(format!("GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").as_bytes())?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    let status = response
+        .strip_prefix("HTTP/1.1 ")
+        .and_then(|r| r.split_whitespace().next())
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no status line"))?;
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    Ok((status, body.to_string()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::MetricsRegistry;
 
-    fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .write_all(
-                format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
-            )
-            .expect("write request");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        let status = response
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("HTTP/1.1 "))
-            .unwrap_or_default()
-            .to_string();
-        let body = response
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_string())
-            .unwrap_or_default();
-        (status, body)
+    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+        super::get(addr, path).expect("GET")
     }
 
     #[test]
@@ -268,31 +284,31 @@ mod tests {
         let addr = server.addr();
 
         let (status, body) = get(addr, "/health");
-        assert_eq!((status.as_str(), body.as_str()), ("200 OK", "ok\n"));
+        assert_eq!((status, body.as_str()), (200, "ok\n"));
 
         let (status, body) = get(addr, "/metrics");
-        assert_eq!(status, "200 OK");
+        assert_eq!(status, 200);
         assert!(body.contains("# TYPE resildb_engine_commit_count_total counter"));
         assert!(body.contains("resildb_engine_commit_count_total 5\n"));
 
         // /ready flips 503 → 200 with the injected predicate (the fence
         // raise/lift path in the integration tests).
         let (status, _) = get(addr, "/ready");
-        assert_eq!(status, "503 Service Unavailable");
+        assert_eq!(status, 503);
         ready.store(true, Ordering::Relaxed);
         let (status, body) = get(addr, "/ready");
-        assert_eq!((status.as_str(), body.as_str()), ("200 OK", "ready\n"));
+        assert_eq!((status, body.as_str()), (200, "ready\n"));
 
         let (status, body) = get(addr, "/incidents");
-        assert_eq!(status, "200 OK");
+        assert_eq!(status, 200);
         assert_eq!(body, "{\"incidents\":[{\"id\":1}]}");
 
         let (status, _) = get(addr, "/nope");
-        assert_eq!(status, "404 Not Found");
+        assert_eq!(status, 404);
 
         // /quit is rejected unless explicitly allowed.
         let (status, _) = get(addr, "/quit");
-        assert_eq!(status, "404 Not Found");
+        assert_eq!(status, 404);
         assert!(!server.is_stopped());
     }
 
@@ -302,8 +318,40 @@ mod tests {
             .expect("bind");
         let addr = server.addr();
         let (status, body) = get(addr, "/quit");
-        assert_eq!((status.as_str(), body.as_str()), ("200 OK", "bye\n"));
+        assert_eq!((status, body.as_str()), (200, "bye\n"));
         server.join();
         assert!(server.is_stopped());
+    }
+
+    #[test]
+    fn dribbling_client_cannot_hold_the_endpoint_past_the_request_deadline() {
+        let server = MetricsServer::serve("127.0.0.1:0", ServerRoutes::new()).expect("bind");
+        let addr = server.addr();
+        // A hostile client: one byte of a never-finished request every
+        // 100 ms, which resets a per-read timeout forever.
+        let connected = Arc::new(std::sync::Barrier::new(2));
+        let dribbler = {
+            let connected = Arc::clone(&connected);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                connected.wait();
+                for byte in b"GET /metrics HTTP/1.1\r\nX-Slow: ".iter().cycle().take(60) {
+                    if stream.write_all(&[*byte]).is_err() {
+                        break; // the server hung up on us: the point
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        connected.wait();
+        let asked = Instant::now();
+        let (status, _) = get(addr, "/health");
+        let waited = asked.elapsed();
+        assert_eq!(status, 200);
+        assert!(
+            waited < Duration::from_secs(3),
+            "/health waited {waited:?} behind a dribbling client"
+        );
+        dribbler.join().expect("dribbler");
     }
 }

@@ -14,8 +14,9 @@
 //! * [`FlightRecorder`] — a bounded ring buffer of typed lifecycle
 //!   [`TraceEvent`]s (see [`trace`]) forming per-transaction causal
 //!   timelines, exportable as JSONL or Chrome Trace Event Format;
-//! * the live observability plane: [`IncidentTimeline`] phase marks
-//!   with an MTTD/MTTC/MTTR decomposition per incident, the
+//! * the live observability plane: [`Telemetry::repair_event`] folds the
+//!   repair pipeline's events into the [`IncidentTimeline`] (phase marks
+//!   with an MTTD/MTTC/MTTR decomposition, repair progress), the
 //!   [`prometheus`] text-format exporter, and the dependency-free
 //!   [`http`] pull endpoint serving `/metrics`, `/health`, `/ready` and
 //!   `/incidents`.
@@ -58,7 +59,8 @@ pub use metrics::{
 pub use prometheus::to_prometheus;
 pub use span::{OwnedSpan, Span, Telemetry};
 pub use timeline::{
-    IncidentDecomposition, IncidentMark, IncidentPhase, IncidentRecord, IncidentTimeline,
+    IncidentDecomposition, IncidentMark, IncidentPhase, IncidentProgress, IncidentRecord,
+    IncidentTimeline,
 };
 pub use trace::{
     EventKind, FlightRecorder, TraceEvent, TraceSnapshot, TraceVerdict, DEFAULT_TRACE_CAPACITY,

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use crate::timeline::IncidentTimeline;
-use crate::trace::FlightRecorder;
+use crate::trace::{EventKind, FlightRecorder};
 
 #[derive(Debug, Default)]
 struct TelemetryInner {
@@ -79,19 +79,38 @@ impl Telemetry {
         &self.inner.flight
     }
 
-    /// The incident timeline riding on this domain. Marks arrive only a
-    /// handful of times per repair episode (pushed by the repair
-    /// controller), so recording is always on.
+    /// The incident timeline riding on this domain: read-only here (plus
+    /// [`IncidentTimeline::note_attack`] for drivers that know the ground
+    /// truth); [`Self::repair_event`] is its one feeder. Events arrive off
+    /// the statement hot path, so recording is always on.
     pub fn timeline(&self) -> &IncidentTimeline {
         &self.inner.timeline
     }
 
-    /// Snapshot the built-in registry, plus the flight recorder's ring
-    /// health (`telemetry.trace.{dropped,occupancy,capacity}`) so every
-    /// exported snapshot reports eviction pressure.
+    /// A fresh stamp on the incident clock — what analysis records as its
+    /// start so a later [`EventKind::IncidentDetected`] can carry it.
+    pub fn incident_stamp(&self) -> u64 {
+        self.inner.timeline.stamp()
+    }
+
+    /// Report one repair/containment milestone: `kind` is folded into the
+    /// incident timeline (phase marks and progress numbers) and forwarded
+    /// to the flight ring when tracing is on, so every view of the
+    /// incident derives from this one stream. `txn` is the proxy
+    /// transaction the event concerns (`0` for none).
+    pub fn repair_event(&self, txn: i64, kind: EventKind) {
+        self.inner.timeline.apply(&kind);
+        self.inner.flight.emit(txn, 0, kind);
+    }
+
+    /// Snapshot the built-in registry, plus two folds so every exported
+    /// snapshot carries them: the flight recorder's ring health
+    /// (`telemetry.trace.{dropped,occupancy,capacity}`) and the latest
+    /// incident's repair progress (`repair.progress.*`).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.inner.registry.snapshot();
         self.inner.flight.fold_metrics(&mut snap);
+        self.inner.timeline.fold_metrics(&mut snap);
         snap
     }
 

@@ -62,7 +62,9 @@ impl TraceVerdict {
 /// proxy (stamped with the proxy transaction id), WAL events by the
 /// engine (stamped with the DBMS-internal id — the repair tool's
 /// correlation step joins the two), fault events by the simulation
-/// substrate, and repair-phase events by the repair pipeline.
+/// substrate, and repair/containment events by the repair pipeline
+/// through [`crate::Telemetry::repair_event`], which also folds them into
+/// the incident timeline (see [`crate::timeline`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// The proxy allocated a transaction id (explicit `BEGIN` or the
@@ -118,28 +120,36 @@ pub enum EventKind {
         /// Correlated id pairs.
         pairs: u64,
     },
-    /// Repair phase: the damage closure was computed.
+    /// Repair phase: the damage closure was computed — by `plan()`, by
+    /// `execute()` adopting a (possibly hand-edited) plan, and by every
+    /// live re-analysis behind the fence.
     ClosureComputed {
         /// Size of the initial attack set.
         initial: u32,
-        /// Size of the resulting undo set.
+        /// Size of the resulting undo set (for a live re-analysis,
+        /// including what earlier sweep rounds already compensated).
         nodes: u32,
     },
-    /// Repair phase: one undone transaction's compensation finished.
+    /// Repair phase: one undone transaction's compensation is durable
+    /// (emitted after the sweep's COMMIT, tracing on or off).
     Compensated {
         /// Compensating statements executed for this transaction.
         statements: u32,
     },
-    /// Repair phase: an incident was opened for analysis — the
-    /// detection mark on the incident timeline.
+    /// Repair phase: `execute()` opened an incident — the detection
+    /// mark on the incident timeline.
     IncidentDetected {
-        /// 1-based incident id on the [`crate::IncidentTimeline`].
-        incident: u64,
+        /// Incident-clock stamp ([`crate::Telemetry::incident_stamp`])
+        /// taken when the analysis being executed began.
+        at_ns: u64,
     },
+    /// Repair phase: `execute()` returned (success, error or unwind) and
+    /// the incident closed.
+    IncidentClosed,
     /// Repair phase: the compensation sweep converged (no fresh closure
     /// members left) — the sweep-complete mark on the incident timeline.
     SweepComplete {
-        /// Sweep rounds executed (1 when no mid-sweep growth occurred).
+        /// Sweep rounds executed: 1 plus one per fence extension.
         rounds: u32,
     },
     /// Live repair: the containment fence was raised over the static
@@ -184,6 +194,7 @@ impl EventKind {
             EventKind::ClosureComputed { .. } => "closure_computed",
             EventKind::Compensated { .. } => "compensated",
             EventKind::IncidentDetected { .. } => "incident_detected",
+            EventKind::IncidentClosed => "incident_closed",
             EventKind::SweepComplete { .. } => "sweep_complete",
             EventKind::FenceRaised { .. } => "fence_raised",
             EventKind::FenceShrunk { .. } => "fence_shrunk",
@@ -192,40 +203,55 @@ impl EventKind {
         }
     }
 
+    /// The detail fields this kind carries, in wire order, each rendered
+    /// to text with a flag saying whether it is a string (quoted in
+    /// JSON). The JSON exporters and `Display` both print from this list.
+    fn fields(&self) -> Vec<(&'static str, String, bool)> {
+        fn num(key: &'static str, v: impl ToString) -> (&'static str, String, bool) {
+            (key, v.to_string(), false)
+        }
+        match self {
+            EventKind::TxnBegin
+            | EventKind::Commit
+            | EventKind::Abort
+            | EventKind::IncidentClosed
+            | EventKind::FenceLifted => Vec::new(),
+            EventKind::StmtRewrite { cache_hit, verdict } => vec![
+                num("cache_hit", cache_hit),
+                ("verdict", verdict.as_str().to_string(), true),
+            ],
+            EventKind::DepHarvested { dep, table } => {
+                vec![num("dep", dep), ("table", table.clone(), true)]
+            }
+            EventKind::TransDepInsert { deps } => vec![num("deps", deps)],
+            EventKind::WalCommit { internal } | EventKind::WalAbort { internal } => {
+                vec![num("internal", internal)]
+            }
+            EventKind::FaultHit { failpoint } => vec![("failpoint", failpoint.clone(), true)],
+            EventKind::LogScan { records } => vec![num("records", records)],
+            EventKind::Correlate { pairs } => vec![num("pairs", pairs)],
+            EventKind::ClosureComputed { initial, nodes } => {
+                vec![num("initial", initial), num("nodes", nodes)]
+            }
+            EventKind::Compensated { statements } => vec![num("statements", statements)],
+            EventKind::IncidentDetected { at_ns } => vec![num("at_ns", at_ns)],
+            EventKind::SweepComplete { rounds } => vec![num("rounds", rounds)],
+            EventKind::FenceRaised { tables } => vec![num("tables", tables)],
+            EventKind::FenceShrunk { tables, rows } => {
+                vec![num("tables", tables), num("rows", rows)]
+            }
+            EventKind::FenceExtended { rows } => vec![num("rows", rows)],
+        }
+    }
+
     /// Extra JSON fields (`,"k":v...`) carried by this kind; empty for
     /// payload-free kinds.
     fn detail_json(&self) -> String {
-        match self {
-            EventKind::TxnBegin | EventKind::Commit | EventKind::Abort => String::new(),
-            EventKind::StmtRewrite { cache_hit, verdict } => format!(
-                ",\"cache_hit\":{cache_hit},\"verdict\":\"{}\"",
-                verdict.as_str()
-            ),
-            EventKind::DepHarvested { dep, table } => {
-                format!(",\"dep\":{dep},\"table\":{}", json_string(table))
-            }
-            EventKind::TransDepInsert { deps } => format!(",\"deps\":{deps}"),
-            EventKind::WalCommit { internal } | EventKind::WalAbort { internal } => {
-                format!(",\"internal\":{internal}")
-            }
-            EventKind::FaultHit { failpoint } => {
-                format!(",\"failpoint\":{}", json_string(failpoint))
-            }
-            EventKind::LogScan { records } => format!(",\"records\":{records}"),
-            EventKind::Correlate { pairs } => format!(",\"pairs\":{pairs}"),
-            EventKind::ClosureComputed { initial, nodes } => {
-                format!(",\"initial\":{initial},\"nodes\":{nodes}")
-            }
-            EventKind::Compensated { statements } => format!(",\"statements\":{statements}"),
-            EventKind::IncidentDetected { incident } => format!(",\"incident\":{incident}"),
-            EventKind::SweepComplete { rounds } => format!(",\"rounds\":{rounds}"),
-            EventKind::FenceRaised { tables } => format!(",\"tables\":{tables}"),
-            EventKind::FenceShrunk { tables, rows } => {
-                format!(",\"tables\":{tables},\"rows\":{rows}")
-            }
-            EventKind::FenceExtended { rows } => format!(",\"rows\":{rows}"),
-            EventKind::FenceLifted => String::new(),
-        }
+        let json = |(key, value, is_str): (&str, String, bool)| {
+            let value = if is_str { json_string(&value) } else { value };
+            format!(",\"{key}\":{value}")
+        };
+        self.fields().into_iter().map(json).collect()
     }
 }
 
@@ -233,41 +259,10 @@ impl std::fmt::Display for EventKind {
     /// Human-readable one-line rendering: the wire name followed by
     /// `key=value` detail fields (for timeline listings).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EventKind::TxnBegin | EventKind::Commit | EventKind::Abort => {
-                write!(f, "{}", self.name())
-            }
-            EventKind::StmtRewrite { cache_hit, verdict } => write!(
-                f,
-                "stmt_rewrite cache_hit={cache_hit} verdict={}",
-                verdict.as_str()
-            ),
-            EventKind::DepHarvested { dep, table } => {
-                write!(f, "dep_harvested dep={dep} table={table}")
-            }
-            EventKind::TransDepInsert { deps } => write!(f, "trans_dep_insert deps={deps}"),
-            EventKind::WalCommit { internal } => write!(f, "wal_commit internal={internal}"),
-            EventKind::WalAbort { internal } => write!(f, "wal_abort internal={internal}"),
-            EventKind::FaultHit { failpoint } => write!(f, "fault_hit failpoint={failpoint}"),
-            EventKind::LogScan { records } => write!(f, "log_scan records={records}"),
-            EventKind::Correlate { pairs } => write!(f, "correlate pairs={pairs}"),
-            EventKind::ClosureComputed { initial, nodes } => {
-                write!(f, "closure_computed initial={initial} nodes={nodes}")
-            }
-            EventKind::Compensated { statements } => {
-                write!(f, "compensated statements={statements}")
-            }
-            EventKind::IncidentDetected { incident } => {
-                write!(f, "incident_detected incident={incident}")
-            }
-            EventKind::SweepComplete { rounds } => write!(f, "sweep_complete rounds={rounds}"),
-            EventKind::FenceRaised { tables } => write!(f, "fence_raised tables={tables}"),
-            EventKind::FenceShrunk { tables, rows } => {
-                write!(f, "fence_shrunk tables={tables} rows={rows}")
-            }
-            EventKind::FenceExtended { rows } => write!(f, "fence_extended rows={rows}"),
-            EventKind::FenceLifted => write!(f, "fence_lifted"),
-        }
+        f.write_str(self.name())?;
+        self.fields()
+            .iter()
+            .try_for_each(|(key, value, _)| write!(f, " {key}={value}"))
     }
 }
 

@@ -232,10 +232,13 @@ fn run_workload(stmts: &[String], cache: bool) -> (Vec<String>, Vec<String>, u64
             .unwrap(),
     )
     .unwrap();
-    let mut config = ProxyConfig::new(Flavor::Postgres);
-    if !cache {
-        config = config.without_rewrite_cache();
+    let builder = ProxyConfig::builder(Flavor::Postgres);
+    let config = if cache {
+        builder
+    } else {
+        builder.rewrite_cache_capacity(0)
     }
+    .build();
     let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
     let driver = single_proxy(db.clone(), LinkProfile::local(), factory);
     let mut conn = driver.connect().unwrap();
@@ -414,10 +417,13 @@ fn run_commit_failure_workload(
             .unwrap(),
     )
     .unwrap();
-    let mut config = ProxyConfig::new(Flavor::Postgres);
-    if !cache {
-        config = config.without_rewrite_cache();
+    let builder = ProxyConfig::builder(Flavor::Postgres);
+    let config = if cache {
+        builder
+    } else {
+        builder.rewrite_cache_capacity(0)
     }
+    .build();
     let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), config);
     let mut conn = driver.connect().unwrap();
     let mut responses = Vec::with_capacity(stmts.len());

@@ -31,8 +31,10 @@ fn proxy_with(
     let db = Database::in_memory(Flavor::Postgres);
     let native = NativeDriver::new(db.clone(), LinkProfile::local());
     prepare_database(&mut *native.connect().unwrap()).unwrap();
-    let mut config = ProxyConfig::new(Flavor::Postgres).with_enforcement(policy);
-    config.record_read_only_deps = read_only_deps;
+    let config = ProxyConfig::builder(Flavor::Postgres)
+        .enforcement(policy)
+        .record_read_only_deps(read_only_deps)
+        .build();
     let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
     let conn = single_proxy(db.clone(), LinkProfile::local(), factory)
         .connect()
