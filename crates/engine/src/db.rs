@@ -208,6 +208,7 @@ impl Database {
         snap.set_counter("sim.log_forces", stats.log_forces.get());
         snap.set_counter("sim.statements", stats.statements.get());
         snap.set_counter("sim.rows_touched", stats.rows_touched.get());
+        snap.set_counter("sim.rows_examined", stats.rows_examined.get());
         snap.set_counter("sim.round_trips", stats.round_trips.get());
         snap.set_counter("sim.network_bytes", stats.network_bytes.get());
         snap.set_counter("sim.injected_delays", stats.injected_delays.get());

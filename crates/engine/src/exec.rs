@@ -1,18 +1,32 @@
 //! Statement execution: SELECT/INSERT/UPDATE/DELETE over the catalog.
+//!
+//! Every read of a table — a SELECT's rows, the rows an UPDATE or DELETE
+//! will touch, `FOR UPDATE` — goes **bind → plan → probe → filter on the
+//! image → materialise survivors** (DESIGN.md §9): names are resolved once
+//! per statement ([`bind`]), [`plan_access`] picks the narrowest
+//! [`AccessPath`] the predicate allows, [`Table::walk`] follows it, the
+//! whole predicate is evaluated against each borrowed row image
+//! ([`ImageScope`] decodes only the columns it is asked for), and only a
+//! row that passes is turned into values.
 
 use std::collections::HashMap;
+use std::ops::Bound;
 
 use resildb_sim::SimContext;
-use resildb_sql::{BinaryOp, ColumnRef, Expr, Select, SelectItem, Statement};
+use resildb_sql::{BinaryOp, Expr, Select, SelectItem, Statement};
 
 use crate::catalog::{Catalog, TableHandle};
 use crate::error::{EngineError, Result};
-use crate::expr::{eval, EmptyScope, Scope};
+use crate::expr::{
+    apply_binary, apply_unary, bind, eval, eval_const, is_aggregate_fn, Binding, BoundExpr,
+    ColumnSlot, Scope,
+};
 use crate::flavor::Flavor;
 use crate::lock::{LockManager, ResourceId};
-use crate::row::{Row, RowId};
+use crate::row::{Row, RowId, RowView};
 use crate::schema::TableSchema;
-use crate::value::Value;
+use crate::table::{encode_key_part, AccessPath, Table};
+use crate::value::{DataType, Value};
 use crate::wal::{stage_check, InternalTxnId, LogOp};
 
 use parking_lot::RwLock;
@@ -118,364 +132,378 @@ pub(crate) struct StmtCtx<'a> {
     pub redo: &'a mut Vec<LogOp>,
 }
 
-/// One table visible to a statement, with its binding name.
-#[derive(Debug, Clone)]
-struct Binding {
-    /// The name the query uses (alias or table name), lower-cased.
-    name: String,
-    /// The underlying table name, lower-cased.
-    table: String,
-    schema: TableSchema,
-}
-
 /// One joined row: per binding, the row id and values.
 type JoinedRow = Vec<(RowId, Row)>;
 
-/// Scope over one joined row.
-struct RowsScope<'a> {
-    bindings: &'a [Binding],
-    row: &'a JoinedRow,
-    flavor: Flavor,
-}
+/// Scope over materialised rows, one per binding: a joined row, or the
+/// single current row of an UPDATE/DELETE.
+struct RowsScope<'a>(&'a [(RowId, Row)]);
 
 impl Scope for RowsScope<'_> {
-    fn resolve(&self, col: &ColumnRef) -> Result<Value> {
-        let name = col.column.to_ascii_lowercase();
-        if let Some(tbl) = &col.table {
-            let tbl = tbl.to_ascii_lowercase();
-            let idx = self
-                .bindings
-                .iter()
-                .position(|b| b.name == tbl)
-                .ok_or_else(|| EngineError::UnknownTable(tbl.clone()))?;
-            return self.resolve_in(idx, &name, col);
-        }
-        let mut hits = self
-            .bindings
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.schema.has_column(&name));
-        match (hits.next(), hits.next()) {
-            (Some((idx, _)), None) => self.resolve_in(idx, &name, col),
-            (Some(_), Some(_)) => Err(EngineError::AmbiguousColumn(name)),
-            (None, _) => {
-                // Pseudo row-id column for a single-table scope.
-                if Some(name.as_str()) == self.flavor.rowid_pseudocolumn()
-                    && self.bindings.len() == 1
-                {
-                    return Ok(Value::Int(self.row[0].0 .0 as i64));
-                }
-                Err(EngineError::UnknownColumn(name))
-            }
+    fn value(&self, binding: usize, slot: ColumnSlot) -> Result<Value> {
+        let (rid, row) = &self.0[binding];
+        Ok(match slot {
+            ColumnSlot::Column(i) => row.0[i].clone(),
+            ColumnSlot::RowId => Value::Int(rid.0 as i64),
+        })
+    }
+}
+
+/// Scope over one stored row image of the table being walked (the only
+/// binding its predicate can read): a column is decoded when asked for.
+struct ImageScope<'a> {
+    rid: RowId,
+    view: RowView<'a>,
+}
+
+impl Scope for ImageScope<'_> {
+    fn value(&self, _binding: usize, slot: ColumnSlot) -> Result<Value> {
+        match slot {
+            ColumnSlot::Column(i) => self.view.column(i),
+            ColumnSlot::RowId => Ok(Value::Int(self.rid.0 as i64)),
         }
     }
 }
 
-impl RowsScope<'_> {
-    fn resolve_in(&self, idx: usize, name: &str, col: &ColumnRef) -> Result<Value> {
-        let b = &self.bindings[idx];
-        if let Ok(ci) = b.schema.column_index(name) {
-            return Ok(self.row[idx].1 .0[ci].clone());
-        }
-        if Some(name) == self.flavor.rowid_pseudocolumn() {
-            return Ok(Value::Int(self.row[idx].0 .0 as i64));
-        }
-        Err(EngineError::UnknownColumn(col.to_string()))
-    }
-}
-
-/// Splits a predicate into its top-level AND conjuncts.
-fn split_conjuncts(expr: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = expr
-    {
-        split_conjuncts(left, out);
-        split_conjuncts(right, out);
-    } else {
-        out.push(expr.clone());
-    }
-}
-
-/// Which bindings a conjunct references. Pseudo row-id references count as
-/// the named (or only) binding.
-fn conjunct_bindings(expr: &Expr, bindings: &[Binding], flavor: Flavor) -> Result<Vec<usize>> {
-    let mut referenced = Vec::new();
-    let mut err = None;
-    for col in expr.referenced_columns() {
-        let name = col.column.to_ascii_lowercase();
-        let idx = if let Some(tbl) = &col.table {
-            let tbl = tbl.to_ascii_lowercase();
-            match bindings.iter().position(|b| b.name == tbl) {
-                Some(i) => i,
-                None => {
-                    err = Some(EngineError::UnknownTable(tbl));
-                    break;
-                }
-            }
-        } else {
-            let hits: Vec<usize> = bindings
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.schema.has_column(&name))
-                .map(|(i, _)| i)
-                .collect();
-            match hits.len() {
-                1 => hits[0],
-                0 if Some(name.as_str()) == flavor.rowid_pseudocolumn() && bindings.len() == 1 => 0,
-                0 => {
-                    err = Some(EngineError::UnknownColumn(name));
-                    break;
-                }
-                _ => {
-                    err = Some(EngineError::AmbiguousColumn(name));
-                    break;
-                }
-            }
-        };
-        if !referenced.contains(&idx) {
-            referenced.push(idx);
-        }
-    }
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(referenced)
-}
-
-/// Extracts `column = literal` pairs from a conjunct set for one binding.
-fn equality_constants(
-    conjuncts: &[Expr],
-    binding: &Binding,
-    flavor: Flavor,
-) -> Vec<(String, Value)> {
-    let mut out = Vec::new();
-    for c in conjuncts {
-        let Expr::Binary {
-            left,
-            op: BinaryOp::Eq,
-            right,
-        } = c
-        else {
-            continue;
-        };
-        let (col, lit) = match (&**left, &**right) {
-            (Expr::Column(c), Expr::Literal(l)) => (c, l),
-            (Expr::Literal(l), Expr::Column(c)) => (c, l),
-            _ => continue,
-        };
-        let name = col.column.to_ascii_lowercase();
-        // Must belong to this binding.
-        if let Some(t) = &col.table {
-            if t.to_ascii_lowercase() != binding.name {
-                continue;
-            }
-        }
-        if binding.schema.has_column(&name) || Some(name.as_str()) == flavor.rowid_pseudocolumn() {
-            out.push((name, Value::from_literal(lit)));
-        }
-    }
-    out
-}
-
-/// Fetches candidate rows for one binding: a point lookup via the row-id
-/// pseudo-column or the full primary key when the conjuncts allow it,
-/// otherwise a filtered scan.
-fn candidate_rows(
-    handle: &TableHandle,
-    binding: &Binding,
-    local_conjuncts: &[Expr],
-    bindings_slice: &[Binding],
-    binding_idx: usize,
-    flavor: Flavor,
-    sim: &SimContext,
-) -> Result<Vec<(RowId, Row)>> {
-    let table = handle.read();
-    let eqs = equality_constants(local_conjuncts, binding, flavor);
-    let eq_map: HashMap<&str, &Value> = eqs.iter().map(|(c, v)| (c.as_str(), v)).collect();
-
-    let mut fetched: Option<Vec<(RowId, Row)>> = None;
-    // Row-id pseudo-column lookup (used by compensating statements).
-    if let Some(pseudo) = flavor.rowid_pseudocolumn() {
-        if !binding.schema.has_column(pseudo) {
-            if let Some(Value::Int(rid)) = eq_map.get(pseudo).copied() {
-                let rid = RowId(*rid as u64);
-                fetched = Some(match table.get(rid, sim)? {
-                    Some(row) => vec![(rid, row)],
-                    None => Vec::new(),
-                });
-            }
-        }
-    }
-    // Full-primary-key lookup.
-    if fetched.is_none() && !binding.schema.primary_key.is_empty() {
-        let pk_cols: Vec<&str> = binding
-            .schema
-            .primary_key
-            .iter()
-            .map(|&i| binding.schema.columns[i].name.as_str())
-            .collect();
-        if pk_cols.iter().all(|c| eq_map.contains_key(c)) {
-            let mut key_vals = Vec::with_capacity(pk_cols.len());
-            for (c, &i) in pk_cols.iter().zip(&binding.schema.primary_key) {
-                let v = (*eq_map[c])
-                    .clone()
-                    .coerce_to(binding.schema.columns[i].ty)?;
-                key_vals.push(v);
-            }
-            fetched = Some(match table.lookup_pk(&key_vals) {
-                Some(rid) => match table.get(rid, sim)? {
-                    Some(row) => vec![(rid, row)],
-                    None => Vec::new(),
-                },
-                None => Vec::new(),
-            });
-        }
-    }
-    // Prefix-index range scan: equality constants covering the first k ≥ 1
-    // primary-key columns narrow the candidates without touching every
-    // page (the access path behind TPC-C's district-scoped queries).
-    if fetched.is_none() && !binding.schema.primary_key.is_empty() {
-        let mut prefix_vals = Vec::new();
-        for &i in &binding.schema.primary_key {
-            let col = &binding.schema.columns[i];
-            match eq_map.get(col.name.as_str()) {
-                Some(&v) => prefix_vals.push(v.clone().coerce_to(col.ty)?),
-                None => break,
-            }
-        }
-        if !prefix_vals.is_empty() {
-            let mut rows = Vec::new();
-            for rid in table.lookup_pk_prefix(&prefix_vals) {
-                if let Some(row) = table.get(rid, sim)? {
-                    rows.push((rid, row));
-                }
-            }
-            fetched = Some(rows);
-        }
-    }
-    let rows = match fetched {
-        Some(rows) => rows,
-        None => {
-            let mut rows = Vec::new();
-            table.scan(sim, |rid, row| {
-                rows.push((rid, row));
-                Ok(())
-            })?;
-            rows
+/// Opens `table` under the name the statement uses for it.
+fn open_table<'a>(
+    catalog: &Catalog,
+    table: &str,
+    name: &'a str,
+) -> Result<(TableHandle, Binding<'a>)> {
+    let handle = catalog.get(table)?;
+    let binding = {
+        let table = handle.read();
+        Binding {
+            name,
+            object_id: table.object_id(),
+            schema: table.shared_schema(),
         }
     };
-    drop(table);
-
-    // Apply the binding-local predicate to whatever we fetched.
-    let mut kept = Vec::with_capacity(rows.len());
-    'rows: for (rid, row) in rows {
-        let joined: JoinedRow = {
-            // Build a joined row with placeholders for other bindings;
-            // local conjuncts only touch `binding_idx`.
-            let mut j: JoinedRow = bindings_slice
-                .iter()
-                .map(|b| (RowId(0), Row(vec![Value::Null; b.schema.columns.len()])))
-                .collect();
-            j[binding_idx] = (rid, row);
-            j
-        };
-        let scope = RowsScope {
-            bindings: bindings_slice,
-            row: &joined,
-            flavor,
-        };
-        for c in local_conjuncts {
-            if !eval(c, &scope)?.is_truthy() {
-                continue 'rows;
-            }
-        }
-        let (rid, row) = joined
-            .into_iter()
-            .nth(binding_idx)
-            .ok_or_else(|| EngineError::Internal("join binding index out of range".into()))?;
-        kept.push((rid, row));
-    }
-    Ok(kept)
+    Ok((handle, binding))
 }
 
-/// Aggregate function names.
-fn is_aggregate_fn(name: &str) -> bool {
-    matches!(name, "SUM" | "COUNT" | "MIN" | "MAX" | "AVG")
+/// Binds a WHERE clause as its top-level AND conjuncts.
+fn bind_conjuncts(
+    where_clause: Option<&Expr>,
+    bindings: &[Binding<'_>],
+    flavor: Flavor,
+) -> Result<Vec<BoundExpr>> {
+    fn split<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
+        if let Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } = expr
+        {
+            split(left, out);
+            split(right, out);
+        } else {
+            out.push(expr);
+        }
+    }
+    let mut conjuncts = Vec::new();
+    if let Some(w) = where_clause {
+        split(w, &mut conjuncts);
+    }
+    conjuncts
+        .into_iter()
+        .map(|c| bind(c, bindings, flavor))
+        .collect()
+}
+
+/// Whether every conjunct is true of the scope's row (UNKNOWN is not).
+fn passes(conjuncts: &[BoundExpr], scope: &dyn Scope) -> Result<bool> {
+    for c in conjuncts {
+        if !eval(c, scope)?.is_truthy() {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// `column <op> literal`, written either way round, as seen from the column.
+fn column_vs_literal(expr: &BoundExpr) -> Option<(ColumnSlot, BinaryOp, &Value)> {
+    let BoundExpr::Binary { left, op, right } = expr else {
+        return None;
+    };
+    match (&**left, &**right) {
+        (BoundExpr::Column { slot, .. }, BoundExpr::Const(v)) => Some((*slot, *op, v)),
+        (BoundExpr::Const(v), BoundExpr::Column { slot, .. }) => {
+            let flipped = match op {
+                BinaryOp::Lt => BinaryOp::Gt,
+                BinaryOp::LtEq => BinaryOp::GtEq,
+                BinaryOp::Gt => BinaryOp::Lt,
+                BinaryOp::GtEq => BinaryOp::LtEq,
+                other => *other,
+            };
+            Some((*slot, flipped, v))
+        }
+        _ => None,
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only: statements on this thread reach keyed tables by walking
+    /// the *whole* primary-key index instead of the planned part of it, and
+    /// never stop a walk early — the reference the differential tests hold
+    /// the planner against. Same row order, every row examined.
+    pub(crate) static WHOLE_INDEX_WALKS: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+fn whole_index_walks() -> bool {
+    #[cfg(test)]
+    return WHOLE_INDEX_WALKS.get();
+    #[cfg(not(test))]
+    false
+}
+
+/// How one table of a statement is read.
+struct Plan<'a> {
+    path: AccessPath<'a>,
+    /// Leading key columns `path` pins by equality; a keyed walk yields
+    /// rows ordered by the key columns after them.
+    eq_cols: usize,
+}
+
+/// Plan: the narrowest access path `conjuncts` (all local to one table of
+/// `schema`) allow. Only top-level `column <op> literal`, `BETWEEN` and
+/// `IN` conjuncts are considered, and only with literals that have an exact
+/// value of the column's type ([`Value::key_literal`]); anything else —
+/// `a = 1.5` on an INTEGER key, an OR, an expression — is left to the
+/// filter, which re-checks *every* conjunct on every row the path reaches:
+/// all a path has to guarantee is that it misses no matching row.
+///
+/// Without equality on the first key column the statement scans the heap:
+/// an unordered result must keep the order it always had, and that is
+/// storage order there, key order everywhere else.
+fn plan_access<'a>(conjuncts: &'a [BoundExpr], schema: &TableSchema) -> Plan<'a> {
+    let compared = |column: usize| {
+        conjuncts
+            .iter()
+            .filter_map(column_vs_literal)
+            .filter(move |(slot, _, _)| *slot == ColumnSlot::Column(column))
+    };
+    for c in conjuncts {
+        if let Some((ColumnSlot::RowId, BinaryOp::Eq, Value::Int(rid))) = column_vs_literal(c) {
+            return Plan {
+                path: AccessPath::RowId(RowId(*rid as u64)),
+                eq_cols: 0,
+            };
+        }
+    }
+    let pk = &schema.primary_key;
+    let mut key = Vec::new();
+    let mut eq_cols = 0;
+    for &column in pk {
+        let ty = schema.columns[column].ty;
+        let Some(v) = compared(column)
+            .filter(|(_, op, _)| *op == BinaryOp::Eq)
+            .find_map(|(_, _, v)| v.key_literal(ty))
+        else {
+            break;
+        };
+        encode_key_part(&v, &mut key);
+        eq_cols += 1;
+    }
+    let path = if eq_cols == 0 {
+        AccessPath::FullScan
+    } else if whole_index_walks() {
+        eq_cols = 0;
+        AccessPath::Prefix(Vec::new())
+    } else if eq_cols == pk.len() {
+        AccessPath::Point(key)
+    } else {
+        next_column_path(conjuncts, schema, pk[eq_cols], key)
+    };
+    Plan { path, eq_cols }
+}
+
+/// The keyed path for an equality prefix `key` given what the conjuncts say
+/// about the next key column: an `IN` set, range bounds, or nothing.
+fn next_column_path<'a>(
+    conjuncts: &'a [BoundExpr],
+    schema: &TableSchema,
+    column: usize,
+    key: Vec<u8>,
+) -> AccessPath<'a> {
+    let ty = schema.columns[column].ty;
+    // Floats serve equality only: -0.0 = 0.0 and NaN have no place in a
+    // byte-ordered range.
+    if ty == DataType::Float {
+        return AccessPath::Prefix(key);
+    }
+    let (mut lo, mut hi) = (Bound::Unbounded, Bound::Unbounded);
+    // The first bound found on each side narrows the path; any further one
+    // is still applied by the filter.
+    let bound = |side: &mut Bound<Value>, v: &Value, inclusive: bool| {
+        if let (Bound::Unbounded, Some(v)) = (&*side, v.key_literal(ty)) {
+            *side = if inclusive {
+                Bound::Included(v)
+            } else {
+                Bound::Excluded(v)
+            };
+        }
+    };
+    for c in conjuncts {
+        match c {
+            BoundExpr::InSet {
+                column: col,
+                set,
+                negated: false,
+                ..
+            } if *col == column => return AccessPath::In(key, set),
+            BoundExpr::Between {
+                expr,
+                low,
+                high,
+                negated: false,
+            } => {
+                if let (
+                    BoundExpr::Column {
+                        slot: ColumnSlot::Column(col),
+                        ..
+                    },
+                    BoundExpr::Const(l),
+                    BoundExpr::Const(h),
+                ) = (&**expr, &**low, &**high)
+                {
+                    if *col == column {
+                        bound(&mut lo, l, true);
+                        bound(&mut hi, h, true);
+                    }
+                }
+            }
+            _ => match column_vs_literal(c) {
+                Some((ColumnSlot::Column(col), op, v)) if col == column => match op {
+                    BinaryOp::Gt => bound(&mut lo, v, false),
+                    BinaryOp::GtEq => bound(&mut lo, v, true),
+                    BinaryOp::Lt => bound(&mut hi, v, false),
+                    BinaryOp::LtEq => bound(&mut hi, v, true),
+                    _ => {}
+                },
+                _ => {}
+            },
+        }
+    }
+    if matches!((&lo, &hi), (Bound::Unbounded, Bound::Unbounded)) {
+        AccessPath::Prefix(key)
+    } else {
+        AccessPath::Range(key, lo, hi)
+    }
+}
+
+/// Whether walking `plan` already yields rows in `order_by` order, so that
+/// `LIMIT n` may stop after `n` survivors instead of sort-then-truncate:
+/// `Some(reverse)` if so. A keyed walk is ordered by the key columns after
+/// its equality prefix, ties in key order — which is what the stable sort
+/// produces from the same rows when ascending. Descending, ties would come
+/// out reversed, so the ordered columns must complete the key (no ties).
+fn walk_order(
+    plan: &Plan<'_>,
+    order_by: &[(BoundExpr, bool)],
+    schema: &TableSchema,
+) -> Option<bool> {
+    let Some((_, desc)) = order_by.first() else {
+        return Some(false);
+    };
+    if whole_index_walks() {
+        return None;
+    }
+    match plan.path {
+        // At most one row.
+        AccessPath::RowId(_) | AccessPath::Point(_) => return Some(false),
+        AccessPath::FullScan => return None,
+        AccessPath::Prefix(_) | AccessPath::In(..) | AccessPath::Range(..) => {}
+    }
+    let ordered = schema.primary_key.get(plan.eq_cols..)?;
+    if order_by.len() > ordered.len() || (*desc && order_by.len() < ordered.len()) {
+        return None;
+    }
+    for ((expr, d), &column) in order_by.iter().zip(ordered) {
+        let on_column = matches!(
+            expr,
+            BoundExpr::Column { slot: ColumnSlot::Column(c), .. } if *c == column
+        );
+        // The sort compares floats numerically (and treats NaN as equal to
+        // everything); the index compares their bytes.
+        if !on_column || d != desc || schema.columns[column].ty == DataType::Float {
+            return None;
+        }
+    }
+    Some(*desc)
+}
+
+/// Probe and filter: walks `plan`'s path over `table` and hands `keep`
+/// every row whose image passes all of `conjuncts`, until `keep` returns
+/// `Ok(false)`. Runs under the caller's read latch on the table; nothing
+/// here blocks.
+fn filtered_walk(
+    table: &Table,
+    plan: Plan<'_>,
+    reverse: bool,
+    conjuncts: &[BoundExpr],
+    sim: &SimContext,
+    keep: &mut dyn FnMut(&ImageScope<'_>) -> Result<bool>,
+) -> Result<()> {
+    table.walk(plan.path, reverse, sim, &mut |rid, view| {
+        let scope = ImageScope { rid, view };
+        if passes(conjuncts, &scope)? {
+            keep(&scope)
+        } else {
+            Ok(true)
+        }
+    })
+}
+
+/// Plans and walks one table, collecting what `keep` makes of every row
+/// that passes the table's local `conjuncts`.
+fn collect_matching<T>(
+    handle: &TableHandle,
+    binding: &Binding<'_>,
+    conjuncts: &[BoundExpr],
+    sim: &SimContext,
+    mut keep: impl FnMut(&ImageScope<'_>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut kept = Vec::new();
+    filtered_walk(
+        &handle.read(),
+        plan_access(conjuncts, &binding.schema),
+        false,
+        conjuncts,
+        sim,
+        &mut |scope| {
+            kept.push(keep(scope)?);
+            Ok(true)
+        },
+    )?;
+    Ok(kept)
 }
 
 /// Evaluates `expr` over a group of joined rows, computing aggregate calls
 /// over the whole group and everything else against the group's first row.
-fn eval_over_group(
-    expr: &Expr,
-    bindings: &[Binding],
-    group: &[JoinedRow],
-    flavor: Flavor,
-) -> Result<Value> {
+fn eval_over_group(expr: &BoundExpr, group: &[JoinedRow]) -> Result<Value> {
     if !expr.contains_aggregate() {
         let Some(first) = group.first() else {
             return Ok(Value::Null);
         };
-        let scope = RowsScope {
-            bindings,
-            row: first,
-            flavor,
-        };
-        return eval(expr, &scope);
+        return eval(expr, &RowsScope(first));
     }
     match expr {
-        Expr::Function {
+        BoundExpr::Function {
             name,
             args,
             distinct,
             star,
-        } if is_aggregate_fn(name) => {
-            compute_aggregate(name, args, *distinct, *star, bindings, group, flavor)
+        } if is_aggregate_fn(name) => compute_aggregate(name, args, *distinct, *star, group),
+        BoundExpr::Binary { left, op, right } => {
+            let l = eval_over_group(left, group)?;
+            let r = eval_over_group(right, group)?;
+            apply_binary(&l, *op, &r)
         }
-        Expr::Binary { left, op, right } => {
-            let l = eval_over_group(left, bindings, group, flavor)?;
-            let r = eval_over_group(right, bindings, group, flavor)?;
-            match op {
-                BinaryOp::Add => l.add(&r),
-                BinaryOp::Sub => l.sub(&r),
-                BinaryOp::Mul => l.mul(&r),
-                BinaryOp::Div => l.div(&r),
-                BinaryOp::Mod => l.rem(&r),
-                BinaryOp::Concat => l.concat(&r),
-                other => {
-                    let Some(ord) = l.sql_cmp(&r)? else {
-                        return Ok(Value::Null);
-                    };
-                    use std::cmp::Ordering::*;
-                    let b = match other {
-                        BinaryOp::Eq => ord == Equal,
-                        BinaryOp::Neq => ord != Equal,
-                        BinaryOp::Lt => ord == Less,
-                        BinaryOp::LtEq => ord != Greater,
-                        BinaryOp::Gt => ord == Greater,
-                        BinaryOp::GtEq => ord != Less,
-                        _ => {
-                            return Err(EngineError::Unsupported(
-                                "logical operator over aggregates".into(),
-                            ))
-                        }
-                    };
-                    Ok(Value::Bool(b))
-                }
-            }
-        }
-        Expr::Unary { op, expr } => {
-            let v = eval_over_group(expr, bindings, group, flavor)?;
-            match op {
-                resildb_sql::UnaryOp::Neg => v.neg(),
-                resildb_sql::UnaryOp::Not => Ok(match v {
-                    Value::Null => Value::Null,
-                    other => Value::Bool(!other.is_truthy()),
-                }),
-            }
-        }
+        BoundExpr::Unary { op, expr } => apply_unary(*op, eval_over_group(expr, group)?),
         other => Err(EngineError::Unsupported(format!(
             "aggregate inside {other:?}"
         ))),
@@ -484,12 +512,10 @@ fn eval_over_group(
 
 fn compute_aggregate(
     name: &str,
-    args: &[Expr],
+    args: &[BoundExpr],
     distinct: bool,
     star: bool,
-    bindings: &[Binding],
     group: &[JoinedRow],
-    flavor: Flavor,
 ) -> Result<Value> {
     if star {
         if name != "COUNT" {
@@ -504,12 +530,7 @@ fn compute_aggregate(
     };
     let mut values = Vec::with_capacity(group.len());
     for row in group {
-        let scope = RowsScope {
-            bindings,
-            row,
-            flavor,
-        };
-        let v = eval(arg, &scope)?;
+        let v = eval(arg, &RowsScope(row))?;
         if !v.is_null() {
             values.push(v);
         }
@@ -575,24 +596,35 @@ pub(crate) fn exec_statement(ctx: &mut StmtCtx<'_>, stmt: &Statement) -> Result<
     }
 }
 
-fn make_bindings(
-    ctx: &StmtCtx<'_>,
-    from: &[resildb_sql::TableRef],
-) -> Result<(Vec<Binding>, Vec<TableHandle>)> {
-    let catalog = ctx.catalog.read();
-    let mut bindings = Vec::with_capacity(from.len());
-    let mut handles = Vec::with_capacity(from.len());
-    for tr in from {
-        let handle = catalog.get(&tr.name)?;
-        let schema = handle.read().schema().clone();
-        bindings.push(Binding {
-            name: tr.binding_name().to_ascii_lowercase(),
-            table: tr.name.to_ascii_lowercase(),
-            schema,
-        });
-        handles.push(handle);
+/// One produced row: its output values and its ORDER BY key.
+type Produced = (Vec<Value>, Vec<Value>);
+
+/// A SELECT with every name resolved.
+struct BoundSelect {
+    conjuncts: Vec<BoundExpr>,
+    out_exprs: Vec<BoundExpr>,
+    /// (sort expression, descending)
+    order_by: Vec<(BoundExpr, bool)>,
+    group_by: Vec<BoundExpr>,
+    /// Whether output rows are computed per group rather than per row.
+    aggregate: bool,
+}
+
+impl BoundSelect {
+    /// The output row and sort key, each expression evaluated by `eval`.
+    fn produce(&self, mut eval: impl FnMut(&BoundExpr) -> Result<Value>) -> Result<Produced> {
+        let out = self
+            .out_exprs
+            .iter()
+            .map(&mut eval)
+            .collect::<Result<_>>()?;
+        let sort_key = self
+            .order_by
+            .iter()
+            .map(|(e, _)| eval(e))
+            .collect::<Result<_>>()?;
+        Ok((out, sort_key))
     }
-    Ok((bindings, handles))
 }
 
 fn exec_select(ctx: &mut StmtCtx<'_>, sel: &Select) -> Result<QueryResult> {
@@ -605,7 +637,7 @@ fn exec_select(ctx: &mut StmtCtx<'_>, sel: &Select) -> Result<QueryResult> {
                 return Err(EngineError::Unsupported("wildcard without FROM".into()));
             };
             columns.push(alias.clone().unwrap_or_else(|| format!("col{}", i + 1)));
-            row.push(eval(expr, &EmptyScope)?);
+            row.push(eval_const(expr, ctx.flavor)?);
         }
         ctx.sim.charge_statement(1);
         return Ok(QueryResult {
@@ -614,92 +646,45 @@ fn exec_select(ctx: &mut StmtCtx<'_>, sel: &Select) -> Result<QueryResult> {
         });
     }
 
-    let (bindings, handles) = make_bindings(ctx, &sel.from)?;
+    let (handles, bindings): (Vec<TableHandle>, Vec<Binding<'_>>) = {
+        let catalog = ctx.catalog.read();
+        sel.from
+            .iter()
+            .map(|tr| open_table(&catalog, &tr.name, tr.binding_name()))
+            .collect::<Result<Vec<_>>>()?
+            .into_iter()
+            .unzip()
+    };
 
-    // Decompose the WHERE clause.
-    let mut conjuncts = Vec::new();
-    if let Some(w) = &sel.where_clause {
-        split_conjuncts(w, &mut conjuncts);
-    }
-    let mut local: Vec<Vec<Expr>> = vec![Vec::new(); bindings.len()];
-    let mut cross: Vec<Expr> = Vec::new();
-    for c in conjuncts {
-        let refs = conjunct_bindings(&c, &bindings, ctx.flavor)?;
-        match refs.as_slice() {
-            [one] => local[*one].push(c),
-            [] => cross.push(c), // constant predicate
-            _ => cross.push(c),
-        }
-    }
-
-    // Candidate rows per binding.
-    let mut candidates: Vec<Vec<(RowId, Row)>> = Vec::with_capacity(bindings.len());
-    for (i, (b, h)) in bindings.iter().zip(&handles).enumerate() {
-        candidates.push(candidate_rows(
-            h, b, &local[i], &bindings, i, ctx.flavor, ctx.sim,
-        )?);
-    }
-
-    // Join: nested loops with the cross predicates applied as early as each
-    // binding is bound (prefix filtering).
-    let mut joined: Vec<JoinedRow> = Vec::new();
-    {
-        let mut stack: JoinedRow = Vec::new();
-        join_recurse(
-            &bindings,
-            &candidates,
-            &cross,
-            ctx.flavor,
-            0,
-            &mut stack,
-            &mut joined,
-        )?;
-    }
-
-    // FOR UPDATE locks every participating row.
-    if sel.for_update {
-        for row in &joined {
-            for (idx, (rid, _)) in row.iter().enumerate() {
-                ctx.locks
-                    .lock_exclusive(ctx.txn, ResourceId::Row(bindings[idx].table.clone(), *rid))?;
-            }
-        }
-    }
-
-    let aggregate_query = !sel.group_by.is_empty()
-        || sel.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        });
-
-    // Expand projection items (wildcards become per-column refs).
+    // Bind: every name in the statement is resolved here, once — so a bad
+    // reference is rejected even when no row is produced (matching real
+    // DBMSs, which reject bad references regardless of data).
+    let conjuncts = bind_conjuncts(sel.where_clause.as_ref(), &bindings, ctx.flavor)?;
     let mut out_columns: Vec<String> = Vec::new();
-    let mut out_exprs: Vec<Expr> = Vec::new();
+    let mut out_exprs: Vec<BoundExpr> = Vec::new();
     for item in &sel.items {
         match item {
-            SelectItem::Wildcard => {
-                for b in &bindings {
-                    for c in &b.schema.columns {
-                        out_columns.push(c.name.clone());
-                        out_exprs.push(Expr::Column(ColumnRef::qualified(
-                            b.name.clone(),
-                            c.name.clone(),
-                        )));
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                let only = match item {
+                    SelectItem::QualifiedWildcard(t) => Some(
+                        bindings
+                            .iter()
+                            .position(|b| b.name.eq_ignore_ascii_case(t))
+                            .ok_or_else(|| EngineError::UnknownTable(t.to_ascii_lowercase()))?,
+                    ),
+                    _ => None,
+                };
+                for (binding, b) in bindings.iter().enumerate() {
+                    if only.is_some_and(|o| o != binding) {
+                        continue;
                     }
-                }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let t = t.to_ascii_lowercase();
-                let b = bindings
-                    .iter()
-                    .find(|b| b.name == t)
-                    .ok_or_else(|| EngineError::UnknownTable(t.clone()))?;
-                for c in &b.schema.columns {
-                    out_columns.push(c.name.clone());
-                    out_exprs.push(Expr::Column(ColumnRef::qualified(
-                        b.name.clone(),
-                        c.name.clone(),
-                    )));
+                    for (i, c) in b.schema.columns.iter().enumerate() {
+                        out_columns.push(c.name.clone());
+                        out_exprs.push(BoundExpr::Column {
+                            binding,
+                            slot: ColumnSlot::Column(i),
+                        });
+                    }
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -707,84 +692,38 @@ fn exec_select(ctx: &mut StmtCtx<'_>, sel: &Select) -> Result<QueryResult> {
                     Expr::Column(c) => c.column.to_ascii_lowercase(),
                     other => other.to_string().to_ascii_lowercase(),
                 }));
-                out_exprs.push(expr.clone());
+                out_exprs.push(bind(expr, &bindings, ctx.flavor)?);
             }
         }
     }
+    let order_by = sel
+        .order_by
+        .iter()
+        .map(|ob| Ok((bind(&ob.expr, &bindings, ctx.flavor)?, ob.desc)))
+        .collect::<Result<Vec<(BoundExpr, bool)>>>()?;
+    let group_by = sel
+        .group_by
+        .iter()
+        .map(|g| bind(g, &bindings, ctx.flavor))
+        .collect::<Result<Vec<BoundExpr>>>()?;
+    let aggregate = !group_by.is_empty() || out_exprs.iter().any(BoundExpr::contains_aggregate);
+    let mut bound = BoundSelect {
+        conjuncts,
+        out_exprs,
+        order_by,
+        group_by,
+        aggregate,
+    };
 
-    // Plan-time validation: every projection and sort reference must
-    // resolve even when no rows are produced (matching real DBMSs, which
-    // reject bad references regardless of data).
-    for e in &out_exprs {
-        conjunct_bindings(e, &bindings, ctx.flavor)?;
-    }
-    for ob in &sel.order_by {
-        conjunct_bindings(&ob.expr, &bindings, ctx.flavor)?;
-    }
-    for g in &sel.group_by {
-        conjunct_bindings(g, &bindings, ctx.flavor)?;
-    }
-
-    // Produce output rows plus sort keys.
-    let mut produced: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
-    if aggregate_query {
-        // Group rows.
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, Vec<JoinedRow>> = HashMap::new();
-        if sel.group_by.is_empty() {
-            order.push(String::new());
-            groups.insert(String::new(), joined);
-        } else {
-            for row in joined {
-                let scope = RowsScope {
-                    bindings: &bindings,
-                    row: &row,
-                    flavor: ctx.flavor,
-                };
-                let mut key = String::new();
-                for g in &sel.group_by {
-                    key.push_str(&eval(g, &scope)?.to_sql_literal());
-                    key.push('\x1f');
-                }
-                if !groups.contains_key(&key) {
-                    order.push(key.clone());
-                }
-                groups.entry(key).or_default().push(row);
-            }
+    let mut produced = match (handles.as_slice(), bindings.as_slice()) {
+        ([handle], [binding]) if !bound.aggregate => {
+            select_one_table(ctx, sel, handle, binding, &bound)?
         }
-        for key in order {
-            let group = &groups[&key];
-            if group.is_empty() && !sel.group_by.is_empty() {
-                continue;
-            }
-            let mut out = Vec::with_capacity(out_exprs.len());
-            for e in &out_exprs {
-                out.push(eval_over_group(e, &bindings, group, ctx.flavor)?);
-            }
-            let mut sort_key = Vec::with_capacity(sel.order_by.len());
-            for ob in &sel.order_by {
-                sort_key.push(eval_over_group(&ob.expr, &bindings, group, ctx.flavor)?);
-            }
-            produced.push((out, sort_key));
+        _ => {
+            let conjuncts = std::mem::take(&mut bound.conjuncts);
+            select_joined(ctx, sel, &handles, &bindings, conjuncts, &bound)?
         }
-    } else {
-        for row in &joined {
-            let scope = RowsScope {
-                bindings: &bindings,
-                row,
-                flavor: ctx.flavor,
-            };
-            let mut out = Vec::with_capacity(out_exprs.len());
-            for e in &out_exprs {
-                out.push(eval(e, &scope)?);
-            }
-            let mut sort_key = Vec::with_capacity(sel.order_by.len());
-            for ob in &sel.order_by {
-                sort_key.push(eval(&ob.expr, &scope)?);
-            }
-            produced.push((out, sort_key));
-        }
-    }
+    };
 
     // DISTINCT: deduplicate output rows (first occurrence wins, before
     // ordering, as SQL requires the sort keys to come from the projection).
@@ -796,11 +735,10 @@ fn exec_select(ctx: &mut StmtCtx<'_>, sel: &Select) -> Result<QueryResult> {
         });
     }
 
-    // ORDER BY.
-    if !sel.order_by.is_empty() {
-        let descs: Vec<bool> = sel.order_by.iter().map(|o| o.desc).collect();
+    // ORDER BY (stable: a walk that was already in order stays as it is).
+    if !bound.order_by.is_empty() {
         produced.sort_by(|a, b| {
-            for (i, desc) in descs.iter().enumerate() {
+            for (i, (_, desc)) in bound.order_by.iter().enumerate() {
                 let ord = a.1[i]
                     .sql_cmp(&b.1[i])
                     .unwrap_or(None)
@@ -825,73 +763,165 @@ fn exec_select(ctx: &mut StmtCtx<'_>, sel: &Select) -> Result<QueryResult> {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The common case — one table, no aggregates: the projection and the sort
+/// key are evaluated straight off each surviving row image, so a row is
+/// never decoded beyond the columns the statement names, and a `LIMIT`
+/// whose order the walk already has ([`walk_order`]) ends the walk.
+fn select_one_table(
+    ctx: &StmtCtx<'_>,
+    sel: &Select,
+    handle: &TableHandle,
+    binding: &Binding<'_>,
+    bound: &BoundSelect,
+) -> Result<Vec<Produced>> {
+    let plan = plan_access(&bound.conjuncts, &binding.schema);
+    // DISTINCT drops rows after the walk and FOR UPDATE locks every
+    // matching row, limit or not: both need the full walk.
+    let stop_after = match sel.limit {
+        Some(n) if !sel.distinct && !sel.for_update => {
+            walk_order(&plan, &bound.order_by, &binding.schema).map(|reverse| (n as usize, reverse))
+        }
+        _ => None,
+    };
+    let mut produced: Vec<Produced> = Vec::new();
+    let mut to_lock = Vec::new();
+    filtered_walk(
+        &handle.read(),
+        plan,
+        stop_after.is_some_and(|(_, reverse)| reverse),
+        &bound.conjuncts,
+        ctx.sim,
+        &mut |scope| {
+            if sel.for_update {
+                to_lock.push(scope.rid);
+            }
+            produced.push(bound.produce(|e| eval(e, scope))?);
+            Ok(stop_after.is_none_or(|(n, _)| produced.len() < n))
+        },
+    )?;
+    // FOR UPDATE locks every participating row (after the latch is gone:
+    // a row lock may block).
+    for rid in to_lock {
+        ctx.locks
+            .lock_exclusive(ctx.txn, ResourceId::Row(binding.object_id, rid))?;
+    }
+    Ok(produced)
+}
+
+/// Joins and aggregates: each table's rows are fetched through its own
+/// plan with the conjuncts local to it, then joined by nested loops, each
+/// cross-table conjunct applied as soon as the tables it reads are bound.
+fn select_joined(
+    ctx: &StmtCtx<'_>,
+    sel: &Select,
+    handles: &[TableHandle],
+    bindings: &[Binding<'_>],
+    conjuncts: Vec<BoundExpr>,
+    bound: &BoundSelect,
+) -> Result<Vec<Produced>> {
+    let mut local: Vec<Vec<BoundExpr>> = bindings.iter().map(|_| Vec::new()).collect();
+    // (join depth at which every table it reads is bound, conjunct)
+    let mut cross: Vec<(usize, BoundExpr)> = Vec::new();
+    for c in conjuncts {
+        match c.binding_span() {
+            Some((lo, hi)) if lo == hi => local[lo].push(c),
+            Some((_, hi)) => cross.push((hi, c)),
+            None => cross.push((0, c)), // constant predicate
+        }
+    }
+    let mut candidates: Vec<Vec<(RowId, Row)>> = Vec::with_capacity(bindings.len());
+    for ((handle, binding), conjuncts) in handles.iter().zip(bindings).zip(&local) {
+        candidates.push(collect_matching(
+            handle,
+            binding,
+            conjuncts,
+            ctx.sim,
+            |scope| Ok((scope.rid, scope.view.to_row()?)),
+        )?);
+    }
+    let mut joined: Vec<JoinedRow> = Vec::new();
+    join_recurse(&candidates, &cross, &mut Vec::new(), &mut joined)?;
+
+    // FOR UPDATE locks every participating row.
+    if sel.for_update {
+        for row in &joined {
+            for (binding, (rid, _)) in bindings.iter().zip(row) {
+                ctx.locks
+                    .lock_exclusive(ctx.txn, ResourceId::Row(binding.object_id, *rid))?;
+            }
+        }
+    }
+
+    if !bound.aggregate {
+        return joined
+            .iter()
+            .map(|row| bound.produce(|e| eval(e, &RowsScope(row))))
+            .collect();
+    }
+    // Group rows.
+    let mut order: Vec<String> = Vec::new();
+    let mut groups: HashMap<String, Vec<JoinedRow>> = HashMap::new();
+    if bound.group_by.is_empty() {
+        order.push(String::new());
+        groups.insert(String::new(), joined);
+    } else {
+        for row in joined {
+            let scope = RowsScope(&row);
+            let mut key = String::new();
+            for g in &bound.group_by {
+                key.push_str(&eval(g, &scope)?.to_sql_literal());
+                key.push('\x1f');
+            }
+            if !groups.contains_key(&key) {
+                order.push(key.clone());
+            }
+            groups.entry(key).or_default().push(row);
+        }
+    }
+    let mut produced: Vec<Produced> = Vec::new();
+    for key in order {
+        let group = &groups[&key];
+        if group.is_empty() && !bound.group_by.is_empty() {
+            continue;
+        }
+        produced.push(bound.produce(|e| eval_over_group(e, group))?);
+    }
+    Ok(produced)
+}
+
 fn join_recurse(
-    bindings: &[Binding],
     candidates: &[Vec<(RowId, Row)>],
-    cross: &[Expr],
-    flavor: Flavor,
-    depth: usize,
+    cross: &[(usize, BoundExpr)],
     stack: &mut JoinedRow,
     out: &mut Vec<JoinedRow>,
 ) -> Result<()> {
-    if depth == bindings.len() {
+    let depth = stack.len();
+    if depth == candidates.len() {
         out.push(stack.clone());
         return Ok(());
     }
-    'cand: for (rid, row) in &candidates[depth] {
-        stack.push((*rid, row.clone()));
-        // Evaluate any cross predicate whose bindings are all bound. A
-        // predicate may error with UnknownColumn only through placeholder
-        // rows, which we avoid by checking reference depth.
-        if depth + 1 == bindings.len() {
-            // All bound: apply every cross predicate.
-            let scope = RowsScope {
-                bindings,
-                row: stack,
-                flavor,
-            };
-            for c in cross {
-                if !eval(c, &scope)?.is_truthy() {
-                    stack.pop();
-                    continue 'cand;
-                }
-            }
-        } else {
-            // Partially bound: only apply predicates confined to the bound
-            // prefix.
-            let scope_row: JoinedRow = (0..bindings.len())
-                .map(|i| {
-                    stack.get(i).cloned().unwrap_or_else(|| {
-                        (
-                            RowId(0),
-                            Row(vec![Value::Null; bindings[i].schema.columns.len()]),
-                        )
-                    })
-                })
-                .collect();
-            let scope = RowsScope {
-                bindings,
-                row: &scope_row,
-                flavor,
-            };
-            for c in cross {
-                let refs = conjunct_bindings(c, bindings, flavor)?;
-                if refs.iter().all(|&r| r <= depth) && !eval(c, &scope)?.is_truthy() {
-                    stack.pop();
-                    continue 'cand;
-                }
+    'cand: for candidate in &candidates[depth] {
+        stack.push(candidate.clone());
+        for (at, c) in cross {
+            if *at == depth && !eval(c, &RowsScope(stack))?.is_truthy() {
+                stack.pop();
+                continue 'cand;
             }
         }
-        join_recurse(bindings, candidates, cross, flavor, depth + 1, stack, out)?;
+        join_recurse(candidates, cross, stack, out)?;
         stack.pop();
     }
     Ok(())
 }
 
 fn exec_insert(ctx: &mut StmtCtx<'_>, ins: &resildb_sql::Insert) -> Result<u64> {
-    let handle = ctx.catalog.read().get(&ins.table)?;
-    let schema = handle.read().schema().clone();
+    let (handle, binding) = open_table(&ctx.catalog.read(), &ins.table, &ins.table)?;
+    let schema = &*binding.schema;
+    let columns = ins
+        .columns
+        .iter()
+        .map(|c| schema.column_index(c))
+        .collect::<Result<Vec<usize>>>()?;
     let mut affected = 0u64;
     for value_row in &ins.rows {
         let row = if ins.columns.is_empty() {
@@ -902,7 +932,10 @@ fn exec_insert(ctx: &mut StmtCtx<'_>, ins: &resildb_sql::Insert) -> Result<u64> 
                     schema.columns.len()
                 )));
             }
-            let vals: Result<Vec<Value>> = value_row.iter().map(|e| eval(e, &EmptyScope)).collect();
+            let vals: Result<Vec<Value>> = value_row
+                .iter()
+                .map(|e| eval_const(e, ctx.flavor))
+                .collect();
             Row(vals?)
         } else {
             if value_row.len() != ins.columns.len() {
@@ -911,15 +944,14 @@ fn exec_insert(ctx: &mut StmtCtx<'_>, ins: &resildb_sql::Insert) -> Result<u64> 
                 ));
             }
             let mut vals = vec![Value::Null; schema.columns.len()];
-            for (col, e) in ins.columns.iter().zip(value_row) {
-                let idx = schema.column_index(col)?;
-                vals[idx] = eval(e, &EmptyScope)?;
+            for (&idx, e) in columns.iter().zip(value_row) {
+                vals[idx] = eval_const(e, ctx.flavor)?;
             }
             Row(vals)
         };
         let (rowid, stored, loc) = handle.write().insert(row, ctx.sim)?;
         ctx.locks
-            .lock_exclusive(ctx.txn, ResourceId::Row(schema.name.clone(), rowid))?;
+            .lock_exclusive(ctx.txn, ResourceId::Row(binding.object_id, rowid))?;
         // Undo entry first: the row is already in the table, so a failed
         // append must still be rolled back by the transaction's undo chain.
         ctx.undo.push(UndoAction::UnInsert {
@@ -932,7 +964,7 @@ fn exec_insert(ctx: &mut StmtCtx<'_>, ins: &resildb_sql::Insert) -> Result<u64> 
             row: stored,
             loc,
         };
-        stage_check(&op, ctx.flavor, Some(&schema), ctx.sim)?;
+        stage_check(&op, ctx.flavor, Some(schema), ctx.sim)?;
         ctx.redo.push(op);
         affected += 1;
     }
@@ -940,78 +972,48 @@ fn exec_insert(ctx: &mut StmtCtx<'_>, ins: &resildb_sql::Insert) -> Result<u64> 
     Ok(affected)
 }
 
-/// Shared match-collection for UPDATE/DELETE (single-table).
-fn collect_matches(
+/// The ids of the rows an UPDATE/DELETE will touch. Each is re-read and
+/// re-checked against `conjuncts` once its row lock is held.
+fn matching_rowids(
     ctx: &StmtCtx<'_>,
     handle: &TableHandle,
-    binding: &Binding,
-    where_clause: &Option<Expr>,
+    binding: &Binding<'_>,
+    conjuncts: &[BoundExpr],
 ) -> Result<Vec<RowId>> {
-    let bindings = std::slice::from_ref(binding);
-    let mut conjuncts = Vec::new();
-    if let Some(w) = where_clause {
-        split_conjuncts(w, &mut conjuncts);
-        // Validate references eagerly.
-        for c in &conjuncts {
-            conjunct_bindings(c, bindings, ctx.flavor)?;
-        }
-    }
-    let rows = candidate_rows(
-        handle, binding, &conjuncts, bindings, 0, ctx.flavor, ctx.sim,
-    )?;
-    Ok(rows.into_iter().map(|(rid, _)| rid).collect())
-}
-
-/// Re-checks `where_clause` against the current image of a locked row.
-fn still_matches(
-    binding: &Binding,
-    rid: RowId,
-    row: &Row,
-    where_clause: &Option<Expr>,
-    flavor: Flavor,
-) -> Result<bool> {
-    let Some(w) = where_clause else {
-        return Ok(true);
-    };
-    let joined: JoinedRow = vec![(rid, row.clone())];
-    let scope = RowsScope {
-        bindings: std::slice::from_ref(binding),
-        row: &joined,
-        flavor,
-    };
-    Ok(eval(w, &scope)?.is_truthy())
+    collect_matching(handle, binding, conjuncts, ctx.sim, |scope| Ok(scope.rid))
 }
 
 fn exec_update(ctx: &mut StmtCtx<'_>, upd: &resildb_sql::Update) -> Result<u64> {
-    let handle = ctx.catalog.read().get(&upd.table)?;
-    let schema = handle.read().schema().clone();
-    let binding = Binding {
-        name: schema.name.clone(),
-        table: schema.name.clone(),
-        schema: schema.clone(),
-    };
-    let matches = collect_matches(ctx, &handle, &binding, &upd.where_clause)?;
+    let (handle, binding) = open_table(&ctx.catalog.read(), &upd.table, &upd.table)?;
+    let bindings = std::slice::from_ref(&binding);
+    let schema = &*binding.schema;
+    let conjuncts = bind_conjuncts(upd.where_clause.as_ref(), bindings, ctx.flavor)?;
+    let assignments = upd
+        .assignments
+        .iter()
+        .map(|a| {
+            Ok((
+                schema.column_index(&a.column)?,
+                bind(&a.value, bindings, ctx.flavor)?,
+            ))
+        })
+        .collect::<Result<Vec<(usize, BoundExpr)>>>()?;
     let mut affected = 0u64;
-    for rid in matches {
+    for rid in matching_rowids(ctx, &handle, &binding, &conjuncts)? {
         ctx.locks
-            .lock_exclusive(ctx.txn, ResourceId::Row(schema.name.clone(), rid))?;
+            .lock_exclusive(ctx.txn, ResourceId::Row(binding.object_id, rid))?;
         let Some(current) = handle.read().get(rid, ctx.sim)? else {
             continue; // deleted concurrently
         };
-        if !still_matches(&binding, rid, &current, &upd.where_clause, ctx.flavor)? {
+        let current = [(rid, current)];
+        let scope = RowsScope(&current);
+        if !passes(&conjuncts, &scope)? {
             continue;
         }
         // Evaluate assignments against the pre-update image.
-        let joined: JoinedRow = vec![(rid, current.clone())];
-        let scope = RowsScope {
-            bindings: std::slice::from_ref(&binding),
-            row: &joined,
-            flavor: ctx.flavor,
-        };
-        let mut new_row = current.clone();
-        for a in &upd.assignments {
-            let idx = schema.column_index(&a.column)?;
-            new_row.0[idx] = eval(&a.value, &scope)?;
+        let mut new_row = current[0].1.clone();
+        for (idx, value) in &assignments {
+            new_row.0[*idx] = eval(value, &scope)?;
         }
         let Some((before, after, loc)) = handle.write().update(rid, new_row, ctx.sim)? else {
             continue;
@@ -1041,7 +1043,7 @@ fn exec_update(ctx: &mut StmtCtx<'_>, upd: &resildb_sql::Update) -> Result<u64> 
             changed,
             loc,
         };
-        stage_check(&op, ctx.flavor, Some(&schema), ctx.sim)?;
+        stage_check(&op, ctx.flavor, Some(schema), ctx.sim)?;
         ctx.redo.push(op);
         affected += 1;
     }
@@ -1050,22 +1052,21 @@ fn exec_update(ctx: &mut StmtCtx<'_>, upd: &resildb_sql::Update) -> Result<u64> 
 }
 
 fn exec_delete(ctx: &mut StmtCtx<'_>, del: &resildb_sql::Delete) -> Result<u64> {
-    let handle = ctx.catalog.read().get(&del.table)?;
-    let schema = handle.read().schema().clone();
-    let binding = Binding {
-        name: schema.name.clone(),
-        table: schema.name.clone(),
-        schema: schema.clone(),
-    };
-    let matches = collect_matches(ctx, &handle, &binding, &del.where_clause)?;
+    let (handle, binding) = open_table(&ctx.catalog.read(), &del.table, &del.table)?;
+    let schema = &*binding.schema;
+    let conjuncts = bind_conjuncts(
+        del.where_clause.as_ref(),
+        std::slice::from_ref(&binding),
+        ctx.flavor,
+    )?;
     let mut affected = 0u64;
-    for rid in matches {
+    for rid in matching_rowids(ctx, &handle, &binding, &conjuncts)? {
         ctx.locks
-            .lock_exclusive(ctx.txn, ResourceId::Row(schema.name.clone(), rid))?;
+            .lock_exclusive(ctx.txn, ResourceId::Row(binding.object_id, rid))?;
         let Some(current) = handle.read().get(rid, ctx.sim)? else {
             continue;
         };
-        if !still_matches(&binding, rid, &current, &del.where_clause, ctx.flavor)? {
+        if !passes(&conjuncts, &RowsScope(&[(rid, current)]))? {
             continue;
         }
         let Some((row, loc)) = handle.write().delete(rid, ctx.sim)? else {
@@ -1084,7 +1085,7 @@ fn exec_delete(ctx: &mut StmtCtx<'_>, del: &resildb_sql::Delete) -> Result<u64> 
             row,
             loc,
         };
-        stage_check(&op, ctx.flavor, Some(&schema), ctx.sim)?;
+        stage_check(&op, ctx.flavor, Some(schema), ctx.sim)?;
         ctx.redo.push(op);
         affected += 1;
     }

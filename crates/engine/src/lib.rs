@@ -52,6 +52,8 @@
 
 mod catalog;
 mod db;
+#[cfg(test)]
+mod differential_tests;
 mod error;
 mod exec;
 mod expr;
@@ -72,7 +74,7 @@ pub use catalog::{Catalog, TableHandle};
 pub use db::{Database, PreparedStatement, Session, StmtCacheStats};
 pub use error::{EngineError, Result};
 pub use exec::{ExecOutcome, QueryResult, UndoAction};
-pub use expr::{eval, like_match, EmptyScope, Scope};
+pub use expr::like_match;
 pub use flavor::Flavor;
 pub use lock::{LockManager, ResourceId};
 pub use page::{Page, Slot, PAGE_SIZE};

@@ -37,8 +37,9 @@ const OWNED_SHARDS: usize = 16;
 /// A lockable resource.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ResourceId {
-    /// One row of a table.
-    Row(String, RowId),
+    /// One row of a table, named by the table's buffer-pool object id: a
+    /// row lock neither copies nor hashes the table name.
+    Row(u32, RowId),
     /// A whole table (used by DDL).
     Table(String),
 }
@@ -192,7 +193,7 @@ mod tests {
     use std::thread;
 
     fn row(id: u64) -> ResourceId {
-        ResourceId::Row("t".into(), RowId(id))
+        ResourceId::Row(7, RowId(id))
     }
 
     #[test]

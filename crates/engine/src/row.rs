@@ -178,6 +178,57 @@ pub fn decode_value(bytes: &[u8], ty: DataType) -> Result<(Value, usize)> {
     Ok((v, 1 + width))
 }
 
+/// A stored row image read in place: columns are decoded on demand, so a
+/// predicate that looks at two columns of a twenty-column row pays for two.
+/// Column offsets are schema-constant ([`TableSchema::column_offset`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowView<'a> {
+    schema: &'a TableSchema,
+    image: &'a [u8],
+}
+
+impl<'a> RowView<'a> {
+    /// Wraps `image`, a row of `schema` as produced by [`encode_row`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the byte buffer is shorter than the schema's
+    /// row width — which, during repair, indicates the reconstructed page
+    /// offset was wrong.
+    pub(crate) fn new(schema: &'a TableSchema, image: &'a [u8]) -> Result<Self> {
+        if image.len() < schema.row_width() {
+            return Err(EngineError::Internal(format!(
+                "row image too short: {} < {}",
+                image.len(),
+                schema.row_width()
+            )));
+        }
+        Ok(Self { schema, image })
+    }
+
+    /// Decodes column `idx`.
+    ///
+    /// # Errors
+    ///
+    /// Malformed tag or string bytes.
+    pub(crate) fn column(self, idx: usize) -> Result<Value> {
+        let col = &self.schema.columns[idx];
+        decode_value(&self.image[self.schema.column_offset(idx)..], col.ty).map(|(v, _)| v)
+    }
+
+    /// Decodes every column.
+    ///
+    /// # Errors
+    ///
+    /// Malformed tag or string bytes.
+    pub(crate) fn to_row(self) -> Result<Row> {
+        (0..self.schema.columns.len())
+            .map(|i| self.column(i))
+            .collect::<Result<Vec<Value>>>()
+            .map(Row)
+    }
+}
+
 /// Decodes a row previously produced by [`encode_row`].
 ///
 /// # Errors
@@ -186,47 +237,7 @@ pub fn decode_value(bytes: &[u8], ty: DataType) -> Result<(Value, usize)> {
 /// width or contains malformed tags — which, during repair, indicates the
 /// reconstructed page offset was wrong.
 pub fn decode_row(schema: &TableSchema, bytes: &[u8]) -> Result<Row> {
-    if bytes.len() < schema.row_width() {
-        return Err(EngineError::Internal(format!(
-            "row image too short: {} < {}",
-            bytes.len(),
-            schema.row_width()
-        )));
-    }
-    let mut pos = 4;
-    let mut values = Vec::with_capacity(schema.columns.len());
-    for col in &schema.columns {
-        let width = col.ty.fixed_width();
-        let tag = bytes[pos];
-        let payload = &bytes[pos + 1..pos + 1 + width];
-        let v = match (tag, col.ty) {
-            (0, _) => Value::Null,
-            (1, DataType::Integer) => {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&payload[..8]);
-                Value::Int(i64::from_le_bytes(b))
-            }
-            (2, DataType::Float) => {
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&payload[..8]);
-                Value::Float(f64::from_le_bytes(b))
-            }
-            (3, DataType::Varchar(_)) => {
-                let len = payload[0] as usize;
-                let s = std::str::from_utf8(&payload[1..1 + len])
-                    .map_err(|_| EngineError::Internal("invalid UTF-8 in row image".into()))?;
-                Value::Str(s.to_string())
-            }
-            (tag, ty) => {
-                return Err(EngineError::Internal(format!(
-                    "bad value tag {tag} for {ty}"
-                )))
-            }
-        };
-        values.push(v);
-        pos += 1 + width;
-    }
-    Ok(Row(values))
+    RowView::new(schema, bytes)?.to_row()
 }
 
 #[cfg(test)]

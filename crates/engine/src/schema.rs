@@ -37,6 +37,11 @@ pub struct TableSchema {
     pub columns: Vec<Column>,
     /// Indices (into `columns`) of the primary-key columns, in key order.
     pub primary_key: Vec<usize>,
+    /// Byte offset of each column's kind tag inside a row image, plus the
+    /// image's total width as the last entry. Row widths are
+    /// schema-constant, so this is computed once in [`Self::from_create`]
+    /// and lets a reader decode one column without walking the others.
+    offsets: Vec<usize>,
 }
 
 impl TableSchema {
@@ -70,10 +75,20 @@ impl TableSchema {
                 pk_from_cols.push(i);
             }
         }
+        // 4-byte row header, then per column a 1-byte kind tag plus the
+        // type's fixed payload width (see `crate::row::encode_row`).
+        let mut offsets = Vec::with_capacity(columns.len() + 1);
+        let mut pos = 4;
+        for c in &columns {
+            offsets.push(pos);
+            pos += 1 + c.ty.fixed_width();
+        }
+        offsets.push(pos);
         let mut schema = TableSchema {
             name: stmt.name.to_ascii_lowercase(),
             columns,
             primary_key: pk_from_cols,
+            offsets,
         };
         if !stmt.primary_key.is_empty() {
             let mut pk = Vec::with_capacity(stmt.primary_key.len());
@@ -94,10 +109,9 @@ impl TableSchema {
     ///
     /// Returns [`EngineError::UnknownColumn`] when absent.
     pub fn column_index(&self, name: &str) -> Result<usize> {
-        let lower = name.to_ascii_lowercase();
         self.columns
             .iter()
-            .position(|c| c.name == lower)
+            .position(|c| c.name.eq_ignore_ascii_case(name))
             .ok_or_else(|| EngineError::UnknownColumn(format!("{}.{name}", self.name)))
     }
 
@@ -115,13 +129,12 @@ impl TableSchema {
     /// small per-row header), used by the page layout and log-size
     /// accounting.
     pub fn row_width(&self) -> usize {
-        // 4-byte row header, then per column a 1-byte kind tag plus the
-        // type's fixed payload width (see `resildb_engine::row::encode_row`).
-        4 + self
-            .columns
-            .iter()
-            .map(|c| 1 + c.ty.fixed_width())
-            .sum::<usize>()
+        self.offsets[self.columns.len()]
+    }
+
+    /// Byte offset of column `idx`'s kind tag inside a row image.
+    pub(crate) fn column_offset(&self, idx: usize) -> usize {
+        self.offsets[idx]
     }
 
     /// Index of the identity column, if any.

@@ -1,12 +1,14 @@
 //! Heap-table storage: pages, a row-id directory and a primary-key index.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
+use std::sync::Arc;
 
 use resildb_sim::{PageKey, SimContext};
 
 use crate::error::{EngineError, Result};
 use crate::page::{Page, Slot};
-use crate::row::{decode_row, encode_row, Row, RowId};
+use crate::row::{decode_row, encode_row, Row, RowId, RowView};
 use crate::schema::TableSchema;
 use crate::value::Value;
 
@@ -22,10 +24,72 @@ pub struct RowLocation {
     pub len: usize,
 }
 
+/// How a statement reaches the rows it may touch. The executor plans one
+/// per table from the statement's predicate (`exec::plan_access`) and
+/// [`Table::walk`] follows it. Every keyed arm yields rows in primary-key
+/// order — the order the equality-prefix scan has always had — so
+/// narrowing the path never reorders a result; a path only has to reach a
+/// superset of the matching rows, because the executor re-checks the whole
+/// predicate on every row image it is handed.
+///
+/// Keyed arms carry the order-preserving encoding ([`encode_key_part`]) of
+/// the equality prefix; probes are built behind it in the same buffer.
+#[derive(Debug)]
+pub(crate) enum AccessPath<'a> {
+    /// `<row-id pseudo-column> = n`: one directory lookup (how compensating
+    /// statements address rows).
+    RowId(RowId),
+    /// Equality on every key column: one index lookup.
+    Point(Vec<u8>),
+    /// Equality on a proper prefix of the key columns: one index range.
+    Prefix(Vec<u8>),
+    /// Prefix equality plus `IN (..)` on the next key column: one probe per
+    /// member, ascending. The members are sorted, de-duplicated and already
+    /// of the column's type.
+    In(Vec<u8>, &'a [Value]),
+    /// Prefix equality plus bounds on the next key column: one index range.
+    Range(Vec<u8>, Bound<Value>, Bound<Value>),
+    /// No usable key predicate: every page, in storage order.
+    FullScan,
+}
+
+/// Sets `end` to the exclusive upper bound of the keys that continue the
+/// whole encoded key parts in `parts`: after a complete part comes the end
+/// of the key or the next part's type tag, and both sort below `0xFF` — as
+/// an escaped NUL (`00 FF`) continuing a string part does not.
+fn parts_end(parts: &[u8], end: &mut Vec<u8>) {
+    end.clear();
+    end.extend_from_slice(parts);
+    end.push(0xFF);
+}
+
+/// Feeds `items` to `step`, last first when `reverse`, until `step` answers
+/// `Ok(false)`; returns whether it never did.
+fn drive<T>(
+    items: impl DoubleEndedIterator<Item = T>,
+    reverse: bool,
+    mut step: impl FnMut(T) -> Result<bool>,
+) -> Result<bool> {
+    if reverse {
+        for item in items.rev() {
+            if !step(item)? {
+                return Ok(false);
+            }
+        }
+    } else {
+        for item in items {
+            if !step(item)? {
+                return Ok(false);
+            }
+        }
+    }
+    Ok(true)
+}
+
 /// A heap table: schema + pages + indexes.
 #[derive(Debug)]
 pub struct Table {
-    schema: TableSchema,
+    schema: Arc<TableSchema>,
     /// Object id used for buffer-pool page keys.
     object_id: u32,
     pages: Vec<Page>,
@@ -45,7 +109,7 @@ impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema, object_id: u32) -> Self {
         Self {
-            schema,
+            schema: Arc::new(schema),
             object_id,
             pages: Vec::new(),
             directory: HashMap::new(),
@@ -59,6 +123,12 @@ impl Table {
     /// The table's schema.
     pub fn schema(&self) -> &TableSchema {
         &self.schema
+    }
+
+    /// The schema, shared: a statement holds it without copying the column
+    /// list or keeping the table latched.
+    pub(crate) fn shared_schema(&self) -> Arc<TableSchema> {
+        Arc::clone(&self.schema)
     }
 
     /// The buffer-pool object id.
@@ -89,30 +159,166 @@ impl Table {
         Some(key)
     }
 
-    /// Serialises a caller-supplied key-value list (in PK column order)
-    /// with the same order-preserving encoding the index uses.
-    pub(crate) fn pk_key_for(&self, values: &[Value]) -> Vec<u8> {
-        let mut key = Vec::new();
-        for v in values {
-            encode_key_part(v, &mut key);
-        }
-        key
-    }
-
     /// Looks up a row id by full primary key values (in PK column order).
     pub fn lookup_pk(&self, values: &[Value]) -> Option<RowId> {
-        self.pk_index.get(&self.pk_key_for(values)).copied()
+        self.pk_index.get(encode_key(values).as_slice()).copied()
     }
 
     /// All row ids whose primary key starts with `values` (a prefix of the
     /// PK columns, in key order) — an index range scan.
     pub fn lookup_pk_prefix(&self, values: &[Value]) -> Vec<RowId> {
-        let prefix = self.pk_key_for(values);
+        let key = encode_key(values);
+        let mut end = Vec::new();
+        parts_end(&key, &mut end);
         self.pk_index
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
+            .range::<[u8], _>((
+                Bound::Included(key.as_slice()),
+                Bound::Excluded(end.as_slice()),
+            ))
             .map(|(_, rid)| *rid)
             .collect()
+    }
+
+    /// Hands `visit` the current image of `rowid` (charging a page read and
+    /// counting one examined row). Returns whether the walk should go on:
+    /// `visit`'s answer, or `true` when the row is not resident.
+    fn visit_row(
+        &self,
+        rowid: RowId,
+        sim: &SimContext,
+        examined: &mut u64,
+        visit: &mut dyn FnMut(RowId, RowView<'_>) -> Result<bool>,
+    ) -> Result<bool> {
+        let Some(&page_no) = self.directory.get(&rowid) else {
+            return Ok(true);
+        };
+        sim.charge_page_read(PageKey::new(self.object_id, page_no));
+        let Some(image) = self.pages[page_no as usize].image_of(rowid) else {
+            return Ok(true);
+        };
+        *examined += 1;
+        visit(rowid, RowView::new(&self.schema, image)?)
+    }
+
+    /// Visits the index entries in `[lo, hi)`, backwards when `reverse`.
+    fn visit_keys(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        reverse: bool,
+        sim: &SimContext,
+        examined: &mut u64,
+        visit: &mut dyn FnMut(RowId, RowView<'_>) -> Result<bool>,
+    ) -> Result<bool> {
+        // `BTreeMap::range` panics on an inverted range.
+        if hi <= lo {
+            return Ok(true);
+        }
+        let range = self
+            .pk_index
+            .range::<[u8], _>((Bound::Included(lo), Bound::Excluded(hi)));
+        drive(range, reverse, |(_, &rid)| {
+            self.visit_row(rid, sim, examined, visit)
+        })
+    }
+
+    /// The table's one read cursor: hands `visit` the row id and the
+    /// borrowed image of every row `path` reaches, in the path's order
+    /// (backwards when `reverse`, which only keyed paths support), until
+    /// `visit` returns `Ok(false)`. Charges a page read per row reached
+    /// through the directory or the index and one per page of a full scan,
+    /// and adds the number of images visited to `SimStats::rows_examined`.
+    ///
+    /// # Errors
+    ///
+    /// Corrupt images, and whatever `visit` returns.
+    pub(crate) fn walk(
+        &self,
+        path: AccessPath<'_>,
+        reverse: bool,
+        sim: &SimContext,
+        visit: &mut dyn FnMut(RowId, RowView<'_>) -> Result<bool>,
+    ) -> Result<()> {
+        let mut examined = 0;
+        let result = self.walk_path(path, reverse, sim, &mut examined, visit);
+        sim.stats().rows_examined.add(examined);
+        result.map(|_| ())
+    }
+
+    fn walk_path(
+        &self,
+        path: AccessPath<'_>,
+        reverse: bool,
+        sim: &SimContext,
+        examined: &mut u64,
+        visit: &mut dyn FnMut(RowId, RowView<'_>) -> Result<bool>,
+    ) -> Result<bool> {
+        let mut end = Vec::new();
+        match path {
+            AccessPath::RowId(rid) => self.visit_row(rid, sim, examined, visit),
+            AccessPath::Point(key) => match self.pk_index.get(key.as_slice()) {
+                Some(&rid) => self.visit_row(rid, sim, examined, visit),
+                None => Ok(true),
+            },
+            AccessPath::Prefix(key) => {
+                parts_end(&key, &mut end);
+                self.visit_keys(&key, &end, reverse, sim, examined, visit)
+            }
+            AccessPath::In(mut key, members) => {
+                let prefix_len = key.len();
+                drive(members.iter(), reverse, |member| {
+                    key.truncate(prefix_len);
+                    encode_key_part(member, &mut key);
+                    parts_end(&key, &mut end);
+                    self.visit_keys(&key, &end, reverse, sim, examined, visit)
+                })
+            }
+            AccessPath::Range(mut key, lo, hi) => {
+                // More key columns may follow the bounded one, so "above
+                // v" starts where the keys that begin with v end, and "up
+                // to v" ends there.
+                let prefix_len = key.len();
+                match &hi {
+                    Bound::Unbounded => parts_end(&key, &mut end),
+                    Bound::Included(v) => {
+                        encode_key_part(v, &mut key);
+                        parts_end(&key, &mut end);
+                    }
+                    Bound::Excluded(v) => {
+                        end.extend_from_slice(&key);
+                        encode_key_part(v, &mut end);
+                    }
+                }
+                key.truncate(prefix_len);
+                match &lo {
+                    Bound::Unbounded => {}
+                    Bound::Included(v) => encode_key_part(v, &mut key),
+                    Bound::Excluded(v) => {
+                        encode_key_part(v, &mut key);
+                        key.push(0xFF);
+                    }
+                }
+                self.visit_keys(&key, &end, reverse, sim, examined, visit)
+            }
+            AccessPath::FullScan => {
+                for (page_no, page) in self.pages.iter().enumerate() {
+                    if page.row_count() == 0 {
+                        continue;
+                    }
+                    sim.charge_page_read(PageKey::new(self.object_id, page_no as u64));
+                    for slot in page.slots() {
+                        let image = page
+                            .read_at(slot.offset, slot.len)
+                            .ok_or_else(|| EngineError::Internal("corrupt slot".into()))?;
+                        *examined += 1;
+                        if !visit(slot.rowid, RowView::new(&self.schema, image)?)? {
+                            return Ok(false);
+                        }
+                    }
+                }
+                Ok(true)
+            }
+        }
     }
 
     /// Validates NOT NULL constraints and fills the identity column when
@@ -164,8 +370,9 @@ impl Table {
     /// failures.
     pub fn insert(&mut self, row: Row, sim: &SimContext) -> Result<(RowId, Row, RowLocation)> {
         let row = self.prepare_insert(row)?;
-        if let Some(key) = self.pk_key(&row) {
-            if self.pk_index.contains_key(&key) {
+        let key = self.pk_key(&row);
+        if let Some(key) = &key {
+            if self.pk_index.contains_key(key) {
                 return Err(EngineError::DuplicateKey(format!(
                     "{} primary key {key:?}",
                     self.schema.name
@@ -185,7 +392,7 @@ impl Table {
         };
         let offset = self.pages[page_no as usize].insert(rowid, &image);
         self.directory.insert(rowid, page_no);
-        if let Some(key) = self.pk_key(&row) {
+        if let Some(key) = key {
             self.pk_index.insert(key, rowid);
         }
         self.row_count += 1;
@@ -312,15 +519,12 @@ impl Table {
 
     /// Reads the current contents of `rowid` (charging a page read).
     pub fn get(&self, rowid: RowId, sim: &SimContext) -> Result<Option<Row>> {
-        let Some(&page_no) = self.directory.get(&rowid) else {
-            return Ok(None);
-        };
-        sim.charge_page_read(PageKey::new(self.object_id, page_no));
-        let page = &self.pages[page_no as usize];
-        let Some(image) = page.image_of(rowid) else {
-            return Ok(None);
-        };
-        decode_row(&self.schema, image).map(Some)
+        let mut row = None;
+        self.walk(AccessPath::RowId(rowid), false, sim, &mut |_, view| {
+            row = Some(view.to_row()?);
+            Ok(false)
+        })?;
+        Ok(row)
     }
 
     /// Deletes `rowid`, returning the deleted row and the location it
@@ -436,19 +640,10 @@ impl Table {
         sim: &SimContext,
         mut f: impl FnMut(RowId, Row) -> Result<()>,
     ) -> Result<()> {
-        for (page_no, page) in self.pages.iter().enumerate() {
-            if page.row_count() == 0 {
-                continue;
-            }
-            sim.charge_page_read(PageKey::new(self.object_id, page_no as u64));
-            for slot in page.slots() {
-                let image = page
-                    .read_at(slot.offset, slot.len)
-                    .ok_or_else(|| EngineError::Internal("corrupt slot".into()))?;
-                f(slot.rowid, decode_row(&self.schema, image)?)?;
-            }
-        }
-        Ok(())
+        self.walk(AccessPath::FullScan, false, sim, &mut |rid, view| {
+            f(rid, view.to_row()?)?;
+            Ok(true)
+        })
     }
 
     /// Reads raw bytes from a page — the `dbcc page` primitive used by the
@@ -458,10 +653,20 @@ impl Table {
     }
 }
 
-/// Appends an order-preserving encoding of `v`: byte-wise comparison of
-/// encoded keys matches SQL value ordering within each type (type tags
-/// keep mixed-type keys from colliding).
-fn encode_key_part(v: &Value, out: &mut Vec<u8>) {
+/// The index key (or key prefix) of `values`, given in key-column order.
+fn encode_key(values: &[Value]) -> Vec<u8> {
+    let mut key = Vec::new();
+    for v in values {
+        encode_key_part(v, &mut key);
+    }
+    key
+}
+
+/// Appends an order-preserving, prefix-free encoding of `v`: byte-wise
+/// comparison of encoded keys matches SQL value ordering within each type
+/// (type tags keep mixed-type keys from colliding), and a key starts with
+/// the encoding of `v` exactly when its column equals `v`.
+pub(crate) fn encode_key_part(v: &Value, out: &mut Vec<u8>) {
     match v {
         Value::Null => out.push(0x00),
         Value::Int(i) => {
@@ -484,7 +689,14 @@ fn encode_key_part(v: &Value, out: &mut Vec<u8>) {
         }
         Value::Str(s) => {
             out.push(0x04);
-            out.extend_from_slice(s.as_bytes());
+            // 0x00 terminates; an embedded NUL is escaped as 00 FF, which
+            // still sorts above the terminator followed by any type tag.
+            for &b in s.as_bytes() {
+                out.push(b);
+                if b == 0x00 {
+                    out.push(0xFF);
+                }
+            }
             out.push(0x00);
         }
     }
@@ -660,6 +872,109 @@ mod tests {
         t.insert(row(vec![Value::Int(-5), Value::Int(1)]), &s)
             .unwrap();
         assert_eq!(t.lookup_pk_prefix(&[Value::Int(-5)]).len(), 1);
+    }
+
+    #[test]
+    fn string_keys_are_prefix_free_even_with_embedded_nuls() {
+        // The terminator byte is also a legal character: unescaped, the key
+        // of ("a", ..) would be a prefix of the key of ("a\0b", ..), and
+        // ("a\0") would sort below ("a").
+        let mut t = table("CREATE TABLE s (k VARCHAR(4), n INTEGER, PRIMARY KEY (k, n))");
+        let s = sim();
+        for (k, n) in [("a", 5), ("a\0b", 1), ("a\0", 2), ("", 0), ("b", 1)] {
+            t.insert(row(vec![Value::from(k), Value::Int(n)]), &s)
+                .unwrap();
+        }
+        assert_eq!(t.lookup_pk_prefix(&[Value::from("a")]).len(), 1);
+        assert_eq!(t.lookup_pk_prefix(&[Value::from("a\0")]).len(), 1);
+        let mut in_key_order = Vec::new();
+        t.walk(AccessPath::Prefix(Vec::new()), false, &s, &mut |_, view| {
+            in_key_order.push(view.column(0)?);
+            Ok(true)
+        })
+        .unwrap();
+        let mut sorted = in_key_order.clone();
+        sorted.sort_by(|a, b| a.sql_cmp(b).unwrap().unwrap());
+        assert_eq!(in_key_order, sorted);
+    }
+
+    #[test]
+    fn walk_counts_examined_rows_and_stops_when_told() {
+        let mut t = table("CREATE TABLE w (a INTEGER, b INTEGER, PRIMARY KEY (a, b))");
+        let s = sim();
+        for b in [3, 1, 2, 5, 4] {
+            t.insert(row(vec![Value::Int(1), Value::Int(b)]), &s)
+                .unwrap();
+        }
+        let mut key = Vec::new();
+        encode_key_part(&Value::Int(1), &mut key);
+        let walk = |path: AccessPath<'_>, reverse: bool, stop_after: usize| {
+            let before = s.stats().rows_examined.get();
+            let mut seen = Vec::new();
+            t.walk(path, reverse, &s, &mut |_, view| {
+                seen.push(view.column(1)?);
+                Ok(seen.len() < stop_after)
+            })
+            .unwrap();
+            let seen: Vec<i64> = seen
+                .into_iter()
+                .map(|v| match v {
+                    Value::Int(i) => i,
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            (seen, s.stats().rows_examined.get() - before)
+        };
+        assert_eq!(
+            walk(AccessPath::Prefix(key.clone()), false, 9),
+            (vec![1, 2, 3, 4, 5], 5)
+        );
+        assert_eq!(
+            walk(AccessPath::Prefix(key.clone()), true, 2),
+            (vec![5, 4], 2)
+        );
+        let range = |lo, hi| AccessPath::Range(key.clone(), lo, hi);
+        assert_eq!(
+            walk(
+                range(
+                    Bound::Excluded(Value::Int(1)),
+                    Bound::Included(Value::Int(4))
+                ),
+                false,
+                9
+            ),
+            (vec![2, 3, 4], 3)
+        );
+        assert_eq!(
+            walk(
+                range(Bound::Included(Value::Int(4)), Bound::Unbounded),
+                true,
+                9
+            ),
+            (vec![5, 4], 2)
+        );
+        // An inverted range is empty, not a panic.
+        assert_eq!(
+            walk(
+                range(
+                    Bound::Included(Value::Int(4)),
+                    Bound::Excluded(Value::Int(2))
+                ),
+                false,
+                9
+            ),
+            (vec![], 0)
+        );
+        let members = [Value::Int(2), Value::Int(4), Value::Int(9)];
+        assert_eq!(
+            walk(AccessPath::In(key.clone(), &members), true, 9),
+            (vec![4, 2], 2)
+        );
+        // The heap scan keeps storage order.
+        assert_eq!(
+            walk(AccessPath::FullScan, false, 9),
+            (vec![3, 1, 2, 5, 4], 5)
+        );
     }
 
     #[test]

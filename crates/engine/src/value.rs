@@ -257,6 +257,52 @@ impl Value {
         }
     }
 
+    /// This predicate literal as a value of column type `ty` that compares
+    /// ([`Self::sql_cmp`]) against every stored value of the column exactly
+    /// as the literal itself does — what an index probe or a sorted `IN`
+    /// set may stand on. `None` when there is no such value (`1.5` or
+    /// `'x'` against an `INTEGER`, a float too large to name one integer,
+    /// `NULL`): the literal then stays with the row filter, which gives the
+    /// comparison's own answer or error. Unlike [`Self::coerce_to`] this is
+    /// never a store, so a string longer than its `VARCHAR(n)` is fine — it
+    /// just matches nothing.
+    pub(crate) fn key_literal(&self, ty: DataType) -> Option<Value> {
+        /// Below this magnitude every integral f64 is exactly one i64.
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match (self, ty) {
+            (Value::Int(v), DataType::Integer) => Some(Value::Int(*v)),
+            (Value::Float(v), DataType::Integer) if v.fract() == 0.0 && v.abs() < EXACT => {
+                Some(Value::Int(*v as i64))
+            }
+            (Value::Int(v), DataType::Float) => Some(Value::Float(*v as f64)),
+            (Value::Float(v), DataType::Float) if !v.is_nan() => Some(Value::Float(*v)),
+            (Value::Str(s), DataType::Varchar(_)) => Some(Value::Str(s.clone())),
+            _ => None,
+        }
+    }
+
+    /// Total order over values of one kind, as the primary-key index orders
+    /// them; sorts and searches the `IN` sets built from
+    /// [`Self::key_literal`] values.
+    pub(crate) fn key_cmp(&self, other: &Value) -> Ordering {
+        fn rank(v: &Value) -> u8 {
+            match v {
+                Value::Null => 0,
+                Value::Int(_) => 1,
+                Value::Float(_) => 2,
+                Value::Bool(_) => 3,
+                Value::Str(_) => 4,
+            }
+        }
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Str(a), Value::Str(b)) => a.cmp(b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+
     /// Plain (unquoted) textual form, used for concatenation and display.
     pub(crate) fn to_plain_string(&self) -> String {
         match self {
@@ -370,6 +416,65 @@ mod tests {
             Value::Int(3)
         );
         assert!(Value::Float(3.5).coerce_to(DataType::Integer).is_err());
+    }
+
+    #[test]
+    fn key_literals_compare_exactly_as_the_literal_does() {
+        let big = 9_007_199_254_740_993_i64; // 2^53 + 1: not an f64
+        let ints = [i64::MIN, -big, -2, -1, 0, 1, 2, 3, big, i64::MAX];
+        let floats = [
+            f64::NEG_INFINITY,
+            -9_007_199_254_740_992.0,
+            -1.5,
+            -0.0,
+            0.0,
+            1.0,
+            2.0,
+            2.5,
+            9_007_199_254_740_992.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        let strs = ["", "a", "a\0", "ab", "toolongforthecolumn"];
+        let mut literals: Vec<Value> = vec![Value::Null, Value::Bool(true)];
+        literals.extend(ints.map(Value::Int));
+        literals.extend(floats.map(Value::Float));
+        literals.extend(strs.map(Value::from));
+        let stored = |ty| -> Vec<Value> {
+            match ty {
+                DataType::Integer => ints.map(Value::Int).to_vec(),
+                DataType::Float => floats.map(Value::Float).to_vec(),
+                DataType::Varchar(_) => strs.map(Value::from).to_vec(),
+            }
+        };
+        for ty in [
+            DataType::Integer,
+            DataType::Float,
+            DataType::Varchar(Some(2)),
+        ] {
+            for lit in &literals {
+                let Some(key) = lit.key_literal(ty) else {
+                    continue;
+                };
+                for v in stored(ty) {
+                    assert_eq!(
+                        v.sql_cmp(&key).unwrap(),
+                        v.sql_cmp(lit).unwrap(),
+                        "{v:?} vs {lit:?} as {key:?}"
+                    );
+                }
+            }
+        }
+        // What has no exact value of the type is left to the filter.
+        assert_eq!(Value::Float(1.5).key_literal(DataType::Integer), None);
+        assert_eq!(Value::Float(1e300).key_literal(DataType::Integer), None);
+        assert_eq!(Value::from("x").key_literal(DataType::Integer), None);
+        assert_eq!(Value::Int(1).key_literal(DataType::Varchar(None)), None);
+        assert_eq!(Value::Null.key_literal(DataType::Integer), None);
+        assert_eq!(
+            Value::Float(2.0).key_literal(DataType::Integer),
+            Some(Value::Int(2))
+        );
     }
 
     #[test]

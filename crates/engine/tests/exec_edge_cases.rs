@@ -298,3 +298,186 @@ fn concurrent_transfers_preserve_total_balance() {
     let r = s.query("SELECT SUM(bal) FROM acct").unwrap();
     assert_eq!(r.rows[0][0], Value::Int(1500), "money is conserved");
 }
+
+/// A predicate literal is compared, never stored: one that has no exact
+/// value of a key column's type falls through to the row filter, so a keyed
+/// table answers exactly as an unkeyed one does.
+#[test]
+fn key_literals_that_do_not_coerce_fall_through_to_the_filter() {
+    for ddl in [
+        "CREATE TABLE t (a INTEGER, b INTEGER, PRIMARY KEY (a, b))",
+        "CREATE TABLE t (a INTEGER, b INTEGER)",
+    ] {
+        let db = db();
+        let mut s = db.session();
+        s.execute_sql(ddl).unwrap();
+        s.execute_sql("INSERT INTO t (a, b) VALUES (1, 1), (2, 2)")
+            .unwrap();
+        assert!(
+            s.query("SELECT b FROM t WHERE a = 1.5")
+                .unwrap()
+                .rows
+                .is_empty(),
+            "{ddl}"
+        );
+        assert_eq!(
+            s.execute_sql("UPDATE t SET b = 9 WHERE a = 1.5")
+                .unwrap()
+                .affected(),
+            Some(0),
+            "{ddl}"
+        );
+        // `b = 'q'` is the comparison's own type error on the row that
+        // passes `a = 1`; it is not a store error.
+        let err = s
+            .execute_sql("DELETE FROM t WHERE a = 1 AND b = 'q'")
+            .unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Type(m) if m.contains("cannot compare")),
+            "{ddl}: {err}"
+        );
+        // ... and where no row passes `a = 3` there is nothing to compare.
+        assert_eq!(
+            s.execute_sql("DELETE FROM t WHERE a = 3 AND b = 'q'")
+                .unwrap()
+                .affected(),
+            Some(0),
+            "{ddl}"
+        );
+        assert_eq!(db.row_count("t").unwrap(), 2, "{ddl}");
+        // An integral float names an integer key exactly.
+        assert_eq!(
+            s.query("SELECT b FROM t WHERE a = 2.0 AND b = 2")
+                .unwrap()
+                .rows,
+            vec![vec![Value::Int(2)]],
+            "{ddl}"
+        );
+    }
+}
+
+/// `ORDER BY b DESC LIMIT n` on key (a, b, c) does not complete the key:
+/// rows that tie on `b` must come out in the order sort-then-truncate gives
+/// them (stable, so ascending `c`), which a backwards index walk would not.
+#[test]
+fn desc_limit_with_ties_on_a_non_completing_key_matches_sort_then_truncate() {
+    let db = db();
+    let mut s = db.session();
+    s.execute_sql("CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER, PRIMARY KEY (a, b, c))")
+        .unwrap();
+    s.execute_sql(
+        "INSERT INTO t (a, b, c) VALUES (1, 2, 3), (1, 2, 1), (1, 1, 5), (1, 2, 2), (2, 9, 9)",
+    )
+    .unwrap();
+    let mut rows = |sql: &str| s.query(sql).unwrap().rows;
+    let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+    assert_eq!(
+        rows("SELECT b, c FROM t WHERE a = 1 ORDER BY b DESC LIMIT 2"),
+        vec![ints(&[2, 1]), ints(&[2, 2])]
+    );
+    // Completing the key: a true backwards walk, no ties to misorder.
+    assert_eq!(
+        rows("SELECT b, c FROM t WHERE a = 1 ORDER BY b DESC, c DESC LIMIT 2"),
+        vec![ints(&[2, 3]), ints(&[2, 2])]
+    );
+    // Ascending stops early on any prefix of the remaining key columns.
+    assert_eq!(
+        rows("SELECT b, c FROM t WHERE a = 1 ORDER BY b LIMIT 2"),
+        vec![ints(&[1, 5]), ints(&[2, 1])]
+    );
+    assert_eq!(
+        rows("SELECT c FROM t WHERE a = 1 AND b IN (2, 1, 2) ORDER BY b DESC, c DESC LIMIT 3"),
+        vec![ints(&[3]), ints(&[2]), ints(&[1])]
+    );
+}
+
+#[test]
+fn contradictory_key_equalities_match_nothing() {
+    let db = db();
+    let mut s = db.session();
+    s.execute_sql("CREATE TABLE t (a INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    s.execute_sql("INSERT INTO t (a, v) VALUES (1, 10), (2, 20)")
+        .unwrap();
+    assert!(s
+        .query("SELECT v FROM t WHERE a = 1 AND a = 2")
+        .unwrap()
+        .rows
+        .is_empty());
+    assert_eq!(
+        s.execute_sql("UPDATE t SET v = 0 WHERE a = 2 AND a = 1")
+            .unwrap()
+            .affected(),
+        Some(0)
+    );
+    // Ranges that exclude everything, either way round.
+    assert!(s
+        .query("SELECT v FROM t WHERE a = 1 AND v BETWEEN 30 AND 5")
+        .unwrap()
+        .rows
+        .is_empty());
+}
+
+/// Compensating statements address rows by the flavor's row-id
+/// pseudo-column; that lookup ignores the key and still applies the rest of
+/// the predicate.
+#[test]
+fn rowid_pseudo_column_lookups_are_unchanged() {
+    for (flavor, pseudo) in [(Flavor::Postgres, "ctid"), (Flavor::Oracle, "rowid")] {
+        let db = Database::in_memory(flavor);
+        let mut s = db.session();
+        s.execute_sql("CREATE TABLE t (a INTEGER PRIMARY KEY, v INTEGER)")
+            .unwrap();
+        s.execute_sql("INSERT INTO t (a, v) VALUES (7, 70), (8, 80)")
+            .unwrap();
+        let rid = match s
+            .query(&format!("SELECT {pseudo} FROM t WHERE a = 8"))
+            .unwrap()
+            .rows[0][0]
+        {
+            Value::Int(rid) => rid,
+            ref other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            s.query(&format!("SELECT a, v FROM t WHERE {pseudo} = {rid}"))
+                .unwrap()
+                .rows,
+            vec![vec![Value::Int(8), Value::Int(80)]]
+        );
+        assert!(s
+            .query(&format!("SELECT a FROM t WHERE {pseudo} = {rid} AND a = 7"))
+            .unwrap()
+            .rows
+            .is_empty());
+        assert_eq!(
+            s.execute_sql(&format!("UPDATE t SET v = 81 WHERE {pseudo} = {rid}"))
+                .unwrap()
+                .affected(),
+            Some(1)
+        );
+        assert_eq!(
+            s.execute_sql(&format!("DELETE FROM t WHERE t.{pseudo} = {rid}"))
+                .unwrap()
+                .affected(),
+            Some(1)
+        );
+        assert!(s
+            .query(&format!("SELECT a FROM t WHERE {pseudo} = {rid}"))
+            .unwrap()
+            .rows
+            .is_empty());
+        // A table that declares a column of that name reads the column.
+        s.execute_sql(&format!(
+            "CREATE TABLE u (a INTEGER PRIMARY KEY, {pseudo} INTEGER)"
+        ))
+        .unwrap();
+        s.execute_sql(&format!("INSERT INTO u (a, {pseudo}) VALUES (1, 42)"))
+            .unwrap();
+        assert_eq!(
+            s.query(&format!("SELECT a FROM u WHERE {pseudo} = 42"))
+                .unwrap()
+                .rows,
+            vec![vec![Value::Int(1)]]
+        );
+    }
+}

@@ -40,6 +40,10 @@ pub struct SimStats {
     pub log_forces: Counter,
     pub statements: Counter,
     pub rows_touched: Counter,
+    /// Row images a statement looked at to produce its `rows_touched`
+    /// result rows (counted by the engine's table cursor). A lost access
+    /// path shows here as a count, with no clock involved.
+    pub rows_examined: Counter,
     pub round_trips: Counter,
     pub network_bytes: Counter,
     pub injected_delays: Counter,

@@ -205,3 +205,38 @@ fn attack_then_repair_preserves_independent_work() {
     // exactly restored; otherwise it differs by legitimate activity only.
     let _ = victim_before;
 }
+
+/// A deterministic guard on the engine's access paths: a transaction whose
+/// statements all name their rows by key must not look at many more row
+/// images than it returns or writes. A lost path (Stock-Level's `IN` list
+/// or `BETWEEN` range, Delivery's `ORDER BY .. LIMIT 1`) fails this count
+/// on any host, with no wall-clock threshold involved.
+#[test]
+fn keyed_transactions_examine_few_rows_beyond_those_they_touch() {
+    let (db, mut conn) = raw_db();
+    let cfg = TpccConfig::scaled(2);
+    Loader::new(cfg.clone(), 3).load(&mut *conn).unwrap();
+    let mut runner = TpccRunner::new(cfg, 11).without_annotations();
+    let stats = db.sim().stats();
+    for kind in TxnKind::ALL {
+        let (examined, touched) = (stats.rows_examined.get(), stats.rows_touched.get());
+        for _ in 0..20 {
+            runner.run(&mut *conn, kind).unwrap();
+        }
+        let examined = stats.rows_examined.get() - examined;
+        let touched = stats.rows_touched.get() - touched;
+        match kind {
+            // An UPDATE/DELETE looks at a row twice: to find it, and again
+            // under its row lock.
+            TxnKind::NewOrder | TxnKind::Payment | TxnKind::Delivery | TxnKind::StockLevel => {
+                assert!(
+                    examined <= 2 * touched + 20,
+                    "{kind:?}: {examined} rows examined for {touched} touched"
+                );
+            }
+            // Walks a district's orders backwards to the customer's last:
+            // `o_c_id` is not a key column.
+            TxnKind::OrderStatus => {}
+        }
+    }
+}
