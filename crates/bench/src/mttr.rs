@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use resildb_core::telemetry::export::format_f64;
 use resildb_core::{
-    ContainmentPolicy, Driver as _, FenceAction, Flavor, IncidentRecord, IncidentTimeline,
-    LinkProfile, Micros, ProxyConfig, ResilientDb, SimContext, WireError,
+    ContainmentPolicy, Driver as _, FenceAction, Flavor, IncidentProgress, IncidentRecord,
+    IncidentTimeline, LinkProfile, Micros, ProxyConfig, ResilientDb, SimContext, WireError,
 };
 use resildb_tpcc::{Attack, AttackKind, Loader, Mix, TpccConfig, TpccRunner, ATTACK_LABEL};
 
@@ -214,12 +214,6 @@ pub struct LiveMttrPoint {
     pub served: usize,
     /// Of those, refused by the containment fence.
     pub fenced: usize,
-    /// Tables fenced by the initial static raise.
-    pub fenced_tables: usize,
-    /// Rows individually fenced after the shrink.
-    pub fenced_rows: usize,
-    /// Fence-extension rounds the closure needed to converge.
-    pub extension_rounds: usize,
     /// Transactions the repair undid.
     pub undo_set: usize,
     /// The incident this point's repair recorded on its timeline —
@@ -228,6 +222,15 @@ pub struct LiveMttrPoint {
 }
 
 impl LiveMttrPoint {
+    /// What the repair did to the fence: tables raised, rows fenced,
+    /// extension rounds — the incident's folded progress.
+    pub fn fence(&self) -> IncidentProgress {
+        self.incident
+            .as_ref()
+            .map(|i| i.progress)
+            .unwrap_or_default()
+    }
+
     /// Fraction of in-repair transaction attempts that were served.
     pub fn availability(&self) -> f64 {
         if self.attempted == 0 {
@@ -353,16 +356,12 @@ pub fn run_live_point(
         probe.capture(rdb.metrics());
     }
 
-    let stats = report.live.expect("live execution reports live stats");
     LiveMttrPoint {
         t_detect,
         repair_wall: wall,
         attempted: attempted.into_inner(),
         served: served.into_inner(),
         fenced: fenced.into_inner(),
-        fenced_tables: stats.fenced_tables,
-        fenced_rows: stats.fenced_rows,
-        extension_rounds: stats.extension_rounds,
         undo_set: report.undo_set.len(),
         incident: rdb.telemetry().timeline().snapshot().pop(),
     }
@@ -423,9 +422,9 @@ pub fn live_points_json(points: &[LiveMttrPoint]) -> String {
                 p.served,
                 p.fenced,
                 format_f64(p.availability()),
-                p.fenced_tables,
-                p.fenced_rows,
-                p.extension_rounds,
+                p.fence().fence_tables,
+                p.fence().fence_rows,
+                p.fence().extension_rounds,
                 p.undo_set,
                 timeline_json(p),
             )
@@ -461,8 +460,8 @@ pub fn render_live(points: &[LiveMttrPoint]) -> String {
             p.served,
             p.fenced,
             p.availability() * 100.0,
-            p.fenced_rows,
-            p.extension_rounds,
+            p.fence().fence_rows,
+            p.fence().extension_rounds,
             p.undo_set,
         ));
     }
@@ -532,7 +531,7 @@ mod tests {
             p.served > 0,
             "no clean transaction served during live repair: {p:?}"
         );
-        assert!(p.fenced_tables >= 1);
+        assert!(p.fence().fence_tables >= 1);
         assert!(p.undo_set >= 1);
 
         // The point carries its incident timeline: closed, ground-truth

@@ -80,7 +80,7 @@ pub use resildb_proxy::{
     TrackingGranularity, TrackingProxy, TRACKING_TABLES,
 };
 pub use resildb_repair::{
-    detect, Analysis, AnomalyRule, CausalChain, DepGraph, Detection, FalseDepRule, LiveRepairStats,
+    detect, Analysis, AnomalyRule, CausalChain, DepGraph, Detection, FalseDepRule,
     RepairController, RepairError, RepairMode, RepairOptions, RepairPlan, RepairReport,
     TraceExplorer, WhatIfSession,
 };

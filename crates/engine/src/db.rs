@@ -3,9 +3,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use resildb_sim::telemetry::names as span_names;
-use resildb_sim::{failpoints, LruMap, MetricsSnapshot, SimContext};
+use resildb_sim::{failpoints, MetricsSnapshot, ShapeCache, SimContext};
 use resildb_sql::{
     bind_statement, parse_span_literal, parse_template, scan_statement, Literal, Statement,
     StatementScan,
@@ -26,12 +26,6 @@ use crate::wal::{self, InternalTxnId, LogOp, LogRecord};
 /// working set is a few dozen shapes.
 const STMT_CACHE_CAPACITY: usize = 256;
 
-/// Shards of the parsed-statement cache. Shapes hash uniformly by
-/// fingerprint, so a handful of shards removes cross-session serialization
-/// on the statement hot path while each shard stays big enough
-/// (capacity / shards = 32 shapes) to hold a TPC-C-like working set.
-const STMT_CACHE_SHARDS: usize = 8;
-
 /// A parsed statement template cached by shape fingerprint: the literal
 /// positions hold `?` parameters that are re-bound from the incoming text
 /// on every hit.
@@ -41,14 +35,10 @@ struct CachedStatement {
     params: usize,
 }
 
-/// Point-in-time counters of the engine's parsed-statement cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StmtCacheStats {
-    /// Statements served by binding a cached template (lex+parse skipped).
-    pub hits: u64,
-    /// Statements that took the cold parse path despite being scannable.
-    pub misses: u64,
-}
+/// Point-in-time counters of the engine's parsed-statement cache: `hits`
+/// are statements served by binding a cached template (lex+parse skipped),
+/// `misses` took the cold parse path despite being scannable.
+pub use resildb_sim::ShapeCacheStats as StmtCacheStats;
 
 #[derive(Debug)]
 pub(crate) struct DbInner {
@@ -59,9 +49,7 @@ pub(crate) struct DbInner {
     pub(crate) wal: GroupCommitWal,
     locks: Arc<LockManager>,
     next_txn: AtomicU64,
-    stmt_cache: Vec<Mutex<LruMap<u128, Arc<CachedStatement>>>>,
-    stmt_cache_hits: AtomicU64,
-    stmt_cache_misses: AtomicU64,
+    stmt_cache: ShapeCache<CachedStatement>,
 }
 
 /// An embedded DBMS emulating one of the paper's three flavors.
@@ -101,11 +89,7 @@ impl Database {
                 wal: GroupCommitWal::new(),
                 locks: LockManager::new(),
                 next_txn: AtomicU64::new(1),
-                stmt_cache: (0..STMT_CACHE_SHARDS)
-                    .map(|_| Mutex::new(LruMap::new(STMT_CACHE_CAPACITY / STMT_CACHE_SHARDS)))
-                    .collect(),
-                stmt_cache_hits: AtomicU64::new(0),
-                stmt_cache_misses: AtomicU64::new(0),
+                stmt_cache: ShapeCache::new(STMT_CACHE_CAPACITY),
             }),
         }
     }
@@ -225,50 +209,28 @@ impl Database {
 
     /// Counters of the parsed-statement cache shared by all sessions.
     pub fn stmt_cache_stats(&self) -> StmtCacheStats {
-        StmtCacheStats {
-            hits: self.inner.stmt_cache_hits.load(Ordering::Relaxed),
-            misses: self.inner.stmt_cache_misses.load(Ordering::Relaxed),
-        }
+        self.inner.stmt_cache.stats()
     }
 
     /// Parses `sql`, serving repeated statement shapes from the shared
     /// template cache. A hit re-binds the cached template with the literals
     /// scanned from the incoming text, producing the exact AST a cold parse
-    /// would; any doubt (unscannable text, kind drift, unparsable literal)
-    /// falls through to the cold parser.
-    /// The statement-cache shard a fingerprint hashes to.
-    fn stmt_shard(&self, fingerprint: u128) -> &Mutex<LruMap<u128, Arc<CachedStatement>>> {
-        let h = (fingerprint as u64) ^ ((fingerprint >> 64) as u64);
-        &self.inner.stmt_cache[(h as usize) % self.inner.stmt_cache.len()]
-    }
-
+    /// would; unscannable text goes straight to the cold parser.
     fn parse_cached(&self, sql: &str) -> Result<Statement> {
         let Some(scan) = scan_statement(sql) else {
             return Ok(resildb_sql::parse_statement(sql)?);
         };
-        let cached = self
-            .stmt_shard(scan.fingerprint)
-            .lock()
-            .get(&scan.fingerprint)
-            .map(Arc::clone);
-        if let Some(entry) = cached {
-            if entry.params == scan.spans.len() {
-                if let Some(stmt) = bind_scanned(&entry.template, sql, &scan) {
-                    self.inner.stmt_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(stmt);
-                }
-            }
+        let cache = &self.inner.stmt_cache;
+        let hit = cache
+            .lookup(scan.fingerprint, |e| e.params == scan.spans.len())
+            .and_then(|entry| bind_scanned(&entry.template, sql, &scan));
+        if let Some(stmt) = hit {
+            return Ok(stmt);
         }
-        self.inner.stmt_cache_misses.fetch_add(1, Ordering::Relaxed);
         let stmt = resildb_sql::parse_statement(sql)?;
         if let Some(template) = parse_template(sql, &scan) {
-            self.stmt_shard(scan.fingerprint).lock().insert(
-                scan.fingerprint,
-                Arc::new(CachedStatement {
-                    template,
-                    params: scan.spans.len(),
-                }),
-            );
+            let params = scan.spans.len();
+            cache.insert(scan.fingerprint, CachedStatement { template, params });
         }
         Ok(stmt)
     }
@@ -367,11 +329,10 @@ impl Database {
 /// Re-binds a cached template with the literal values scanned from `sql`.
 /// `None` on any mismatch — the caller falls back to a cold parse.
 fn bind_scanned(template: &Statement, sql: &str, scan: &StatementScan) -> Option<Statement> {
-    let mut values = Vec::with_capacity(scan.spans.len());
-    for span in &scan.spans {
-        values.push(parse_span_literal(sql, span)?);
-    }
-    bind_statement(template, &values).ok()
+    let values: Option<Vec<Literal>> = (scan.spans.iter())
+        .map(|span| parse_span_literal(sql, span))
+        .collect();
+    bind_statement(template, &values?).ok()
 }
 
 /// A statement parsed once via [`Session::prepare`] and executable many

@@ -9,15 +9,12 @@
 //!
 //! One cache is shared by every connection of a [`crate::TrackingProxy`]
 //! factory (the proxy process of the paper), so concurrent clients warm it
-//! for each other. Entries are immutable behind `Arc`, and the map itself
-//! sits behind a mutex held only for the lookup/insert instant.
+//! for each other. The container — sharding, LRU eviction, counters — is
+//! a [`resildb_sim::ShapeCache`] held by [`crate::ProxyRuntime`]; this
+//! module defines what the proxy stores in it and the slot-count admission
+//! check every lookup applies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 use resildb_analyze::Verdict;
-use resildb_sim::LruMap;
 use resildb_sql::SqlTemplate;
 
 use crate::rewrite::SelectRewrite;
@@ -60,7 +57,7 @@ impl CacheEntry {
     /// `literal_spans` masked literals. Template-backed entries demand an
     /// exact slot match — the guard against fingerprint collisions and
     /// scanner drift; raw entries execute the incoming text and need none.
-    fn admits(&self, literal_spans: usize) -> bool {
+    pub(crate) fn admits(&self, literal_spans: usize) -> bool {
         match self {
             CacheEntry::Select { tmpl, .. } | CacheEntry::Write { tmpl } => {
                 tmpl.literal_slots() == literal_spans
@@ -82,172 +79,20 @@ pub(crate) struct CachedShape {
     pub(crate) verdict: Option<Verdict>,
 }
 
-/// Point-in-time counters of a [`RewriteCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RewriteCacheStats {
-    /// Lookups that replayed a cached template.
-    pub hits: u64,
-    /// Lookups that fell through to the cold rewrite path.
-    pub misses: u64,
-    /// Entries evicted to stay within capacity.
-    pub evictions: u64,
-    /// Statement shapes currently cached.
-    pub entries: usize,
-}
-
-/// Shards of a full-size rewrite cache. Small caches (capacity below
-/// [`SHARDING_THRESHOLD`]) stay single-sharded so their LRU eviction order
-/// is exact — sharding splits the capacity, which a 4-entry cache cannot
-/// afford, while the default 256-shape cache loses nothing.
-const REWRITE_CACHE_SHARDS: usize = 8;
-
-/// Minimum total capacity before the cache spreads over
-/// [`REWRITE_CACHE_SHARDS`] shards.
-const SHARDING_THRESHOLD: usize = 64;
-
-/// Concurrency-safe statement-shape → rewrite-template cache shared by all
-/// connections of one proxy factory. Sharded by fingerprint hash so cache
-/// hits from concurrent sessions never serialize on one lock.
-#[derive(Debug)]
-pub struct RewriteCache {
-    shards: Vec<Mutex<LruMap<u128, Arc<CachedShape>>>>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl RewriteCache {
-    /// Creates a cache holding up to `capacity` statement shapes
-    /// (least-recently-used eviction per shard). Zero capacity disables it.
-    pub(crate) fn new(capacity: usize) -> Self {
-        let shards = if capacity >= SHARDING_THRESHOLD {
-            REWRITE_CACHE_SHARDS
-        } else {
-            1
-        };
-        Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(LruMap::new(capacity.div_ceil(shards))))
-                .collect(),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether lookups can ever succeed (capacity > 0). Lock-free: sits on
-    /// every statement's path.
-    pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
-    }
-
-    /// The shard a fingerprint hashes to.
-    fn shard(&self, fingerprint: u128) -> &Mutex<LruMap<u128, Arc<CachedShape>>> {
-        let h = (fingerprint as u64) ^ ((fingerprint >> 64) as u64);
-        &self.shards[(h as usize) % self.shards.len()]
-    }
-
-    /// Fetches the entry for `fingerprint` if present and admissible for a
-    /// statement with `literal_spans` masked literals. Counts a hit or a
-    /// miss either way.
-    pub(crate) fn lookup(
-        &self,
-        fingerprint: u128,
-        literal_spans: usize,
-    ) -> Option<Arc<CachedShape>> {
-        let hit = {
-            let mut map = self.shard(fingerprint).lock();
-            map.get(&fingerprint)
-                .filter(|e| e.entry.admits(literal_spans))
-                .map(Arc::clone)
-        };
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    /// Stores `entry` under `fingerprint`, evicting the least recently
-    /// used shape of its shard if at capacity.
-    pub(crate) fn insert(&self, fingerprint: u128, shape: CachedShape) {
-        if self
-            .shard(fingerprint)
-            .lock()
-            .insert(fingerprint, Arc::new(shape))
-        {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> RewriteCacheStats {
-        RewriteCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.shards.iter().map(|s| s.lock().len()).sum(),
-        }
-    }
-
-    /// Folds the counters into `snap` under the `proxy.rewrite_cache.*`
-    /// metric names.
-    pub fn fold_metrics(&self, snap: &mut resildb_sim::MetricsSnapshot) {
-        let s = self.stats();
-        snap.set_counter("proxy.rewrite_cache.hits", s.hits);
-        snap.set_counter("proxy.rewrite_cache.misses", s.misses);
-        snap.set_counter("proxy.rewrite_cache.evictions", s.evictions);
-        snap.set_counter("proxy.rewrite_cache.entries", s.entries as u64);
-    }
-}
+/// Point-in-time counters of the rewrite cache.
+pub use resildb_sim::ShapeCacheStats as RewriteCacheStats;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn raw(entry: CacheEntry) -> CachedShape {
-        CachedShape {
-            entry,
-            verdict: Some(Verdict::Sound),
-        }
-    }
-
-    #[test]
-    fn lookup_counts_hits_and_misses() {
-        let cache = RewriteCache::new(4);
-        assert!(cache.lookup(1, 0).is_none());
-        cache.insert(1, raw(CacheEntry::WriteRaw));
-        assert!(cache.lookup(1, 0).is_some());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-    }
-
     #[test]
     fn slot_mismatch_is_a_miss() {
-        let cache = RewriteCache::new(4);
+        let cache = resildb_sim::ShapeCache::new(4);
         let tmpl = SqlTemplate::new("SELECT ?".into(), &[0]).unwrap();
-        cache.insert(7, raw(CacheEntry::Write { tmpl }));
-        assert!(cache.lookup(7, 2).is_none(), "wrong span count must miss");
-        assert!(cache.lookup(7, 1).is_some());
-    }
-
-    #[test]
-    fn eviction_is_counted() {
-        let cache = RewriteCache::new(1);
-        cache.insert(1, raw(CacheEntry::WriteRaw));
-        cache.insert(2, raw(CacheEntry::WriteRaw));
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.lookup(1, 0).is_none());
-        assert!(cache.lookup(2, 0).is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let cache = RewriteCache::new(0);
-        assert!(!cache.enabled());
-        cache.insert(1, raw(CacheEntry::WriteRaw));
-        assert!(cache.lookup(1, 0).is_none());
+        cache.insert(7, CacheEntry::Write { tmpl });
+        let lookup = |spans| cache.lookup(7, |e: &CacheEntry| e.admits(spans));
+        assert!(lookup(2).is_none(), "wrong span count must miss");
+        assert!(lookup(1).is_some());
     }
 }

@@ -1,7 +1,7 @@
 //! Proxy configuration.
 
 use resildb_engine::Flavor;
-use resildb_sim::{Micros, Telemetry};
+use resildb_sim::Telemetry;
 
 /// Granularity of dependency tracking.
 ///
@@ -140,22 +140,10 @@ pub struct ProxyConfig {
     /// every read-only commit (the paper's Figure 4 read-intensive numbers
     /// imply its prototype did not pay one).
     pub record_read_only_deps: bool,
-    /// CPU cost of intercepting, parsing and rewriting one statement,
-    /// charged to the virtual clock when the proxy is built with a
-    /// simulation context.
-    pub rewrite_cpu: Micros,
-    /// CPU cost of replaying a cached rewrite (fingerprint hash + literal
-    /// splice) — charged instead of [`Self::rewrite_cpu`] on a rewrite-
-    /// cache hit. The cold/cached ratio here models the measured speedup
-    /// of the template path over lex+parse+clone+print.
-    pub rewrite_cached_cpu: Micros,
     /// Capacity (in statement shapes) of the shared rewrite cache; `0`
     /// disables caching so every statement takes the cold rewrite path
     /// (ablation benchmarks, `fig4 --no-rewrite-cache`).
     pub rewrite_cache_capacity: usize,
-    /// Per-row cost (nanoseconds) of harvesting and stripping trid columns
-    /// from a result set.
-    pub harvest_per_row_ns: u64,
     /// Row-level (paper) or column-level (§6 extension) tracking.
     pub granularity: TrackingGranularity,
     /// What to do with statements the static analyzer classifies as
@@ -182,10 +170,7 @@ impl ProxyConfig {
             record_deps_at_commit: true,
             record_provenance: true,
             record_read_only_deps: false,
-            rewrite_cpu: Micros::new(50),
-            rewrite_cached_cpu: Micros::new(5),
             rewrite_cache_capacity: 256,
-            harvest_per_row_ns: 1_000,
             granularity: TrackingGranularity::Row,
             enforcement: EnforcementPolicy::Allow,
             containment: ContainmentPolicy::default(),
@@ -281,27 +266,9 @@ impl ProxyConfigBuilder {
         self
     }
 
-    /// CPU cost of a cold statement rewrite.
-    pub fn rewrite_cpu(mut self, cost: Micros) -> Self {
-        self.config.rewrite_cpu = cost;
-        self
-    }
-
-    /// CPU cost of replaying a cached rewrite.
-    pub fn rewrite_cached_cpu(mut self, cost: Micros) -> Self {
-        self.config.rewrite_cached_cpu = cost;
-        self
-    }
-
     /// Rewrite-cache capacity in statement shapes (`0` disables).
     pub fn rewrite_cache_capacity(mut self, capacity: usize) -> Self {
         self.config.rewrite_cache_capacity = capacity;
-        self
-    }
-
-    /// Per-row cost (ns) of harvesting/stripping trid columns.
-    pub fn harvest_per_row_ns(mut self, ns: u64) -> Self {
-        self.config.harvest_per_row_ns = ns;
         self
     }
 
@@ -346,7 +313,6 @@ mod tests {
         assert!(c.track_reads);
         assert!(c.record_deps_at_commit);
         assert!(!c.record_read_only_deps);
-        assert!(c.rewrite_cpu > Micros::ZERO);
         assert_eq!(c.flavor, Flavor::Sybase);
         assert_eq!(c.granularity, TrackingGranularity::Row);
     }
@@ -397,7 +363,6 @@ mod tests {
     fn rewrite_cache_defaults_and_disable() {
         let c = ProxyConfig::new(Flavor::Postgres);
         assert!(c.rewrite_cache_capacity > 0);
-        assert!(c.rewrite_cached_cpu < c.rewrite_cpu);
         let off = ProxyConfig::builder(Flavor::Postgres)
             .rewrite_cache_capacity(0)
             .build();

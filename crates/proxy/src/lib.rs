@@ -57,7 +57,7 @@ mod rewrite;
 mod setup;
 mod tracker;
 
-pub use cache::{RewriteCache, RewriteCacheStats};
+pub use cache::RewriteCacheStats;
 pub use config::{
     ContainmentPolicy, EnforcementPolicy, FenceAction, ProxyConfig, ProxyConfigBuilder,
     TrackingGranularity,

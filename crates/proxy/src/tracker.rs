@@ -8,8 +8,8 @@ use std::sync::Arc;
 use resildb_engine::{Database, EngineError, Value};
 use resildb_sim::telemetry::names as span_names;
 use resildb_sim::{
-    failpoints, EventKind, InjectedFault, MetricsSnapshot, Micros, OwnedSpan, SimContext,
-    Telemetry, TraceVerdict,
+    failpoints, EventKind, InjectedFault, MetricsSnapshot, Micros, OwnedSpan, ShapeCache,
+    SimContext, Telemetry, TraceVerdict,
 };
 use resildb_sql::{
     collect_params, parse_template, scan_statement, Expr, SqlTemplate, Statement, StatementScan,
@@ -22,13 +22,14 @@ use resildb_wire::{
 
 use resildb_analyze::{classify_statement, Verdict};
 
-use crate::cache::{CacheEntry, CachedShape, RewriteCache};
+use crate::cache::{CacheEntry, CachedShape, RewriteCacheStats};
 use crate::config::{EnforcementPolicy, ProxyConfig};
 use crate::depstore::DepStore;
 use crate::fence::{Fence, FenceDecision};
 use crate::rewrite::{
     rewrite_create_table, rewrite_insert, rewrite_insert_with, rewrite_select, rewrite_update,
-    rewrite_update_with, COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN, TRID_COLUMN,
+    rewrite_update_with, SelectOutcome, COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN,
+    TRID_COLUMN,
 };
 use crate::setup::TRACKING_TABLES;
 
@@ -116,7 +117,7 @@ pub struct ProxyRuntime {
     fence: Fence,
     counter: AtomicI64,
     sessions: AtomicU64,
-    cache: RewriteCache,
+    cache: ShapeCache<CachedShape>,
     stats: TrackerStats,
     deps: DepStore,
 }
@@ -127,9 +128,9 @@ impl ProxyRuntime {
         &self.fence
     }
 
-    /// The shared statement-shape rewrite cache.
-    pub fn rewrite_cache(&self) -> &RewriteCache {
-        &self.cache
+    /// Counters of the shared statement-shape rewrite cache.
+    pub fn rewrite_cache_stats(&self) -> RewriteCacheStats {
+        self.cache.stats()
     }
 
     /// The shared enforcement (verdict and rejection) counters.
@@ -154,7 +155,11 @@ impl ProxyRuntime {
     /// Folds every proxy counter — rewrite cache, enforcement, dependency
     /// ledger, fence — into `snap`.
     pub fn fold_metrics(&self, snap: &mut MetricsSnapshot) {
-        self.cache.fold_metrics(snap);
+        let cache = self.cache.stats();
+        snap.set_counter("proxy.rewrite_cache.hits", cache.hits);
+        snap.set_counter("proxy.rewrite_cache.misses", cache.misses);
+        snap.set_counter("proxy.rewrite_cache.evictions", cache.evictions);
+        snap.set_counter("proxy.rewrite_cache.entries", cache.entries as u64);
         self.stats.fold_metrics(snap);
         self.deps.fold_metrics(snap);
         self.fence.fold_metrics(snap);
@@ -183,7 +188,7 @@ impl TrackingProxy {
             fence: Fence::new(),
             counter: AtomicI64::new(1),
             sessions: AtomicU64::new(1),
-            cache: RewriteCache::new(config.rewrite_cache_capacity),
+            cache: ShapeCache::new(config.rewrite_cache_capacity),
             stats: TrackerStats::default(),
             deps: DepStore::new(),
         });
@@ -253,32 +258,14 @@ impl TxnTrack {
 /// Without this guard the ledger keeps the entry forever and the
 /// `proxy.trans_dep.inflight` gauge leaks a permanently-stuck count. The
 /// guard owns clones of the shared handles (no borrows of the tracker),
-/// so the regular paths `defuse` it and retire explicitly; only an unwind
-/// reaches its `Drop`.
+/// so `finish_txn` disarms it and retires explicitly; only an unwind
+/// reaches its `Drop` armed.
 struct RetireOnUnwind {
     runtime: Arc<ProxyRuntime>,
     tel: Telemetry,
     trid: i64,
     session: u64,
     armed: bool,
-}
-
-impl RetireOnUnwind {
-    fn arm(runtime: Arc<ProxyRuntime>, tel: Telemetry, trid: i64, session: u64) -> Self {
-        Self {
-            runtime,
-            tel,
-            trid,
-            session,
-            armed: true,
-        }
-    }
-
-    /// The regular paths retire the transaction themselves; defusing
-    /// hands responsibility back to them.
-    fn defuse(&mut self) {
-        self.armed = false;
-    }
 }
 
 impl Drop for RetireOnUnwind {
@@ -305,6 +292,19 @@ struct Tracker {
     /// Virtual clock to charge the proxy's own CPU costs to.
     sim: SimContext,
 }
+
+/// Virtual-clock CPU cost of intercepting, parsing and rewriting one
+/// statement cold.
+const REWRITE_CPU: Micros = Micros::new(50);
+
+/// Virtual-clock CPU cost of replaying a cached rewrite (fingerprint hash +
+/// literal splice). The cold/cached ratio models the measured speedup of
+/// the template path over lex+parse+clone+print.
+const REWRITE_CACHED_CPU: Micros = Micros::new(5);
+
+/// Virtual-clock cost (nanoseconds) of harvesting and stripping the trid
+/// columns of one result row.
+const HARVEST_PER_ROW_NS: u64 = 1_000;
 
 fn sql_str(s: &str) -> String {
     format!("'{}'", s.replace('\'', "''"))
@@ -403,20 +403,19 @@ impl Tracker {
 
     /// Charges the interception/parsing/rewriting cost for one statement.
     fn charge_rewrite(&self) {
-        self.sim.advance(self.config.rewrite_cpu);
+        self.sim.advance(REWRITE_CPU);
     }
 
     /// Charges the much smaller replay cost of a rewrite-cache hit
     /// (fingerprint hash + literal splice).
     fn charge_rewrite_cached(&self) {
-        self.sim.advance(self.config.rewrite_cached_cpu);
+        self.sim.advance(REWRITE_CACHED_CPU);
     }
 
     /// Charges the harvesting/stripping cost for `rows` result rows.
     fn charge_harvest(&self, rows: usize) {
-        self.sim.advance(Micros::from_nanos(
-            self.config.harvest_per_row_ns * rows as u64,
-        ));
+        self.sim
+            .advance(Micros::from_nanos(HARVEST_PER_ROW_NS * rows as u64));
     }
 
     /// Whether the finished transaction warrants tracking rows.
@@ -489,12 +488,18 @@ impl Tracker {
                 .prov
                 .iter()
                 .map(|(dep, table, cols)| {
+                    // A list wider than the column (200 chars) is written
+                    // as the empty string — "read columns unknown", the
+                    // wildcard convention. A truncated list would read as
+                    // complete and let a false-dependency rule prune an
+                    // edge whose derived column fell past the cut.
+                    let cols = if cols.chars().count() > 200 { "" } else { cols };
                     format!(
                         "({}, {}, {}, {})",
                         t.trid,
                         dep,
                         sql_str(table),
-                        sql_str(&cols.chars().take(200).collect::<String>())
+                        sql_str(cols)
                     )
                 })
                 .collect();
@@ -640,6 +645,48 @@ impl Tracker {
         Ok(Response::Rows(strip_columns(qr, &strip)))
     }
 
+    /// Commits the finished transaction `t` — the one commit sequence,
+    /// shared by an explicit `COMMIT` and the implicit transaction around
+    /// an autocommit write. Tracking rows and COMMIT form one atomic unit
+    /// (§3.3): if the dependency record cannot be written, or the COMMIT
+    /// fails, nothing commits — and the engine's transaction, still open
+    /// at that point, is rolled back so proxy and engine never diverge.
+    fn finish_txn(
+        &mut self,
+        t: TxnTrack,
+        downstream: &mut dyn Connection,
+    ) -> Result<Response, WireError> {
+        // A panic out of a failpoint or the engine commit would skip the
+        // retirement below, so the guard covers the unwind.
+        let mut guard = RetireOnUnwind {
+            runtime: Arc::clone(&self.runtime),
+            tel: self.tel().clone(),
+            trid: t.trid,
+            session: self.session,
+            armed: true,
+        };
+        let committed = if self.should_record(&t) {
+            self.write_tracking_rows(&t, downstream)
+        } else {
+            Ok(())
+        }
+        .and_then(|()| self.fault(failpoints::PROXY_BEFORE_COMMIT))
+        .and_then(|()| downstream.execute("COMMIT"));
+        guard.armed = false;
+        match &committed {
+            Ok(_) => {
+                self.runtime.deps.commit(t.trid, t.deps.len(), self.tel());
+                self.trace(t.trid, EventKind::Commit);
+            }
+            Err(_) => {
+                self.runtime.deps.abort(t.trid, self.tel());
+                self.trace(t.trid, EventKind::Abort);
+                self.abort_txn(downstream);
+            }
+        }
+        committed
+    }
+
     /// Executes a write statement within the current transaction, opening
     /// (and afterwards committing) an implicit one when none is active.
     /// `make_sql` receives the current proxy transaction id for rewriting.
@@ -667,37 +714,10 @@ impl Tracker {
                     t.wrote = true;
                 }
                 if implicit {
-                    // Tracking rows and COMMIT form one atomic unit (§3.3):
-                    // any failure before the COMMIT succeeds aborts the
-                    // whole transaction, on both sides.
                     let Some(t) = self.txn.take() else {
                         return Err(WireError::Protocol("transaction state missing".into()));
                     };
-                    // As in the explicit COMMIT arm: a panic out of a
-                    // failpoint or the engine commit would skip the
-                    // retirement below, so the guard covers the unwind.
-                    let mut guard = RetireOnUnwind::arm(
-                        Arc::clone(&self.runtime),
-                        self.tel().clone(),
-                        t.trid,
-                        self.session,
-                    );
-                    let finished = if self.should_record(&t) {
-                        self.write_tracking_rows(&t, downstream)
-                    } else {
-                        Ok(())
-                    }
-                    .and_then(|()| self.fault(failpoints::PROXY_BEFORE_COMMIT))
-                    .and_then(|()| downstream.execute("COMMIT").map(|_| ()));
-                    guard.defuse();
-                    if let Err(e) = finished {
-                        self.runtime.deps.abort(t.trid, self.tel());
-                        self.trace(t.trid, EventKind::Abort);
-                        self.abort_txn(downstream);
-                        return Err(e);
-                    }
-                    self.runtime.deps.commit(t.trid, t.deps.len(), self.tel());
-                    self.trace(t.trid, EventKind::Commit);
+                    self.finish_txn(t, downstream)?;
                 }
                 Ok(resp)
             }
@@ -729,55 +749,40 @@ impl Tracker {
                 return Some(CacheEntry::PassthroughRaw);
             }
         }
+        let config = &self.config;
         match cold {
-            Statement::Select(_) => {
-                if !self.config.track_reads {
-                    return Some(CacheEntry::PassthroughStrip);
-                }
-                let Statement::Select(sel) = parse_template(sql, scan)? else {
-                    return None;
-                };
-                match rewrite_select(&sel, self.config.granularity) {
-                    crate::rewrite::SelectOutcome::Rewritten { select, plan } => {
-                        let stmt = Statement::Select(select);
-                        let order = collect_params(&stmt);
-                        let tmpl = SqlTemplate::new(stmt.to_string(), &order)?;
-                        Some(CacheEntry::Select { tmpl, plan })
-                    }
-                    crate::rewrite::SelectOutcome::Passthrough(_) => {
-                        Some(CacheEntry::PassthroughStrip)
-                    }
-                }
+            Statement::Delete(_) => return Some(CacheEntry::WriteRaw),
+            Statement::Select(_) if !config.track_reads => {
+                return Some(CacheEntry::PassthroughStrip)
             }
-            Statement::Insert(_) => {
-                let Statement::Insert(ins) = parse_template(sql, scan)? else {
-                    return None;
-                };
-                let rewritten = rewrite_insert_with(
-                    &ins,
-                    Expr::Param(TRID_PARAM),
-                    self.config.flavor,
-                    self.config.granularity,
-                );
-                let stmt = Statement::Insert(rewritten);
-                let order = collect_params(&stmt);
-                let tmpl = SqlTemplate::new(stmt.to_string(), &order)?;
-                Some(CacheEntry::Write { tmpl })
-            }
-            Statement::Update(_) => {
-                let Statement::Update(upd) = parse_template(sql, scan)? else {
-                    return None;
-                };
-                let rewritten =
-                    rewrite_update_with(&upd, Expr::Param(TRID_PARAM), self.config.granularity);
-                let stmt = Statement::Update(rewritten);
-                let order = collect_params(&stmt);
-                let tmpl = SqlTemplate::new(stmt.to_string(), &order)?;
-                Some(CacheEntry::Write { tmpl })
-            }
-            Statement::Delete(_) => Some(CacheEntry::WriteRaw),
-            _ => None,
+            Statement::Select(_) | Statement::Insert(_) | Statement::Update(_) => {}
+            _ => return None,
         }
+        // The template is the cold statement with `?` for its literals;
+        // rewrite it as the cold path would, the trid a parameter too.
+        let trid = Expr::Param(TRID_PARAM);
+        let (rewritten, plan) = match parse_template(sql, scan)? {
+            Statement::Select(sel) => match rewrite_select(&sel, config.granularity) {
+                SelectOutcome::Rewritten { select, plan } => {
+                    (Statement::Select(select), Some(plan))
+                }
+                SelectOutcome::Passthrough(_) => return Some(CacheEntry::PassthroughStrip),
+            },
+            Statement::Insert(ins) => {
+                let ins = rewrite_insert_with(&ins, trid, config.flavor, config.granularity);
+                (Statement::Insert(ins), None)
+            }
+            Statement::Update(upd) => {
+                let upd = rewrite_update_with(&upd, trid, config.granularity);
+                (Statement::Update(upd), None)
+            }
+            _ => return None,
+        };
+        let tmpl = SqlTemplate::new(rewritten.to_string(), &collect_params(&rewritten))?;
+        Some(match plan {
+            Some(plan) => CacheEntry::Select { tmpl, plan },
+            None => CacheEntry::Write { tmpl },
+        })
     }
 
     /// Replays a cached statement shape for the incoming `sql`.
@@ -840,48 +845,7 @@ impl Tracker {
                 let Some(t) = self.txn.take() else {
                     return downstream.execute(sql); // let the DBMS complain
                 };
-                // §3.3: the dependency record is atomic with the
-                // transaction — if it cannot be written, nothing commits.
-                // The engine's transaction is still open at that point, so
-                // it must be rolled back; returning the error with the
-                // proxy state cleared but the engine transaction open would
-                // leave the two permanently diverged.
-                let mut guard = RetireOnUnwind::arm(
-                    Arc::clone(&self.runtime),
-                    self.tel().clone(),
-                    t.trid,
-                    self.session,
-                );
-                let recorded = if self.should_record(&t) {
-                    self.write_tracking_rows(&t, downstream)
-                } else {
-                    Ok(())
-                }
-                .and_then(|()| self.fault(failpoints::PROXY_BEFORE_COMMIT));
-                if let Err(e) = recorded {
-                    guard.defuse();
-                    self.runtime.deps.abort(t.trid, self.tel());
-                    self.trace(t.trid, EventKind::Abort);
-                    self.abort_txn(downstream);
-                    return Err(e);
-                }
-                match downstream.execute("COMMIT") {
-                    Ok(resp) => {
-                        guard.defuse();
-                        self.runtime.deps.commit(t.trid, t.deps.len(), self.tel());
-                        self.trace(t.trid, EventKind::Commit);
-                        Ok(resp)
-                    }
-                    Err(e) => {
-                        // A COMMIT that fails did not commit; make sure the
-                        // engine side is closed too.
-                        guard.defuse();
-                        self.runtime.deps.abort(t.trid, self.tel());
-                        self.trace(t.trid, EventKind::Abort);
-                        self.abort_txn(downstream);
-                        Err(e)
-                    }
-                }
+                self.finish_txn(t, downstream)
             }
             Statement::Rollback => {
                 self.clear_txn();
@@ -899,14 +863,14 @@ impl Tracker {
                     return Ok(self.strip_only(resp));
                 }
                 match rewrite_select(sel, self.config.granularity) {
-                    crate::rewrite::SelectOutcome::Rewritten { select, plan } => {
+                    SelectOutcome::Rewritten { select, plan } => {
                         let resp = downstream.execute(&select.to_string())?;
                         self.harvest_and_strip(resp, &plan)
                     }
                     // The skip reason is already accounted for by the
                     // statically computed verdict (enforcement layer); here
                     // the statement is simply forwarded.
-                    crate::rewrite::SelectOutcome::Passthrough(_) => {
+                    SelectOutcome::Passthrough(_) => {
                         let resp = downstream.execute(sql)?;
                         Ok(self.strip_only(resp))
                     }
@@ -1034,9 +998,9 @@ impl Tracker {
         if let Some(scan) = &scan {
             let hit = {
                 let _span = self.tel_span(span_names::PROXY_CACHE_LOOKUP);
-                self.runtime
-                    .cache
-                    .lookup(scan.fingerprint, scan.spans.len())
+                self.runtime.cache.lookup(scan.fingerprint, |shape| {
+                    shape.entry.admits(scan.spans.len())
+                })
             };
             if let Some(shape) = hit {
                 self.charge_rewrite_cached();

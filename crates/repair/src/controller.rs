@@ -232,20 +232,9 @@ impl RepairPlan {
     }
 }
 
-/// What a live execution did beyond the sweep itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LiveRepairStats {
-    /// Tables fenced by the initial static raise (peak containment).
-    pub fenced_tables: usize,
-    /// Rows individually fenced when the sweep started (post-shrink).
-    pub fenced_rows: usize,
-    /// Fence-extension rounds the closure needed to converge.
-    pub extension_rounds: usize,
-    /// Milliseconds spent draining pre-fence in-flight transactions.
-    pub drain_ms: u64,
-}
-
-/// Report of a completed repair.
+/// Report of a completed repair. What a live execution did to the fence
+/// (tables raised, rows fenced, extension rounds) is the incident's
+/// `IncidentRecord.progress` on the telemetry timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RepairReport {
     /// The proxy transactions rolled back.
@@ -256,8 +245,6 @@ pub struct RepairReport {
     pub saved: usize,
     /// What the compensation sweep did.
     pub outcome: CompensationOutcome,
-    /// Live-mode bookkeeping; `None` for a quiesced repair.
-    pub live: Option<LiveRepairStats>,
 }
 
 impl RepairReport {
@@ -620,7 +607,7 @@ impl RepairController {
             &BTreeSet::new(),
         )?;
         telemetry.repair_event(0, EventKind::SweepComplete { rounds: 1 });
-        Ok(build_report(analysis, undo_set.clone(), outcome, None))
+        Ok(build_report(analysis, undo_set.clone(), outcome))
     }
 
     /// Live repair: fence → drain → re-analyze → shrink → sweep →
@@ -674,7 +661,7 @@ impl RepairController {
         }
         let _lift = FenceLift { fence, telemetry };
 
-        self.live_protocol(&runtime, stale_analysis, plan, tables)
+        self.live_protocol(&runtime, stale_analysis, plan)
     }
 
     /// Everything between fence raise and fence lift.
@@ -683,7 +670,6 @@ impl RepairController {
         runtime: &ProxyRuntime,
         stale_analysis: &Analysis,
         plan: &RepairPlan,
-        raised_tables: usize,
     ) -> Result<RepairReport, RepairError> {
         let telemetry = self.db.sim().telemetry();
         let fence = runtime.fence();
@@ -705,9 +691,8 @@ impl RepairController {
         // 2. Drain: every transaction admitted before the fence went up
         //    must commit or abort before analysis, so the log prefix the
         //    closure is computed from is complete.
-        let drain_start = Instant::now();
         let watermark = runtime.trid_watermark();
-        let deadline = drain_start + DRAIN_TIMEOUT;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while runtime.any_inflight_below(watermark) {
             if Instant::now() >= deadline {
                 return Err(RepairError::Analysis(
@@ -716,7 +701,6 @@ impl RepairController {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let drain_ms = drain_start.elapsed().as_millis() as u64;
 
         // 3. Fresh analysis behind the fence, and the real closure.
         let mut analysis = self.analyze()?;
@@ -825,17 +809,7 @@ impl RepairController {
         }
 
         repair_fault(&self.db, failpoints::REPAIR_LIVE_BEFORE_LIFT)?;
-        Ok(build_report(
-            &analysis,
-            undone,
-            outcome,
-            Some(LiveRepairStats {
-                fenced_tables: raised_tables,
-                fenced_rows,
-                extension_rounds,
-                drain_ms,
-            }),
-        ))
+        Ok(build_report(&analysis, undone, outcome))
     }
 
     /// Computes the row-level quarantine for `undo`'s log records:
@@ -1034,7 +1008,6 @@ fn build_report(
     analysis: &Analysis,
     undo_set: BTreeSet<i64>,
     outcome: CompensationOutcome,
-    live: Option<LiveRepairStats>,
 ) -> RepairReport {
     let tracked = analysis.tracked_transactions();
     let rolled_back = tracked.intersection(&undo_set).count();
@@ -1043,7 +1016,6 @@ fn build_report(
         tracked_total: tracked.len(),
         saved: tracked.len() - rolled_back,
         outcome,
-        live,
     }
 }
 

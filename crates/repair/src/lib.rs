@@ -64,8 +64,7 @@ mod whatif;
 
 pub use compensate::{CompensatingStatement, CompensationOutcome};
 pub use controller::{
-    Analysis, LiveRepairStats, RepairController, RepairMode, RepairOptions, RepairPlan,
-    RepairReport,
+    Analysis, RepairController, RepairMode, RepairOptions, RepairPlan, RepairReport,
 };
 pub use correlate::TxnCorrelation;
 pub use detect::{detect, AnomalyRule, Detection};

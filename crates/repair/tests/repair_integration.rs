@@ -303,6 +303,50 @@ fn false_dependency_rule_shrinks_undo_set() {
     );
 }
 
+/// A read-column list too wide for `trans_dep_prov.read_cols` must be
+/// recorded as unknown, not cut short: a truncated list that lost the
+/// derived column would let the rule prune a true dependency.
+#[test]
+fn overflowing_read_column_list_keeps_the_dependency() {
+    let mut fx = fixture(Flavor::Postgres);
+    let wide: Vec<String> = (0..8)
+        .map(|i| format!("attribute_number_{i}_of_the_wide_table"))
+        .collect();
+    let names = format!("{}, derived_total", wide.join(", "));
+    assert!(names.len() > 200);
+    fx.exec(&format!(
+        "CREATE TABLE wide (id INTEGER PRIMARY KEY, {} FLOAT, derived_total FLOAT)",
+        wide.join(" FLOAT, ")
+    ));
+    fx.txn(
+        "load",
+        &[&format!(
+            "INSERT INTO wide (id, {names}) VALUES (1{})",
+            ", 0.0".repeat(wide.len() + 1)
+        )],
+    );
+    fx.txn(
+        "attack",
+        &["UPDATE wide SET derived_total = derived_total + 5000.0 WHERE id = 1"],
+    );
+    // Names every column; the derived one sits past the 200th character.
+    fx.txn(
+        "reader",
+        &[&format!("SELECT {names} FROM wide WHERE id = 1")],
+    );
+
+    let analysis = RepairController::new(fx.db.clone()).analyze().unwrap();
+    let rules = vec![FalseDepRule::IgnoreDerivedColumns {
+        table: "wide".into(),
+        columns: vec!["derived_total".into()],
+    }];
+    let undo = analysis.undo_set(&[fx.txn_id("attack")], &rules);
+    assert!(
+        undo.contains(&fx.txn_id("reader")),
+        "the reader consumed derived_total: a true dependent"
+    );
+}
+
 #[test]
 fn repair_removes_tracking_rows_of_undone_transactions() {
     let mut fx = fixture(Flavor::Postgres);

@@ -1,6 +1,6 @@
 //! LRU buffer pool deciding which page accesses hit memory.
 
-use std::collections::{BTreeMap, HashMap};
+use crate::lru::LruMap;
 
 /// Identifies one logical disk page: a table (or log segment) id plus a page
 /// number within it.
@@ -28,12 +28,6 @@ pub struct PageAccess {
     pub evicted_dirty: bool,
 }
 
-#[derive(Debug)]
-struct Resident {
-    last_use: u64,
-    dirty: bool,
-}
-
 /// A strict-LRU page cache.
 ///
 /// The pool tracks residency and dirtiness only — actual page *contents*
@@ -53,62 +47,36 @@ struct Resident {
 /// ```
 #[derive(Debug)]
 pub struct BufferPool {
-    capacity: usize,
-    tick: u64,
-    resident: HashMap<PageKey, Resident>,
-    by_age: BTreeMap<u64, PageKey>,
+    /// Resident pages; the value is the dirty bit.
+    pages: LruMap<PageKey, bool>,
 }
 
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages (0 disables caching).
     pub fn new(capacity: usize) -> Self {
         Self {
-            capacity,
-            tick: 0,
-            resident: HashMap::new(),
-            by_age: BTreeMap::new(),
+            pages: LruMap::new(capacity),
         }
     }
 
     /// Touches `key`, marking it dirty if `dirty`, and reports hit/eviction.
     pub fn access(&mut self, key: PageKey, dirty: bool) -> PageAccess {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.resident.get_mut(&key) {
-            self.by_age.remove(&entry.last_use);
-            entry.last_use = tick;
-            entry.dirty |= dirty;
-            self.by_age.insert(tick, key);
+        if let Some(resident_dirty) = self.pages.get_mut(&key) {
+            *resident_dirty |= dirty;
             return PageAccess {
                 hit: true,
                 evicted_dirty: false,
             };
         }
-        if self.capacity == 0 {
+        let evicted_dirty = if self.pages.capacity() == 0 {
             // Cache disabled: every access misses; dirty accesses pay the
             // write-back immediately.
-            return PageAccess {
-                hit: false,
-                evicted_dirty: dirty,
-            };
-        }
-        let mut evicted_dirty = false;
-        if self.resident.len() >= self.capacity {
-            if let Some((&age, &victim)) = self.by_age.iter().next() {
-                self.by_age.remove(&age);
-                if let Some(v) = self.resident.remove(&victim) {
-                    evicted_dirty = v.dirty;
-                }
-            }
-        }
-        self.resident.insert(
-            key,
-            Resident {
-                last_use: tick,
-                dirty,
-            },
-        );
-        self.by_age.insert(tick, key);
+            dirty
+        } else {
+            self.pages
+                .insert(key, dirty)
+                .is_some_and(|(_, evicted)| evicted)
+        };
         PageAccess {
             hit: false,
             evicted_dirty,
@@ -117,19 +85,18 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.resident.len()
+        self.pages.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
+        self.pages.is_empty()
     }
 
     /// Evicts everything (dirty pages are dropped without cost — callers
     /// flushing between benchmark phases account for that themselves).
     pub fn clear(&mut self) {
-        self.resident.clear();
-        self.by_age.clear();
+        self.pages.clear();
     }
 }
 

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod buffer;
+mod cache;
 mod clock;
 mod cost;
 mod fault;
@@ -44,10 +45,10 @@ mod rng;
 mod stats;
 
 pub use buffer::{BufferPool, PageAccess, PageKey};
+pub use cache::{ShapeCache, ShapeCacheStats};
 pub use clock::{Micros, VirtualClock};
 pub use cost::CostModel;
 pub use fault::{failpoints, FaultAction, FaultPlan, FaultTrigger, InjectedFault};
-pub use lru::LruMap;
 pub use rng::DetRng;
 pub use stats::SimStats;
 

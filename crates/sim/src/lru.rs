@@ -1,9 +1,8 @@
 //! A generic bounded least-recently-used map.
 //!
-//! Shared by the proxy's statement-template rewrite cache and the engine's
-//! parsed-statement cache; the [`BufferPool`](crate::BufferPool) keeps its
-//! own specialised implementation because it must also track dirtiness and
-//! report write-back evictions.
+//! The one LRU of the workspace: [`ShapeCache`](crate::ShapeCache) shards
+//! are `LruMap`s, and the [`BufferPool`](crate::BufferPool) is one keyed by
+//! page whose value is the dirty bit.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -31,39 +30,41 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
 
     /// Looks up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.get_mut(key).map(|v| &*v)
+    }
+
+    /// [`Self::get`] with the value handed out mutably.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.entries.get_mut(key)?;
         self.by_age.remove(&entry.0);
         entry.0 = tick;
         self.by_age.insert(tick, key.clone());
-        Some(&entry.1)
+        Some(&mut entry.1)
     }
 
     /// Inserts `key → value`, evicting the least-recently-used entry when
-    /// full. Returns whether an older entry was evicted to make room.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
+    /// full. Returns the entry evicted to make room, if any (replacing the
+    /// value of a present key evicts nothing).
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if self.capacity == 0 {
-            return false;
+            return None;
         }
         self.tick += 1;
         let tick = self.tick;
         if let Some(old) = self.entries.insert(key.clone(), (tick, value)) {
             self.by_age.remove(&old.0);
             self.by_age.insert(tick, key);
-            return false;
+            return None;
         }
         self.by_age.insert(tick, key);
-        let mut evicted = false;
-        if self.entries.len() > self.capacity {
-            if let Some((&age, victim)) = self.by_age.iter().next() {
-                let victim = victim.clone();
-                self.by_age.remove(&age);
-                self.entries.remove(&victim);
-                evicted = true;
-            }
+        if self.entries.len() <= self.capacity {
+            return None;
         }
-        evicted
+        let (_, victim) = self.by_age.pop_first()?;
+        let (_, value) = self.entries.remove(&victim)?;
+        Some((victim, value))
     }
 
     /// Number of live entries.
@@ -98,7 +99,7 @@ mod tests {
         m.insert("a", 1);
         m.insert("b", 2);
         assert_eq!(m.get(&"a"), Some(&1));
-        assert!(m.insert("c", 3), "b should be evicted");
+        assert_eq!(m.insert("c", 3), Some(("b", 2)), "b should be evicted");
         assert_eq!(m.get(&"b"), None);
         assert_eq!(m.get(&"a"), Some(&1));
         assert_eq!(m.get(&"c"), Some(&3));
@@ -109,7 +110,7 @@ mod tests {
         let mut m = LruMap::new(2);
         m.insert(1, "x");
         m.insert(2, "y");
-        assert!(!m.insert(1, "z"));
+        assert_eq!(m.insert(1, "z"), None);
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(&1), Some(&"z"));
     }
@@ -117,7 +118,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables() {
         let mut m = LruMap::new(0);
-        assert!(!m.insert(1, 1));
+        assert_eq!(m.insert(1, 1), None);
         assert_eq!(m.get(&1), None);
         assert!(m.is_empty());
     }

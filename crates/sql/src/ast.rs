@@ -505,6 +505,36 @@ impl Expr {
         }
     }
 
+    /// [`Self::walk`] with mutable access: `f` may replace the node it is
+    /// handed (the replacement's children are walked next).
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        match self {
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.walk_mut(f),
+            Expr::Binary { left, right, .. } => {
+                left.walk_mut(f);
+                right.walk_mut(f);
+            }
+            Expr::Function { args, .. } => args.iter_mut().for_each(|a| a.walk_mut(f)),
+            Expr::InList { expr, list, .. } => {
+                expr.walk_mut(f);
+                list.iter_mut().for_each(|e| e.walk_mut(f));
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                expr.walk_mut(f);
+                low.walk_mut(f);
+                high.walk_mut(f);
+            }
+            Expr::Like { expr, pattern, .. } => {
+                expr.walk_mut(f);
+                pattern.walk_mut(f);
+            }
+            Expr::Column(_) | Expr::Literal(_) | Expr::Param(_) => {}
+        }
+    }
+
     /// Collects every column referenced anywhere in the expression.
     pub fn referenced_columns(&self) -> Vec<ColumnRef> {
         let mut cols = Vec::new();

@@ -1,116 +1,137 @@
 //! Hand-written SQL lexer.
+//!
+//! Every scanning rule — trivia, numbers, strings, quoted identifiers,
+//! operators — lives once, in [`RawCursor`], which yields `(kind, byte
+//! range)` pairs without allocating. [`Lexer::tokenize`] materialises
+//! [`Token`]s from that stream; [`crate::scan_statement`] folds the same
+//! stream into a shape fingerprint plus literal spans. Token boundaries
+//! therefore cannot differ between the parser and the statement caches.
 
+use crate::ast::Literal;
 use crate::error::ParseError;
 use crate::token::{Keyword, Token};
 
-/// Converts SQL text into a stream of [`Token`]s.
-///
-/// The lexer handles `--` line comments, `/* */` block comments,
-/// single-quoted strings with `''` escaping, and double-quoted identifiers.
-///
-/// # Examples
-///
-/// ```
-/// use resildb_sql::{Lexer, Token};
-///
-/// # fn main() -> Result<(), resildb_sql::ParseError> {
-/// let tokens = Lexer::new("SELECT 1").tokenize()?;
-/// assert_eq!(tokens.len(), 3); // SELECT, 1, <eof>
-/// assert_eq!(tokens[1].0, Token::Int(1));
-/// # Ok(())
-/// # }
-/// ```
+/// Kind of a literal token: what [`crate::scan_statement`] masks and
+/// [`crate::parse_span_literal`] decodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiteralKind {
+    /// Integer literal.
+    Int,
+    /// Floating-point literal (decimal point and/or exponent).
+    Float,
+    /// Single-quoted string literal (span includes the quotes).
+    Str,
+}
+
+/// What the raw cursor saw; payloads are decoded from the byte range on
+/// demand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RawKind {
+    /// Unquoted keyword or identifier.
+    Word,
+    /// `"..."` identifier (range includes the quotes).
+    QuotedIdent,
+    /// Number or string (a string's range includes its quotes).
+    Literal(LiteralKind),
+    /// Operator or punctuation, one or two bytes; [`symbol_token`] names it.
+    Symbol,
+}
+
+/// Why the raw cursor stopped: a fixed message and the byte offset. `Copy`
+/// and allocation-free, which keeps error construction out of the
+/// fingerprint fold that runs on every statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RawError {
+    message: &'static str,
+    offset: usize,
+}
+
+const UNEXPECTED: &str = "unexpected character";
+
+impl RawError {
+    fn at(message: &'static str, offset: usize) -> Self {
+        Self { message, offset }
+    }
+
+    /// The public error; an unexpected character is named by its byte.
+    fn describe(self, input: &str) -> ParseError {
+        match input.as_bytes().get(self.offset) {
+            Some(&b) if self.message == UNEXPECTED => {
+                ParseError::new(format!("{UNEXPECTED} {:?}", b as char), self.offset)
+            }
+            _ => ParseError::new(self.message, self.offset),
+        }
+    }
+}
+
+/// One token of the raw stream: its kind and byte range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RawToken {
+    pub(crate) kind: RawKind,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+}
+
+/// The single tokenizer: a zero-allocation cursor over SQL text handling
+/// `--` line comments, `/* */` block comments, single-quoted strings with
+/// `''` escaping, and double-quoted identifiers.
 #[derive(Debug)]
-pub struct Lexer<'a> {
-    input: &'a str,
+pub(crate) struct RawCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Lexer<'a> {
-    /// Creates a lexer over `input`.
-    pub fn new(input: &'a str) -> Self {
+impl<'a> RawCursor<'a> {
+    pub(crate) fn new(input: &'a str) -> Self {
         Self {
-            input,
             bytes: input.as_bytes(),
             pos: 0,
         }
     }
 
-    /// Lexes the whole input, returning `(token, byte_offset)` pairs ending
-    /// with [`Token::Eof`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseError`] on an unterminated string/comment or an
-    /// unexpected character.
-    pub fn tokenize(mut self) -> Result<Vec<(Token, usize)>, ParseError> {
-        let mut out = Vec::new();
-        loop {
-            self.skip_trivia()?;
-            let start = self.pos;
-            let Some(c) = self.peek() else {
-                out.push((Token::Eof, start));
-                return Ok(out);
-            };
-            let token = match c {
-                b',' => self.single(Token::Comma),
-                b'(' => self.single(Token::LParen),
-                b')' => self.single(Token::RParen),
-                b';' => self.single(Token::Semicolon),
-                b'.' => self.single(Token::Dot),
-                b'*' => self.single(Token::Star),
-                b'=' => self.single(Token::Eq),
-                b'+' => self.single(Token::Plus),
-                b'-' => self.single(Token::Minus),
-                b'/' => self.single(Token::Slash),
-                b'%' => self.single(Token::Percent),
-                b'?' => self.single(Token::Question),
-                b'<' => {
+    /// Byte offset of the next unread character.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Scans the next token, or `None` at end of input.
+    #[inline]
+    pub(crate) fn next_token(&mut self) -> Result<Option<RawToken>, RawError> {
+        self.skip_trivia()?;
+        let start = self.pos;
+        let Some(c) = self.peek() else {
+            return Ok(None);
+        };
+        let kind = match c {
+            b',' | b'(' | b')' | b';' | b'.' | b'*' | b'=' | b'+' | b'-' | b'/' | b'%' | b'?' => {
+                self.symbol(1)
+            }
+            b'<' if matches!(self.peek_at(1), Some(b'=' | b'>')) => self.symbol(2),
+            b'>' if self.peek_at(1) == Some(b'=') => self.symbol(2),
+            b'<' | b'>' => self.symbol(1),
+            b'!' if self.peek_at(1) == Some(b'=') => self.symbol(2),
+            b'!' => return Err(RawError::at("expected '=' after '!'", start + 1)),
+            b'|' if self.peek_at(1) == Some(b'|') => self.symbol(2),
+            b'|' => return Err(RawError::at("expected '|' after '|'", start + 1)),
+            b'\'' => self.scan_string()?,
+            b'"' => self.scan_quoted_ident()?,
+            b'0'..=b'9' => RawKind::Literal(self.scan_number()),
+            c if c == b'_' || c.is_ascii_alphabetic() => {
+                while matches!(self.peek(), Some(c) if c == b'_' || c == b'$' || c.is_ascii_alphanumeric())
+                {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'=') => self.single(Token::LtEq),
-                        Some(b'>') => self.single(Token::Neq),
-                        _ => Token::Lt,
-                    }
                 }
-                b'>' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.single(Token::GtEq)
-                    } else {
-                        Token::Gt
-                    }
-                }
-                b'!' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'=') {
-                        self.single(Token::Neq)
-                    } else {
-                        return Err(ParseError::new("expected '=' after '!'", self.pos));
-                    }
-                }
-                b'|' => {
-                    self.pos += 1;
-                    if self.peek() == Some(b'|') {
-                        self.single(Token::Concat)
-                    } else {
-                        return Err(ParseError::new("expected '|' after '|'", self.pos));
-                    }
-                }
-                b'\'' => self.lex_string()?,
-                b'"' => self.lex_quoted_ident()?,
-                b'0'..=b'9' => self.lex_number()?,
-                c if c == b'_' || c.is_ascii_alphabetic() => self.lex_word(),
-                other => {
-                    return Err(ParseError::new(
-                        format!("unexpected character {:?}", other as char),
-                        self.pos,
-                    ));
-                }
-            };
-            out.push((token, start));
-        }
+                RawKind::Word
+            }
+            _ => {
+                return Err(RawError::at(UNEXPECTED, start));
+            }
+        };
+        Ok(Some(RawToken {
+            kind,
+            start,
+            end: self.pos,
+        }))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -121,12 +142,19 @@ impl<'a> Lexer<'a> {
         self.bytes.get(self.pos + n).copied()
     }
 
-    fn single(&mut self, t: Token) -> Token {
-        self.pos += 1;
-        t
+    fn symbol(&mut self, len: usize) -> RawKind {
+        self.pos += len;
+        RawKind::Symbol
     }
 
-    fn skip_trivia(&mut self) -> Result<(), ParseError> {
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+    }
+
+    #[inline]
+    fn skip_trivia(&mut self) -> Result<(), RawError> {
         loop {
             match self.peek() {
                 Some(c) if c.is_ascii_whitespace() => self.pos += 1,
@@ -149,7 +177,7 @@ impl<'a> Lexer<'a> {
                             }
                             (Some(_), _) => self.pos += 1,
                             (None, _) => {
-                                return Err(ParseError::new("unterminated block comment", start));
+                                return Err(RawError::at("unterminated block comment", start));
                             }
                         }
                     }
@@ -159,100 +187,169 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_string(&mut self) -> Result<Token, ParseError> {
+    /// Scans past a `'...'` string with `''` escapes. Bytewise: no byte of
+    /// a multi-byte UTF-8 character equals `'`.
+    #[inline]
+    fn scan_string(&mut self) -> Result<RawKind, RawError> {
         let start = self.pos;
         self.pos += 1; // opening quote
-        let mut value = String::new();
         loop {
             match self.peek() {
+                Some(b'\'') if self.peek_at(1) == Some(b'\'') => self.pos += 2,
                 Some(b'\'') => {
-                    if self.peek_at(1) == Some(b'\'') {
-                        value.push('\'');
-                        self.pos += 2;
-                    } else {
-                        self.pos += 1;
-                        return Ok(Token::Str(value));
-                    }
+                    self.pos += 1;
+                    return Ok(RawKind::Literal(LiteralKind::Str));
                 }
-                Some(_) => {
-                    // Consume one full UTF-8 character (peek saw a byte,
-                    // so the iterator cannot be empty).
-                    let rest = &self.input[self.pos..];
-                    let Some(ch) = rest.chars().next() else {
-                        return Err(ParseError::new("unterminated string literal", start));
-                    };
-                    value.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-                None => return Err(ParseError::new("unterminated string literal", start)),
+                Some(_) => self.pos += 1,
+                None => return Err(RawError::at("unterminated string literal", start)),
             }
         }
     }
 
-    fn lex_quoted_ident(&mut self) -> Result<Token, ParseError> {
+    #[inline]
+    fn scan_quoted_ident(&mut self) -> Result<RawKind, RawError> {
         let start = self.pos;
         self.pos += 1;
-        let ident_start = self.pos;
         while let Some(c) = self.peek() {
-            if c == b'"' {
-                let name = self.input[ident_start..self.pos].to_string();
-                self.pos += 1;
-                return Ok(Token::Ident(name));
-            }
             self.pos += 1;
+            if c == b'"' {
+                return Ok(RawKind::QuotedIdent);
+            }
         }
-        Err(ParseError::new("unterminated quoted identifier", start))
+        Err(RawError::at("unterminated quoted identifier", start))
     }
 
-    fn lex_number(&mut self) -> Result<Token, ParseError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
+    /// Scans past a number: digits, an optional `.digits` fraction (a dot
+    /// not followed by a digit is left for the next token), an optional
+    /// exponent (likewise only when digits follow).
+    #[inline]
+    fn scan_number(&mut self) -> LiteralKind {
+        let mut kind = LiteralKind::Int;
+        self.skip_digits();
         if self.peek() == Some(b'.') && matches!(self.peek_at(1), Some(c) if c.is_ascii_digit()) {
-            is_float = true;
+            kind = LiteralKind::Float;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            let mut look = 1;
-            if matches!(self.peek_at(1), Some(b'+' | b'-')) {
-                look = 2;
-            }
+            let look = if matches!(self.peek_at(1), Some(b'+' | b'-')) {
+                2
+            } else {
+                1
+            };
             if matches!(self.peek_at(look), Some(c) if c.is_ascii_digit()) {
-                is_float = true;
+                kind = LiteralKind::Float;
                 self.pos += look + 1;
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
+                self.skip_digits();
             }
         }
-        let text = &self.input[start..self.pos];
-        if is_float {
-            text.parse::<f64>()
-                .map(Token::Float)
-                .map_err(|_| ParseError::new(format!("invalid float literal {text:?}"), start))
-        } else {
-            text.parse::<i64>().map(Token::Int).map_err(|_| {
-                ParseError::new(format!("integer literal out of range {text:?}"), start)
-            })
+        kind
+    }
+}
+
+/// Names a [`RawKind::Symbol`] from the one or two bytes the cursor
+/// delimited.
+fn symbol_token(text: &str) -> Token {
+    match text {
+        "," => Token::Comma,
+        "(" => Token::LParen,
+        ")" => Token::RParen,
+        ";" => Token::Semicolon,
+        "." => Token::Dot,
+        "*" => Token::Star,
+        "=" => Token::Eq,
+        "+" => Token::Plus,
+        "-" => Token::Minus,
+        "/" => Token::Slash,
+        "%" => Token::Percent,
+        "?" => Token::Question,
+        "<" => Token::Lt,
+        "<=" => Token::LtEq,
+        ">" => Token::Gt,
+        ">=" => Token::GtEq,
+        "||" => Token::Concat,
+        // `<>` and `!=`: the only other spellings the cursor yields.
+        _ => Token::Neq,
+    }
+}
+
+/// Decodes a literal's typed value from its source text (`''` unescaped).
+/// `None` for a value out of range, or text that is not a `kind` literal.
+pub(crate) fn decode_literal(kind: LiteralKind, text: &str) -> Option<Literal> {
+    match kind {
+        LiteralKind::Int => text.parse().ok().map(Literal::Int),
+        LiteralKind::Float => text.parse().ok().map(Literal::Float),
+        LiteralKind::Str => {
+            let body = text.strip_prefix('\'')?.strip_suffix('\'')?;
+            Some(Literal::Str(body.replace("''", "'")))
         }
     }
+}
 
-    fn lex_word(&mut self) -> Token {
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c == b'_' || c == b'$' || c.is_ascii_alphanumeric())
-        {
-            self.pos += 1;
+/// Converts SQL text into a stream of [`Token`]s.
+///
+/// The lexer handles `--` line comments, `/* */` block comments,
+/// single-quoted strings with `''` escaping, and double-quoted identifiers.
+///
+/// # Examples
+///
+/// ```
+/// use resildb_sql::{Lexer, Token};
+///
+/// # fn main() -> Result<(), resildb_sql::ParseError> {
+/// let tokens = Lexer::new("SELECT 1").tokenize()?;
+/// assert_eq!(tokens.len(), 3); // SELECT, 1, <eof>
+/// assert_eq!(tokens[1].0, Token::Int(1));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    input: &'a str,
+}
+
+impl<'a> Lexer<'a> {
+    /// Creates a lexer over `input`.
+    pub fn new(input: &'a str) -> Self {
+        Self { input }
+    }
+
+    /// Lexes the whole input, returning `(token, byte_offset)` pairs ending
+    /// with [`Token::Eof`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] on an unterminated string/comment, an
+    /// unexpected character or an out-of-range number.
+    pub fn tokenize(self) -> Result<Vec<(Token, usize)>, ParseError> {
+        let mut cursor = RawCursor::new(self.input);
+        let mut out = Vec::new();
+        while let Some(raw) = cursor.next_token().map_err(|e| e.describe(self.input))? {
+            let text = &self.input[raw.start..raw.end];
+            let token = match raw.kind {
+                RawKind::Symbol => symbol_token(text),
+                RawKind::Word => match Keyword::from_ident(text) {
+                    Some(kw) => Token::Keyword(kw),
+                    None => Token::Ident(text.to_string()),
+                },
+                RawKind::QuotedIdent => Token::Ident(text[1..text.len() - 1].to_string()),
+                RawKind::Literal(kind) => match decode_literal(kind, text) {
+                    Some(Literal::Int(v)) => Token::Int(v),
+                    Some(Literal::Float(v)) => Token::Float(v),
+                    Some(Literal::Str(s)) => Token::Str(s),
+                    // Only an integer can fail: every scanned float parses.
+                    _ => {
+                        return Err(ParseError::new(
+                            format!("integer literal out of range {text:?}"),
+                            raw.start,
+                        ));
+                    }
+                },
+            };
+            out.push((token, raw.start));
         }
-        let word = &self.input[start..self.pos];
-        match Keyword::from_ident(word) {
-            Some(kw) => Token::Keyword(kw),
-            None => Token::Ident(word.to_string()),
-        }
+        out.push((Token::Eof, cursor.pos()));
+        Ok(out)
     }
 }
 

@@ -57,12 +57,12 @@ pub use ast::{
     TRID_PARAM,
 };
 pub use error::ParseError;
-pub use lexer::Lexer;
+pub use lexer::{Lexer, LiteralKind};
 pub use parser::Parser;
 pub use rw::{statement_access, ColumnSet, StatementAccess, TableRead, TableWrite, WriteKind};
 pub use template::{
     bind_statement, collect_params, parse_span_literal, parse_template, scan_statement, BindError,
-    LiteralKind, LiteralSpan, SqlTemplate, StatementScan, TemplateSlot,
+    LiteralSpan, SqlTemplate, StatementScan, TemplateSlot,
 };
 pub use token::{Keyword, Token};
 

@@ -55,11 +55,8 @@ impl Parser {
     /// # Errors
     ///
     /// Returns [`ParseError`] on malformed or trailing input.
-    pub fn parse_single_statement(mut self) -> Result<Statement, ParseError> {
-        let stmt = self.parse_statement()?;
-        while self.eat(&Token::Semicolon) {}
-        self.expect(&Token::Eof)?;
-        Ok(stmt)
+    pub fn parse_single_statement(self) -> Result<Statement, ParseError> {
+        self.parse_single_with_param_count().map(|(stmt, _)| stmt)
     }
 
     /// Like [`Self::parse_single_statement`] but also reports how many `?`

@@ -6,11 +6,12 @@
 //! the full rewrite **once per statement shape** and replay it with a hash
 //! lookup plus a literal splice:
 //!
-//! 1. [`scan_statement`] makes one allocation-light pass over the raw SQL,
-//!    producing a literal-masking [fingerprint](StatementScan::fingerprint)
-//!    (same shape ⇒ same fingerprint, à la `pg_stat_statements`) and the
-//!    byte spans of the maskable literals.
-//! 2. On a cache miss, [`parse_template`] re-lexes the statement with those
+//! 1. [`scan_statement`] folds the lexer's raw token stream (one
+//!    allocation-light pass over the SQL) into a literal-masking
+//!    [fingerprint](StatementScan::fingerprint) (same shape ⇒ same
+//!    fingerprint, à la `pg_stat_statements`) and the byte spans of the
+//!    maskable literals.
+//! 2. On a cache miss, [`parse_template`] tokenizes the statement with those
 //!    literals replaced by `?` placeholders, yielding a [`Statement`] whose
 //!    [`Expr::Param`] nodes stand in for the literals. The proxy rewrites
 //!    that AST as usual and captures the printed text as a [`SqlTemplate`].
@@ -19,27 +20,17 @@
 //!    parsing at all.
 //!
 //! Masking is deliberately conservative; see [`scan_statement`] for the
-//! exact rules. Whenever the scanner, the lexer and the parser do not agree
-//! perfectly, callers fall back to the cold path, so the cache can only
+//! exact rules. Fingerprint, spans and tokens come from the one tokenizer in
+//! [`crate::lexer`]; whenever the parser cannot accept a placeholder where a
+//! literal stood, callers fall back to the cold path, so the cache can only
 //! reproduce what the cold path would have produced.
 
 use crate::ast::{Expr, Literal, SelectItem, Statement, TRID_PARAM};
 use crate::error::ParseError;
-use crate::lexer::Lexer;
+use crate::lexer::{decode_literal, Lexer, LiteralKind, RawCursor, RawKind};
 use crate::parser::Parser;
 use crate::token::Token;
 use std::fmt;
-
-/// Kind of a maskable literal found by [`scan_statement`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiteralKind {
-    /// Integer literal.
-    Int,
-    /// Floating-point literal (decimal point and/or exponent).
-    Float,
-    /// Single-quoted string literal (span includes the quotes).
-    Str,
-}
 
 /// Byte span of one maskable literal in the raw SQL text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,138 +83,34 @@ enum Prev {
     Other,
 }
 
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    h1: u64,
-    h2: u64,
-    spans: Vec<LiteralSpan>,
-    prev: Prev,
+/// The two running FNV-1a states of a shape fingerprint.
+struct ShapeHash(u64, u64);
+
+impl ShapeHash {
+    fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        self.1 = (self.1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.byte(b);
+        }
+    }
 }
 
-impl<'a> Scanner<'a> {
-    fn new(sql: &'a str) -> Self {
-        Self {
-            bytes: sql.as_bytes(),
-            pos: 0,
-            h1: FNV_OFFSET_A,
-            h2: FNV_OFFSET_B,
-            spans: Vec::new(),
-            prev: Prev::Start,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn peek_at(&self, n: usize) -> Option<u8> {
-        self.bytes.get(self.pos + n).copied()
-    }
-
-    fn hash_byte(&mut self, b: u8) {
-        self.h1 = (self.h1 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        self.h2 = (self.h2 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-
-    fn hash_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash_byte(b);
-        }
-    }
-
-    /// Skips whitespace and comments (not hashed — they cannot change the
-    /// parse). Returns `false` on an unterminated block comment.
-    fn skip_trivia(&mut self) -> bool {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => self.pos += 1,
-                Some(b'-') if self.peek_at(1) == Some(b'-') => {
-                    while let Some(c) = self.peek() {
-                        self.pos += 1;
-                        if c == b'\n' {
-                            break;
-                        }
-                    }
-                }
-                Some(b'/') if self.peek_at(1) == Some(b'*') => {
-                    self.pos += 2;
-                    loop {
-                        match (self.peek(), self.peek_at(1)) {
-                            (Some(b'*'), Some(b'/')) => {
-                                self.pos += 2;
-                                break;
-                            }
-                            (Some(_), _) => self.pos += 1,
-                            (None, _) => return false,
-                        }
-                    }
-                }
-                _ => return true,
-            }
-        }
-    }
-
-    /// Scans past a number, mirroring the lexer's rules exactly.
-    /// Returns its kind, or `None` for an integer too long to fit `i64`
-    /// (the cold path must surface that error).
-    fn scan_number(&mut self) -> Option<LiteralKind> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let int_digits = self.pos - start;
-        let mut kind = LiteralKind::Int;
-        if self.peek() == Some(b'.') && matches!(self.peek_at(1), Some(c) if c.is_ascii_digit()) {
-            kind = LiteralKind::Float;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            let mut look = 1;
-            if matches!(self.peek_at(1), Some(b'+' | b'-')) {
-                look = 2;
-            }
-            if matches!(self.peek_at(look), Some(c) if c.is_ascii_digit()) {
-                kind = LiteralKind::Float;
-                self.pos += look + 1;
-                while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-            }
-        }
-        if kind == LiteralKind::Int && int_digits > 18 {
-            return None; // may overflow i64; let the cold path report it
-        }
-        Some(kind)
-    }
-
-    /// Scans past a `'...'` string (with `''` escapes). Returns `false` if
-    /// unterminated.
-    fn scan_string(&mut self) -> bool {
-        self.pos += 1; // opening quote
-        loop {
-            match self.peek() {
-                Some(b'\'') => {
-                    if self.peek_at(1) == Some(b'\'') {
-                        self.pos += 2;
-                    } else {
-                        self.pos += 1;
-                        return true;
-                    }
-                }
-                Some(_) => self.pos += 1,
-                None => return false,
-            }
-        }
-    }
+fn is_dml_verb(word: &[u8]) -> bool {
+    word.eq_ignore_ascii_case(b"select")
+        || word.eq_ignore_ascii_case(b"insert")
+        || word.eq_ignore_ascii_case(b"update")
+        || word.eq_ignore_ascii_case(b"delete")
 }
 
 /// Fingerprints `sql`, masking the literals a cached template can splice
-/// back in. Returns `None` whenever the statement must take the cold
-/// (full-parse) path instead:
+/// back in: a fold over the lexer's raw token stream, hashing every
+/// non-literal token's text (whitespace and comments are not tokens and
+/// cannot change the parse). Returns `None` whenever the statement must
+/// take the cold (full-parse) path instead:
 ///
 /// * the first keyword is not `SELECT` / `INSERT` / `UPDATE` / `DELETE`
 ///   (DDL and transaction control are not worth caching);
@@ -245,157 +132,80 @@ pub fn scan_statement(sql: &str) -> Option<StatementScan> {
     if bytes.contains(&b'?') {
         return None;
     }
-    let mut s = Scanner::new(sql);
-    loop {
-        if !s.skip_trivia() {
-            return None;
-        }
-        let start = s.pos;
-        let Some(c) = s.peek() else {
-            break;
-        };
-        s.hash_byte(SEP);
-        match c {
-            b',' | b'(' | b')' | b';' | b'.' | b'*' | b'=' | b'+' | b'/' | b'%' => {
-                s.pos += 1;
-                s.hash_byte(c);
-                s.prev = Prev::Other;
-            }
-            b'-' => {
-                s.pos += 1;
-                s.hash_byte(c);
-                s.prev = Prev::Minus;
-            }
-            b'<' | b'>' => {
-                s.pos += 1;
-                if matches!(
-                    (c, s.peek()),
-                    (b'<', Some(b'=' | b'>')) | (b'>', Some(b'='))
-                ) {
-                    s.pos += 1;
+    let mut cursor = RawCursor::new(sql);
+    let mut hash = ShapeHash(FNV_OFFSET_A, FNV_OFFSET_B);
+    let mut spans = Vec::new();
+    let mut prev = Prev::Start;
+    while let Some(tok) = cursor.next_token().ok()? {
+        let text = &bytes[tok.start..tok.end];
+        hash.byte(SEP);
+        let mut next = Prev::Other;
+        match tok.kind {
+            RawKind::Literal(kind) => {
+                if kind == LiteralKind::Int && text.len() > 18 {
+                    return None; // may overflow i64; let the cold path report it
                 }
-                s.hash_bytes(&bytes[start..s.pos]);
-                s.prev = Prev::Other;
-            }
-            b'!' => {
-                s.pos += 1;
-                if s.peek() != Some(b'=') {
-                    return None;
-                }
-                s.pos += 1;
-                // `!=` and `<>` lex to the same token; hash them alike.
-                s.hash_bytes(b"<>");
-                s.prev = Prev::Other;
-            }
-            b'|' => {
-                s.pos += 1;
-                if s.peek() != Some(b'|') {
-                    return None;
-                }
-                s.pos += 1;
-                s.hash_bytes(b"||");
-                s.prev = Prev::Other;
-            }
-            b'\'' => {
-                if !s.scan_string() {
-                    return None;
-                }
-                s.hash_byte(MASKED);
-                s.spans.push(LiteralSpan {
-                    start,
-                    end: s.pos,
-                    kind: LiteralKind::Str,
-                });
-                s.prev = Prev::Other;
-            }
-            b'"' => {
-                s.pos += 1;
-                loop {
-                    match s.peek() {
-                        Some(b'"') => {
-                            s.pos += 1;
-                            break;
-                        }
-                        Some(_) => s.pos += 1,
-                        None => return None,
-                    }
-                }
-                s.hash_bytes(&bytes[start..s.pos]);
-                s.prev = Prev::Other;
-            }
-            b'0'..=b'9' => {
-                let kind = s.scan_number()?;
-                if matches!(s.prev, Prev::LimitKw | Prev::Minus) {
-                    s.hash_bytes(&bytes[start..s.pos]);
+                if kind != LiteralKind::Str && matches!(prev, Prev::LimitKw | Prev::Minus) {
+                    hash.bytes(text);
                 } else {
-                    s.hash_byte(MASKED);
-                    s.spans.push(LiteralSpan {
-                        start,
-                        end: s.pos,
+                    hash.byte(MASKED);
+                    spans.push(LiteralSpan {
+                        start: tok.start,
+                        end: tok.end,
                         kind,
                     });
                 }
-                s.prev = Prev::Other;
             }
-            c if c == b'_' || c.is_ascii_alphabetic() => {
-                while matches!(s.peek(), Some(c) if c == b'_' || c == b'$' || c.is_ascii_alphanumeric())
-                {
-                    s.pos += 1;
+            // The first byte names the two symbols that matter here: `!`
+            // only starts `!=`, the same token as `<>` and hashed as it;
+            // `-` makes a following number part of the shape.
+            RawKind::Symbol => match text[0] {
+                b'!' => hash.bytes(b"<>"),
+                b'-' => {
+                    hash.byte(b'-');
+                    next = Prev::Minus;
                 }
-                let word = &bytes[start..s.pos];
-                if s.prev == Prev::Start
-                    && !(word.eq_ignore_ascii_case(b"select")
-                        || word.eq_ignore_ascii_case(b"insert")
-                        || word.eq_ignore_ascii_case(b"update")
-                        || word.eq_ignore_ascii_case(b"delete"))
-                {
+                _ => hash.bytes(text),
+            },
+            RawKind::Word => {
+                if prev == Prev::Start && !is_dml_verb(text) {
                     return None;
                 }
-                s.hash_bytes(word);
-                s.prev = if word.eq_ignore_ascii_case(b"limit") {
-                    Prev::LimitKw
-                } else {
-                    Prev::Other
-                };
+                hash.bytes(text);
+                if text.eq_ignore_ascii_case(b"limit") {
+                    next = Prev::LimitKw;
+                }
             }
-            _ => return None,
+            RawKind::QuotedIdent => hash.bytes(text),
         }
+        prev = next;
     }
-    if s.prev == Prev::Start {
+    if prev == Prev::Start {
         return None; // empty statement
     }
     Some(StatementScan {
-        fingerprint: (u128::from(s.h1) << 64) | u128::from(s.h2),
-        spans: s.spans,
+        fingerprint: (u128::from(hash.0) << 64) | u128::from(hash.1),
+        spans,
     })
 }
 
-/// Parses `sql` with the literals in `scan.spans` replaced by parameter
+/// Parses `sql` with the literals in `scan.spans` (from
+/// [`scan_statement`] of the same text) replaced by parameter
 /// placeholders, producing the statement **template**: an AST identical to
 /// the cold parse except that each masked literal is an [`Expr::Param`]
 /// numbered by its source position (`Param(k)` ⇔ `scan.spans[k]`).
 ///
-/// Returns `None` when the scanner's view of the text disagrees with the
-/// lexer/parser in any way (different token boundaries, a placeholder that
-/// lands somewhere the grammar cannot accept one, a parse error) — callers
+/// Spans and tokens come from one tokenizer, so each span starts exactly
+/// at a literal token. Returns `None` when the statement does not parse,
+/// or a placeholder lands where the grammar cannot accept one — callers
 /// must then use the cold path.
 pub fn parse_template(sql: &str, scan: &StatementScan) -> Option<Statement> {
     let mut tokens = Lexer::new(sql).tokenize().ok()?;
-    let mut next_span = 0usize;
-    for (tok, off) in tokens.iter_mut() {
-        let Some(span) = scan.spans.get(next_span) else {
-            break;
-        };
-        if *off == span.start {
-            if !matches!(tok, Token::Int(_) | Token::Float(_) | Token::Str(_)) {
-                return None;
-            }
+    let mut spans = scan.spans.iter().peekable();
+    for (tok, off) in &mut tokens {
+        if spans.next_if(|span| span.start == *off).is_some() {
             *tok = Token::Question;
-            next_span += 1;
         }
-    }
-    if next_span != scan.spans.len() {
-        return None;
     }
     let (stmt, params) = Parser::from_tokens(tokens)
         .parse_single_with_param_count()
@@ -403,61 +213,46 @@ pub fn parse_template(sql: &str, scan: &StatementScan) -> Option<Statement> {
     (params as usize == scan.spans.len()).then_some(stmt)
 }
 
-fn collect_expr_params(e: &Expr, out: &mut Vec<u32>) {
-    e.walk(&mut |node| {
-        if let Expr::Param(i) = node {
+/// Visits every expression node of `stmt`, clause by clause in **printed
+/// order** — the order in which the `Display` impls emit them. The clause
+/// order mirrors [`crate::printer`] exactly; within one expression,
+/// pre-order traversal matches print order because every `Display` arm
+/// emits its operands left-to-right.
+fn walk_exprs_mut(stmt: &mut Statement, f: &mut impl FnMut(&mut Expr)) {
+    match stmt {
+        Statement::Select(s) => {
+            let items = s.items.iter_mut().filter_map(|item| match item {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            });
+            let order = s.order_by.iter_mut().map(|o| &mut o.expr);
+            (items
+                .chain(&mut s.where_clause)
+                .chain(&mut s.group_by)
+                .chain(order))
+            .for_each(|e| e.walk_mut(f));
+        }
+        Statement::Insert(i) => i.rows.iter_mut().flatten().for_each(|e| e.walk_mut(f)),
+        Statement::Update(u) => {
+            let values = u.assignments.iter_mut().map(|a| &mut a.value);
+            (values.chain(&mut u.where_clause)).for_each(|e| e.walk_mut(f));
+        }
+        Statement::Delete(d) => d.where_clause.iter_mut().for_each(|e| e.walk_mut(f)),
+        _ => {}
+    }
+}
+
+/// Lists the parameter indices of `stmt` in **printed order**: the k-th
+/// `?` of the printed text stands for parameter `result[k]`.
+pub fn collect_params(stmt: &Statement) -> Vec<u32> {
+    let mut out = Vec::new();
+    // The one clause walk hands out `&mut`; copying the statement on this
+    // cold path (once per cached shape) beats keeping a second walk in step.
+    walk_exprs_mut(&mut stmt.clone(), &mut |e| {
+        if let Expr::Param(i) = e {
             out.push(*i);
         }
     });
-}
-
-/// Lists the parameter indices of `stmt` in **printed order** — the order
-/// in which the `Display` impls emit the corresponding `?` characters.
-///
-/// The clause walk below mirrors [`crate::printer`] exactly; within one
-/// expression, pre-order traversal matches print order because every
-/// `Display` arm emits its operands left-to-right.
-pub fn collect_params(stmt: &Statement) -> Vec<u32> {
-    let mut out = Vec::new();
-    match stmt {
-        Statement::Select(s) => {
-            for item in &s.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    collect_expr_params(expr, &mut out);
-                }
-            }
-            if let Some(w) = &s.where_clause {
-                collect_expr_params(w, &mut out);
-            }
-            for e in &s.group_by {
-                collect_expr_params(e, &mut out);
-            }
-            for o in &s.order_by {
-                collect_expr_params(&o.expr, &mut out);
-            }
-        }
-        Statement::Insert(i) => {
-            for row in &i.rows {
-                for e in row {
-                    collect_expr_params(e, &mut out);
-                }
-            }
-        }
-        Statement::Update(u) => {
-            for a in &u.assignments {
-                collect_expr_params(&a.value, &mut out);
-            }
-            if let Some(w) = &u.where_clause {
-                collect_expr_params(w, &mut out);
-            }
-        }
-        Statement::Delete(d) => {
-            if let Some(w) = &d.where_clause {
-                collect_expr_params(w, &mut out);
-            }
-        }
-        _ => {}
-    }
     out
 }
 
@@ -525,11 +320,6 @@ impl SqlTemplate {
         self.literal_slots
     }
 
-    /// The template text (placeholders included) — for diagnostics.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
     /// Renders the final SQL by copying each masked literal's source text
     /// from `raw` (per `spans`) and the decimal rendering of `trid` into
     /// the slots.
@@ -537,7 +327,7 @@ impl SqlTemplate {
     /// Callers must have verified `spans.len() == self.literal_slots()`;
     /// out-of-range slots panic (indicating a missed verification).
     pub fn splice(&self, raw: &str, spans: &[LiteralSpan], trid: i64) -> String {
-        let mut trid_buf = itoa_buf();
+        let mut trid_buf = [0u8; 21];
         let trid_text = format_i64(trid, &mut trid_buf);
         let extra: usize = spans.iter().map(|s| s.end - s.start).sum();
         let mut out = String::with_capacity(self.text.len() + extra + trid_text.len());
@@ -555,11 +345,7 @@ impl SqlTemplate {
     }
 }
 
-/// Fixed buffer for rendering an `i64` without allocating.
-fn itoa_buf() -> [u8; 21] {
-    [0u8; 21]
-}
-
+/// Renders an `i64` into a fixed buffer without allocating.
 fn format_i64(v: i64, buf: &mut [u8; 21]) -> &str {
     let mut u = v.unsigned_abs();
     let mut i = buf.len();
@@ -579,19 +365,11 @@ fn format_i64(v: i64, buf: &mut [u8; 21]) -> &str {
     std::str::from_utf8(&buf[i..]).unwrap_or("0")
 }
 
-/// Parses the typed value of a masked literal from its source text,
-/// mirroring the lexer's literal rules (including `''` unescaping).
+/// Parses the typed value of a masked literal from its source text with
+/// the lexer's own literal decoder (including `''` unescaping).
 /// Returns `None` for out-of-range values — callers fall back cold.
 pub fn parse_span_literal(raw: &str, span: &LiteralSpan) -> Option<Literal> {
-    let text = span.text(raw);
-    match span.kind {
-        LiteralKind::Int => text.parse::<i64>().ok().map(Literal::Int),
-        LiteralKind::Float => text.parse::<f64>().ok().map(Literal::Float),
-        LiteralKind::Str => {
-            let body = text.strip_prefix('\'')?.strip_suffix('\'')?;
-            Some(Literal::Str(body.replace("''", "'")))
-        }
-    }
+    decode_literal(span.kind, span.text(raw))
 }
 
 /// Error binding parameter values into a statement template.
@@ -612,87 +390,6 @@ impl From<BindError> for ParseError {
     }
 }
 
-fn bind_expr(e: &Expr, params: &[Literal]) -> Result<Expr, BindError> {
-    Ok(match e {
-        Expr::Param(i) => {
-            if *i == TRID_PARAM {
-                return Err(BindError("trid slot cannot be bound as a value".into()));
-            }
-            let lit = params.get(*i as usize).ok_or_else(|| {
-                BindError(format!(
-                    "parameter ?{i} out of range ({} values bound)",
-                    params.len()
-                ))
-            })?;
-            Expr::Literal(lit.clone())
-        }
-        Expr::Column(_) | Expr::Literal(_) => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(bind_expr(expr, params)?),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(bind_expr(left, params)?),
-            op: *op,
-            right: Box::new(bind_expr(right, params)?),
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-            star,
-        } => Expr::Function {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| bind_expr(a, params))
-                .collect::<Result<_, _>>()?,
-            distinct: *distinct,
-            star: *star,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(bind_expr(expr, params)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(bind_expr(expr, params)?),
-            list: list
-                .iter()
-                .map(|e| bind_expr(e, params))
-                .collect::<Result<_, _>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(bind_expr(expr, params)?),
-            low: Box::new(bind_expr(low, params)?),
-            high: Box::new(bind_expr(high, params)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(bind_expr(expr, params)?),
-            pattern: Box::new(bind_expr(pattern, params)?),
-            negated: *negated,
-        },
-    })
-}
-
-fn bind_opt(e: &Option<Expr>, params: &[Literal]) -> Result<Option<Expr>, BindError> {
-    e.as_ref().map(|e| bind_expr(e, params)).transpose()
-}
-
 /// Substitutes `params[i]` for every `Param(i)` in `stmt`, producing the
 /// statement the cold path would have parsed from the literal-bearing SQL.
 ///
@@ -701,49 +398,24 @@ fn bind_opt(e: &Option<Expr>, params: &[Literal]) -> Result<Option<Expr>, BindEr
 /// A parameter index with no bound value, or a [`TRID_PARAM`] slot (those
 /// exist only in proxy-side templates, which splice text instead).
 pub fn bind_statement(stmt: &Statement, params: &[Literal]) -> Result<Statement, BindError> {
-    Ok(match stmt {
-        Statement::Select(s) => {
-            let mut out = s.clone();
-            for item in &mut out.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    *expr = bind_expr(expr, params)?;
-                }
+    let mut out = stmt.clone();
+    let mut unbound = None;
+    walk_exprs_mut(&mut out, &mut |e| {
+        if let Expr::Param(i) = *e {
+            match params.get(i as usize) {
+                Some(lit) if i != TRID_PARAM => *e = Expr::Literal(lit.clone()),
+                _ => unbound = unbound.or(Some(i)),
             }
-            out.where_clause = bind_opt(&s.where_clause, params)?;
-            out.group_by = s
-                .group_by
-                .iter()
-                .map(|e| bind_expr(e, params))
-                .collect::<Result<_, _>>()?;
-            for o in &mut out.order_by {
-                o.expr = bind_expr(&o.expr, params)?;
-            }
-            Statement::Select(out)
         }
-        Statement::Insert(i) => {
-            let mut out = i.clone();
-            out.rows = i
-                .rows
-                .iter()
-                .map(|row| row.iter().map(|e| bind_expr(e, params)).collect())
-                .collect::<Result<_, _>>()?;
-            Statement::Insert(out)
-        }
-        Statement::Update(u) => {
-            let mut out = u.clone();
-            for a in &mut out.assignments {
-                a.value = bind_expr(&a.value, params)?;
-            }
-            out.where_clause = bind_opt(&u.where_clause, params)?;
-            Statement::Update(out)
-        }
-        Statement::Delete(d) => {
-            let mut out = d.clone();
-            out.where_clause = bind_opt(&d.where_clause, params)?;
-            Statement::Delete(out)
-        }
-        other => other.clone(),
-    })
+    });
+    match unbound {
+        None => Ok(out),
+        Some(TRID_PARAM) => Err(BindError("trid slot cannot be bound as a value".into())),
+        Some(i) => Err(BindError(format!(
+            "parameter ?{i} out of range ({} values bound)",
+            params.len()
+        ))),
+    }
 }
 
 #[cfg(test)]

@@ -2,193 +2,94 @@
 
 use std::fmt;
 
-/// A reserved word recognised by the lexer.
-///
-/// Identifiers that match a keyword case-insensitively are lexed as
-/// [`Token::Keyword`]; everything else becomes [`Token::Ident`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)] // variants are self-describing SQL keywords
-pub enum Keyword {
-    Select,
-    From,
-    Where,
-    Group,
-    Order,
-    By,
-    Asc,
-    Desc,
-    Limit,
-    Insert,
-    Into,
-    Values,
-    Update,
-    Set,
-    Delete,
-    Create,
-    Drop,
-    Table,
-    Primary,
-    Key,
-    Not,
-    Null,
-    Identity,
-    Default,
-    And,
-    Or,
-    In,
-    Between,
-    Like,
-    Is,
-    As,
-    Distinct,
-    Begin,
-    Commit,
-    Rollback,
-    Transaction,
-    Work,
-    True,
-    False,
-    For,
-    Of,
-    Integer,
-    Int,
-    Bigint,
-    Float,
-    Real,
-    Double,
-    Precision,
-    Numeric,
-    Decimal,
-    Varchar,
-    Char,
-    Text,
-    Timestamp,
+/// Declares [`Keyword`] from one list of `Variant => "SPELLING"` pairs, so
+/// the enum, the lookup and the canonical spelling cannot drift apart.
+macro_rules! keywords {
+    ($($name:ident => $text:literal,)*) => {
+        /// A reserved word recognised by the lexer.
+        ///
+        /// Identifiers that match a keyword case-insensitively are lexed as
+        /// [`Token::Keyword`]; everything else becomes [`Token::Ident`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)] // variants are self-describing SQL keywords
+        pub enum Keyword {
+            $($name,)*
+        }
+
+        impl Keyword {
+            /// Looks up a keyword from an identifier, case-insensitively.
+            pub fn from_ident(s: &str) -> Option<Keyword> {
+                $(if s.eq_ignore_ascii_case($text) {
+                    return Some(Keyword::$name);
+                })*
+                None
+            }
+
+            /// The canonical upper-case spelling of this keyword.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(Keyword::$name => $text,)*
+                }
+            }
+        }
+    };
 }
 
-impl Keyword {
-    /// Looks up a keyword from an identifier, case-insensitively.
-    pub fn from_ident(s: &str) -> Option<Keyword> {
-        use Keyword::*;
-        let upper = s.to_ascii_uppercase();
-        Some(match upper.as_str() {
-            "SELECT" => Select,
-            "FROM" => From,
-            "WHERE" => Where,
-            "GROUP" => Group,
-            "ORDER" => Order,
-            "BY" => By,
-            "ASC" => Asc,
-            "DESC" => Desc,
-            "LIMIT" => Limit,
-            "INSERT" => Insert,
-            "INTO" => Into,
-            "VALUES" => Values,
-            "UPDATE" => Update,
-            "SET" => Set,
-            "DELETE" => Delete,
-            "CREATE" => Create,
-            "DROP" => Drop,
-            "TABLE" => Table,
-            "PRIMARY" => Primary,
-            "KEY" => Key,
-            "NOT" => Not,
-            "NULL" => Null,
-            "IDENTITY" => Identity,
-            "DEFAULT" => Default,
-            "AND" => And,
-            "OR" => Or,
-            "IN" => In,
-            "BETWEEN" => Between,
-            "LIKE" => Like,
-            "IS" => Is,
-            "AS" => As,
-            "DISTINCT" => Distinct,
-            "BEGIN" => Begin,
-            "COMMIT" => Commit,
-            "ROLLBACK" => Rollback,
-            "TRANSACTION" => Transaction,
-            "WORK" => Work,
-            "TRUE" => True,
-            "FALSE" => False,
-            "FOR" => For,
-            "OF" => Of,
-            "INTEGER" => Integer,
-            "INT" => Int,
-            "BIGINT" => Bigint,
-            "FLOAT" => Float,
-            "REAL" => Real,
-            "DOUBLE" => Double,
-            "PRECISION" => Precision,
-            "NUMERIC" => Numeric,
-            "DECIMAL" => Decimal,
-            "VARCHAR" => Varchar,
-            "CHAR" => Char,
-            "TEXT" => Text,
-            "TIMESTAMP" => Timestamp,
-            _ => return None,
-        })
-    }
-
-    /// The canonical upper-case spelling of this keyword.
-    pub fn as_str(self) -> &'static str {
-        use Keyword::*;
-        match self {
-            Select => "SELECT",
-            From => "FROM",
-            Where => "WHERE",
-            Group => "GROUP",
-            Order => "ORDER",
-            By => "BY",
-            Asc => "ASC",
-            Desc => "DESC",
-            Limit => "LIMIT",
-            Insert => "INSERT",
-            Into => "INTO",
-            Values => "VALUES",
-            Update => "UPDATE",
-            Set => "SET",
-            Delete => "DELETE",
-            Create => "CREATE",
-            Drop => "DROP",
-            Table => "TABLE",
-            Primary => "PRIMARY",
-            Key => "KEY",
-            Not => "NOT",
-            Null => "NULL",
-            Identity => "IDENTITY",
-            Default => "DEFAULT",
-            And => "AND",
-            Or => "OR",
-            In => "IN",
-            Between => "BETWEEN",
-            Like => "LIKE",
-            Is => "IS",
-            As => "AS",
-            Distinct => "DISTINCT",
-            Begin => "BEGIN",
-            Commit => "COMMIT",
-            Rollback => "ROLLBACK",
-            Transaction => "TRANSACTION",
-            Work => "WORK",
-            True => "TRUE",
-            False => "FALSE",
-            For => "FOR",
-            Of => "OF",
-            Integer => "INTEGER",
-            Int => "INT",
-            Bigint => "BIGINT",
-            Float => "FLOAT",
-            Real => "REAL",
-            Double => "DOUBLE",
-            Precision => "PRECISION",
-            Numeric => "NUMERIC",
-            Decimal => "DECIMAL",
-            Varchar => "VARCHAR",
-            Char => "CHAR",
-            Text => "TEXT",
-            Timestamp => "TIMESTAMP",
-        }
-    }
+keywords! {
+    Select => "SELECT",
+    From => "FROM",
+    Where => "WHERE",
+    Group => "GROUP",
+    Order => "ORDER",
+    By => "BY",
+    Asc => "ASC",
+    Desc => "DESC",
+    Limit => "LIMIT",
+    Insert => "INSERT",
+    Into => "INTO",
+    Values => "VALUES",
+    Update => "UPDATE",
+    Set => "SET",
+    Delete => "DELETE",
+    Create => "CREATE",
+    Drop => "DROP",
+    Table => "TABLE",
+    Primary => "PRIMARY",
+    Key => "KEY",
+    Not => "NOT",
+    Null => "NULL",
+    Identity => "IDENTITY",
+    Default => "DEFAULT",
+    And => "AND",
+    Or => "OR",
+    In => "IN",
+    Between => "BETWEEN",
+    Like => "LIKE",
+    Is => "IS",
+    As => "AS",
+    Distinct => "DISTINCT",
+    Begin => "BEGIN",
+    Commit => "COMMIT",
+    Rollback => "ROLLBACK",
+    Transaction => "TRANSACTION",
+    Work => "WORK",
+    True => "TRUE",
+    False => "FALSE",
+    For => "FOR",
+    Of => "OF",
+    Integer => "INTEGER",
+    Int => "INT",
+    Bigint => "BIGINT",
+    Float => "FLOAT",
+    Real => "REAL",
+    Double => "DOUBLE",
+    Precision => "PRECISION",
+    Numeric => "NUMERIC",
+    Decimal => "DECIMAL",
+    Varchar => "VARCHAR",
+    Char => "CHAR",
+    Text => "TEXT",
+    Timestamp => "TIMESTAMP",
 }
 
 impl fmt::Display for Keyword {

@@ -599,7 +599,7 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
 
     let surface: Vec<String> = written.iter().map(|t| (*t).to_string()).collect();
     let probe_failures: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let last_report = Mutex::new(None);
+    let repaired = AtomicBool::new(false);
     let done = AtomicBool::new(false);
     let repair_result = std::thread::scope(|scope| {
         if let Some(table) = probe_table {
@@ -629,11 +629,11 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
             let options = rdb_l
                 .live_repair_options()
                 .static_surface(surface.iter().cloned());
-            let report = rdb_l
+            rdb_l
                 .repair_controller_with(options)
                 .repair(init)
                 .map_err(|e| e.to_string())?;
-            *last_report.lock() = Some(report);
+            repaired.store(true, Ordering::Relaxed);
             Ok(())
         });
         done.store(true, Ordering::Relaxed);
@@ -642,15 +642,11 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
     repair_result?;
     failures.append(&mut probe_failures.into_inner());
 
-    match last_report.into_inner() {
-        None => failures.push("live-repair: live execute never succeeded".into()),
-        Some(report) => match report.live {
-            None => failures.push("live-repair: RepairMode::Live produced no live stats".into()),
-            Some(stats) if stats.fenced_tables == 0 => {
-                failures.push("live-repair: report says no table was ever fenced".into());
-            }
-            Some(_) => {}
-        },
+    let incidents_l = rdb_l.telemetry().timeline().snapshot();
+    if !repaired.into_inner() {
+        failures.push("live-repair: live execute never succeeded".into());
+    } else if incidents_l.last().map_or(0, |i| i.progress.fence_tables) == 0 {
+        failures.push("live-repair: the incident says no table was ever fenced".into());
     }
     if rdb_l.metrics().gauge("repair.live.fence_size") != Some(0.0) {
         failures.push(
@@ -666,11 +662,7 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
         &rdb_q.telemetry().timeline().snapshot(),
         false,
     ));
-    failures.extend(oracle::timeline_well_formed(
-        "world L",
-        &rdb_l.telemetry().timeline().snapshot(),
-        true,
-    ));
+    failures.extend(oracle::timeline_well_formed("world L", &incidents_l, true));
 
     for table in TPCC_TABLES
         .iter()

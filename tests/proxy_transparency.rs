@@ -255,7 +255,7 @@ fn run_workload(stmts: &[String], cache: bool) -> (Vec<String>, Vec<String>, u64
         .iter()
         .map(|t| format!("{:?}", db.snapshot_rows(t).unwrap()))
         .collect();
-    (responses, tracking, runtime.rewrite_cache().stats().hits)
+    (responses, tracking, runtime.rewrite_cache_stats().hits)
 }
 
 proptest! {
@@ -288,7 +288,6 @@ proptest! {
         .unwrap();
         let (factory, runtime) =
             TrackingProxy::new(ProxyConfig::new(Flavor::Postgres), db.sim().clone());
-        let cache = runtime.rewrite_cache();
         let driver = single_proxy(db, LinkProfile::local(), factory);
         let mut conn = driver.connect().unwrap();
         load(&mut *conn);
@@ -296,14 +295,14 @@ proptest! {
             .iter()
             .map(|q| format!("{:?}", conn.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"))))
             .collect();
-        let hits_after_cold = cache.stats().hits;
+        let hits_after_cold = runtime.rewrite_cache_stats().hits;
         let warm: Vec<String> = queries
             .iter()
             .map(|q| format!("{:?}", conn.execute(q).unwrap_or_else(|e| panic!("{q}: {e}"))))
             .collect();
         prop_assert_eq!(&warm, &cold, "warm replay diverged from cold pass");
         prop_assert!(
-            cache.stats().hits >= hits_after_cold + queries.len() as u64,
+            runtime.rewrite_cache_stats().hits >= hits_after_cold + queries.len() as u64,
             "every replayed query must hit the cache"
         );
     }
