@@ -139,27 +139,36 @@ fn bench_tracked_path(c: &mut Criterion) {
     });
 }
 
-fn bench_repair_analysis(c: &mut Criterion) {
-    // A history of 200 small tracked transactions.
-    let (rdb, mut conn) = tracked_db();
-    for i in 0..200 {
-        conn.execute("BEGIN").unwrap();
-        conn.execute(&format!("SELECT v FROM t WHERE id = {}", i % 500))
-            .unwrap();
-        conn.execute(&format!(
-            "UPDATE t SET v = v + 1 WHERE id = {}",
-            (i + 1) % 500
-        ))
+/// A fixed tracked TPC-C history (two warehouses, 1 000 standard-mix
+/// transactions — half the `repair` workload's), built once outside the
+/// timed loops of `repair_scan`, `repair_analyze` and `repair_closure`.
+fn tpcc_history() -> ResilientDb {
+    use resildb_tpcc::{Loader, Mix, TpccConfig, TpccRunner};
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
+    rdb.telemetry().set_enabled(false);
+    rdb.flight_recorder().set_enabled(false);
+    let mut conn = rdb.connect().unwrap();
+    let config = TpccConfig::scaled(2);
+    Loader::new(config.clone(), 1).load(&mut *conn).unwrap();
+    let mut runner = TpccRunner::new(config, 2);
+    Mix::standard(1_000, 3)
+        .run(&mut runner, &mut *conn)
         .unwrap();
-        conn.execute("COMMIT").unwrap();
-    }
-    let tool = rdb.repair_controller();
-    c.bench_function("repair_analyze_200_txns", |b| {
-        b.iter(|| tool.analyze().unwrap())
+    rdb
+}
+
+fn bench_repair(c: &mut Criterion) {
+    use resildb_core::adapter_for;
+    let rdb = tpcc_history();
+    let adapter = adapter_for(Flavor::Postgres);
+    c.bench_function("repair_scan", |b| {
+        b.iter(|| adapter.scan(rdb.database()).unwrap())
     });
+    let tool = rdb.repair_controller();
+    c.bench_function("repair_analyze", |b| b.iter(|| tool.analyze().unwrap()));
     let analysis = tool.analyze().unwrap();
     let first = *analysis.tracked_transactions().iter().next().unwrap();
-    c.bench_function("repair_closure_200_txns", |b| {
+    c.bench_function("repair_closure", |b| {
         b.iter(|| analysis.undo_set(&[first], &[]))
     });
 }
@@ -300,6 +309,6 @@ fn bench_page_compaction(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sql, bench_rewrite, bench_rewrite_cache, bench_engine, bench_tracked_path, bench_repair_analysis, bench_failpoints, bench_enforcement, bench_telemetry, bench_page_compaction
+    targets = bench_sql, bench_rewrite, bench_rewrite_cache, bench_engine, bench_tracked_path, bench_repair, bench_failpoints, bench_enforcement, bench_telemetry, bench_page_compaction
 );
 criterion_main!(benches);

@@ -79,6 +79,7 @@ pub use resildb_proxy::{
     ProxyConfig, ProxyConfigBuilder, ProxyRuntime, TrackerStats, TrackerStatsSnapshot,
     TrackingGranularity, TrackingProxy, TRACKING_TABLES,
 };
+pub use resildb_repair::adapters::adapter_for;
 pub use resildb_repair::{
     detect, Analysis, AnomalyRule, CausalChain, DepGraph, Detection, FalseDepRule,
     RepairController, RepairError, RepairMode, RepairOptions, RepairPlan, RepairReport,

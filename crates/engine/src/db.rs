@@ -137,9 +137,17 @@ impl Database {
         self.inner.catalog.read().get(name)
     }
 
-    /// A snapshot copy of the full WAL (what a log-analysis tool reads).
+    /// An owned copy of the full WAL (tests; readers borrow it through
+    /// [`Self::read_wal`]).
     pub fn wal_records(&self) -> Vec<LogRecord> {
-        self.inner.wal.lock_untimed().records().to_vec()
+        self.read_wal(<[LogRecord]>::to_vec)
+    }
+
+    /// Runs `f` over the WAL where it lies, under the WAL lock: the one
+    /// read path of every log reader. Committers wait while `f` runs, and
+    /// `f` may take catalog and table locks (order: DESIGN.md §9).
+    pub fn read_wal<R>(&self, f: impl FnOnce(&[LogRecord]) -> R) -> R {
+        f(self.inner.wal.lock_untimed().records())
     }
 
     /// Live row count of `name`.
@@ -238,13 +246,14 @@ impl Database {
     /// Writes the durable form of the WAL to `w` (see
     /// [`crate::wal_codec`]); together with [`Self::open_from_wal`] this
     /// persists the database — including the tracking tables, and with
-    /// them the full repair capability — across process restarts.
+    /// them the full repair capability — across process restarts. `w` is
+    /// written under the WAL lock.
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn save_wal<W: std::io::Write>(&self, w: W) -> Result<()> {
-        crate::wal_codec::write_wal(&self.wal_records(), w)
+        self.read_wal(|records| crate::wal_codec::write_wal(records, w))
     }
 
     /// Reopens a database from a durable log produced by
@@ -263,9 +272,9 @@ impl Database {
         let records = crate::wal_codec::read_wal(r)?;
         let next_txn = records.iter().map(|rec| rec.txn.0 + 1).max().unwrap_or(1);
         let db = Database::new(name, flavor, sim);
+        db.replay(&records)?;
         db.inner.wal.lock_untimed().restore(records);
         db.inner.next_txn.store(next_txn, Ordering::Relaxed);
-        db.simulate_crash_and_recover()?;
         Ok(db)
     }
 
@@ -278,7 +287,11 @@ impl Database {
     ///
     /// Propagates replay failures (which indicate WAL corruption — a bug).
     pub fn simulate_crash_and_recover(&self) -> Result<()> {
-        let records = self.wal_records();
+        self.read_wal(|records| self.replay(records))
+    }
+
+    /// Rebuilds the catalog and tables from `records`' committed writes.
+    fn replay(&self, records: &[LogRecord]) -> Result<()> {
         let committed: std::collections::HashSet<InternalTxnId> = records
             .iter()
             .filter(|r| matches!(r.op, LogOp::Commit))
@@ -287,7 +300,7 @@ impl Database {
         let mut catalog = self.inner.catalog.write();
         *catalog = Catalog::new();
         let free = SimContext::free();
-        for rec in &records {
+        for rec in records {
             if !committed.contains(&rec.txn) {
                 continue;
             }

@@ -12,16 +12,95 @@
 //!   `MODIFY` records carry only the changed attributes in raw binary, and
 //!   the `dbcc page` command needed to recover full row contents (§4.3).
 //!
+//! Every reader walks the log where it lies ([`Database::read_wal`]) and
+//! interprets a row image with the schema its table had at that LSN
+//! ([`SchemaHistory`]), never with the live catalog's table of the same
+//! name, which may be a later incarnation.
+//!
 //! Calling an adapter on the wrong flavor is an error — that mismatch is
 //! exactly what forces real repair tools to be partly database-specific.
+
+use std::collections::HashMap;
 
 use crate::db::Database;
 use crate::error::{EngineError, Result};
 use crate::flavor::Flavor;
-use crate::row::{encode_value, Row, RowId};
+use crate::row::{encode_row, encode_value, Row, RowId};
+use crate::schema::TableSchema;
 use crate::table::RowLocation;
 use crate::value::Value;
-use crate::wal::{InternalTxnId, LogOp, Lsn};
+use crate::wal::{InternalTxnId, LogOp, LogRecord, Lsn};
+
+/// Each table's schemas over the log, folded from the log's own
+/// `CreateTable`/`DropTable` records — the log is self-describing, which is
+/// how recovery rebuilds the catalog. A reader names or encodes a row image
+/// with the schema in effect at the image's LSN.
+#[derive(Debug, Clone, Default)]
+pub struct SchemaHistory {
+    /// table → `(lsn, schema)` in LSN order; `None` marks a drop.
+    tables: HashMap<String, Vec<(Lsn, Option<TableSchema>)>>,
+}
+
+impl SchemaHistory {
+    /// The history of the whole current log.
+    pub fn of(db: &Database) -> Self {
+        db.read_wal(|log| {
+            let mut history = Self::default();
+            log.iter().for_each(|rec| history.fold(rec));
+            history
+        })
+    }
+
+    /// Folds one record into the history (a no-op unless it is DDL).
+    pub fn fold(&mut self, rec: &LogRecord) {
+        let (name, schema) = match &rec.op {
+            LogOp::CreateTable { schema } => (&schema.name, Some(schema.clone())),
+            LogOp::DropTable { name } => (name, None),
+            _ => return,
+        };
+        self.tables
+            .entry(name.clone())
+            .or_default()
+            .push((rec.lsn, schema));
+    }
+
+    fn versions(&self, table: &str) -> &[(Lsn, Option<TableSchema>)] {
+        self.tables.get(table).map_or(&[], Vec::as_slice)
+    }
+
+    /// The schema `table` had at `lsn`.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownTable`] naming the table and LSN when no
+    /// table of that name existed there.
+    pub fn at(&self, table: &str, lsn: Lsn) -> Result<&TableSchema> {
+        let versions = self.versions(table);
+        let upto = versions.partition_point(|(at, _)| *at <= lsn);
+        versions[..upto]
+            .last()
+            .and_then(|(_, schema)| schema.as_ref())
+            .ok_or_else(|| EngineError::UnknownTable(format!("{table} at lsn {}", lsn.0)))
+    }
+
+    /// The LSN of the first DDL on `table` after `lsn`: where the
+    /// incarnation a record at `lsn` belongs to ends (`None`: it is live).
+    pub fn next_change(&self, table: &str, lsn: Lsn) -> Option<Lsn> {
+        let versions = self.versions(table);
+        let after = versions.partition_point(|(at, _)| *at <= lsn);
+        versions.get(after).map(|(at, _)| *at)
+    }
+}
+
+fn require_flavor(db: &Database, flavor: Flavor, what: &str) -> Result<()> {
+    if db.flavor() == flavor {
+        return Ok(());
+    }
+    Err(EngineError::Unsupported(format!(
+        "{what}, database is {}",
+        db.flavor()
+    )))
+}
 
 /// One row of the Oracle-flavor `v$logmnr_contents` emulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,113 +126,69 @@ pub struct LogMinerRow {
 ///
 /// # Errors
 ///
-/// [`EngineError::Unsupported`] unless `db` is the Oracle flavor; lookup
-/// errors if a logged table has been dropped.
+/// [`EngineError::Unsupported`] unless `db` is the Oracle flavor;
+/// [`EngineError::UnknownTable`] for a row record whose table the log
+/// never created.
 pub fn logminer(db: &Database) -> Result<Vec<LogMinerRow>> {
-    if db.flavor() != Flavor::Oracle {
-        return Err(EngineError::Unsupported(format!(
-            "LogMiner is an Oracle interface, database is {}",
-            db.flavor()
-        )));
-    }
-    let records = db.wal_records();
-    let mut out = Vec::with_capacity(records.len());
-    for rec in &records {
-        let row = match &rec.op {
-            LogOp::Insert {
-                table, rowid, row, ..
-            } => {
-                let cols = column_names(db, table)?;
-                LogMinerRow {
-                    scn: rec.lsn,
-                    xid: rec.txn,
-                    operation: "INSERT".into(),
-                    table_name: Some(table.clone()),
-                    row_id: Some(*rowid),
-                    sql_redo: Some(insert_sql(table, &cols, row)),
-                    sql_undo: Some(format!("DELETE FROM {table} WHERE rowid = {}", rowid.0)),
+    require_flavor(db, Flavor::Oracle, "LogMiner is an Oracle interface")?;
+    db.read_wal(|log| {
+        let mut schemas = SchemaHistory::default();
+        let mut out = Vec::with_capacity(log.len());
+        for rec in log {
+            schemas.fold(rec);
+            let (operation, row_id, sql_redo, sql_undo) = match &rec.op {
+                LogOp::Insert {
+                    table, rowid, row, ..
+                } => (
+                    "INSERT",
+                    Some(*rowid),
+                    Some(insert_sql(table, schemas.at(table, rec.lsn)?, row)),
+                    Some(delete_sql(table, *rowid)),
+                ),
+                LogOp::Delete {
+                    table, rowid, row, ..
+                } => (
+                    "DELETE",
+                    Some(*rowid),
+                    Some(delete_sql(table, *rowid)),
+                    Some(insert_sql(table, schemas.at(table, rec.lsn)?, row)),
+                ),
+                LogOp::Update {
+                    table,
+                    rowid,
+                    before,
+                    after,
+                    changed,
+                    ..
+                } => {
+                    let schema = schemas.at(table, rec.lsn)?;
+                    (
+                        "UPDATE",
+                        Some(*rowid),
+                        Some(update_sql(table, schema, changed, after, *rowid)),
+                        Some(update_sql(table, schema, changed, before, *rowid)),
+                    )
                 }
-            }
-            LogOp::Delete {
-                table, rowid, row, ..
-            } => {
-                let cols = column_names(db, table)?;
-                LogMinerRow {
-                    scn: rec.lsn,
-                    xid: rec.txn,
-                    operation: "DELETE".into(),
-                    table_name: Some(table.clone()),
-                    row_id: Some(*rowid),
-                    sql_redo: Some(format!("DELETE FROM {table} WHERE rowid = {}", rowid.0)),
-                    sql_undo: Some(insert_sql(table, &cols, row)),
-                }
-            }
-            LogOp::Update {
-                table,
-                rowid,
-                before,
-                after,
-                changed,
-                ..
-            } => {
-                let cols = column_names(db, table)?;
-                LogMinerRow {
-                    scn: rec.lsn,
-                    xid: rec.txn,
-                    operation: "UPDATE".into(),
-                    table_name: Some(table.clone()),
-                    row_id: Some(*rowid),
-                    sql_redo: Some(update_sql(table, &cols, changed, after, *rowid)),
-                    sql_undo: Some(update_sql(table, &cols, changed, before, *rowid)),
-                }
-            }
-            LogOp::Commit => LogMinerRow {
+                LogOp::Commit => ("COMMIT", None, Some("COMMIT".into()), None),
+                LogOp::Abort => ("ROLLBACK", None, Some("ROLLBACK".into()), None),
+                LogOp::CreateTable { .. } | LogOp::DropTable { .. } => ("DDL", None, None, None),
+            };
+            out.push(LogMinerRow {
                 scn: rec.lsn,
                 xid: rec.txn,
-                operation: "COMMIT".into(),
-                table_name: None,
-                row_id: None,
-                sql_redo: Some("COMMIT".into()),
-                sql_undo: None,
-            },
-            LogOp::Abort => LogMinerRow {
-                scn: rec.lsn,
-                xid: rec.txn,
-                operation: "ROLLBACK".into(),
-                table_name: None,
-                row_id: None,
-                sql_redo: Some("ROLLBACK".into()),
-                sql_undo: None,
-            },
-            LogOp::CreateTable { schema } => LogMinerRow {
-                scn: rec.lsn,
-                xid: rec.txn,
-                operation: "DDL".into(),
-                table_name: Some(schema.name.clone()),
-                row_id: None,
-                sql_redo: None,
-                sql_undo: None,
-            },
-            LogOp::DropTable { name } => LogMinerRow {
-                scn: rec.lsn,
-                xid: rec.txn,
-                operation: "DDL".into(),
-                table_name: Some(name.clone()),
-                row_id: None,
-                sql_redo: None,
-                sql_undo: None,
-            },
-        };
-        out.push(row);
-    }
-    Ok(out)
+                operation: operation.into(),
+                table_name: rec.op.table().map(str::to_string),
+                row_id,
+                sql_redo,
+                sql_undo,
+            });
+        }
+        Ok(out)
+    })
 }
 
-fn column_names(db: &Database, table: &str) -> Result<Vec<String>> {
-    Ok(db.table(table)?.read().schema().column_names())
-}
-
-fn insert_sql(table: &str, cols: &[String], row: &Row) -> String {
+fn insert_sql(table: &str, schema: &TableSchema, row: &Row) -> String {
+    let cols: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
     let vals: Vec<String> = row.values().iter().map(Value::to_sql_literal).collect();
     format!(
         "INSERT INTO {table} ({}) VALUES ({})",
@@ -162,16 +197,23 @@ fn insert_sql(table: &str, cols: &[String], row: &Row) -> String {
     )
 }
 
+fn delete_sql(table: &str, rowid: RowId) -> String {
+    format!("DELETE FROM {table} WHERE rowid = {}", rowid.0)
+}
+
 fn update_sql(
     table: &str,
-    cols: &[String],
+    schema: &TableSchema,
     changed: &[usize],
     image: &Row,
     rowid: RowId,
 ) -> String {
     let sets: Vec<String> = changed
         .iter()
-        .map(|&i| format!("{} = {}", cols[i], image.values()[i].to_sql_literal()))
+        .map(|&i| {
+            let value = image.values()[i].to_sql_literal();
+            format!("{} = {value}", schema.columns[i].name)
+        })
         .collect();
     format!(
         "UPDATE {table} SET {} WHERE rowid = {}",
@@ -182,132 +224,88 @@ fn update_sql(
 
 /// One record of the PostgreSQL-flavor WAL reader (the paper implemented
 /// this as a reverse-engineered plugin; PostgreSQL logs complete before and
-/// after images for each row operation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WalDumpRecord {
+/// after images for each row operation), borrowed from the log.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WalDumpRecord<'a> {
     /// Log position.
     pub lsn: Lsn,
     /// Internal transaction id.
     pub txn: InternalTxnId,
     /// `INSERT` / `DELETE` / `UPDATE` / `COMMIT` / `ABORT` / `DDL`.
-    pub op_name: String,
+    pub op_name: &'static str,
     /// Affected table.
-    pub table: Option<String>,
+    pub table: Option<&'a str>,
     /// Affected row id (the `ctid` analogue).
     pub rowid: Option<RowId>,
     /// Full before-image (DELETE, UPDATE).
-    pub before: Option<Row>,
+    pub before: Option<&'a Row>,
     /// Full after-image (INSERT, UPDATE).
-    pub after: Option<Row>,
+    pub after: Option<&'a Row>,
     /// Physical location of the change.
     pub loc: Option<RowLocation>,
+    /// The created table's schema (the `DDL` record of a CREATE TABLE:
+    /// the WAL logs catalog changes like any other write).
+    pub schema: Option<&'a TableSchema>,
 }
 
-/// Reads the PostgreSQL-flavor WAL.
+/// Reads the PostgreSQL-flavor WAL, handing every record to `visit` in
+/// LSN order, under the WAL lock; the first error `visit` returns stops
+/// the read and is returned.
 ///
 /// # Errors
 ///
-/// [`EngineError::Unsupported`] unless `db` is the Postgres flavor.
-pub fn waldump(db: &Database) -> Result<Vec<WalDumpRecord>> {
-    if db.flavor() != Flavor::Postgres {
-        return Err(EngineError::Unsupported(format!(
-            "waldump reads the PostgreSQL WAL, database is {}",
-            db.flavor()
-        )));
-    }
-    Ok(db
-        .wal_records()
-        .iter()
-        .map(|rec| match &rec.op {
-            LogOp::Insert {
-                table,
-                rowid,
-                row,
-                loc,
-            } => WalDumpRecord {
+/// [`EngineError::Unsupported`] unless `db` is the Postgres flavor, or
+/// what `visit` returns.
+pub fn waldump(
+    db: &Database,
+    mut visit: impl FnMut(WalDumpRecord<'_>) -> Result<()>,
+) -> Result<()> {
+    require_flavor(db, Flavor::Postgres, "waldump reads the PostgreSQL WAL")?;
+    db.read_wal(|log| {
+        for rec in log {
+            let (op_name, rowid, before, after, loc) = match &rec.op {
+                LogOp::Insert {
+                    rowid, row, loc, ..
+                } => ("INSERT", Some(*rowid), None, Some(row), Some(*loc)),
+                LogOp::Delete {
+                    rowid, row, loc, ..
+                } => ("DELETE", Some(*rowid), Some(row), None, Some(*loc)),
+                LogOp::Update {
+                    rowid,
+                    before,
+                    after,
+                    loc,
+                    ..
+                } => (
+                    "UPDATE",
+                    Some(*rowid),
+                    Some(before),
+                    Some(after),
+                    Some(*loc),
+                ),
+                LogOp::Commit => ("COMMIT", None, None, None, None),
+                LogOp::Abort => ("ABORT", None, None, None, None),
+                LogOp::CreateTable { .. } | LogOp::DropTable { .. } => {
+                    ("DDL", None, None, None, None)
+                }
+            };
+            visit(WalDumpRecord {
                 lsn: rec.lsn,
                 txn: rec.txn,
-                op_name: "INSERT".into(),
-                table: Some(table.clone()),
-                rowid: Some(*rowid),
-                before: None,
-                after: Some(row.clone()),
-                loc: Some(*loc),
-            },
-            LogOp::Delete {
-                table,
-                rowid,
-                row,
-                loc,
-            } => WalDumpRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op_name: "DELETE".into(),
-                table: Some(table.clone()),
-                rowid: Some(*rowid),
-                before: Some(row.clone()),
-                after: None,
-                loc: Some(*loc),
-            },
-            LogOp::Update {
-                table,
+                op_name,
+                table: rec.op.table(),
                 rowid,
                 before,
                 after,
                 loc,
-                ..
-            } => WalDumpRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op_name: "UPDATE".into(),
-                table: Some(table.clone()),
-                rowid: Some(*rowid),
-                before: Some(before.clone()),
-                after: Some(after.clone()),
-                loc: Some(*loc),
-            },
-            LogOp::Commit => WalDumpRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op_name: "COMMIT".into(),
-                table: None,
-                rowid: None,
-                before: None,
-                after: None,
-                loc: None,
-            },
-            LogOp::Abort => WalDumpRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op_name: "ABORT".into(),
-                table: None,
-                rowid: None,
-                before: None,
-                after: None,
-                loc: None,
-            },
-            LogOp::CreateTable { schema } => WalDumpRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op_name: "DDL".into(),
-                table: Some(schema.name.clone()),
-                rowid: None,
-                before: None,
-                after: None,
-                loc: None,
-            },
-            LogOp::DropTable { name } => WalDumpRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op_name: "DDL".into(),
-                table: Some(name.clone()),
-                rowid: None,
-                before: None,
-                after: None,
-                loc: None,
-            },
-        })
-        .collect())
+                schema: match &rec.op {
+                    LogOp::CreateTable { schema } => Some(schema),
+                    _ => None,
+                },
+            })?;
+        }
+        Ok(())
+    })
 }
 
 /// Operation kind in a `dbcc log` record (Sybase names updates `MODIFY`).
@@ -356,104 +354,69 @@ pub struct DbccLogRecord {
 /// [`crate::row::encode_value`]. Notably the row-id/identity attribute is
 /// absent from MODIFY records unless it was itself modified — reproducing
 /// the problem §4.3 of the paper solves with `dbcc page` and offset
-/// adjustment.
+/// adjustment. Images are encoded with the schema of their LSN
+/// ([`SchemaHistory::at`]).
 ///
 /// # Errors
 ///
-/// [`EngineError::Unsupported`] unless `db` is the Sybase flavor.
+/// [`EngineError::Unsupported`] unless `db` is the Sybase flavor;
+/// [`EngineError::UnknownTable`] for a row record whose table the log
+/// never created.
 pub fn dbcc_log(db: &Database) -> Result<Vec<DbccLogRecord>> {
-    if db.flavor() != Flavor::Sybase {
-        return Err(EngineError::Unsupported(format!(
-            "dbcc log is a Sybase interface, database is {}",
-            db.flavor()
-        )));
-    }
-    let records = db.wal_records();
-    let mut out = Vec::with_capacity(records.len());
-    for rec in &records {
-        let dbcc = match &rec.op {
-            LogOp::Insert {
-                table, row, loc, ..
-            } => {
-                let schema = db.table(table)?.read().schema().clone();
-                DbccLogRecord {
-                    lsn: rec.lsn,
-                    txn: rec.txn,
-                    op: DbccOp::Insert,
-                    table: table.clone(),
-                    page: loc.page,
-                    offset: loc.offset,
-                    len: loc.len,
-                    bytes: crate::row::encode_row(&schema, row)?,
+    require_flavor(db, Flavor::Sybase, "dbcc log is a Sybase interface")?;
+    db.read_wal(|log| {
+        let mut schemas = SchemaHistory::default();
+        let mut out = Vec::with_capacity(log.len());
+        for rec in log {
+            schemas.fold(rec);
+            let (op, table, loc, bytes) = match &rec.op {
+                LogOp::Insert {
+                    table, row, loc, ..
+                } => {
+                    let bytes = encode_row(schemas.at(table, rec.lsn)?, row)?;
+                    (DbccOp::Insert, table.as_str(), *loc, bytes)
                 }
-            }
-            LogOp::Delete {
-                table, row, loc, ..
-            } => {
-                let schema = db.table(table)?.read().schema().clone();
-                DbccLogRecord {
-                    lsn: rec.lsn,
-                    txn: rec.txn,
-                    op: DbccOp::Delete,
-                    table: table.clone(),
-                    page: loc.page,
-                    offset: loc.offset,
-                    len: loc.len,
-                    bytes: crate::row::encode_row(&schema, row)?,
+                LogOp::Delete {
+                    table, row, loc, ..
+                } => {
+                    let bytes = encode_row(schemas.at(table, rec.lsn)?, row)?;
+                    (DbccOp::Delete, table.as_str(), *loc, bytes)
                 }
-            }
-            LogOp::Update {
-                table,
-                before,
-                after,
-                changed,
-                loc,
-                ..
-            } => {
-                let schema = db.table(table)?.read().schema().clone();
-                let mut bytes = Vec::new();
-                for &i in changed {
-                    bytes.extend_from_slice(&(i as u16).to_le_bytes());
-                    encode_value(&mut bytes, schema.columns[i].ty, &before.values()[i])?;
-                    encode_value(&mut bytes, schema.columns[i].ty, &after.values()[i])?;
+                LogOp::Update {
+                    table,
+                    before,
+                    after,
+                    changed,
+                    loc,
+                    ..
+                } => {
+                    let schema = schemas.at(table, rec.lsn)?;
+                    let mut bytes = Vec::new();
+                    for &i in changed {
+                        bytes.extend_from_slice(&(i as u16).to_le_bytes());
+                        encode_value(&mut bytes, schema.columns[i].ty, &before.values()[i])?;
+                        encode_value(&mut bytes, schema.columns[i].ty, &after.values()[i])?;
+                    }
+                    (DbccOp::Modify, table.as_str(), *loc, bytes)
                 }
-                DbccLogRecord {
-                    lsn: rec.lsn,
-                    txn: rec.txn,
-                    op: DbccOp::Modify,
-                    table: table.clone(),
-                    page: loc.page,
-                    offset: loc.offset,
-                    len: loc.len,
-                    bytes,
-                }
-            }
-            LogOp::Commit => DbccLogRecord {
+                LogOp::Commit => (DbccOp::Commit, "", RowLocation::default(), Vec::new()),
+                LogOp::Abort => (DbccOp::Abort, "", RowLocation::default(), Vec::new()),
+                // dbcc log does not render DDL records usefully; skip them.
+                LogOp::CreateTable { .. } | LogOp::DropTable { .. } => continue,
+            };
+            out.push(DbccLogRecord {
                 lsn: rec.lsn,
                 txn: rec.txn,
-                op: DbccOp::Commit,
-                table: String::new(),
-                page: 0,
-                offset: 0,
-                len: 0,
-                bytes: Vec::new(),
-            },
-            LogOp::Abort => DbccLogRecord {
-                lsn: rec.lsn,
-                txn: rec.txn,
-                op: DbccOp::Abort,
-                table: String::new(),
-                page: 0,
-                offset: 0,
-                len: 0,
-                bytes: Vec::new(),
-            },
-            // dbcc log does not render DDL records usefully; skip them.
-            LogOp::CreateTable { .. } | LogOp::DropTable { .. } => continue,
-        };
-        out.push(dbcc);
-    }
-    Ok(out)
+                op,
+                table: table.to_string(),
+                page: loc.page,
+                offset: loc.offset,
+                len: loc.len,
+                bytes,
+            });
+        }
+        Ok(out)
+    })
 }
 
 /// Reads `len` raw bytes at `offset` of `page` in `table` — the `dbcc page`
@@ -470,12 +433,7 @@ pub fn dbcc_page(
     offset: usize,
     len: usize,
 ) -> Result<Vec<u8>> {
-    if db.flavor() != Flavor::Sybase {
-        return Err(EngineError::Unsupported(format!(
-            "dbcc page is a Sybase interface, database is {}",
-            db.flavor()
-        )));
-    }
+    require_flavor(db, Flavor::Sybase, "dbcc page is a Sybase interface")?;
     let handle = db.table(table)?;
     let guard = handle.read();
     guard

@@ -14,7 +14,7 @@ use crate::value::Value;
 
 /// Physical location of a row operation, recorded into the WAL exactly the
 /// way the paper's DBMSs log it: logical page number + offset within page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowLocation {
     /// Page number within the table's heap.
     pub page: u64,

@@ -181,22 +181,6 @@ impl Wal {
         Self::default()
     }
 
-    /// Appends a record, charging its byte cost to `sim` according to the
-    /// flavor's logging policy. Returns the assigned LSN, or an injected
-    /// error when the `engine.wal_append` failpoint fires (a full log disk
-    /// in miniature: nothing is charged and no record is written).
-    pub fn append(
-        &mut self,
-        txn: InternalTxnId,
-        op: LogOp,
-        flavor: Flavor,
-        schema: Option<&TableSchema>,
-        sim: &SimContext,
-    ) -> Result<Lsn> {
-        stage_check(&op, flavor, schema, sim)?;
-        Ok(self.publish(txn, op))
-    }
-
     /// Appends an already-staged record (see [`stage_check`]), assigning
     /// the next LSN. Infallible and charge-free: all cost accounting and
     /// fault injection happened at stage time, so publication is just the
@@ -226,16 +210,6 @@ impl Wal {
         self.next_lsn = records.iter().map(|r| r.lsn.0 + 1).max().unwrap_or(0);
         self.records = records;
     }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -263,28 +237,11 @@ mod tests {
     #[test]
     fn lsns_are_sequential() {
         let mut wal = Wal::new();
-        let sim = SimContext::free();
-        let a = wal
-            .append(
-                InternalTxnId(1),
-                LogOp::Commit,
-                Flavor::Postgres,
-                None,
-                &sim,
-            )
-            .unwrap();
-        let b = wal
-            .append(
-                InternalTxnId(2),
-                LogOp::Commit,
-                Flavor::Postgres,
-                None,
-                &sim,
-            )
-            .unwrap();
+        let a = wal.publish(InternalTxnId(1), LogOp::Commit);
+        let b = wal.publish(InternalTxnId(2), LogOp::Commit);
         assert_eq!(a, Lsn(0));
         assert_eq!(b, Lsn(1));
-        assert_eq!(wal.len(), 2);
+        assert_eq!(wal.records().len(), 2);
     }
 
     #[test]
@@ -309,20 +266,13 @@ mod tests {
     #[test]
     fn appends_charge_log_bytes() {
         let sim = SimContext::new(resildb_sim::CostModel::disk_bound_oltp(), 4);
-        let mut wal = Wal::new();
-        wal.append(
-            InternalTxnId(1),
-            LogOp::Insert {
-                table: "t".into(),
-                rowid: RowId(1),
-                row: Row::new(vec![Value::Int(1), Value::from("x")]),
-                loc: loc(),
-            },
-            Flavor::Oracle,
-            Some(&schema()),
-            &sim,
-        )
-        .unwrap();
+        let op = LogOp::Insert {
+            table: "t".into(),
+            rowid: RowId(1),
+            row: Row::new(vec![Value::Int(1), Value::from("x")]),
+            loc: loc(),
+        };
+        stage_check(&op, Flavor::Oracle, Some(&schema()), &sim).unwrap();
         assert!(sim.stats().log_bytes.get() > 0);
     }
 

@@ -341,7 +341,7 @@ fn logminer_only_on_oracle_flavor() {
     let ora = Database::in_memory(Flavor::Oracle);
     assert!(introspect::logminer(&ora).unwrap().is_empty());
     assert!(matches!(
-        introspect::waldump(&ora),
+        introspect::waldump(&ora, |_| Ok(())),
         Err(EngineError::Unsupported(_))
     ));
     assert!(matches!(

@@ -2,9 +2,11 @@
 //! tool, exactly as the paper observes (§3.3: "the repair-time logic of an
 //! intrusion-resilient DBMS is very database-specific").
 
-use resildb_engine::introspect::{self, DbccLogRecord, DbccOp};
+use std::collections::HashMap;
+
+use resildb_engine::introspect::{self, DbccLogRecord, DbccOp, SchemaHistory};
 use resildb_engine::{
-    decode_row, decode_value, Database, EngineError, Flavor, Result, RowId, Value,
+    decode_row, decode_value, Database, EngineError, Flavor, Result, Row, RowId, TableSchema, Value,
 };
 use resildb_sql::{BinaryOp, Expr, Statement};
 
@@ -65,51 +67,47 @@ fn require<T>(v: Option<T>, what: &str) -> Result<T> {
     v.ok_or_else(|| EngineError::Internal(format!("log record missing {what}")))
 }
 
-fn named(db: &Database, table: &str, row: &resildb_engine::Row) -> Result<NamedRow> {
-    let schema = db.table(table)?.read().schema().clone();
-    Ok(schema
-        .columns
+/// `(column, value)` pairs of a full row image, in schema order.
+fn named(columns: &[String], row: &Row) -> NamedRow {
+    columns
         .iter()
-        .zip(row.values())
-        .map(|(c, v)| (c.name.clone(), v.clone()))
-        .collect())
+        .cloned()
+        .zip(row.values().iter().cloned())
+        .collect()
 }
 
 impl LogAdapter for PostgresAdapter {
     fn scan(&self, db: &Database) -> Result<Vec<RepairRecord>> {
+        // table → column names, folded from the log's own DDL records as
+        // the scan passes them: each image is named with the schema in
+        // effect at its LSN, and no catalog lookup happens under the WAL
+        // lock.
+        let mut columns: HashMap<String, Vec<String>> = HashMap::new();
         let mut out = Vec::new();
-        for rec in introspect::waldump(db)? {
-            let op = match rec.op_name.as_str() {
-                "INSERT" => {
-                    let row = require(rec.after.as_ref(), "insert after image")?;
-                    RepairOp::Insert {
-                        address: RowAddress::Pseudo(require(rec.rowid, "insert rowid")?),
-                        row: named(db, require(rec.table.as_ref(), "table name")?, row)?,
-                    }
-                }
-                "DELETE" => {
-                    let row = require(rec.before.as_ref(), "delete before image")?;
-                    RepairOp::Delete {
-                        address: RowAddress::Pseudo(require(rec.rowid, "delete rowid")?),
-                        row: named(db, require(rec.table.as_ref(), "table name")?, row)?,
-                    }
-                }
+        introspect::waldump(db, |rec| {
+            let names = || {
+                let table = require(rec.table, "table name")?;
+                columns.get(table).map(Vec::as_slice).ok_or_else(|| {
+                    EngineError::UnknownTable(format!("{table} at lsn {}", rec.lsn.0))
+                })
+            };
+            let op = match rec.op_name {
+                "INSERT" => RepairOp::Insert {
+                    address: RowAddress::Pseudo(require(rec.rowid, "insert rowid")?),
+                    row: named(names()?, require(rec.after, "insert after image")?),
+                },
+                "DELETE" => RepairOp::Delete {
+                    address: RowAddress::Pseudo(require(rec.rowid, "delete rowid")?),
+                    row: named(names()?, require(rec.before, "delete before image")?),
+                },
                 "UPDATE" => {
-                    let table = require(rec.table.as_ref(), "table name")?;
-                    let before_full = named(
-                        db,
-                        table,
-                        require(rec.before.as_ref(), "update before image")?,
-                    )?;
-                    let after_full = named(
-                        db,
-                        table,
-                        require(rec.after.as_ref(), "update after image")?,
-                    )?;
+                    let before_full = require(rec.before, "update before image")?;
+                    let after_full = require(rec.after, "update after image")?;
                     // Restrict to changed columns, the common denominator.
                     let mut before = Vec::new();
                     let mut after = Vec::new();
-                    for ((c, b), (_, a)) in before_full.0.iter().zip(&after_full.0) {
+                    let images = before_full.values().iter().zip(after_full.values());
+                    for (c, (b, a)) in names()?.iter().zip(images) {
                         if b != a {
                             before.push((c.clone(), b.clone()));
                             after.push((c.clone(), a.clone()));
@@ -123,15 +121,24 @@ impl LogAdapter for PostgresAdapter {
                 }
                 "COMMIT" => RepairOp::Commit,
                 "ABORT" => RepairOp::Abort,
-                _ => continue, // DDL
+                _ => {
+                    // DDL: a CREATE carries the new schema, a DROP only
+                    // the name.
+                    match rec.schema {
+                        Some(schema) => columns.insert(schema.name.clone(), schema.column_names()),
+                        None => columns.remove(require(rec.table, "table name")?),
+                    };
+                    return Ok(());
+                }
             };
             out.push(RepairRecord {
                 lsn: rec.lsn,
                 internal_txn: rec.txn,
-                table: rec.table.unwrap_or_default(),
+                table: rec.table.unwrap_or_default().to_string(),
                 op,
             });
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -183,78 +190,47 @@ fn rowid_from_where(w: &Option<Expr>) -> Result<RowId> {
     )))
 }
 
+/// The row image a LogMiner INSERT statement (`what`) writes.
+fn inserted_image(sql: Option<&String>, what: &str) -> Result<NamedRow> {
+    let Statement::Insert(ins) = parse_stmt(require(sql, what)?)? else {
+        return Err(EngineError::Internal(format!("{what} is not an INSERT")));
+    };
+    (ins.columns.iter().zip(&ins.rows[0]))
+        .map(|(c, e)| Ok((c.to_ascii_lowercase(), expr_value(e)?)))
+        .collect()
+}
+
+/// A LogMiner UPDATE statement (`what`): its row id and the values it sets.
+fn update_image(sql: Option<&String>, what: &str) -> Result<(RowId, NamedRow)> {
+    let Statement::Update(upd) = parse_stmt(require(sql, what)?)? else {
+        return Err(EngineError::Internal(format!("{what} is not an UPDATE")));
+    };
+    let image = (upd.assignments.iter())
+        .map(|a| Ok((a.column.to_ascii_lowercase(), expr_value(&a.value)?)))
+        .collect::<Result<_>>()?;
+    Ok((rowid_from_where(&upd.where_clause)?, image))
+}
+
 impl LogAdapter for OracleAdapter {
     fn scan(&self, db: &Database) -> Result<Vec<RepairRecord>> {
         let mut out = Vec::new();
         for rec in introspect::logminer(db)? {
+            let (redo, undo) = (rec.sql_redo.as_ref(), rec.sql_undo.as_ref());
             let op = match rec.operation.as_str() {
-                "INSERT" => {
-                    let Statement::Insert(ins) =
-                        parse_stmt(require(rec.sql_redo.as_ref(), "redo SQL")?)?
-                    else {
-                        return Err(EngineError::Internal("redo of INSERT not an INSERT".into()));
-                    };
-                    let row: NamedRow = ins
-                        .columns
-                        .iter()
-                        .zip(&ins.rows[0])
-                        .map(|(c, e)| Ok((c.to_ascii_lowercase(), expr_value(e)?)))
-                        .collect::<Result<Vec<_>>>()?
-                        .into_iter()
-                        .collect();
-                    RepairOp::Insert {
-                        address: RowAddress::Pseudo(require(rec.row_id, "insert rowid")?),
-                        row,
-                    }
-                }
-                "DELETE" => {
-                    // The undo of a DELETE is the re-inserting INSERT.
-                    let Statement::Insert(ins) =
-                        parse_stmt(require(rec.sql_undo.as_ref(), "undo SQL")?)?
-                    else {
-                        return Err(EngineError::Internal("undo of DELETE not an INSERT".into()));
-                    };
-                    let row: NamedRow = ins
-                        .columns
-                        .iter()
-                        .zip(&ins.rows[0])
-                        .map(|(c, e)| Ok((c.to_ascii_lowercase(), expr_value(e)?)))
-                        .collect::<Result<Vec<_>>>()?
-                        .into_iter()
-                        .collect();
-                    RepairOp::Delete {
-                        address: RowAddress::Pseudo(require(rec.row_id, "delete rowid")?),
-                        row,
-                    }
-                }
+                "INSERT" => RepairOp::Insert {
+                    address: RowAddress::Pseudo(require(rec.row_id, "insert rowid")?),
+                    row: inserted_image(redo, "INSERT redo SQL")?,
+                },
+                // The undo of a DELETE is the re-inserting INSERT.
+                "DELETE" => RepairOp::Delete {
+                    address: RowAddress::Pseudo(require(rec.row_id, "delete rowid")?),
+                    row: inserted_image(undo, "DELETE undo SQL")?,
+                },
                 "UPDATE" => {
-                    let Statement::Update(redo) =
-                        parse_stmt(require(rec.sql_redo.as_ref(), "redo SQL")?)?
-                    else {
-                        return Err(EngineError::Internal("redo of UPDATE not an UPDATE".into()));
-                    };
-                    let Statement::Update(undo) =
-                        parse_stmt(require(rec.sql_undo.as_ref(), "undo SQL")?)?
-                    else {
-                        return Err(EngineError::Internal("undo of UPDATE not an UPDATE".into()));
-                    };
-                    let address = RowAddress::Pseudo(rowid_from_where(&redo.where_clause)?);
-                    let after: NamedRow = redo
-                        .assignments
-                        .iter()
-                        .map(|a| Ok((a.column.to_ascii_lowercase(), expr_value(&a.value)?)))
-                        .collect::<Result<Vec<_>>>()?
-                        .into_iter()
-                        .collect();
-                    let before: NamedRow = undo
-                        .assignments
-                        .iter()
-                        .map(|a| Ok((a.column.to_ascii_lowercase(), expr_value(&a.value)?)))
-                        .collect::<Result<Vec<_>>>()?
-                        .into_iter()
-                        .collect();
+                    let (rowid, after) = update_image(redo, "UPDATE redo SQL")?;
+                    let (_, before) = update_image(undo, "UPDATE undo SQL")?;
                     RepairOp::Update {
-                        address,
+                        address: RowAddress::Pseudo(rowid),
                         before,
                         after,
                     }
@@ -293,20 +269,18 @@ impl LogAdapter for OracleAdapter {
 pub struct SybaseAdapter;
 
 /// Decodes a full-row `dbcc` image into a named row.
-fn decode_full(db: &Database, table: &str, bytes: &[u8]) -> Result<NamedRow> {
-    let schema = db.table(table)?.read().schema().clone();
-    let row = decode_row(&schema, bytes)?;
+fn decode_full(schema: &TableSchema, bytes: &[u8]) -> Result<NamedRow> {
+    let row = decode_row(schema, bytes)?;
     Ok(schema
         .columns
         .iter()
-        .zip(row.values())
-        .map(|(c, v)| (c.name.clone(), v.clone()))
+        .map(|c| c.name.clone())
+        .zip(row.0)
         .collect())
 }
 
 /// Decodes a MODIFY delta: `[col_idx u16][before][after]` groups.
-fn decode_delta(db: &Database, table: &str, bytes: &[u8]) -> Result<(NamedRow, NamedRow)> {
-    let schema = db.table(table)?.read().schema().clone();
+fn decode_delta(schema: &TableSchema, bytes: &[u8]) -> Result<(NamedRow, NamedRow)> {
     let mut pos = 0;
     let mut before = Vec::new();
     let mut after = Vec::new();
@@ -339,31 +313,51 @@ fn identity_address(row: &NamedRow) -> Result<RowAddress> {
     }
 }
 
-/// Paper §4.3, step 2: adjusts a MODIFY record's page offset for every
-/// later DELETE on the same page. Returns either the adjusted offset, or
-/// the full row image directly when a later DELETE removed the modified
-/// row itself (its log record carries the complete image).
-fn adjust_modify_offset<'a>(
-    rm: &DbccLogRecord,
-    later: impl Iterator<Item = &'a DbccLogRecord>,
-) -> AdjustOutcome<'a> {
-    let mut off = rm.offset;
-    for rd in later {
-        if rd.op != DbccOp::Delete || rd.table != rm.table || rd.page != rm.page {
-            continue;
-        }
-        if rd.offset + rd.len <= off {
-            // Delete strictly before us in the page: we migrated down.
-            off -= rd.len;
-        } else if rd.offset <= off && off < rd.offset + rd.len {
-            // The delete removed the modified row itself; its record holds
-            // the complete image.
-            return AdjustOutcome::DeletedLater(rd);
-        }
-    }
-    AdjustOutcome::Offset(off)
+/// The positions of every `(table, page)`'s DELETE records in a `dbcc log`,
+/// ascending: a MODIFY's offset adjustment visits only the later deletes
+/// on its own page, not every later record.
+struct PageDeletes<'a> {
+    log: &'a [DbccLogRecord],
+    by_page: HashMap<(&'a str, u64), Vec<usize>>,
 }
 
+impl<'a> PageDeletes<'a> {
+    fn new(log: &'a [DbccLogRecord]) -> Self {
+        let mut by_page: HashMap<(&str, u64), Vec<usize>> = HashMap::new();
+        for (i, rd) in log.iter().enumerate() {
+            if rd.op == DbccOp::Delete {
+                by_page.entry((&rd.table, rd.page)).or_default().push(i);
+            }
+        }
+        Self { log, by_page }
+    }
+
+    /// Paper §4.3, step 2: adjusts the page offset of the MODIFY at log
+    /// position `i` for every later DELETE on the same page. Returns either
+    /// the adjusted offset, or the full row image directly when a later
+    /// DELETE removed the modified row itself (its log record carries the
+    /// complete image).
+    fn adjust(&self, i: usize) -> AdjustOutcome<'a> {
+        let rm = &self.log[i];
+        let deletes =
+            (self.by_page.get(&(rm.table.as_str(), rm.page))).map_or(&[][..], Vec::as_slice);
+        let mut off = rm.offset;
+        for &j in &deletes[deletes.partition_point(|&j| j <= i)..] {
+            let rd = &self.log[j];
+            if rd.offset + rd.len <= off {
+                // Delete strictly before us in the page: we migrated down.
+                off -= rd.len;
+            } else if rd.offset <= off && off < rd.offset + rd.len {
+                // The delete removed the modified row itself; its record
+                // holds the complete image.
+                return AdjustOutcome::DeletedLater(rd);
+            }
+        }
+        AdjustOutcome::Offset(off)
+    }
+}
+
+#[derive(Debug, PartialEq)]
 enum AdjustOutcome<'a> {
     Offset(usize),
     DeletedLater(&'a DbccLogRecord),
@@ -372,34 +366,50 @@ enum AdjustOutcome<'a> {
 impl LogAdapter for SybaseAdapter {
     fn scan(&self, db: &Database) -> Result<Vec<RepairRecord>> {
         let log = introspect::dbcc_log(db)?;
+        // Folded after the read, so it covers every record of `log`.
+        let schemas = SchemaHistory::of(db);
+        let deletes = PageDeletes::new(&log);
         let mut out = Vec::with_capacity(log.len());
         for (i, rec) in log.iter().enumerate() {
             let op = match rec.op {
                 DbccOp::Insert => {
-                    let row = decode_full(db, &rec.table, &rec.bytes)?;
+                    let row = decode_full(schemas.at(&rec.table, rec.lsn)?, &rec.bytes)?;
                     RepairOp::Insert {
                         address: identity_address(&row)?,
                         row,
                     }
                 }
                 DbccOp::Delete => {
-                    let row = decode_full(db, &rec.table, &rec.bytes)?;
+                    let row = decode_full(schemas.at(&rec.table, rec.lsn)?, &rec.bytes)?;
                     RepairOp::Delete {
                         address: identity_address(&row)?,
                         row,
                     }
                 }
                 DbccOp::Modify => {
-                    let (before, after) = decode_delta(db, &rec.table, &rec.bytes)?;
+                    let schema = schemas.at(&rec.table, rec.lsn)?;
+                    let (before, after) = decode_delta(schema, &rec.bytes)?;
                     // Recover the identity attribute via the §4.3 offset
-                    // adjustment + dbcc page.
-                    let full = match adjust_modify_offset(rec, log[i + 1..].iter()) {
-                        AdjustOutcome::Offset(off) => {
+                    // adjustment + dbcc page. A later DELETE of the row
+                    // before any DDL on its table carries the image; else
+                    // only a table never dropped since has the row on a page.
+                    let dropped = schemas.next_change(&rec.table, rec.lsn);
+                    let full = match deletes.adjust(i) {
+                        AdjustOutcome::DeletedLater(rd) if dropped.is_none_or(|d| rd.lsn < d) => {
+                            decode_full(schema, &rd.bytes)?
+                        }
+                        AdjustOutcome::Offset(off) if dropped.is_none() => {
                             let bytes =
                                 introspect::dbcc_page(db, &rec.table, rec.page, off, rec.len)?;
-                            decode_full(db, &rec.table, &bytes)?
+                            decode_full(schema, &bytes)?
                         }
-                        AdjustOutcome::DeletedLater(rd) => decode_full(db, &rd.table, &rd.bytes)?,
+                        _ => {
+                            return Err(EngineError::UnknownTable(format!(
+                                "{} as of the MODIFY at lsn {}: dropped since, so dbcc page \
+                                 cannot recover the row",
+                                rec.table, rec.lsn.0
+                            )))
+                        }
                     };
                     RepairOp::Update {
                         address: identity_address(&full)?,
@@ -422,5 +432,130 @@ impl LogAdapter for SybaseAdapter {
 
     fn address_column(&self) -> AddressColumn {
         AddressColumn::Identity(resildb_proxy::IDENTITY_COLUMN)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use resildb_engine::{InternalTxnId, Lsn};
+
+    use super::*;
+
+    /// The §4.3 step-2 walk as it was before [`PageDeletes`]: every later
+    /// record of the log, filtered per record (quadratic over a scan). The
+    /// reference the indexed walk is held to.
+    fn adjust_modify_offset<'a>(
+        rm: &DbccLogRecord,
+        later: impl Iterator<Item = &'a DbccLogRecord>,
+    ) -> AdjustOutcome<'a> {
+        let mut off = rm.offset;
+        for rd in later {
+            if rd.op != DbccOp::Delete || rd.table != rm.table || rd.page != rm.page {
+                continue;
+            }
+            if rd.offset + rd.len <= off {
+                off -= rd.len;
+            } else if rd.offset <= off && off < rd.offset + rd.len {
+                return AdjustOutcome::DeletedLater(rd);
+            }
+        }
+        AdjustOutcome::Offset(off)
+    }
+
+    /// xorshift64*: one `u64` from proptest expands into a whole history.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+        }
+    }
+
+    /// A `dbcc log` over two tables × two pages whose rows migrate down on
+    /// delete, as the engine's pages do: inserts append, deletes close the
+    /// gap, modifies log the slot's current offset — so later deletes land
+    /// before, over and after a modified slot — and half the time a
+    /// modify hits the slot the previous one did.
+    fn page_history(seed: u64) -> Vec<DbccLogRecord> {
+        use DbccOp::{Delete, Insert, Modify};
+        let mut rng = Rng(seed | 1);
+        let mut pages: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+        let mut last_modified = None;
+        let mut log = Vec::new();
+        for lsn in 0..40 + rng.below(80) as u64 {
+            let key = (rng.below(2), rng.below(2) as u64);
+            let slots = pages.entry(key).or_default();
+            let op = match rng.below(5) {
+                _ if slots.is_empty() => Insert,
+                0 | 1 => Insert,
+                2 | 3 => Modify,
+                _ => Delete,
+            };
+            let slot = match (op, last_modified) {
+                (Insert, _) => {
+                    slots.push(8 + rng.below(24));
+                    slots.len() - 1
+                }
+                (Modify, Some((k, s))) if k == key && s < slots.len() && rng.below(2) == 0 => s,
+                _ => rng.below(slots.len()),
+            };
+            let (offset, len) = (slots[..slot].iter().sum(), slots[slot]);
+            match op {
+                Modify => last_modified = Some((key, slot)),
+                Delete => drop(slots.remove(slot)),
+                _ => {}
+            }
+            log.push(DbccLogRecord {
+                lsn: Lsn(lsn),
+                txn: InternalTxnId(lsn),
+                op,
+                table: ["t", "u"][key.0].to_string(),
+                page: key.1,
+                offset,
+                len,
+                bytes: Vec::new(),
+            });
+        }
+        log
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn indexed_offset_adjustment_matches_the_reference(seed in any::<u64>()) {
+            let log = page_history(seed);
+            let deletes = PageDeletes::new(&log);
+            for (i, rm) in log.iter().enumerate() {
+                if rm.op == DbccOp::Modify {
+                    prop_assert_eq!(
+                        deletes.adjust(i),
+                        adjust_modify_offset(rm, log[i + 1..].iter()),
+                        "modify at position {}", i
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_histories_reach_both_outcomes() {
+        let (mut moved, mut deleted) = (0, 0);
+        for seed in 0..64 {
+            let log = page_history(seed);
+            let deletes = PageDeletes::new(&log);
+            for (i, rm) in log.iter().enumerate() {
+                match (rm.op, deletes.adjust(i)) {
+                    (DbccOp::Modify, AdjustOutcome::Offset(off)) if off < rm.offset => moved += 1,
+                    (DbccOp::Modify, AdjustOutcome::DeletedLater(_)) => deleted += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(moved > 0 && deleted > 0, "moved {moved}, deleted {deleted}");
     }
 }

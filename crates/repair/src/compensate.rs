@@ -262,29 +262,28 @@ fn discover_address(
     row: &NamedRow,
     addr_col: &str,
 ) -> Result<i64, RepairError> {
-    let schema = db
-        .table(table)
-        .map_err(RepairError::Engine)?
-        .read()
-        .schema()
-        .clone();
-    let match_cols: Vec<String> = if schema.primary_key.is_empty() {
-        row.0
+    let handle = db.table(table).map_err(RepairError::Engine)?;
+    let conds: Vec<String> = {
+        let guard = handle.read();
+        let schema = guard.schema();
+        let match_cols: Vec<&str> = if schema.primary_key.is_empty() {
+            row.0
+                .iter()
+                .filter(|(_, v)| !v.is_null())
+                .map(|(c, _)| c.as_str())
+                .collect()
+        } else {
+            schema
+                .primary_key
+                .iter()
+                .map(|&i| schema.columns[i].name.as_str())
+                .collect()
+        };
+        match_cols
             .iter()
-            .filter(|(_, v)| !v.is_null())
-            .map(|(c, _)| c.clone())
-            .collect()
-    } else {
-        schema
-            .primary_key
-            .iter()
-            .map(|&i| schema.columns[i].name.clone())
+            .filter_map(|c| row.get(c).map(|v| format!("{c} = {}", sql_literal(v))))
             .collect()
     };
-    let conds: Vec<String> = match_cols
-        .iter()
-        .filter_map(|c| row.get(c).map(|v| format!("{c} = {}", sql_literal(v))))
-        .collect();
     let sql = format!(
         "SELECT {addr_col} FROM {table} WHERE {} ORDER BY {addr_col} DESC LIMIT 1",
         conds.join(" AND ")

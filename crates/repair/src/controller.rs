@@ -349,15 +349,17 @@ impl RepairController {
         let prov_rows = session
             .query("SELECT tr_id, dep_tr_id, via_table, read_cols FROM trans_dep_prov")
             .map_err(RepairError::Engine)?;
-        // (tr_id, dep_tr_id) → [(mediating table, columns read)]
-        type ProvMap = HashMap<(i64, i64), Vec<(String, Vec<String>)>>;
+        // (tr_id, dep_tr_id) → [(mediating table, columns read)], plus how
+        // many trans_dep entries name the pair: the last one moves the
+        // provenance into the graph, any earlier one copies it.
+        type ProvMap = HashMap<(i64, i64), (Vec<(String, Vec<String>)>, usize)>;
         let mut prov: ProvMap = HashMap::new();
-        for row in &prov_rows.rows {
-            if let (Value::Int(tr), Value::Int(dep), Value::Str(table), Value::Str(cols)) =
-                (&row[0], &row[1], &row[2], &row[3])
+        for row in prov_rows.rows {
+            if let Ok([Value::Int(tr), Value::Int(dep), Value::Str(table), Value::Str(cols)]) =
+                <[Value; 4]>::try_from(row)
             {
-                prov.entry((*tr, *dep)).or_default().push((
-                    table.clone(),
+                prov.entry((tr, dep)).or_default().0.push((
+                    table,
                     cols.split(',')
                         .filter(|s| !s.is_empty())
                         .map(str::to_string)
@@ -368,41 +370,46 @@ impl RepairController {
         let dep_rows = session
             .query("SELECT tr_id, dep_tr_ids FROM trans_dep")
             .map_err(RepairError::Engine)?;
-        for row in &dep_rows.rows {
-            let (Value::Int(tr), Value::Str(deps)) = (&row[0], &row[1]) else {
-                continue;
-            };
-            for dep in deps.split_whitespace() {
-                let Ok(dep) = dep.parse::<i64>() else {
-                    continue;
-                };
-                match prov.get(&(*tr, dep)) {
-                    Some(sources) => {
-                        for (table, cols) in sources {
-                            graph.add_edge(
-                                *tr,
-                                dep,
-                                EdgeProvenance {
-                                    table: table.clone(),
-                                    kind: EdgeKind::Read {
-                                        read_columns: cols.clone(),
-                                    },
-                                },
-                            );
-                        }
+        let pairs: Vec<(i64, i64)> = (dep_rows.rows.iter())
+            .filter_map(|row| match (&row[0], &row[1]) {
+                (Value::Int(tr), Value::Str(deps)) => Some((*tr, deps)),
+                _ => None,
+            })
+            .flat_map(|(tr, deps)| {
+                (deps.split_whitespace())
+                    .filter_map(move |dep| dep.parse::<i64>().ok().map(|dep| (tr, dep)))
+            })
+            .collect();
+        for pair in &pairs {
+            if let Some((_, uses)) = prov.get_mut(pair) {
+                *uses += 1;
+            }
+        }
+        for (tr, dep) in pairs {
+            match prov.get_mut(&(tr, dep)) {
+                Some((sources, uses)) => {
+                    *uses -= 1;
+                    let sources = if *uses == 0 {
+                        std::mem::take(sources)
+                    } else {
+                        sources.clone()
+                    };
+                    for (table, read_columns) in sources {
+                        let kind = EdgeKind::Read { read_columns };
+                        graph.add_edge(tr, dep, EdgeProvenance { table, kind });
                     }
-                    None => {
-                        // No provenance recorded: keep the edge with an
-                        // unknown-table marker (it always survives rules).
-                        graph.add_edge(
-                            *tr,
-                            dep,
-                            EdgeProvenance {
-                                table: String::new(),
-                                kind: EdgeKind::Write,
-                            },
-                        );
-                    }
+                }
+                None => {
+                    // No provenance recorded: keep the edge with an
+                    // unknown-table marker (it always survives rules).
+                    graph.add_edge(
+                        tr,
+                        dep,
+                        EdgeProvenance {
+                            table: String::new(),
+                            kind: EdgeKind::Write,
+                        },
+                    );
                 }
             }
         }
@@ -431,11 +438,8 @@ impl RepairController {
                 RepairOp::Update { after, .. } => graph.note_writer_columns(
                     proxy,
                     &rec.table,
-                    after
-                        .columns()
-                        .iter()
-                        .filter(|c| !resildb_proxy::is_tracking_column(c))
-                        .map(|s| s.to_string()),
+                    (after.0.iter().map(|(c, _)| c.as_str()))
+                        .filter(|c| !resildb_proxy::is_tracking_column(c)),
                 ),
                 _ => {}
             }
@@ -847,13 +851,9 @@ impl RepairController {
             let pk = match pk_cache.get(&table) {
                 Some(pk) => pk.clone(),
                 None => {
-                    let schema = self
-                        .db
-                        .table(&rec.table)
-                        .map_err(RepairError::Engine)?
-                        .read()
-                        .schema()
-                        .clone();
+                    let handle = self.db.table(&rec.table).map_err(RepairError::Engine)?;
+                    let guard = handle.read();
+                    let schema = guard.schema();
                     let pk: Vec<String> = schema
                         .primary_key
                         .iter()

@@ -2,7 +2,7 @@
 //! false-dependency filtering and GraphViz export (paper §3.3, §5.3,
 //! Figure 3).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use resildb_analyze::{DotBuilder, EdgeStyle, FILL_ATTACK, FILL_CLOSURE};
 
@@ -124,11 +124,11 @@ pub struct DepGraph {
     edges: HashMap<(i64, i64), Vec<EdgeProvenance>>,
     /// txn → symbolic name (from the `annot` table).
     labels: BTreeMap<i64, String>,
-    /// (writer txn, table) → columns it changed there (None entry absent
+    /// writer txn → table → columns it changed there (an absent entry
     /// means the writer inserted whole rows / unknown).
-    writer_changed: HashMap<(i64, String), BTreeSet<String>>,
-    /// (writer txn, table) → writer inserted whole rows there.
-    writer_inserted: BTreeSet<(i64, String)>,
+    writer_changed: HashMap<i64, HashMap<String, BTreeSet<String>>>,
+    /// writer txn → tables it inserted whole rows into.
+    writer_inserted: HashMap<i64, HashSet<String>>,
 }
 
 impl DepGraph {
@@ -173,22 +173,31 @@ impl DepGraph {
 
     /// Records which columns `writer` changed in `table` (union across its
     /// updates), used by [`FalseDepRule::IgnoreDerivedColumns`].
-    pub fn note_writer_columns(
+    pub fn note_writer_columns<S: AsRef<str>>(
         &mut self,
         writer: i64,
         table: &str,
-        columns: impl IntoIterator<Item = String>,
+        columns: impl IntoIterator<Item = S>,
     ) {
-        self.writer_changed
-            .entry((writer, table.to_string()))
-            .or_default()
-            .extend(columns);
+        let tables = self.writer_changed.entry(writer).or_default();
+        let changed = match tables.get_mut(table) {
+            Some(changed) => changed,
+            None => tables.entry(table.to_string()).or_default(),
+        };
+        for column in columns {
+            if !changed.contains(column.as_ref()) {
+                changed.insert(column.as_ref().to_string());
+            }
+        }
     }
 
     /// Records that `writer` inserted whole rows into `table` (dependencies
     /// on inserted rows are never derived-column artefacts).
     pub fn note_writer_insert(&mut self, writer: i64, table: &str) {
-        self.writer_inserted.insert((writer, table.to_string()));
+        let tables = self.writer_inserted.entry(writer).or_default();
+        if !tables.contains(table) {
+            tables.insert(table.to_string());
+        }
     }
 
     /// The direct dependencies of `txn`.
@@ -209,12 +218,11 @@ impl DepGraph {
             return true; // no provenance info: keep (safe side)
         }
         provs.iter().any(|p| {
-            let key = (dependee, p.table.clone());
-            let changed = if self.writer_inserted.contains(&key) {
-                None
-            } else {
-                self.writer_changed.get(&key)
-            };
+            let inserted =
+                (self.writer_inserted.get(&dependee)).is_some_and(|t| t.contains(&p.table));
+            let changed = (self.writer_changed.get(&dependee))
+                .and_then(|t| t.get(&p.table))
+                .filter(|_| !inserted);
             !rules.iter().any(|r| r.ignores(p, changed))
         })
     }

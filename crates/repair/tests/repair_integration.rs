@@ -4,9 +4,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::collections::BTreeSet;
 
-use resildb_engine::{Database, Flavor, Value};
+use resildb_engine::{Database, EngineError, Flavor, LogOp, Value};
 use resildb_proxy::{prepare_database, ProxyConfig, TrackingProxy};
-use resildb_repair::{FalseDepRule, RepairController, RepairPlan};
+use resildb_repair::adapters::adapter_for;
+use resildb_repair::{FalseDepRule, NamedRow, RepairController, RepairOp, RepairPlan};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver};
 
 struct Fixture {
@@ -485,4 +486,79 @@ fn analysis_only_leaves_no_incident_behind() {
     assert_eq!(phases, [P::AttackCommitted, P::Detected, P::SweepComplete]);
     let p = incident.progress;
     assert_eq!((p.closure, p.total, p.compensated), (1, 1, 1));
+}
+
+/// A table dropped and re-created under the same name with its columns in
+/// another order: every image must be named with the columns its table had
+/// when the record was logged, not with the live table's.
+fn images_are_named_with_the_schema_of_their_lsn(flavor: Flavor) {
+    let mut fx = fixture(flavor);
+    fx.exec("CREATE TABLE t (a INTEGER, b INTEGER)");
+    fx.txn("first", &["INSERT INTO t (a, b) VALUES (1, 2)"]);
+    fx.exec("DROP TABLE t");
+    fx.exec("CREATE TABLE t (b INTEGER, a INTEGER, c INTEGER)");
+    fx.txn("second", &["INSERT INTO t (b, a, c) VALUES (3, 4, 5)"]);
+
+    let records = adapter_for(flavor).scan(&fx.db).unwrap();
+    let inserts: Vec<&NamedRow> = records
+        .iter()
+        .filter(|r| r.table == "t")
+        .filter_map(|r| match &r.op {
+            RepairOp::Insert { row, .. } => Some(row),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(inserts.len(), 2, "{flavor}");
+    let (first, second) = (inserts[0], inserts[1]);
+    assert_eq!(first.columns()[..2], ["a", "b"], "{flavor}");
+    assert_eq!(first.get("a"), Some(&Value::Int(1)), "{flavor}");
+    assert_eq!(first.get("b"), Some(&Value::Int(2)), "{flavor}");
+    assert_eq!(first.get("c"), None, "{flavor}");
+    assert_eq!(second.columns()[..3], ["b", "a", "c"], "{flavor}");
+    assert_eq!(second.get("a"), Some(&Value::Int(4)), "{flavor}");
+    assert_eq!(second.get("c"), Some(&Value::Int(5)), "{flavor}");
+}
+
+#[test]
+fn images_are_named_with_the_schema_of_their_lsn_on_postgres() {
+    images_are_named_with_the_schema_of_their_lsn(Flavor::Postgres);
+}
+
+#[test]
+fn images_are_named_with_the_schema_of_their_lsn_on_oracle() {
+    images_are_named_with_the_schema_of_their_lsn(Flavor::Oracle);
+}
+
+#[test]
+fn images_are_named_with_the_schema_of_their_lsn_on_sybase() {
+    images_are_named_with_the_schema_of_their_lsn(Flavor::Sybase);
+}
+
+/// A Sybase MODIFY whose table has since been dropped cannot be resolved
+/// through `dbcc page` (the page now belongs to another incarnation): the
+/// scan names the table and LSN instead of reading the wrong row.
+#[test]
+fn sybase_modify_of_a_dropped_table_is_a_named_error() {
+    let mut fx = fixture(Flavor::Sybase);
+    fx.exec("CREATE TABLE t (a INTEGER, b INTEGER)");
+    fx.txn("load", &["INSERT INTO t (a, b) VALUES (1, 2)"]);
+    fx.txn("modify", &["UPDATE t SET b = 3 WHERE a = 1"]);
+    fx.exec("DROP TABLE t");
+    fx.exec("CREATE TABLE t (a INTEGER, b INTEGER)");
+    fx.txn("reload", &["INSERT INTO t (a, b) VALUES (1, 2)"]);
+
+    let modify_lsn = fx
+        .db
+        .wal_records()
+        .iter()
+        .find(|r| matches!(&r.op, LogOp::Update { table, .. } if table == "t"))
+        .map(|r| r.lsn.0)
+        .unwrap();
+    match adapter_for(Flavor::Sybase).scan(&fx.db) {
+        Err(EngineError::UnknownTable(msg)) => {
+            assert!(msg.starts_with("t "), "{msg}");
+            assert!(msg.contains(&format!("lsn {modify_lsn}")), "{msg}");
+        }
+        other => panic!("expected a named unknown-table error, got {other:?}"),
+    }
 }

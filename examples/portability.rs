@@ -39,18 +39,19 @@ fn main() -> Result<(), Error> {
             }
             Flavor::Postgres => {
                 println!("WAL records (UPDATEs, full images):");
-                for rec in introspect::waldump(rdb.database())? {
+                introspect::waldump(rdb.database(), |rec| {
                     if rec.op_name == "UPDATE" {
                         println!(
                             "  {} row {:?} page {:?}: {:?} -> {:?}",
-                            rec.table.as_deref().unwrap_or("-"),
+                            rec.table.unwrap_or("-"),
                             rec.rowid,
                             rec.loc.map(|l| (l.page, l.offset)),
-                            rec.before.as_ref().map(|r| r.values().len()),
-                            rec.after.as_ref().map(|r| r.values().len()),
+                            rec.before.map(|r| r.values().len()),
+                            rec.after.map(|r| r.values().len()),
                         );
                     }
-                }
+                    Ok(())
+                })?;
             }
             Flavor::Sybase => {
                 println!("dbcc log (MODIFY records carry only changed attributes):");
