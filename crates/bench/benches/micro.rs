@@ -8,7 +8,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use resildb_core::{Flavor, ResilientDb};
-use resildb_sql::{parse_statement, Statement};
+use resildb_proxy::{prepare_database, ProxyConfig, ProxyConfigBuilder, TrackingProxy};
+use resildb_sql::{parse_statement, Expr, Statement};
+use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver};
 
 const SELECT_SQL: &str = "SELECT c.c_balance, c.c_first, o.o_id FROM customer c, orders o \
      WHERE c.c_w_id = 1 AND c.c_d_id = 2 AND c.c_id = 17 AND o.o_w_id = 1 \
@@ -46,7 +48,7 @@ fn bench_rewrite(c: &mut Criterion) {
         b.iter(|| {
             resildb_proxy::rewrite_update(
                 std::hint::black_box(&upd),
-                42,
+                Expr::int(42),
                 resildb_proxy::TrackingGranularity::Row,
             )
         })
@@ -54,7 +56,7 @@ fn bench_rewrite(c: &mut Criterion) {
 }
 
 fn bench_rewrite_cache(c: &mut Criterion) {
-    use resildb_sql::{collect_params, parse_template, scan_statement, SqlTemplate};
+    use resildb_sql::{parse_template, scan_statement, SqlTemplate};
 
     // Cold: what every occurrence of the statement pays without the cache —
     // lex + parse, clone-rewrite, print.
@@ -82,8 +84,7 @@ fn bench_rewrite_cache(c: &mut Criterion) {
         resildb_proxy::rewrite_select(&sel, resildb_proxy::TrackingGranularity::Row)
             .rewritten()
             .unwrap();
-    let stmt = Statement::Select(rewritten);
-    let tmpl = SqlTemplate::new(stmt.to_string(), &collect_params(&stmt)).unwrap();
+    let tmpl = SqlTemplate::of(Statement::Select(rewritten), scan.spans.len()).unwrap();
     c.bench_function("rewrite_cached", |b| {
         b.iter(|| {
             let scan = scan_statement(std::hint::black_box(SELECT_SQL)).unwrap();
@@ -111,6 +112,22 @@ fn tracked_db() -> (ResilientDb, Box<dyn resildb_core::Connection>) {
     (rdb, conn)
 }
 
+/// A tracking connection configured by `config` over a fresh database
+/// holding one row of `t`, its statement shape already seen once.
+fn proxied(config: ProxyConfigBuilder) -> Box<dyn Connection> {
+    let db = resildb_engine::Database::in_memory(Flavor::Postgres);
+    let native = NativeDriver::new(db.clone(), LinkProfile::local());
+    prepare_database(&mut *native.connect().unwrap()).unwrap();
+    let driver = TrackingProxy::single_proxy(db, LinkProfile::local(), config.build());
+    let mut conn = driver.connect().unwrap();
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    conn.execute("INSERT INTO t (id, v) VALUES (250, 1)")
+        .unwrap();
+    conn.execute("SELECT v FROM t WHERE id = 250").unwrap(); // warm cache
+    conn
+}
+
 fn bench_engine(c: &mut Criterion) {
     let (rdb, _conn) = tracked_db();
     let mut session = rdb.database().session();
@@ -136,6 +153,13 @@ fn bench_tracked_path(c: &mut Criterion) {
             conn.execute("UPDATE t SET v = v + 1 WHERE id = 250")
                 .unwrap()
         })
+    });
+    // The same SELECT with the rewrite cache off: every execution is a
+    // miss that parses, plans (rewrite, print, template) and then runs the
+    // plan — the planner and executor beside the warm path above.
+    let mut cold = proxied(ProxyConfig::builder(Flavor::Postgres).rewrite_cache_capacity(0));
+    c.bench_function("tracked_select_cache_miss", |b| {
+        b.iter(|| cold.execute("SELECT v FROM t WHERE id = 250").unwrap())
     });
 }
 
@@ -192,9 +216,7 @@ fn bench_failpoints(c: &mut Criterion) {
 
 fn bench_enforcement(c: &mut Criterion) {
     use resildb_analyze::{classify_statement, Granularity};
-    use resildb_engine::Database;
-    use resildb_proxy::{prepare_database, EnforcementPolicy, ProxyConfig, TrackingProxy};
-    use resildb_wire::{Driver, LinkProfile, NativeDriver};
+    use resildb_proxy::EnforcementPolicy;
 
     // The raw classifier cost a cold statement pays once per shape.
     let stmt = parse_statement(SELECT_SQL).unwrap();
@@ -206,27 +228,12 @@ fn bench_enforcement(c: &mut Criterion) {
     // difference between the two is the memoised-verdict inspection, which
     // must stay invisible next to parse/splice/execute. This guards the
     // claim that enforcement costs nothing on the hot path.
-    let proxied = |policy: EnforcementPolicy| {
-        let db = Database::in_memory(resildb_engine::Flavor::Postgres);
-        let native = NativeDriver::new(db.clone(), LinkProfile::local());
-        prepare_database(&mut *native.connect().unwrap()).unwrap();
-        let config = ProxyConfig::builder(resildb_engine::Flavor::Postgres)
-            .enforcement(policy)
-            .build();
-        let driver = TrackingProxy::single_proxy(db, LinkProfile::local(), config);
-        let mut conn = driver.connect().unwrap();
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-            .unwrap();
-        conn.execute("INSERT INTO t (id, v) VALUES (250, 1)")
-            .unwrap();
-        conn.execute("SELECT v FROM t WHERE id = 250").unwrap(); // warm cache
-        conn
-    };
-    let mut off = proxied(EnforcementPolicy::Allow);
+    let enforcing = |policy| proxied(ProxyConfig::builder(Flavor::Postgres).enforcement(policy));
+    let mut off = enforcing(EnforcementPolicy::Allow);
     c.bench_function("tracked_select_enforcement_off", |b| {
         b.iter(|| off.execute("SELECT v FROM t WHERE id = 250").unwrap())
     });
-    let mut warn = proxied(EnforcementPolicy::Warn);
+    let mut warn = enforcing(EnforcementPolicy::Warn);
     c.bench_function("tracked_select_enforcement_warn", |b| {
         b.iter(|| warn.execute("SELECT v FROM t WHERE id = 250").unwrap())
     });

@@ -548,6 +548,24 @@ mod tests {
     }
 
     #[test]
+    fn deferred_statement_is_rejected_when_the_budget_expires() {
+        let f = Fence::new();
+        f.raise(vec!["account".into()]);
+        let start = std::time::Instant::now();
+        let decision = f.admit(
+            &stmt("SELECT * FROM account WHERE id = 1"),
+            FenceAction::Defer,
+        );
+        assert_eq!(decision, FenceDecision::Reject);
+        assert!(
+            start.elapsed() >= FENCE_DEFER_BUDGET,
+            "rejected before the budget ran out"
+        );
+        let s = f.stats();
+        assert_eq!((s.deferred, s.rejected, s.passed), (1, 1, 0));
+    }
+
+    #[test]
     fn metrics_fold_counters_and_gauge() {
         let f = Fence::new();
         f.raise(vec!["a".into(), "b".into()]);

@@ -70,5 +70,7 @@ pub use rewrite::{
     HarvestSource, SelectOutcome, SelectRewrite, SelectSkip, COLUMN_TRID_PREFIX, IDENTITY_COLUMN,
     TRID_COLUMN,
 };
-pub use setup::{prepare_database, ANNOT_TABLE, PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE};
+pub use setup::{
+    is_tracking_table, prepare_database, ANNOT_TABLE, PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE,
+};
 pub use tracker::{ProxyRuntime, ProxyTxnId, TrackerStats, TrackerStatsSnapshot, TrackingProxy};

@@ -162,20 +162,11 @@ pub fn rewrite_select(sel: &Select, granularity: TrackingGranularity) -> SelectO
     }
 }
 
-/// Rewrites an UPDATE per Table 1: appends `trid = <cur_trid>` to the SET
-/// list (unless the client, illegally, already assigns it).
-pub fn rewrite_update(upd: &Update, cur_trid: i64, granularity: TrackingGranularity) -> Update {
-    rewrite_update_with(upd, Expr::int(cur_trid), granularity)
-}
-
-/// [`rewrite_update`] generalised over the stamped expression, so the
-/// rewrite cache can build a template with a `?` splice slot
-/// (`Expr::Param(TRID_PARAM)`) where the literal trid would go.
-pub(crate) fn rewrite_update_with(
-    upd: &Update,
-    trid_expr: Expr,
-    granularity: TrackingGranularity,
-) -> Update {
+/// Rewrites an UPDATE per Table 1: appends `trid = <trid_expr>` to the SET
+/// list (unless the client, illegally, already assigns it). The stamp is
+/// an expression: the proxy plans with `Expr::Param(TRID_PARAM)`, a splice
+/// slot for the current transaction id; `Expr::int(n)` stamps `n`.
+pub fn rewrite_update(upd: &Update, trid_expr: Expr, granularity: TrackingGranularity) -> Update {
     let mut rewritten = upd.clone();
     if granularity == TrackingGranularity::Column {
         // Stamp the per-column last-writer of every assigned user column.
@@ -213,24 +204,12 @@ pub(crate) fn rewrite_update_with(
 }
 
 /// Rewrites an INSERT per Table 1: appends the `trid` column and
-/// `<cur_trid>` to every VALUES tuple. Inserts without a column list have
-/// the value appended positionally (the trid column is always appended
-/// right after the client's columns by [`rewrite_create_table`]); on
-/// flavors with an injected identity column a NULL is appended for it so
-/// the engine auto-numbers.
+/// `<trid_expr>` (as in [`rewrite_update`]) to every VALUES tuple. Inserts
+/// without a column list have the value appended positionally (the trid
+/// column is always appended right after the client's columns by
+/// [`rewrite_create_table`]); on flavors with an injected identity column
+/// a NULL is appended for it so the engine auto-numbers.
 pub fn rewrite_insert(
-    ins: &Insert,
-    cur_trid: i64,
-    flavor: Flavor,
-    granularity: TrackingGranularity,
-) -> Insert {
-    rewrite_insert_with(ins, Expr::int(cur_trid), flavor, granularity)
-}
-
-/// [`rewrite_insert`] generalised over the stamped expression, so the
-/// rewrite cache can build a template with a `?` splice slot
-/// (`Expr::Param(TRID_PARAM)`) where the literal trid would go.
-pub(crate) fn rewrite_insert_with(
     ins: &Insert,
     trid_expr: Expr,
     flavor: Flavor,
@@ -383,7 +362,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = rewrite_update(&u, 42, TrackingGranularity::Row);
+        let r = rewrite_update(&u, Expr::int(42), TrackingGranularity::Row);
         assert_eq!(
             r.to_string(),
             "UPDATE t SET a1 = 1, a2 = 'v', trid = 42 WHERE c = 1"
@@ -397,7 +376,12 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = rewrite_insert(&i, 42, Flavor::Postgres, TrackingGranularity::Row);
+        let r = rewrite_insert(
+            &i,
+            Expr::int(42),
+            Flavor::Postgres,
+            TrackingGranularity::Row,
+        );
         assert_eq!(
             r.to_string(),
             "INSERT INTO t (a1, a2, trid) VALUES (1, 'v', 42)"
@@ -443,9 +427,9 @@ mod tests {
         let Statement::Insert(i) = parse_statement("INSERT INTO t VALUES (1, 'v')").unwrap() else {
             unreachable!()
         };
-        let pg = rewrite_insert(&i, 7, Flavor::Postgres, TrackingGranularity::Row);
+        let pg = rewrite_insert(&i, Expr::int(7), Flavor::Postgres, TrackingGranularity::Row);
         assert_eq!(pg.to_string(), "INSERT INTO t VALUES (1, 'v', 7)");
-        let syb = rewrite_insert(&i, 7, Flavor::Sybase, TrackingGranularity::Row);
+        let syb = rewrite_insert(&i, Expr::int(7), Flavor::Sybase, TrackingGranularity::Row);
         assert_eq!(syb.to_string(), "INSERT INTO t VALUES (1, 'v', 7, NULL)");
     }
 
@@ -455,7 +439,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = rewrite_insert(&i, 9, Flavor::Oracle, TrackingGranularity::Row);
+        let r = rewrite_insert(&i, Expr::int(9), Flavor::Oracle, TrackingGranularity::Row);
         assert_eq!(
             r.to_string(),
             "INSERT INTO t (a, trid) VALUES (1, 9), (2, 9)"
@@ -495,7 +479,7 @@ mod tests {
             unreachable!()
         };
         assert_eq!(
-            rewrite_update(&u, 9, TrackingGranularity::Row)
+            rewrite_update(&u, Expr::int(9), TrackingGranularity::Row)
                 .assignments
                 .len(),
             2
@@ -550,7 +534,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = rewrite_update(&u, 7, TrackingGranularity::Column);
+        let r = rewrite_update(&u, Expr::int(7), TrackingGranularity::Column);
         assert_eq!(
             r.to_string(),
             "UPDATE w SET w_ytd = w_ytd + 5, trid__w_ytd = 7, trid = 7 WHERE w_id = 1"
@@ -563,7 +547,12 @@ mod tests {
         else {
             unreachable!()
         };
-        let r = rewrite_insert(&i, 5, Flavor::Postgres, TrackingGranularity::Column);
+        let r = rewrite_insert(
+            &i,
+            Expr::int(5),
+            Flavor::Postgres,
+            TrackingGranularity::Column,
+        );
         assert_eq!(
             r.to_string(),
             "INSERT INTO t (a, b, trid__a, trid__b, trid) VALUES (1, 2, 5, 5, 5)"

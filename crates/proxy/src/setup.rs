@@ -18,6 +18,13 @@ pub const PROV_TABLE: &str = "trans_dep_prov";
 /// All tracking tables, in creation order.
 pub const TRACKING_TABLES: [&str; 3] = [TRANS_DEP_TABLE, ANNOT_TABLE, PROV_TABLE];
 
+/// Whether `name` is one of the [`TRACKING_TABLES`] (case-insensitively):
+/// the proxy's own bookkeeping, not user data. Statements on them pass
+/// the proxy untouched, and repair never treats their rows as damage.
+pub fn is_tracking_table(name: &str) -> bool {
+    TRACKING_TABLES.iter().any(|t| t.eq_ignore_ascii_case(name))
+}
+
 /// Creates the tracking tables on a *raw* (non-proxy) connection. The
 /// tables deliberately bypass the proxy's CREATE TABLE interception: they
 /// carry no `trid` column themselves, and the `trans_dep` insert that lands

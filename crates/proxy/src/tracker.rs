@@ -12,8 +12,7 @@ use resildb_sim::{
     SimContext, Telemetry, TraceVerdict,
 };
 use resildb_sql::{
-    collect_params, parse_template, scan_statement, Expr, SqlTemplate, Statement, StatementScan,
-    TRID_PARAM,
+    parse_statement, parse_template, scan_statement, LiteralSpan, Statement, StatementScan,
 };
 use resildb_wire::{
     single_proxy, Connection, InterceptDriver, Interceptor, InterceptorFactory, LinkProfile,
@@ -22,16 +21,11 @@ use resildb_wire::{
 
 use resildb_analyze::{classify_statement, Verdict};
 
-use crate::cache::{CacheEntry, CachedShape, RewriteCacheStats};
+use crate::cache::{CachedShape, Plan, RewriteCacheStats};
 use crate::config::{EnforcementPolicy, ProxyConfig};
 use crate::depstore::DepStore;
 use crate::fence::{Fence, FenceDecision};
-use crate::rewrite::{
-    rewrite_create_table, rewrite_insert, rewrite_insert_with, rewrite_select, rewrite_update,
-    rewrite_update_with, SelectOutcome, COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN,
-    TRID_COLUMN,
-};
-use crate::setup::TRACKING_TABLES;
+use crate::rewrite::{COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN, TRID_COLUMN};
 
 /// A proxy-generated transaction id. Distinct from the DBMS-internal id;
 /// the repair tool correlates the two from the transaction log (§3.3).
@@ -333,10 +327,6 @@ fn strip_columns(qr: resildb_engine::QueryResult, strip: &[bool]) -> resildb_eng
     resildb_engine::QueryResult { columns, rows }
 }
 
-fn is_tracking_table(name: &str) -> bool {
-    TRACKING_TABLES.iter().any(|t| t.eq_ignore_ascii_case(name))
-}
-
 impl Tracker {
     fn alloc_trid(&self) -> i64 {
         self.runtime.counter.fetch_add(1, Ordering::Relaxed)
@@ -435,18 +425,13 @@ impl Tracker {
         }
     }
 
-    /// Classifies `stmt` for enforcement, or `None` when the statement is
-    /// exempt (the proxy's own tracking-table bookkeeping) or the policy
-    /// is [`EnforcementPolicy::Allow`] (classifier off the statement
-    /// path, the paper's behaviour).
-    fn classify_for_enforcement(&self, stmt: &Statement) -> Option<Verdict> {
-        if self.config.enforcement == EnforcementPolicy::Allow {
+    /// Classifies `stmt` for enforcement, or `None` when it is exempt
+    /// (planned as the proxy's own tracking-table bookkeeping) or the
+    /// policy is [`EnforcementPolicy::Allow`] (classifier off the
+    /// statement path, the paper's behaviour).
+    fn classify_for_enforcement(&self, stmt: &Statement, plan: &Plan) -> Option<Verdict> {
+        if self.config.enforcement == EnforcementPolicy::Allow || matches!(plan, Plan::Tracking) {
             return None;
-        }
-        if let Some(first) = stmt.referenced_tables().first() {
-            if is_tracking_table(first) {
-                return None;
-            }
         }
         Some(classify_statement(stmt, self.config.granularity.into()))
     }
@@ -494,6 +479,15 @@ impl Tracker {
                     // complete and let a false-dependency rule prune an
                     // edge whose derived column fell past the cut.
                     let cols = if cols.chars().count() > 200 { "" } else { cols };
+                    // Likewise a table name wider than `via_table` (32
+                    // chars) is written as the unknown-table marker, which
+                    // no rule prunes; a truncated name could be another
+                    // table's.
+                    let table = if table.chars().count() > 32 {
+                        ""
+                    } else {
+                        table
+                    };
                     format!(
                         "({}, {}, {}, {})",
                         t.trid,
@@ -687,6 +681,24 @@ impl Tracker {
         committed
     }
 
+    /// Opens a tracked transaction — BEGIN downstream, then a fresh trid
+    /// carrying the staged annotation, entered in the dependency ledger.
+    /// The one opening sequence, shared by an explicit `BEGIN` and the
+    /// implicit transaction around an autocommit write.
+    fn begin_txn(
+        &mut self,
+        explicit: bool,
+        downstream: &mut dyn Connection,
+    ) -> Result<Response, WireError> {
+        let resp = downstream.execute("BEGIN")?;
+        let trid = self.alloc_trid();
+        let annotation = self.next_annotation.take();
+        self.txn = Some(TxnTrack::new(trid, explicit, annotation));
+        self.runtime.deps.begin(trid, self.tel());
+        self.trace(trid, EventKind::TxnBegin);
+        Ok(resp)
+    }
+
     /// Executes a write statement within the current transaction, opening
     /// (and afterwards committing) an implicit one when none is active.
     /// `make_sql` receives the current proxy transaction id for rewriting.
@@ -697,12 +709,7 @@ impl Tracker {
     ) -> Result<Response, WireError> {
         let implicit = self.txn.is_none();
         if implicit {
-            let trid = self.alloc_trid();
-            let annotation = self.next_annotation.take();
-            downstream.execute("BEGIN")?;
-            self.txn = Some(TxnTrack::new(trid, false, annotation));
-            self.runtime.deps.begin(trid, self.tel());
-            self.trace(trid, EventKind::TxnBegin);
+            self.begin_txn(false, downstream)?;
         }
         let Some(trid) = self.txn.as_ref().map(|t| t.trid) else {
             return Err(WireError::Protocol("transaction state missing".into()));
@@ -738,160 +745,78 @@ impl Tracker {
         }
     }
 
-    /// Builds the cache entry replaying what the cold path does for this
-    /// statement shape. Returns `None` for shapes that must stay cold
-    /// (template construction failed, or a statement class the scanner
-    /// should not have admitted).
-    fn build_entry(&self, sql: &str, scan: &StatementScan, cold: &Statement) -> Option<CacheEntry> {
-        // Mirror the cold dispatch: tracking-table statements first.
-        if let Some(first) = cold.referenced_tables().first() {
-            if is_tracking_table(first) {
-                return Some(CacheEntry::PassthroughRaw);
-            }
-        }
-        let config = &self.config;
-        match cold {
-            Statement::Delete(_) => return Some(CacheEntry::WriteRaw),
-            Statement::Select(_) if !config.track_reads => {
-                return Some(CacheEntry::PassthroughStrip)
-            }
-            Statement::Select(_) | Statement::Insert(_) | Statement::Update(_) => {}
-            _ => return None,
-        }
-        // The template is the cold statement with `?` for its literals;
-        // rewrite it as the cold path would, the trid a parameter too.
-        let trid = Expr::Param(TRID_PARAM);
-        let (rewritten, plan) = match parse_template(sql, scan)? {
-            Statement::Select(sel) => match rewrite_select(&sel, config.granularity) {
-                SelectOutcome::Rewritten { select, plan } => {
-                    (Statement::Select(select), Some(plan))
-                }
-                SelectOutcome::Passthrough(_) => return Some(CacheEntry::PassthroughStrip),
-            },
-            Statement::Insert(ins) => {
-                let ins = rewrite_insert_with(&ins, trid, config.flavor, config.granularity);
-                (Statement::Insert(ins), None)
-            }
-            Statement::Update(upd) => {
-                let upd = rewrite_update_with(&upd, trid, config.granularity);
-                (Statement::Update(upd), None)
-            }
-            _ => return None,
+    /// The miss path: parses `sql` — as a template when the scanner
+    /// admitted it — then plans and classifies it once. A template's plan
+    /// is cached for every later statement of its shape.
+    fn plan_statement(
+        &self,
+        sql: &str,
+        scan: Option<&StatementScan>,
+    ) -> Result<Arc<CachedShape>, WireError> {
+        let _span = self.tel_span(span_names::PROXY_REWRITE);
+        let (stmt, scan) = match scan.and_then(|scan| Some((parse_template(sql, scan)?, scan))) {
+            Some((stmt, scan)) => (stmt, Some(scan)),
+            None => (
+                parse_statement(sql).map_err(|e| {
+                    WireError::Protocol(format!("proxy cannot parse statement: {e}"))
+                })?,
+                None,
+            ),
         };
-        let tmpl = SqlTemplate::new(rewritten.to_string(), &collect_params(&rewritten))?;
-        Some(match plan {
-            Some(plan) => CacheEntry::Select { tmpl, plan },
-            None => CacheEntry::Write { tmpl },
+        self.charge_rewrite();
+        let literals = scan.map_or(0, |scan| scan.spans.len());
+        let plan = Plan::new(&stmt, literals, &self.config).ok_or_else(|| {
+            WireError::Protocol("proxy cannot template its rewrite of the statement".into())
+        })?;
+        let verdict = self.classify_for_enforcement(&stmt, &plan);
+        let shape = CachedShape { plan, verdict };
+        Ok(match scan {
+            Some(scan) => self.runtime.cache.insert(scan.fingerprint, shape),
+            None => Arc::new(shape),
         })
     }
 
-    /// Replays a cached statement shape for the incoming `sql`.
-    fn execute_cached(
+    /// The one executor: carries out `plan` for `sql`, whose masked
+    /// literals are `spans`, whether the plan was just built or came from
+    /// the cache.
+    fn execute(
         &mut self,
-        entry: &CacheEntry,
+        plan: &Plan,
         sql: &str,
-        scan: &StatementScan,
+        spans: &[LiteralSpan],
         downstream: &mut dyn Connection,
     ) -> Result<Response, WireError> {
-        match entry {
-            CacheEntry::PassthroughRaw => downstream.execute(sql),
-            CacheEntry::PassthroughStrip => {
-                let resp = downstream.execute(sql)?;
-                Ok(self.strip_only(resp))
-            }
-            CacheEntry::Select { tmpl, plan } => {
-                let rewritten = tmpl.splice(sql, &scan.spans, 0);
-                let resp = downstream.execute(&rewritten)?;
-                self.harvest_and_strip(resp, plan)
-            }
-            CacheEntry::Write { tmpl } => {
-                self.execute_write(downstream, |trid| tmpl.splice(sql, &scan.spans, trid))
-            }
-            CacheEntry::WriteRaw => self.execute_write(downstream, |_| sql.to_string()),
-        }
-    }
-
-    /// The cold interception path: full parse, rewrite and print.
-    fn execute_cold(
-        &mut self,
-        stmt: &Statement,
-        sql: &str,
-        downstream: &mut dyn Connection,
-    ) -> Result<Response, WireError> {
-        // Statements aimed at the tracking tables themselves pass through
-        // untouched (they have no trid column).
-        if let Some(first) = stmt.referenced_tables().first() {
-            if is_tracking_table(first) {
-                return downstream.execute(sql);
-            }
-        }
-
-        match stmt {
-            Statement::Begin => {
+        match plan {
+            Plan::Tracking | Plan::Ddl(None) => downstream.execute(sql),
+            Plan::Ddl(Some(rewritten)) => downstream.execute(rewritten),
+            Plan::Begin => {
                 if self.txn.as_ref().is_some_and(|t| t.explicit) {
                     return Err(WireError::Db(EngineError::InvalidTransactionState(
                         "BEGIN inside an open transaction".into(),
                     )));
                 }
-                let resp = downstream.execute("BEGIN")?;
-                let trid = self.alloc_trid();
-                let annotation = self.next_annotation.take();
-                self.txn = Some(TxnTrack::new(trid, true, annotation));
-                self.runtime.deps.begin(trid, self.tel());
-                self.trace(trid, EventKind::TxnBegin);
-                Ok(resp)
+                self.begin_txn(true, downstream)
             }
-            Statement::Commit => {
-                let Some(t) = self.txn.take() else {
-                    return downstream.execute(sql); // let the DBMS complain
-                };
-                self.finish_txn(t, downstream)
-            }
-            Statement::Rollback => {
+            Plan::Commit => match self.txn.take() {
+                Some(t) => self.finish_txn(t, downstream),
+                None => downstream.execute(sql), // let the DBMS complain
+            },
+            Plan::Rollback => {
                 self.clear_txn();
                 downstream.execute(sql)
             }
-            Statement::CreateTable(ct) => {
-                let rewritten =
-                    rewrite_create_table(ct, self.config.flavor, self.config.granularity);
-                downstream.execute(&rewritten.to_string())
+            Plan::Strip => {
+                let resp = downstream.execute(sql)?;
+                Ok(self.strip_only(resp))
             }
-            Statement::DropTable(_) => downstream.execute(sql),
-            Statement::Select(sel) => {
-                if !self.config.track_reads {
-                    let resp = downstream.execute(sql)?;
-                    return Ok(self.strip_only(resp));
-                }
-                match rewrite_select(sel, self.config.granularity) {
-                    SelectOutcome::Rewritten { select, plan } => {
-                        let resp = downstream.execute(&select.to_string())?;
-                        self.harvest_and_strip(resp, &plan)
-                    }
-                    // The skip reason is already accounted for by the
-                    // statically computed verdict (enforcement layer); here
-                    // the statement is simply forwarded.
-                    SelectOutcome::Passthrough(_) => {
-                        let resp = downstream.execute(sql)?;
-                        Ok(self.strip_only(resp))
-                    }
-                }
+            Plan::Select { tmpl, harvest } => {
+                let resp = downstream.execute(&tmpl.splice(sql, spans, 0))?;
+                self.harvest_and_strip(resp, harvest)
             }
-            Statement::Insert(ins) => {
-                let flavor = self.config.flavor;
-                let granularity = self.config.granularity;
-                self.execute_write(downstream, |trid| {
-                    rewrite_insert(ins, trid, flavor, granularity).to_string()
-                })
+            Plan::Write { tmpl } => {
+                self.execute_write(downstream, |trid| tmpl.splice(sql, spans, trid))
             }
-            Statement::Update(upd) => {
-                let granularity = self.config.granularity;
-                self.execute_write(downstream, |trid| {
-                    rewrite_update(upd, trid, granularity).to_string()
-                })
-            }
-            // DELETEs pass through unmodified; their dependencies are
-            // reconstructed from the log at repair time (§3.2).
-            Statement::Delete(_) => self.execute_write(downstream, |_| sql.to_string()),
+            Plan::WriteRaw => self.execute_write(downstream, |_| sql.to_string()),
         }
     }
 }
@@ -953,7 +878,7 @@ impl Tracker {
     /// parse falls through — the regular path rejects it with a parse
     /// error anyway.
     fn check_fence(&self, sql: &str) -> Result<(), WireError> {
-        let Ok(stmt) = resildb_sql::parse_statement(sql) else {
+        let Ok(stmt) = parse_statement(sql) else {
             return Ok(());
         };
         match self
@@ -987,55 +912,35 @@ impl Tracker {
             self.check_fence(sql)?;
         }
 
-        // Template fast path: statements whose shape is already cached are
-        // replayed with a fingerprint lookup plus literal splice instead of
+        // Template fast path: a statement whose shape is already planned is
+        // served with a fingerprint lookup plus literal splice instead of
         // the full lex/parse/rewrite/print pipeline.
         let scan = if self.runtime.cache.enabled() {
             scan_statement(sql)
         } else {
             None
         };
-        if let Some(scan) = &scan {
-            let hit = {
-                let _span = self.tel_span(span_names::PROXY_CACHE_LOOKUP);
-                self.runtime.cache.lookup(scan.fingerprint, |shape| {
-                    shape.entry.admits(scan.spans.len())
-                })
-            };
-            if let Some(shape) = hit {
+        let hit = scan.as_ref().and_then(|scan| {
+            let _span = self.tel_span(span_names::PROXY_CACHE_LOOKUP);
+            self.runtime.cache.lookup(scan.fingerprint, |shape| {
+                shape.plan.admits(scan.spans.len())
+            })
+        });
+        let cache_hit = hit.is_some();
+        let shape = match hit {
+            Some(shape) => {
                 self.charge_rewrite_cached();
-                self.trace_rewrite(true, shape.verdict.as_ref());
-                // The verdict was computed once on the cold path; on
-                // hits enforcement costs one enum inspection.
-                if let Some(v) = &shape.verdict {
-                    self.enforce(v)?;
-                }
-                return self.execute_cached(&shape.entry, sql, scan, downstream);
+                shape
             }
-        }
-
-        // Cold path; a shape the scanner admitted is cached for next time.
-        let rewrite_span = self.tel_span(span_names::PROXY_REWRITE);
-        let stmt = resildb_sql::parse_statement(sql)
-            .map_err(|e| WireError::Protocol(format!("proxy cannot parse statement: {e}")))?;
-        self.charge_rewrite();
-        let verdict = self.classify_for_enforcement(&stmt);
-        if let Some(scan) = &scan {
-            if let Some(entry) = self.build_entry(sql, scan, &stmt) {
-                self.runtime.cache.insert(
-                    scan.fingerprint,
-                    CachedShape {
-                        entry,
-                        verdict: verdict.clone(),
-                    },
-                );
-            }
-        }
-        drop(rewrite_span);
-        self.trace_rewrite(false, verdict.as_ref());
-        if let Some(v) = &verdict {
+            None => self.plan_statement(sql, scan.as_ref())?,
+        };
+        self.trace_rewrite(cache_hit, shape.verdict.as_ref());
+        // The verdict was computed once, when the shape was planned; on
+        // hits enforcement costs one enum inspection.
+        if let Some(v) = &shape.verdict {
             self.enforce(v)?;
         }
-        self.execute_cold(&stmt, sql, downstream)
+        let spans = scan.as_ref().map_or(&[][..], |scan| &scan.spans);
+        self.execute(&shape.plan, sql, spans, downstream)
     }
 }

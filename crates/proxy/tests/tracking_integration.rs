@@ -391,3 +391,125 @@ fn long_dependency_sets_split_across_rows() {
         .sum();
     assert_eq!(total, 120);
 }
+
+/// A tracking connection with the rewrite cache at `capacity` shapes
+/// (`0` turns it off).
+fn tracked_cache(capacity: usize) -> (Database, Box<dyn Connection>) {
+    let config = ProxyConfig::builder(Flavor::Postgres)
+        .rewrite_cache_capacity(capacity)
+        .build();
+    let (db, mut conn) = tracked_with(config);
+    conn.execute("CREATE TABLE q (id INTEGER PRIMARY KEY, s VARCHAR(16))")
+        .unwrap();
+    (db, conn)
+}
+
+/// The scanner refuses any statement with a `?` byte, so one inside a
+/// quoted literal sends the statement down the parse-as-sent path. Its
+/// rewrite must still find exactly the trid slot, with the cache on or off.
+#[test]
+fn question_mark_inside_a_literal_is_text() {
+    for capacity in [256, 0] {
+        let (db, mut conn) = tracked_cache(capacity);
+        let r = conn
+            .execute("INSERT INTO q (id, s) VALUES (1, 'what?')")
+            .unwrap();
+        assert_eq!(format!("{r:?}"), "Affected(1)", "cache {capacity}");
+        let r = conn.execute("UPDATE q SET s = '??' WHERE id = 1").unwrap();
+        assert_eq!(format!("{r:?}"), "Affected(1)", "cache {capacity}");
+        let r = conn.execute("SELECT s FROM q WHERE s <> 'who?'").unwrap();
+        assert_eq!(r.rows().unwrap().rows, vec![vec![Value::from("??")]]);
+        // Both writes were stamped and recorded.
+        assert_eq!(db.row_count("trans_dep").unwrap(), 2, "cache {capacity}");
+    }
+}
+
+/// A client `?` sent through plain `execute` reaches the DBMS unbound:
+/// the proxy neither binds nor splices it, cache on or off.
+#[test]
+fn client_placeholders_reach_the_dbms_unbound() {
+    for capacity in [256, 0] {
+        let (db, mut conn) = tracked_cache(capacity);
+        let r = conn.execute("SELECT s FROM q WHERE id = ?").unwrap();
+        let rows = r.rows().unwrap();
+        assert_eq!(rows.columns, vec!["s"]);
+        assert!(rows.rows.is_empty());
+        let err = conn
+            .execute("INSERT INTO q (id, s) VALUES (?, 'x')")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "database error: unsupported: unbound parameter ?0 \
+             (parameters must be bound before execution)",
+            "cache {capacity}"
+        );
+        // The implicit transaction around the failed write left nothing.
+        assert_eq!(db.row_count("q").unwrap(), 0);
+        assert_eq!(db.row_count("trans_dep").unwrap(), 0);
+    }
+}
+
+/// Virtual-clock rewrite charges: a miss pays the full rewrite, a hit
+/// the much smaller template replay.
+#[test]
+fn misses_and_hits_charge_their_own_rewrite_cost() {
+    for (capacity, expected) in [(256, [66, 20, 21]), (0, [66, 65, 66])] {
+        let (db, mut conn) = tracked_cache(capacity);
+        conn.execute("INSERT INTO q (id, s) VALUES (1, 'a')")
+            .unwrap();
+        let clock = db.sim().clock();
+        let charged = [
+            "SELECT s FROM q WHERE id = 1",
+            "SELECT s FROM q WHERE id = 2",
+            "SELECT s FROM q WHERE id = 1",
+        ]
+        .map(|sql| {
+            let before = clock.now().as_micros();
+            conn.execute(sql).unwrap();
+            clock.now().as_micros() - before
+        });
+        assert_eq!(charged, expected, "cache {capacity}");
+    }
+}
+
+/// A read of a table whose name is wider than `trans_dep_prov.via_table`
+/// (32 characters) commits, and its provenance names the table as
+/// unknown rather than as a truncated name another table could have.
+#[test]
+fn a_read_of_a_long_named_table_commits_with_the_unknown_table_marker() {
+    let (db, mut conn) = tracked(Flavor::Postgres);
+    let long = "a_table_name_of_exactly_forty_characters";
+    assert_eq!(long.len(), 40);
+    conn.execute(&format!(
+        "CREATE TABLE {long} (id INTEGER PRIMARY KEY, v INTEGER)"
+    ))
+    .unwrap();
+    conn.execute(&format!("INSERT INTO {long} (id, v) VALUES (1, 10)"))
+        .unwrap();
+    conn.execute("BEGIN").unwrap();
+    conn.execute(&format!("SELECT v FROM {long} WHERE id = 1"))
+        .unwrap();
+    conn.execute(&format!("UPDATE {long} SET v = 11 WHERE id = 1"))
+        .unwrap();
+    conn.execute("COMMIT").unwrap();
+
+    let mut s = db.session();
+    let ids = s
+        .query("SELECT tr_id FROM trans_dep ORDER BY tr_id")
+        .unwrap();
+    let [Value::Int(writer), Value::Int(reader)] = [&ids.rows[0][0], &ids.rows[1][0]] else {
+        panic!("two tracked transactions: {ids:?}")
+    };
+    assert_eq!(deps_of(&db, *reader), vec![*writer]);
+    let prov = s
+        .query("SELECT dep_tr_id, via_table, read_cols FROM trans_dep_prov")
+        .unwrap();
+    assert_eq!(
+        prov.rows,
+        vec![vec![
+            Value::Int(*writer),
+            Value::from(""),
+            Value::from("v,id")
+        ]]
+    );
+}

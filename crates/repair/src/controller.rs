@@ -430,7 +430,7 @@ impl RepairController {
             let Some(proxy) = correlation.proxy_id(rec.internal_txn) else {
                 continue; // uncommitted or untracked transaction
             };
-            if rec.table.is_empty() || crate::is_tracking_table(&rec.table) {
+            if rec.table.is_empty() || resildb_proxy::is_tracking_table(&rec.table) {
                 continue;
             }
             match &rec.op {
@@ -639,7 +639,7 @@ impl RepairController {
                 .db
                 .table_names()
                 .into_iter()
-                .filter(|t| !crate::is_tracking_table(t))
+                .filter(|t| !resildb_proxy::is_tracking_table(t))
                 .collect(),
         };
         let tables = fence.raise(surface);
@@ -840,7 +840,7 @@ impl RepairController {
             };
             if !undo.contains(&proxy)
                 || rec.table.is_empty()
-                || crate::is_tracking_table(&rec.table)
+                || resildb_proxy::is_tracking_table(&rec.table)
             {
                 continue;
             }
@@ -980,7 +980,7 @@ fn closure_tables(analysis: &Analysis, undo: &BTreeSet<i64>) -> BTreeSet<String>
         .iter()
         .filter(|rec| {
             !rec.table.is_empty()
-                && !crate::is_tracking_table(&rec.table)
+                && !resildb_proxy::is_tracking_table(&rec.table)
                 && analysis
                     .correlation
                     .proxy_id(rec.internal_txn)

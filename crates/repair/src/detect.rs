@@ -108,7 +108,7 @@ pub fn detect(analysis: &Analysis, rules: &[AnomalyRule]) -> Vec<Detection> {
         let Some(proxy) = analysis.correlation.proxy_id(rec.internal_txn) else {
             continue;
         };
-        if crate::is_tracking_table(&rec.table) {
+        if resildb_proxy::is_tracking_table(&rec.table) {
             continue;
         }
         let is_write = matches!(

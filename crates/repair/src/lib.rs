@@ -73,11 +73,3 @@ pub use explore::{CausalChain, TraceExplorer};
 pub use graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
 pub use record::{NamedRow, RepairOp, RepairRecord, RowAddress};
 pub use whatif::WhatIfSession;
-
-/// Whether `name` is one of the proxy's tracking tables (their rows are
-/// bookkeeping, not user data).
-pub fn is_tracking_table(name: &str) -> bool {
-    resildb_proxy::TRACKING_TABLES
-        .iter()
-        .any(|t| t.eq_ignore_ascii_case(name))
-}

@@ -456,6 +456,40 @@ fn what_if_analysis_with_ignore_table() {
     assert!(undo.contains(&via_data));
 }
 
+/// A read through a table named wider than the provenance column is
+/// recorded against the unknown table, which no rule prunes: neither the
+/// full name nor its 32-character prefix drops the edge.
+#[test]
+fn ignore_table_keeps_a_read_through_a_long_named_table() {
+    let mut fx = fixture(Flavor::Postgres);
+    let long = "a_table_name_of_exactly_forty_characters";
+    fx.exec(&format!(
+        "CREATE TABLE {long} (id INTEGER PRIMARY KEY, v INTEGER)"
+    ));
+    fx.exec("CREATE TABLE other (id INTEGER PRIMARY KEY, v INTEGER)");
+    fx.txn(
+        "writer",
+        &[&format!("INSERT INTO {long} (id, v) VALUES (1, 10)")],
+    );
+    fx.txn(
+        "reader",
+        &[
+            &format!("SELECT v FROM {long} WHERE id = 1"),
+            "INSERT INTO other (id, v) VALUES (1, 10)",
+        ],
+    );
+    let writer = fx.txn_id("writer");
+    let reader = fx.txn_id("reader");
+    let analysis = RepairController::new(fx.db.clone()).analyze().unwrap();
+    for name in [long, &long[..32]] {
+        let rules = vec![FalseDepRule::IgnoreTable(name.into())];
+        assert!(
+            analysis.undo_set(&[writer], &rules).contains(&reader),
+            "IgnoreTable({name}) pruned a real read dependency"
+        );
+    }
+}
+
 /// Analysis alone (what-if sessions, `fig3`, `ResilientDb::analyze`) is
 /// not an incident; the repair that follows gets its own `detected`
 /// stamp and absorbs the attack noted before it.

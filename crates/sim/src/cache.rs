@@ -95,15 +95,18 @@ impl<V> ShapeCache<V> {
     }
 
     /// Stores `value` under `fingerprint`, evicting the least recently
-    /// used shape of its shard if at capacity.
-    pub fn insert(&self, fingerprint: u128, value: V) {
+    /// used shape of its shard if at capacity, and hands back the stored
+    /// entry.
+    pub fn insert(&self, fingerprint: u128, value: V) -> Arc<V> {
+        let value = Arc::new(value);
         let evicted = self
             .shard(fingerprint)
             .lock()
-            .insert(fingerprint, Arc::new(value));
+            .insert(fingerprint, Arc::clone(&value));
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+        value
     }
 
     /// Current counters.

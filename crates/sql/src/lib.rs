@@ -61,8 +61,8 @@ pub use lexer::{Lexer, LiteralKind};
 pub use parser::Parser;
 pub use rw::{statement_access, ColumnSet, StatementAccess, TableRead, TableWrite, WriteKind};
 pub use template::{
-    bind_statement, collect_params, parse_span_literal, parse_template, scan_statement, BindError,
-    LiteralSpan, SqlTemplate, StatementScan, TemplateSlot,
+    bind_statement, parse_span_literal, parse_template, scan_statement, BindError, LiteralSpan,
+    SqlTemplate, StatementScan, TemplateSlot,
 };
 pub use token::{Keyword, Token};
 

@@ -243,12 +243,11 @@ fn walk_exprs_mut(stmt: &mut Statement, f: &mut impl FnMut(&mut Expr)) {
 }
 
 /// Lists the parameter indices of `stmt` in **printed order**: the k-th
-/// `?` of the printed text stands for parameter `result[k]`.
-pub fn collect_params(stmt: &Statement) -> Vec<u32> {
+/// `?` of the printed text stands for parameter `result[k]`. Takes `&mut`
+/// only because the one clause walk hands it out; nothing is changed.
+fn collect_params(stmt: &mut Statement) -> Vec<u32> {
     let mut out = Vec::new();
-    // The one clause walk hands out `&mut`; copying the statement on this
-    // cold path (once per cached shape) beats keeping a second walk in step.
-    walk_exprs_mut(&mut stmt.clone(), &mut |e| {
+    walk_exprs_mut(stmt, &mut |e| {
         if let Expr::Param(i) = e {
             out.push(*i);
         }
@@ -280,28 +279,42 @@ pub struct SqlTemplate {
 
 impl SqlTemplate {
     /// Captures `text` (the printed rewrite, with `?` at every splice
-    /// point) against `param_order`, the printed-order parameter indices
-    /// from [`collect_params`].
+    /// point) against `param_order`, the parameter each `?` stands for in
+    /// printed order. [`TRID_PARAM`] is the trid slot, and a
+    /// parameter below `literals` — the number of literals the statement
+    /// was templated against ([`parse_template`]), `0` for a statement
+    /// parsed as sent — is a literal slot. Any other `?` is the client's own
+    /// placeholder and stays in the text.
     ///
-    /// Returns `None` if the number of `?` characters does not equal
-    /// `param_order.len()` — the safety net that guarantees every `?` in
-    /// the text is a real slot (templating refuses raw SQL containing `?`,
-    /// and the rewrites never inject string literals).
-    pub fn new(text: String, param_order: &[u32]) -> Option<Self> {
+    /// Slots are found with the tokenizer, so a `?` inside a string literal
+    /// or a quoted identifier is text, never a slot. Returns `None` if
+    /// `text` does not lex or its `?` tokens do not number
+    /// `param_order.len()`.
+    pub fn new(text: String, param_order: &[u32], literals: usize) -> Option<Self> {
         let mut slots = Vec::with_capacity(param_order.len());
         let mut literal_slots = 0usize;
         let mut order = param_order.iter();
-        for (off, b) in text.bytes().enumerate() {
-            if b == b'?' {
-                let &idx = order.next()?;
-                let slot = if idx == TRID_PARAM {
-                    TemplateSlot::Trid
-                } else {
-                    literal_slots += 1;
-                    TemplateSlot::Literal(idx as usize)
-                };
-                slots.push((off, slot));
+        // No `?` byte, no `?` token: text without one skips the tokenizer
+        // (a parse-as-sent SELECT on a cache miss).
+        let scanned = if text.contains('?') {
+            text.as_str()
+        } else {
+            ""
+        };
+        let mut cursor = RawCursor::new(scanned);
+        while let Some(tok) = cursor.next_token().ok()? {
+            if tok.kind != RawKind::Symbol || text.as_bytes()[tok.start] != b'?' {
+                continue;
             }
+            let slot = match *order.next()? {
+                TRID_PARAM => TemplateSlot::Trid,
+                k if (k as usize) < literals => {
+                    literal_slots += 1;
+                    TemplateSlot::Literal(k as usize)
+                }
+                _ => continue,
+            };
+            slots.push((tok.start, slot));
         }
         if order.next().is_some() {
             return None;
@@ -311,6 +324,14 @@ impl SqlTemplate {
             slots,
             literal_slots,
         })
+    }
+
+    /// Prints `stmt` and captures the text against its own parameters
+    /// ([`Self::new`]).
+    pub fn of(mut stmt: Statement, literals: usize) -> Option<Self> {
+        let text = stmt.to_string();
+        let order = collect_params(&mut stmt);
+        Self::new(text, &order, literals)
     }
 
     /// Number of literal (non-trid) splice slots. A hit must check this
@@ -513,9 +534,8 @@ mod tests {
         let sql = "SELECT a FROM t WHERE x = 42 AND y = 'v'";
         let scan = scan_statement(sql).unwrap();
         let tmpl_stmt = parse_template(sql, &scan).unwrap();
-        let order = collect_params(&tmpl_stmt);
-        assert_eq!(order, vec![0, 1]);
-        let tmpl = SqlTemplate::new(tmpl_stmt.to_string(), &order).unwrap();
+        assert_eq!(collect_params(&mut tmpl_stmt.clone()), vec![0, 1]);
+        let tmpl = SqlTemplate::of(tmpl_stmt, scan.spans.len()).unwrap();
         assert_eq!(tmpl.literal_slots(), 2);
         let spliced = tmpl.splice(sql, &scan.spans, 0);
         assert_eq!(spliced, "SELECT a FROM t WHERE x = 42 AND y = 'v'");
@@ -531,6 +551,7 @@ mod tests {
         let tmpl = SqlTemplate::new(
             "UPDATE t SET a = ?, trid = ? WHERE c = ?".into(),
             &[0, TRID_PARAM, 1],
+            2,
         )
         .unwrap();
         assert_eq!(tmpl.literal_slots(), 2);
@@ -555,8 +576,40 @@ mod tests {
 
     #[test]
     fn template_new_rejects_count_mismatch() {
-        assert!(SqlTemplate::new("SELECT ?".into(), &[]).is_none());
-        assert!(SqlTemplate::new("SELECT 1".into(), &[0]).is_none());
+        assert!(SqlTemplate::new("SELECT ?".into(), &[], 0).is_none());
+        assert!(SqlTemplate::new("SELECT 1".into(), &[0], 1).is_none());
+    }
+
+    #[test]
+    fn quoted_question_marks_are_text_not_slots() {
+        let tmpl = SqlTemplate::new(
+            "INSERT INTO \"q?\" (id, s, trid) VALUES (1, 'what?', ?)".into(),
+            &[TRID_PARAM],
+            0,
+        )
+        .unwrap();
+        assert_eq!(tmpl.literal_slots(), 0);
+        assert_eq!(
+            tmpl.splice("", &[], 7),
+            "INSERT INTO \"q?\" (id, s, trid) VALUES (1, 'what?', 7)"
+        );
+    }
+
+    #[test]
+    fn client_placeholders_stay_in_the_text() {
+        // Parsed as sent (no masked literals): the client's `?0` is not a
+        // slot, so splicing needs no spans and leaves it for the DBMS.
+        let tmpl = SqlTemplate::new(
+            "INSERT INTO q (id, s, trid) VALUES (?, 'x', ?)".into(),
+            &[0, TRID_PARAM],
+            0,
+        )
+        .unwrap();
+        assert_eq!(tmpl.literal_slots(), 0);
+        assert_eq!(
+            tmpl.splice("", &[], 7),
+            "INSERT INTO q (id, s, trid) VALUES (?, 'x', 7)"
+        );
     }
 
     #[test]
@@ -569,11 +622,10 @@ mod tests {
         ] {
             let scan = scan_statement(sql).unwrap();
             let tmpl = parse_template(sql, &scan).unwrap();
-            let order = collect_params(&tmpl);
-            // The printed text's k-th `?` must correspond to order[k]; we
-            // check by splicing the original literals back and comparing
-            // against the cold print.
-            let sql_tmpl = SqlTemplate::new(tmpl.to_string(), &order).unwrap();
+            // The printed text's k-th `?` must correspond to the k-th
+            // collected parameter; we check by splicing the original
+            // literals back and comparing against the cold print.
+            let sql_tmpl = SqlTemplate::of(tmpl, scan.spans.len()).unwrap();
             let cold = parse_statement(sql).unwrap().to_string();
             assert_eq!(sql_tmpl.splice(sql, &scan.spans, 0), cold, "for {sql:?}");
         }

@@ -206,6 +206,54 @@ fn attack_then_repair_preserves_independent_work() {
     let _ = victim_before;
 }
 
+/// An exact-count gate on the tracked path: one seeded stream, a fixed
+/// count of each transaction kind, through the tracking proxy and through
+/// the plain driver. The literals were observed, not derived: a change that
+/// adds or removes a downstream statement or a logged byte moves them, and
+/// has to edit this test on purpose.
+#[test]
+fn tracked_stream_costs_exact_statements_and_log_bytes() {
+    /// (statements, log bytes, committed) for the stream after the load.
+    fn run(db: &Database, conn: &mut dyn Connection) -> (u64, u64, u64) {
+        let cfg = TpccConfig::tiny();
+        Loader::new(cfg.clone(), 3).load(conn).unwrap();
+        let stats = db.sim().stats();
+        let (statements, log_bytes) = (stats.statements.get(), stats.log_bytes.get());
+        let mut runner = TpccRunner::new(cfg, 11).without_annotations();
+        for kind in TxnKind::ALL {
+            for _ in 0..4 {
+                runner.run(conn, kind).unwrap();
+            }
+        }
+        (
+            stats.statements.get() - statements,
+            stats.log_bytes.get() - log_bytes,
+            runner.stats.committed,
+        )
+    }
+    let (db, mut conn) = tracked_db(Flavor::Postgres);
+    let tracked = run(&db, &mut *conn);
+    let (db, mut conn) = raw_db();
+    let plain = run(&db, &mut *conn);
+    assert_eq!(
+        tracked,
+        (176, 37870, 20),
+        "tracked (statements, log bytes, committed)"
+    );
+    assert_eq!(
+        plain,
+        (154, 24307, 20),
+        "plain (statements, log bytes, committed)"
+    );
+    let per_txn = |tracked: u64, plain: u64| (tracked - plain) as f64 / 20.0;
+    assert_eq!(per_txn(tracked.0, plain.0), 1.1, "extra statements per txn");
+    assert_eq!(
+        per_txn(tracked.1, plain.1),
+        678.15,
+        "extra log bytes per txn"
+    );
+}
+
 /// A deterministic guard on the engine's access paths: a transaction whose
 /// statements all name their rows by key must not look at many more row
 /// images than it returns or writes. A lost path (Stock-Level's `IN` list

@@ -317,26 +317,10 @@ fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
         // Kept for the static-soundness oracle: the graph snapshot must
         // predate the repair's own compensating writes.
         analysis = Some(a);
-        // A scenario may script a repair-phase fault: the first attempt
-        // is then expected to fail (and must roll back cleanly — the
-        // byte-equality oracle would expose any leaked compensation);
-        // the retry after disarming must succeed.
-        if let Some(site) = scenario.repair_fault {
-            rdb.database().sim().faults().arm(
-                site,
-                resildb_sim::FaultAction::Error,
-                resildb_sim::FaultTrigger::Once,
-            );
-            let first = rdb.repair(&initial, &[]);
-            rdb.database().sim().faults().disarm_all();
-            if first.is_err() {
-                rdb.repair(&initial, &[])
-                    .map_err(|e| format!("repair retry failed: {e}"))?;
-            }
-        } else {
-            rdb.repair(&initial, &[])
-                .map_err(|e| format!("repair failed: {e}"))?;
-        }
+        scripted_repair(scenario, &rdb, &initial, |init| {
+            rdb.repair(init, &[]).map(|_| ()).map_err(|e| e.to_string())
+        })
+        .map_err(|e| format!("repair failed: {e}"))?;
     }
 
     // --- world B: clean replay (malicious elided, undo set elided) ----
@@ -487,11 +471,11 @@ fn replay_deterministic(
 }
 
 /// Runs a repair attempt honoring the scenario's scripted repair-phase
-/// fault the same way world A does: with a fault scheduled, the first
-/// attempt runs with it armed `Once` and is expected to fail (rolling
-/// back cleanly — the equality oracle exposes any leaked compensation, a
-/// live attempt must also drop its fence); the retry after disarming must
-/// succeed.
+/// fault — the one script, for world A and both worlds of oracle 8: with
+/// a fault scheduled, the first attempt runs with it armed `Once` and is
+/// expected to fail (rolling back cleanly — the equality oracle exposes
+/// any leaked compensation, a live attempt must also drop its fence); the
+/// retry after disarming must succeed.
 fn scripted_repair(
     scenario: &Scenario,
     rdb: &ResilientDb,
