@@ -161,6 +161,31 @@ fn bench_tracked_path(c: &mut Criterion) {
     c.bench_function("tracked_select_cache_miss", |b| {
         b.iter(|| cold.execute("SELECT v FROM t WHERE id = 250").unwrap())
     });
+    // TPC-C Payment's customer UPDATE, a fresh amount every time (as in
+    // the benchmark's stream), autocommitted through the warm proxy and
+    // engine caches.
+    let mut pay = proxied(ProxyConfig::builder(Flavor::Postgres));
+    pay.execute(
+        "CREATE TABLE customer (c_id INTEGER, c_d_id INTEGER, c_w_id INTEGER, \
+         c_balance NUMERIC(12,2), c_ytd_payment NUMERIC(12,2), c_payment_cnt INTEGER, \
+         PRIMARY KEY (c_w_id, c_d_id, c_id))",
+    )
+    .unwrap();
+    pay.execute("INSERT INTO customer VALUES (3, 2, 1, -10.0, 10.0, 1)")
+        .unwrap();
+    let mut cents = 100_000u64;
+    c.bench_function("tracked_payment_update", |b| {
+        b.iter(|| {
+            cents = cents * 7 % 500_000 + 100;
+            let amount = cents as f64 / 100.0;
+            pay.execute(&format!(
+                "UPDATE customer SET c_balance = c_balance - {amount:.2}, \
+                 c_ytd_payment = c_ytd_payment + {amount:.2}, c_payment_cnt = c_payment_cnt + 1 \
+                 WHERE c_w_id = 1 AND c_d_id = 2 AND c_id = 3"
+            ))
+            .unwrap()
+        })
+    });
 }
 
 /// A fixed tracked TPC-C history (two warehouses, 1 000 standard-mix

@@ -836,6 +836,32 @@ mod tests {
     }
 
     #[test]
+    fn minus_operands_hit_the_cache_with_their_own_values() {
+        let db = Database::in_memory(Flavor::Postgres);
+        let mut s = db.session();
+        s.execute_sql("CREATE TABLE t (a INTEGER PRIMARY KEY, b FLOAT)")
+            .unwrap();
+        s.execute_sql("INSERT INTO t (a, b) VALUES (1, 10.0)")
+            .unwrap();
+        let before = db.stmt_cache_stats();
+        // One shape: a binary minus's operand, also when it is negative.
+        for amount in ["2.5", "-1.5", "4"] {
+            s.execute_sql(&format!("UPDATE t SET b = b - {amount} WHERE a = 1"))
+                .unwrap();
+        }
+        let stats = db.stmt_cache_stats();
+        assert_eq!(
+            (stats.hits - before.hits, stats.misses - before.misses),
+            (2, 1)
+        );
+        let rows = s.query("SELECT b FROM t WHERE a = 1").unwrap();
+        assert_eq!(rows.rows, vec![vec![Value::Float(5.0)]]);
+        // `-(5.0)` folds to one literal cold: its template is refused.
+        let rows = s.query("SELECT a FROM t WHERE b = -(-5.0)").unwrap();
+        assert_eq!(rows.rows, vec![vec![Value::Int(1)]]);
+    }
+
+    #[test]
     fn prepared_statements_bind_and_execute() {
         let db = Database::in_memory(Flavor::Postgres);
         let mut s = db.session();

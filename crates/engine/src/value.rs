@@ -110,13 +110,7 @@ impl Value {
     pub fn to_sql_literal(&self) -> String {
         match self {
             Value::Int(v) => v.to_string(),
-            Value::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    format!("{v:.1}")
-                } else {
-                    format!("{v}")
-                }
-            }
+            Value::Float(v) => resildb_sql::Literal::Float(*v).to_string(),
             Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
             Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
             Value::Null => "NULL".to_string(),
@@ -170,7 +164,12 @@ impl Value {
                 .map(Value::Int)
                 .ok_or_else(|| EngineError::Type(format!("integer {name} overflow or /0"))),
             (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => Ok(Value::Float(f_op(x, y))),
+                // An infinity or NaN is never stored: like PostgreSQL,
+                // an overflowing float result is an error.
+                (Some(x), Some(y)) => match f_op(x, y) {
+                    v if v.is_finite() => Ok(Value::Float(v)),
+                    _ => Err(EngineError::Type("value out of range: overflow".into())),
+                },
                 _ => Err(EngineError::Type(format!("cannot {name} {a:?} and {b:?}"))),
             },
         }
@@ -390,11 +389,55 @@ mod tests {
     }
 
     #[test]
+    fn float_overflow_is_an_error_not_an_infinity() {
+        let err = Value::Float(1e308).mul(&Value::Float(10.0)).unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::Type("value out of range: overflow".into())
+        );
+        assert!(Value::Float(f64::MAX).add(&Value::Int(i64::MAX)).is_ok());
+        assert!(Value::Float(-f64::MAX)
+            .sub(&Value::Float(f64::MAX))
+            .is_err());
+        assert!(Value::Float(1e300).div(&Value::Float(1e-300)).is_err());
+    }
+
+    #[test]
     fn sql_literal_rendering() {
         assert_eq!(Value::Int(3).to_sql_literal(), "3");
         assert_eq!(Value::Float(2.0).to_sql_literal(), "2.0");
+        assert_eq!(Value::Float(1e20).to_sql_literal(), "1e20");
+        assert_eq!(Value::Float(-1.5e15).to_sql_literal(), "-1.5e15");
+        assert_eq!(Value::Float(999e12).to_sql_literal(), "999000000000000.0");
         assert_eq!(Value::from("o'clock").to_sql_literal(), "'o''clock'");
         assert_eq!(Value::Null.to_sql_literal(), "NULL");
+    }
+
+    proptest::proptest! {
+        /// Every finite float renders as SQL that parses back to the same
+        /// bits: compensation and LogMiner SQL restore exactly what was
+        /// stored.
+        #[test]
+        fn float_literals_parse_back_bit_for_bit(bits in proptest::prelude::any::<u64>()) {
+            use resildb_sql::{Expr, Literal, SelectItem, Statement};
+            // An all-ones exponent (infinity, NaN) loses its top bit.
+            let v = match f64::from_bits(bits) {
+                v if v.is_finite() => v,
+                _ => f64::from_bits(bits & !(1 << 62)),
+            };
+            let sql = format!("SELECT {}", Value::Float(v).to_sql_literal());
+            let parsed = match resildb_sql::parse_statement(&sql) {
+                Ok(Statement::Select(select)) => match &select.items[..] {
+                    [SelectItem::Expr {
+                        expr: Expr::Literal(Literal::Float(p)),
+                        ..
+                    }] => Some(p.to_bits()),
+                    _ => None,
+                },
+                _ => None,
+            };
+            proptest::prop_assert_eq!(parsed, Some(v.to_bits()), "{}", sql);
+        }
     }
 
     #[test]

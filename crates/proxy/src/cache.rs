@@ -185,6 +185,28 @@ mod tests {
     }
 
     #[test]
+    fn a_negative_operand_of_binary_minus_splices_byte_for_byte() {
+        let config = ProxyConfig::new(Flavor::Postgres);
+        let sql = "UPDATE acct SET bal = bal - -5 WHERE id = 7";
+        let scan = scan_statement(sql).unwrap();
+        let stmt = parse_template(sql, &scan).unwrap();
+        let Some(Plan::Write { tmpl }) = Plan::new(&stmt, scan.spans.len(), &config) else {
+            panic!("an UPDATE plans as a rewritten write");
+        };
+        // `--` would start a comment: the `-5` keeps its space.
+        assert_eq!(
+            tmpl.splice(sql, &scan.spans, 9),
+            "UPDATE acct SET bal = bal - -5, trid = 9 WHERE id = 7"
+        );
+        let other = "UPDATE acct SET bal = bal - 4840.30 WHERE id = 8";
+        let scan = scan_statement(other).unwrap();
+        assert_eq!(
+            tmpl.splice(other, &scan.spans, 9),
+            "UPDATE acct SET bal = bal - 4840.30, trid = 9 WHERE id = 8"
+        );
+    }
+
+    #[test]
     fn tracking_tables_are_planned_before_the_statement_kind() {
         let config = ProxyConfig::new(Flavor::Postgres);
         for sql in [

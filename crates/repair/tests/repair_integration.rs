@@ -147,6 +147,45 @@ fn selective_undo_on_sybase_flavor() {
     selective_undo_scenario(Flavor::Sybase);
 }
 
+/// Floats beyond the integer range restore exactly, and no infinity is ever
+/// stored: compensating SQL (and the Oracle adapter's LogMiner SQL) writes
+/// a large float with an exponent, so it re-parses as the float it was.
+#[test]
+fn large_floats_repair_and_overflow_is_refused_on_all_flavors() {
+    for flavor in Flavor::ALL {
+        let mut fx = fixture(flavor);
+        fx.exec("CREATE TABLE acct (id INTEGER PRIMARY KEY, bal FLOAT)");
+        fx.txn(
+            "load",
+            &["INSERT INTO acct (id, bal) VALUES (1, 1e20), (2, 1e308), (3, -2.5e18)"],
+        );
+        let err = fx
+            .conn
+            .execute("UPDATE acct SET bal = bal * 10.0 WHERE id = 2")
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("value out of range: overflow"),
+            "{flavor}: {err}"
+        );
+        assert_eq!(
+            fx.balance(2),
+            Value::Float(1e308),
+            "{flavor}: row unchanged"
+        );
+        fx.txn(
+            "attack",
+            &["UPDATE acct SET bal = 5.0 WHERE id = 1 OR id = 3"],
+        );
+        let attack = fx.txn_id("attack");
+        let report = RepairController::new(fx.db.clone())
+            .repair(&[attack])
+            .unwrap_or_else(|e| panic!("{flavor}: {e}"));
+        assert!(report.undo_set.contains(&attack), "{flavor}");
+        assert_eq!(fx.balance(1), Value::Float(1e20), "{flavor}: restored");
+        assert_eq!(fx.balance(3), Value::Float(-2.5e18), "{flavor}: restored");
+    }
+}
+
 /// Inserted-then-updated-then-deleted rows exercise the row-id remapping.
 fn insert_update_delete_chain(flavor: Flavor) {
     let mut fx = fixture(flavor);

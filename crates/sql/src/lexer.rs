@@ -274,11 +274,14 @@ fn symbol_token(text: &str) -> Token {
 }
 
 /// Decodes a literal's typed value from its source text (`''` unescaped).
-/// `None` for a value out of range, or text that is not a `kind` literal.
+/// `None` for a value out of range — an integer beyond `i64`, a float that
+/// rounds to an infinity — or text that is not a `kind` literal.
 pub(crate) fn decode_literal(kind: LiteralKind, text: &str) -> Option<Literal> {
     match kind {
         LiteralKind::Int => text.parse().ok().map(Literal::Int),
-        LiteralKind::Float => text.parse().ok().map(Literal::Float),
+        LiteralKind::Float => (text.parse().ok())
+            .filter(|v: &f64| v.is_finite())
+            .map(Literal::Float),
         LiteralKind::Str => {
             let body = text.strip_prefix('\'')?.strip_suffix('\'')?;
             Some(Literal::Str(body.replace("''", "'")))
@@ -337,10 +340,15 @@ impl<'a> Lexer<'a> {
                     Some(Literal::Int(v)) => Token::Int(v),
                     Some(Literal::Float(v)) => Token::Float(v),
                     Some(Literal::Str(s)) => Token::Str(s),
-                    // Only an integer can fail: every scanned float parses.
+                    // Only a number can fail: out of range.
                     _ => {
+                        let what = if kind == LiteralKind::Int {
+                            "integer"
+                        } else {
+                            "float"
+                        };
                         return Err(ParseError::new(
-                            format!("integer literal out of range {text:?}"),
+                            format!("{what} literal out of range {text:?}"),
                             raw.start,
                         ));
                     }
@@ -492,6 +500,17 @@ mod tests {
             t,
             vec![Token::Ident("v$logmnr_contents".into()), Token::Eof]
         );
+    }
+
+    #[test]
+    fn numbers_out_of_range_error() {
+        let err = Lexer::new("SELECT 1e400").tokenize().unwrap_err();
+        assert_eq!(err.message(), "float literal out of range \"1e400\"");
+        let err = Lexer::new("SELECT 99999999999999999999")
+            .tokenize()
+            .unwrap_err();
+        assert!(err.message().starts_with("integer literal out of range"));
+        assert_eq!(toks("1e308"), vec![Token::Float(1e308), Token::Eof]);
     }
 
     #[test]

@@ -52,14 +52,12 @@ impl Display for Literal {
     fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Int(v) => write!(f, "{v}"),
-            Literal::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
-                    // Keep a decimal point so it re-lexes as a float.
-                    write!(f, "{v:.1}")
-                } else {
-                    write!(f, "{v}")
-                }
-            }
+            // Every form re-lexes as a float with the same bits: a decimal
+            // point, or from 1e15 up an exponent (bare digits there would
+            // read back as an integer, out of range from 9.3e18).
+            Literal::Float(v) if v.abs() >= 1e15 => write!(f, "{v:e}"),
+            Literal::Float(v) if v.fract() == 0.0 => write!(f, "{v:.1}"),
+            Literal::Float(v) => write!(f, "{v}"),
             Literal::Str(s) => write_str_literal(f, s),
             Literal::Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
             Literal::Null => f.write_str("NULL"),

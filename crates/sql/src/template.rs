@@ -25,11 +25,11 @@
 //! literal stood, callers fall back to the cold path, so the cache can only
 //! reproduce what the cold path would have produced.
 
-use crate::ast::{Expr, Literal, SelectItem, Statement, TRID_PARAM};
+use crate::ast::{Expr, Literal, SelectItem, Statement, UnaryOp, TRID_PARAM};
 use crate::error::ParseError;
-use crate::lexer::{decode_literal, Lexer, LiteralKind, RawCursor, RawKind};
+use crate::lexer::{decode_literal, Lexer, LiteralKind, RawCursor, RawKind, RawToken};
 use crate::parser::Parser;
-use crate::token::Token;
+use crate::token::{Keyword, Token};
 use std::fmt;
 
 /// Byte span of one maskable literal in the raw SQL text.
@@ -75,11 +75,18 @@ const SEP: u8 = 0x1f;
 /// Byte hashed in place of a masked literal.
 const MASKED: u8 = 0x11;
 
+/// What the previous token was, as far as masking the next one cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Prev {
     Start,
     LimitKw,
+    /// A prefix `-` set apart from what follows by trivia.
     Minus,
+    /// A token that ends an operand: a literal, a quoted identifier or `)`.
+    Operand,
+    /// A word at this byte range: it ends an operand unless it is a keyword,
+    /// which is looked up only if a `-` follows.
+    Word(usize, usize),
     Other,
 }
 
@@ -116,17 +123,25 @@ fn is_dml_verb(word: &[u8]) -> bool {
 ///   (DDL and transaction control are not worth caching);
 /// * the text contains a `?` anywhere — template text marks splice slots
 ///   with `?`, so raw placeholders would be ambiguous;
-/// * the text does not lex cleanly (the cold path must surface the error).
+/// * the text does not lex cleanly (the cold path must surface the error);
+/// * an integer is longer than 18 digits (possible `i64` overflow), or a
+///   float with an exponent or over 300 bytes is not finite, so the cold
+///   path reports the range error.
 ///
-/// Masking rules — a literal is replaced by a placeholder **unless**:
+/// Every number and string is masked, and a `-` is read by what precedes
+/// it:
 ///
-/// * it is a number directly following the `LIMIT` keyword (the grammar
-///   requires a plain integer there);
-/// * it is a number directly following a `-` token — the parser folds
-///   `-5` into a single negative literal, so masking would change the AST
-///   shape the engine plans from (point lookups match `Expr::Literal`);
-/// * integers longer than 18 digits (possible `i64` overflow) refuse the
-///   whole statement so the cold path can report the range error.
+/// * after a token that ends an operand — a literal, a quoted identifier,
+///   `)` or a word that is not a keyword — it is binary, and the operand
+///   after it is masked like any other (`c_balance - 4840.30`);
+/// * anywhere else it is a prefix: directly followed by a number, with no
+///   trivia between, the two are one **signed** span (`= -5`), which the
+///   parser would fold into one negative literal anyway; set apart by
+///   trivia, the number stays part of the shape (`= - 5`).
+///
+/// A misread `-` costs a cache miss and never a different AST: see the
+/// guard in [`parse_template`]. A number directly following the `LIMIT`
+/// keyword is never masked (the grammar requires a plain integer there).
 pub fn scan_statement(sql: &str) -> Option<StatementScan> {
     let bytes = sql.as_bytes();
     if bytes.contains(&b'?') {
@@ -142,8 +157,8 @@ pub fn scan_statement(sql: &str) -> Option<StatementScan> {
         let mut next = Prev::Other;
         match tok.kind {
             RawKind::Literal(kind) => {
-                if kind == LiteralKind::Int && text.len() > 18 {
-                    return None; // may overflow i64; let the cold path report it
+                if out_of_range(kind, &sql[tok.start..tok.end]) {
+                    return None;
                 }
                 if kind != LiteralKind::Str && matches!(prev, Prev::LimitKw | Prev::Minus) {
                     hash.bytes(text);
@@ -155,15 +170,46 @@ pub fn scan_statement(sql: &str) -> Option<StatementScan> {
                         kind,
                     });
                 }
+                next = Prev::Operand;
             }
-            // The first byte names the two symbols that matter here: `!`
-            // only starts `!=`, the same token as `<>` and hashed as it;
-            // `-` makes a following number part of the shape.
+            // The first byte names the symbols that matter here: `!` only
+            // starts `!=`, the same token as `<>` and hashed as it; `)` ends
+            // an operand; `-` is binary or a prefix.
             RawKind::Symbol => match text[0] {
                 b'!' => hash.bytes(b"<>"),
+                b')' => {
+                    hash.byte(b')');
+                    next = Prev::Operand;
+                }
+                b'-' if ends_operand(prev, sql) => hash.byte(b'-'),
                 b'-' => {
-                    hash.byte(b'-');
-                    next = Prev::Minus;
+                    // A digit right after the `-` starts the number token.
+                    let number = match bytes.get(tok.end) {
+                        Some(b) if b.is_ascii_digit() => cursor.next_token().ok()?,
+                        _ => None,
+                    };
+                    match number {
+                        Some(RawToken {
+                            kind: RawKind::Literal(kind),
+                            end,
+                            ..
+                        }) => {
+                            if out_of_range(kind, &sql[tok.end..end]) {
+                                return None;
+                            }
+                            hash.byte(MASKED);
+                            spans.push(LiteralSpan {
+                                start: tok.start,
+                                end,
+                                kind,
+                            });
+                            next = Prev::Operand;
+                        }
+                        _ => {
+                            hash.byte(b'-');
+                            next = Prev::Minus;
+                        }
+                    }
                 }
                 _ => hash.bytes(text),
             },
@@ -172,11 +218,16 @@ pub fn scan_statement(sql: &str) -> Option<StatementScan> {
                     return None;
                 }
                 hash.bytes(text);
-                if text.eq_ignore_ascii_case(b"limit") {
-                    next = Prev::LimitKw;
-                }
+                next = if text.eq_ignore_ascii_case(b"limit") {
+                    Prev::LimitKw
+                } else {
+                    Prev::Word(tok.start, tok.end)
+                };
             }
-            RawKind::QuotedIdent => hash.bytes(text),
+            RawKind::QuotedIdent => {
+                hash.bytes(text);
+                next = Prev::Operand;
+            }
         }
         prev = next;
     }
@@ -189,28 +240,69 @@ pub fn scan_statement(sql: &str) -> Option<StatementScan> {
     })
 }
 
+/// Whether a `-` after `prev` is binary: `prev` ends an operand.
+fn ends_operand(prev: Prev, sql: &str) -> bool {
+    match prev {
+        Prev::Operand => true,
+        Prev::Word(start, end) => Keyword::from_ident(&sql[start..end]).is_none(),
+        _ => false,
+    }
+}
+
+/// Whether the number `text` may not decode, so the statement must take
+/// the cold path to report it: an integer over 18 digits, or a float that
+/// is not finite (checked only where it could overflow: with an exponent
+/// or over 300 bytes).
+fn out_of_range(kind: LiteralKind, text: &str) -> bool {
+    match kind {
+        LiteralKind::Int => text.len() > 18,
+        LiteralKind::Float => {
+            (text.len() > 300 || text.bytes().any(|b| b == b'e' || b == b'E'))
+                && decode_literal(kind, text).is_none()
+        }
+        LiteralKind::Str => false,
+    }
+}
+
 /// Parses `sql` with the literals in `scan.spans` (from
 /// [`scan_statement`] of the same text) replaced by parameter
 /// placeholders, producing the statement **template**: an AST identical to
 /// the cold parse except that each masked literal is an [`Expr::Param`]
-/// numbered by its source position (`Param(k)` ⇔ `scan.spans[k]`).
+/// numbered by its source position (`Param(k)` ⇔ `scan.spans[k]`). A
+/// signed span's `-` becomes the placeholder and its number is dropped.
 ///
 /// Spans and tokens come from one tokenizer, so each span starts exactly
-/// at a literal token. Returns `None` when the statement does not parse,
-/// or a placeholder lands where the grammar cannot accept one — callers
-/// must then use the cold path.
+/// at a literal token or at a signed span's `-`. Returns `None` when the
+/// statement does not parse, or a placeholder lands where the grammar
+/// cannot accept one — callers must then use the cold path. That includes
+/// a placeholder negated by a unary minus: the cold parse folds `-5` into
+/// one literal, which `-?` bound with `5` could not reproduce, so a `-` the
+/// scanner took for binary but the parser reads as a prefix costs a miss.
 pub fn parse_template(sql: &str, scan: &StatementScan) -> Option<Statement> {
     let mut tokens = Lexer::new(sql).tokenize().ok()?;
     let mut spans = scan.spans.iter().peekable();
-    for (tok, off) in &mut tokens {
+    let mut signed = false;
+    tokens.retain_mut(|(tok, off)| {
+        if std::mem::take(&mut signed) {
+            return false; // the number of a signed span
+        }
         if spans.next_if(|span| span.start == *off).is_some() {
+            signed = *tok == Token::Minus;
             *tok = Token::Question;
         }
-    }
-    let (stmt, params) = Parser::from_tokens(tokens)
+        true
+    });
+    let (mut stmt, params) = Parser::from_tokens(tokens)
         .parse_single_with_param_count()
         .ok()?;
-    (params as usize == scan.spans.len()).then_some(stmt)
+    let mut negated_param = false;
+    walk_exprs_mut(&mut stmt, &mut |e| {
+        negated_param |= matches!(
+            e,
+            Expr::Unary { op: UnaryOp::Neg, expr } if matches!(**expr, Expr::Param(_))
+        );
+    });
+    (params as usize == scan.spans.len() && !negated_param).then_some(stmt)
 }
 
 /// Visits every expression node of `stmt`, clause by clause in **printed
@@ -483,16 +575,165 @@ mod tests {
 
     #[test]
     fn limit_and_negative_numbers_stay_unmasked() {
-        let scan = scan_statement("SELECT a FROM t WHERE x = -5 AND y = 3 LIMIT 7").unwrap();
-        // Only the `3` is maskable.
-        assert_eq!(scan.spans.len(), 1);
-        assert_eq!(
-            scan.spans[0].text("SELECT a FROM t WHERE x = -5 AND y = 3 LIMIT 7"),
-            "3"
-        );
+        let sql = "SELECT a FROM t WHERE x = -5 AND y = 3 LIMIT 7";
+        let scan = scan_statement(sql).unwrap();
+        // An adjacent `-5` is one signed span; the LIMIT count is shape.
+        let texts: Vec<&str> = scan.spans.iter().map(|s| s.text(sql)).collect();
+        assert_eq!(texts, ["-5", "3"]);
         // Different LIMIT ⇒ different fingerprint (it is part of the shape).
         let other = scan_statement("SELECT a FROM t WHERE x = -5 AND y = 3 LIMIT 9").unwrap();
         assert_ne!(scan.fingerprint, other.fingerprint);
+        // A prefix `-` set apart by trivia keeps its number in the shape.
+        for spaced in [
+            "SELECT a FROM t WHERE x = - 5 AND y = 3",
+            "SELECT a FROM t WHERE x = -/* c */5 AND y = 3",
+        ] {
+            let scan = scan_statement(spaced).unwrap();
+            let texts: Vec<&str> = scan.spans.iter().map(|s| s.text(spaced)).collect();
+            assert_eq!(texts, ["3"], "{spaced:?}");
+        }
+        assert_ne!(
+            scan_statement("SELECT a FROM t WHERE x = - 5")
+                .unwrap()
+                .fingerprint,
+            scan_statement("SELECT a FROM t WHERE x = - 6")
+                .unwrap()
+                .fingerprint
+        );
+    }
+
+    /// Scans, templates, binds and splices `sql`, checking both caches'
+    /// outputs against the cold path: the bound template equals the cold
+    /// AST (the engine), and the template printed and spliced with the
+    /// statement's own literal bytes is `spliced` (the proxy). `None` when
+    /// the statement is not templated: it must then cost a miss.
+    fn round_trip(sql: &str) -> Option<(u128, Vec<Literal>, String)> {
+        let scan = scan_statement(sql)?;
+        let tmpl = parse_template(sql, &scan)?;
+        let values: Vec<Literal> = scan
+            .spans
+            .iter()
+            .map(|s| parse_span_literal(sql, s).unwrap())
+            .collect();
+        let cold = parse_statement(sql).unwrap();
+        assert_eq!(bind_statement(&tmpl, &values).unwrap(), cold, "{sql:?}");
+        let text = SqlTemplate::of(tmpl, scan.spans.len()).unwrap();
+        let spliced = text.splice(sql, &scan.spans, 0);
+        assert_eq!(parse_statement(&spliced).unwrap(), cold, "{spliced:?}");
+        Some((scan.fingerprint, values, spliced))
+    }
+
+    #[test]
+    fn payment_amounts_share_one_shape_and_keep_their_bytes() {
+        let payment = |amount: &str| {
+            format!(
+                "UPDATE customer SET c_balance = c_balance - {amount}, \
+                 c_ytd_payment = c_ytd_payment + {amount}, c_payment_cnt = c_payment_cnt + 1 \
+                 WHERE c_w_id = 1 AND c_d_id = 2 AND c_id = 3"
+            )
+        };
+        let (a, b) = (payment("4840.30"), payment("12.05"));
+        let (fa, _, sa) = round_trip(&a).unwrap();
+        let (fb, _, sb) = round_trip(&b).unwrap();
+        assert_eq!(fa, fb);
+        assert_eq!(sa, a);
+        assert_eq!(sb, b);
+    }
+
+    #[test]
+    fn a_signed_literal_shares_the_shape_of_an_unsigned_one() {
+        let (fa, va, _) = round_trip("SELECT a FROM t WHERE x = -5").unwrap();
+        let (fb, vb, _) = round_trip("SELECT a FROM t WHERE x = 7").unwrap();
+        assert_eq!(fa, fb);
+        assert_eq!(va, [Literal::Int(-5)]);
+        assert_eq!(vb, [Literal::Int(7)]);
+        let (_, vf, _) = round_trip(
+            "UPDATE t SET b = -0.0, c = (-2.5e3), d = -123456789012345678 WHERE e = -1e308",
+        )
+        .unwrap();
+        assert_eq!(
+            vf,
+            [
+                Literal::Float(-0.0),
+                Literal::Float(-2500.0),
+                Literal::Int(-123_456_789_012_345_678),
+                Literal::Float(-1e308),
+            ]
+        );
+        assert!(matches!(vf[0], Literal::Float(v) if v.is_sign_negative()));
+    }
+
+    #[test]
+    fn binary_minus_masks_its_operand_after_every_operand_end() {
+        for sql in [
+            "SELECT a FROM t WHERE x - 5 > 0",
+            "SELECT a FROM t WHERE x -5 > 0",
+            "SELECT a FROM t WHERE 3 - 5 > x",
+            "SELECT a FROM t WHERE 'a' - 5 > x",
+            "SELECT a FROM t WHERE (x) - 5 > 0",
+            "SELECT a FROM t WHERE \"x\" - 5 > 0",
+            "SELECT a FROM t WHERE -5 - 5 > x",
+        ] {
+            let scan = scan_statement(sql).unwrap();
+            let texts: Vec<&str> = scan.spans.iter().map(|s| s.text(sql)).collect();
+            assert!(texts.contains(&"5"), "{sql:?}: {texts:?}");
+            round_trip(sql).unwrap_or_else(|| panic!("not templated: {sql:?}"));
+        }
+    }
+
+    #[test]
+    fn a_negative_operand_of_binary_minus_keeps_its_space() {
+        // `--` starts a comment: the spliced `-5` must not touch the `-`.
+        let sql = "UPDATE customer SET c_balance = c_balance - -5 WHERE c_id = 1";
+        let (_, values, spliced) = round_trip(sql).unwrap();
+        assert_eq!(values, [Literal::Int(-5), Literal::Int(1)]);
+        assert_eq!(spliced, sql);
+        let (_, _, spliced) = round_trip("SELECT a - -5.5, b - - 5 FROM t").unwrap();
+        assert_eq!(spliced, "SELECT a - -5.5, b - -5 FROM t");
+    }
+
+    #[test]
+    fn a_keyword_before_minus_reads_as_the_cold_parse() {
+        for sql in [
+            "SELECT NULL - 5 FROM t",
+            "SELECT TRUE - 1 FROM t",
+            "UPDATE t SET key = key - 5 WHERE a = 1",
+        ] {
+            round_trip(sql).unwrap_or_else(|| panic!("not templated: {sql:?}"));
+        }
+        // Adjacent, the keyword's `-5` reads as signed: a miss, and the
+        // cold parse decides.
+        for sql in [
+            "SELECT NULL -5 FROM t",
+            "UPDATE t SET key = key -5 WHERE a = 1",
+        ] {
+            assert!(round_trip(sql).is_none(), "{sql:?}");
+            assert!(parse_statement(sql).is_ok(), "{sql:?}");
+        }
+        let case = "SELECT CASE WHEN a = 1 THEN 2 END -5 FROM t";
+        assert!(round_trip(case).is_none());
+        assert!(parse_statement(case).is_err());
+    }
+
+    #[test]
+    fn a_negated_placeholder_is_refused() {
+        // `-(5)` folds to one literal cold; `-(?)` would bind `Neg(5)`.
+        let sql = "SELECT a FROM t WHERE x = -(5)";
+        let scan = scan_statement(sql).unwrap();
+        assert_eq!(scan.spans.len(), 1);
+        assert!(parse_template(sql, &scan).is_none());
+        // A `-` misread as binary leaves `-?`: refused, never bound.
+        let sql = "SELECT - 5";
+        let misread = StatementScan {
+            fingerprint: 0,
+            spans: vec![LiteralSpan {
+                start: 9,
+                end: 10,
+                kind: LiteralKind::Int,
+            }],
+        };
+        assert_eq!(misread.spans[0].text(sql), "5");
+        assert!(parse_template(sql, &misread).is_none());
     }
 
     #[test]
@@ -504,6 +745,11 @@ mod tests {
         assert!(scan_statement("").is_none());
         assert!(scan_statement("SELECT 'unterminated").is_none());
         assert!(scan_statement("SELECT 99999999999999999999").is_none());
+        // Out of range, signed or not: the cold path reports it.
+        assert!(scan_statement("SELECT a FROM t WHERE x = -1234567890123456789").is_none());
+        assert!(scan_statement("SELECT a FROM t WHERE x - 1234567890123456789 > 0").is_none());
+        assert!(scan_statement("SELECT a FROM t WHERE x = -1e400").is_none());
+        assert!(scan_statement("SELECT a FROM t WHERE x = 1e400").is_none());
     }
 
     #[test]

@@ -55,6 +55,12 @@ fn statement(rng: &mut Rng) -> String {
         "INSERT INTO t ( x , y ) VALUES ( # , # ) , ( # , 1.5 )",
         "UPDATE t SET x = x + # , y = # WHERE \"q z\" @ #",
         "DELETE FROM t WHERE x IN ( # , # ) OR y LIKE #",
+        // Binary minus after a column, a literal, `)`, a quoted identifier
+        // and a keyword; signed numbers after `=`, `(`, `,` and `-`; a
+        // prefix `-` the glue may set apart from its number, or from a
+        // parenthesised one.
+        "SELECT x - # , 7 - # , ( x ) - # , \"q z\" - # , NULL - # FROM t WHERE x = -# AND y IN ( -# , -# ) AND x - -# > - #",
+        "UPDATE t SET x = x - # , y = - # , z = - ( # ) WHERE \"q z\" = -# OR ( y ) - # < 0",
     ];
     fn any<'a>(rng: &mut Rng, lists: &[&'a str]) -> &'a str {
         let all: Vec<&str> = lists
@@ -70,6 +76,11 @@ fn statement(rng: &mut Rng) -> String {
         let piece = match word {
             _ if rng.below(16) < noise => any(rng, &[WORDS, NUMBERS, OPS]),
             "#" => any(rng, &[NUMBERS]),
+            "-#" => {
+                let number = any(rng, &[NUMBERS]);
+                s.push('-');
+                number
+            }
             "@" => any(rng, &["= != <> < <= > >="]),
             word => word,
         };
@@ -109,11 +120,23 @@ fn check(s: &str) -> Result<(), TestCaseError> {
     let mut values = Vec::new();
     for span in &scan.spans {
         let value = parse_span_literal(s, span);
-        let token = tokens.iter().find(|(_, off)| *off == span.start);
-        let agree = match (token, &value) {
-            (Some((Token::Int(t), _)), Some(Literal::Int(v))) => t == v,
-            (Some((Token::Float(t), _)), Some(Literal::Float(v))) => t == v,
-            (Some((Token::Str(t), _)), Some(Literal::Str(v))) => t == v,
+        let at = tokens.iter().position(|(_, off)| *off == span.start);
+        // A signed span is a `-` and the number directly after it.
+        let token = match at.map(|i| (&tokens[i], tokens.get(i + 1))) {
+            Some(((Token::Minus, _), Some((number, off)))) if *off == span.start + 1 => {
+                match number {
+                    Token::Int(v) => Some(Token::Int(-v)),
+                    Token::Float(v) => Some(Token::Float(-v)),
+                    _ => None,
+                }
+            }
+            Some(((token, _), _)) => Some(token.clone()),
+            None => None,
+        };
+        let agree = match (&token, &value) {
+            (Some(Token::Int(t)), Some(Literal::Int(v))) => t == v,
+            (Some(Token::Float(t)), Some(Literal::Float(v))) => t.to_bits() == v.to_bits(),
+            (Some(Token::Str(t)), Some(Literal::Str(v))) => t == v,
             _ => false,
         };
         prop_assert!(
@@ -127,16 +150,30 @@ fn check(s: &str) -> Result<(), TestCaseError> {
         values.extend(value);
     }
     if let Ok(cold) = parse_statement(s) {
-        let tmpl = parse_template(s, &scan);
-        prop_assert!(tmpl.is_some(), "parses cold but not as a template: {:?}", s);
-        prop_assert_eq!(
-            bind_statement(&tmpl.unwrap(), &values),
-            Ok(cold),
-            "for {:?}",
-            s
-        );
+        match parse_template(s, &scan) {
+            Some(tmpl) => prop_assert_eq!(bind_statement(&tmpl, &values), Ok(cold), "for {:?}", s),
+            // Refused only where a `-` (through any parentheses) negates a
+            // placeholder: the guard that keeps `-(5)` from binding as
+            // `Neg(5)` where the cold parse folds it to `-5`.
+            None => prop_assert!(
+                scan.spans.iter().any(|span| negated(&tokens, span.start)),
+                "parses cold but not as a template: {:?}",
+                s
+            ),
+        }
     }
     Ok(())
+}
+
+/// Whether the token at `offset` directly follows a `-`, skipping `(`s.
+fn negated(tokens: &[(Token, usize)], offset: usize) -> bool {
+    let Some(at) = tokens.iter().position(|(_, off)| *off == offset) else {
+        return false;
+    };
+    let mut before = tokens[..at].iter().rev().map(|(t, _)| t);
+    before
+        .find(|t| **t != Token::LParen)
+        .is_some_and(|t| *t == Token::Minus)
 }
 
 proptest! {
@@ -155,19 +192,32 @@ proptest! {
 fn generator_covers_scanned_refused_and_parsed() {
     let mut rng = Rng(1);
     let (mut scanned, mut refused, mut parsed) = (0, 0, 0);
+    // Parsed statements with a masked literal under a `-`: templated (a
+    // binary minus's operand or a signed number), or refused by the guard.
+    let (mut minus_templated, mut guarded) = (0, 0);
     for _ in 0..800 {
         let s = statement(&mut rng);
-        if scan_statement(&s).is_none() {
+        let Some(scan) = scan_statement(&s) else {
             refused += 1;
             continue;
-        }
+        };
         scanned += 1;
         if parse_statement(&s).is_ok() {
             parsed += 1;
+            let tokens = Lexer::new(&s).tokenize().unwrap();
+            let under_minus = scan
+                .spans
+                .iter()
+                .any(|span| negated(&tokens, span.start) || s[span.start..].starts_with('-'));
+            match parse_template(&s, &scan) {
+                Some(_) if under_minus => minus_templated += 1,
+                None => guarded += 1,
+                Some(_) => {}
+            }
         }
     }
     assert!(
-        scanned > 100 && refused > 100 && parsed > 100,
-        "{scanned} {refused} {parsed}"
+        scanned > 100 && refused > 100 && parsed > 100 && minus_templated > 25 && guarded > 5,
+        "{scanned} {refused} {parsed} {minus_templated} {guarded}"
     );
 }

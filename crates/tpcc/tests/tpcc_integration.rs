@@ -213,42 +213,57 @@ fn attack_then_repair_preserves_independent_work() {
 /// has to edit this test on purpose.
 #[test]
 fn tracked_stream_costs_exact_statements_and_log_bytes() {
-    /// (statements, log bytes, committed) for the stream after the load.
-    fn run(db: &Database, conn: &mut dyn Connection) -> (u64, u64, u64) {
+    /// (statements, log bytes, WAL records, engine statement-cache misses,
+    /// proxy rewrite-cache misses, committed) for the stream after the load.
+    fn run(db: &Database, conn: &mut dyn Connection) -> [u64; 6] {
         let cfg = TpccConfig::tiny();
         Loader::new(cfg.clone(), 3).load(conn).unwrap();
-        let stats = db.sim().stats();
-        let (statements, log_bytes) = (stats.statements.get(), stats.log_bytes.get());
+        let counts = |conn: &dyn Connection| {
+            let stats = db.sim().stats();
+            [
+                stats.statements.get(),
+                stats.log_bytes.get(),
+                db.read_wal(|records| records.len() as u64),
+                db.stmt_cache_stats().misses,
+                conn.metrics().counter("proxy.rewrite_cache.misses"),
+            ]
+        };
+        let before = counts(conn);
         let mut runner = TpccRunner::new(cfg, 11).without_annotations();
         for kind in TxnKind::ALL {
             for _ in 0..4 {
                 runner.run(conn, kind).unwrap();
             }
         }
-        (
-            stats.statements.get() - statements,
-            stats.log_bytes.get() - log_bytes,
-            runner.stats.committed,
-        )
+        let after = counts(conn);
+        let [a, b, c, d, e] = std::array::from_fn(|i| after[i] - before[i]);
+        [a, b, c, d, e, runner.stats.committed]
     }
     let (db, mut conn) = tracked_db(Flavor::Postgres);
     let tracked = run(&db, &mut *conn);
     let (db, mut conn) = raw_db();
     let plain = run(&db, &mut *conn);
+    // Cold parses: a miss is a statement shape first seen in the stream
+    // (an IN-list or VALUES length, or a statement the load never sent).
+    // Payment's amount is masked: its four customer UPDATEs miss once.
     assert_eq!(
         tracked,
-        (176, 37870, 20),
-        "tracked (statements, log bytes, committed)"
+        [176, 37870, 133, 34, 30, 20],
+        "tracked (statements, log bytes, WAL records, engine misses, proxy misses, committed)"
     );
     assert_eq!(
         plain,
-        (154, 24307, 20),
-        "plain (statements, log bytes, committed)"
+        [154, 24307, 90, 30, 0, 20],
+        "plain (statements, log bytes, WAL records, engine misses, proxy misses, committed)"
     );
     let per_txn = |tracked: u64, plain: u64| (tracked - plain) as f64 / 20.0;
-    assert_eq!(per_txn(tracked.0, plain.0), 1.1, "extra statements per txn");
     assert_eq!(
-        per_txn(tracked.1, plain.1),
+        per_txn(tracked[0], plain[0]),
+        1.1,
+        "extra statements per txn"
+    );
+    assert_eq!(
+        per_txn(tracked[1], plain[1]),
         678.15,
         "extra log bytes per txn"
     );
