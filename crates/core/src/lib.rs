@@ -81,9 +81,8 @@ pub use resildb_proxy::{
 };
 pub use resildb_repair::adapters::adapter_for;
 pub use resildb_repair::{
-    detect, Analysis, AnomalyRule, CausalChain, DepGraph, Detection, FalseDepRule,
-    RepairController, RepairError, RepairMode, RepairOptions, RepairPlan, RepairReport,
-    TraceExplorer, WhatIfSession,
+    detect, Analysis, AnomalyRule, DepGraph, Detection, FalseDepRule, RepairController,
+    RepairError, RepairMode, RepairOptions, RepairPlan, RepairReport, TraceExplorer, WhatIfSession,
 };
 pub use resildb_sim::{
     failpoints, telemetry, CostModel, EventKind, FaultAction, FaultPlan, FaultTrigger,

@@ -2,50 +2,43 @@
 //!
 //! Reads a capture produced by the flight recorder — JSONL (one event
 //! per line) or Chrome Trace Event Format (as written by `--trace-out`,
-//! Perfetto-loadable) — and answers the forensic questions the paper's
-//! repair workflow starts from: what did a transaction do, who tainted
-//! it, and whom does it taint.
+//! Perfetto-loadable) — and answers what a capture is the source of
+//! truth for: what a transaction did and in what order, and what repair
+//! did. It gives no damage closure: a capture holds only the read
+//! dependencies harvested online, so closures come from the log, through
+//! `ResilientDb::analyze` with `WhatIfSession`, or `repair_console`.
 //!
 //! ```text
 //! resildb-trace <capture> [OPTIONS]
 //!
 //!   <capture>            capture file (.jsonl or Chrome-trace JSON;
 //!                        the format is sniffed from the content)
-//!   --txn <id>           print the causal chain of one transaction:
-//!                        its timeline, taint sources and damage closure
-//!   --dot                emit forensic GraphViz DOT on stdout (with
-//!                        --txn: that transaction red, its closure
-//!                        orange; rule-pruned edges dashed gray)
-//!   --ignore-table <t>   false-dependency rule: dismiss dependencies
-//!                        mediated by table <t> (repeatable)
+//!   --txn <id>           print the event timeline of one transaction
 //!   --list               list every transaction in the capture
 //!   --repair             print the repair/containment timeline (fence
 //!                        raise/shrink/extend/lift and sweep phases)
 //! ```
 //!
 //! With no option beyond the capture, prints a summary (window size,
-//! drop count, per-kind histogram).
+//! earlier events missing from it, per-kind histogram).
 //!
 //! Exit status: 0 on success, 2 on usage, I/O or parse errors.
 
 use std::process::ExitCode;
 
 use resildb_repair::trace::parse_capture;
-use resildb_repair::{FalseDepRule, TraceExplorer};
+use resildb_repair::TraceExplorer;
 use resildb_sim::TraceSnapshot;
 
 struct Options {
     capture: String,
     txn: Option<i64>,
-    dot: bool,
     list: bool,
     repair: bool,
-    rules: Vec<FalseDepRule>,
 }
 
 fn usage() -> String {
-    "usage: resildb-trace <capture> [--txn <id>] [--dot] [--ignore-table <t>] [--list] [--repair]"
-        .to_string()
+    "usage: resildb-trace <capture> [--txn <id>] [--list] [--repair]".to_string()
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -53,10 +46,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         capture: String::new(),
         txn: None,
-        dot: false,
         list: false,
         repair: false,
-        rules: Vec::new(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -68,15 +59,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|_| format!("invalid txn id `{v}`"))?,
                 );
             }
-            "--dot" => opts.dot = true,
             "--list" => opts.list = true,
             "--repair" => opts.repair = true,
-            "--ignore-table" => {
-                let t = it
-                    .next()
-                    .ok_or_else(|| "--ignore-table needs a table".to_string())?;
-                opts.rules.push(FalseDepRule::IgnoreTable(t.clone()));
-            }
             "--help" | "-h" => return Err(usage()),
             flag if flag.starts_with('-') => {
                 return Err(format!("unknown flag `{flag}`\n{}", usage()))
@@ -96,10 +80,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let events = parse_capture(&text).map_err(|e| format!("{}: {e}", opts.capture))?;
     let explorer = TraceExplorer::from_snapshot(TraceSnapshot::from_events(events));
 
-    if opts.dot {
-        print!("{}", explorer.to_dot(opts.txn, &opts.rules));
-        return Ok(());
-    }
     if opts.repair {
         print!("{}", explorer.repair_timeline());
         return Ok(());
@@ -111,7 +91,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     match opts.txn {
-        Some(txn) => print!("{}", explorer.render_chain(txn)),
+        Some(txn) => print!("{}", explorer.render_txn(txn)),
         None => print!("{}", explorer.summary()),
     }
     Ok(())

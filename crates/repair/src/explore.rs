@@ -1,9 +1,15 @@
 //! Offline exploration of flight-recorder captures: per-transaction
-//! timelines, causal ("who tainted whom") chains reconstructed from
-//! harvested-dependency events, and forensic DOT rendering.
+//! timelines, a whole-capture summary and the incident fold.
+//!
+//! A capture is the source of truth for what happened and when, not for
+//! what is damaged: its `dep_harvested` events carry only the read
+//! dependencies the proxy harvests online, while update and delete
+//! dependencies live in the log. Damage closures come from
+//! [`Analysis`](crate::Analysis) alone — through
+//! [`WhatIfSession`](crate::WhatIfSession) or `repair_console`.
 //!
 //! This is the engine behind the `resildb-trace` binary, kept as a
-//! library module so the timeline/chain logic is unit-testable without
+//! library module so the timeline logic is unit-testable without
 //! spawning a process.
 
 use std::collections::BTreeSet;
@@ -12,49 +18,20 @@ use std::fmt::Write as _;
 use resildb_sim::telemetry::timeline::replay;
 use resildb_sim::{EventKind, TraceSnapshot};
 
-use crate::graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
+/// What `--txn` prints in place of a damage closure.
+const NO_CLOSURE: &str = "damage closure: not available from a capture, which holds only \
+online read harvests; use ResilientDb::analyze with WhatIfSession, or repair_console";
 
-/// The causal neighbourhood of one transaction in a capture.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CausalChain {
-    /// The transaction under scrutiny.
-    pub txn: i64,
-    /// Transactions it transitively read from — who tainted it.
-    pub tainted_by: BTreeSet<i64>,
-    /// Transactions that transitively read from it — whom it taints
-    /// (its damage closure, excluding itself).
-    pub taints: BTreeSet<i64>,
-}
-
-/// An offline view over a [`TraceSnapshot`], with the dependency graph
-/// rebuilt from its `dep_harvested` events.
+/// An offline view over a [`TraceSnapshot`].
 #[derive(Debug)]
 pub struct TraceExplorer {
     snapshot: TraceSnapshot,
-    graph: DepGraph,
 }
 
 impl TraceExplorer {
-    /// Builds an explorer from a parsed capture. Every `dep_harvested`
-    /// event becomes one dependency edge (the harvesting transaction
-    /// depends on the stamped writer, mediated by the recorded table).
+    /// Builds an explorer from a parsed capture.
     pub fn from_snapshot(snapshot: TraceSnapshot) -> Self {
-        let mut graph = DepGraph::new();
-        for ev in &snapshot.events {
-            if let EventKind::DepHarvested { dep, table } = &ev.kind {
-                graph.add_edge(
-                    ev.txn,
-                    *dep,
-                    EdgeProvenance {
-                        table: table.clone(),
-                        kind: EdgeKind::Read {
-                            read_columns: Vec::new(),
-                        },
-                    },
-                );
-            }
-        }
-        Self { snapshot, graph }
+        Self { snapshot }
     }
 
     /// The underlying snapshot.
@@ -62,47 +39,18 @@ impl TraceExplorer {
         &self.snapshot
     }
 
-    /// The dependency graph reconstructed from harvested-dependency
-    /// events.
-    pub fn graph(&self) -> &DepGraph {
-        &self.graph
-    }
-
     /// Every proxy transaction id appearing in the capture (event owners
     /// and harvested writers; the out-of-transaction id `0` is excluded).
     pub fn transactions(&self) -> BTreeSet<i64> {
-        let mut all: BTreeSet<i64> = self
-            .snapshot
-            .events
-            .iter()
-            .map(|e| e.txn)
-            .filter(|&t| t != 0)
-            .collect();
-        all.extend(self.graph.transactions().into_iter().filter(|&t| t != 0));
-        all
-    }
-
-    /// The causal neighbourhood of `txn`: everything it transitively
-    /// depends on (`tainted_by`) and everything transitively depending on
-    /// it (`taints`).
-    pub fn causal_chain(&self, txn: i64) -> CausalChain {
-        let mut tainted_by = BTreeSet::new();
-        let mut frontier = vec![txn];
-        while let Some(t) = frontier.pop() {
-            for dep in self.graph.dependencies_of(t) {
-                if tainted_by.insert(dep) {
-                    frontier.push(dep);
-                }
+        let mut all = BTreeSet::new();
+        for ev in &self.snapshot.events {
+            all.insert(ev.txn);
+            if let EventKind::DepHarvested { dep, .. } = ev.kind {
+                all.insert(dep);
             }
         }
-        tainted_by.remove(&txn);
-        let mut taints = self.graph.closure(&[txn], &[]);
-        taints.remove(&txn);
-        CausalChain {
-            txn,
-            tainted_by,
-            taints,
-        }
+        all.remove(&0);
+        all
     }
 
     /// The event timeline of `txn`, one line per event in tick order.
@@ -116,10 +64,10 @@ impl TraceExplorer {
         out
     }
 
-    /// Renders the causal chain of `txn` as text: its timeline, its
-    /// direct and transitive taint sources, and its damage closure.
-    pub fn render_chain(&self, txn: i64) -> String {
-        let chain = self.causal_chain(txn);
+    /// What `--txn` prints: the timeline of `txn`, whose `dep_harvested`
+    /// lines are its direct harvested reads, then one line saying that a
+    /// capture cannot give a damage closure and which tools can.
+    pub fn render_txn(&self, txn: i64) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "txn {txn} timeline:");
         let timeline = self.timeline(txn);
@@ -130,32 +78,12 @@ impl TraceExplorer {
                 let _ = writeln!(out, "  {line}");
             }
         }
-        let direct = self.graph.dependencies_of(txn);
-        let _ = writeln!(out, "reads from (direct): {}", fmt_set(&direct));
-        let _ = writeln!(
-            out,
-            "tainted by (transitive): {}",
-            fmt_set(&chain.tainted_by)
-        );
-        for dep in &direct {
-            let tables: BTreeSet<&str> = self
-                .graph
-                .edge(txn, *dep)
-                .iter()
-                .map(|p| p.table.as_str())
-                .collect();
-            let _ = writeln!(
-                out,
-                "  txn {dep} -> txn {txn} via {}",
-                tables.into_iter().collect::<Vec<_>>().join(", ")
-            );
-        }
-        let _ = writeln!(out, "taints (damage closure): {}", fmt_set(&chain.taints));
+        let _ = writeln!(out, "{NO_CLOSURE}");
         out
     }
 
-    /// A whole-capture summary: window size, drop count, per-kind event
-    /// histogram and transaction count.
+    /// A whole-capture summary: window size, how many earlier events the
+    /// window lacks, per-kind event histogram and transaction count.
     pub fn summary(&self) -> String {
         let mut counts: std::collections::BTreeMap<&'static str, u64> =
             std::collections::BTreeMap::new();
@@ -165,7 +93,7 @@ impl TraceExplorer {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "events: {} (capacity {}, dropped {})",
+            "events: {} (capacity {}, {} earlier events not in capture)",
             self.snapshot.events.len(),
             self.snapshot.capacity,
             self.snapshot.dropped
@@ -211,35 +139,6 @@ impl TraceExplorer {
             out.push_str("(no repair events in capture window)\n");
         }
         out
-    }
-
-    /// Renders the reconstructed graph as forensic DOT. With a focus
-    /// transaction, that transaction is filled red and its damage closure
-    /// under `rules` orange; edges dismissed by `rules` are dashed gray.
-    pub fn to_dot(&self, focus: Option<i64>, rules: &[FalseDepRule]) -> String {
-        let pruned = self.graph.pruned_edges(rules);
-        match focus {
-            Some(txn) => {
-                let attack: BTreeSet<i64> = [txn].into_iter().collect();
-                let closure = self.graph.closure(&[txn], rules);
-                self.graph
-                    .to_dot_styled(&attack, Some(&closure), Some(&pruned))
-            }
-            None => self
-                .graph
-                .to_dot_styled(&BTreeSet::new(), None, Some(&pruned)),
-        }
-    }
-}
-
-fn fmt_set(s: &BTreeSet<i64>) -> String {
-    if s.is_empty() {
-        "(none)".to_string()
-    } else {
-        s.iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
     }
 }
 
@@ -290,20 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_reports_taint_in_both_directions() {
-        let ex = TraceExplorer::from_snapshot(capture());
-        let chain = ex.causal_chain(2);
-        assert_eq!(chain.tainted_by, [1].into_iter().collect());
-        assert_eq!(chain.taints, [3].into_iter().collect());
-        let chain = ex.causal_chain(1);
-        assert!(chain.tainted_by.is_empty());
-        assert_eq!(chain.taints, [2, 3].into_iter().collect());
-        let chain = ex.causal_chain(9);
-        assert!(chain.tainted_by.is_empty());
-        assert!(chain.taints.is_empty());
-    }
-
-    #[test]
     fn timeline_lists_only_the_requested_txn() {
         let ex = TraceExplorer::from_snapshot(capture());
         let tl = ex.timeline(1);
@@ -315,30 +200,21 @@ mod tests {
     }
 
     #[test]
-    fn render_chain_names_the_mediating_table() {
+    fn render_txn_prints_the_timeline_and_no_closure() {
         let ex = TraceExplorer::from_snapshot(capture());
-        let text = ex.render_chain(2);
-        assert!(text.contains("tainted by (transitive): 1"));
-        assert!(text.contains("txn 1 -> txn 2 via accounts"));
-        assert!(text.contains("taints (damage closure): 3"));
+        let text = ex.render_txn(2);
+        assert!(text.starts_with("txn 2 timeline:\n"));
+        // The direct harvested read names its writer and table.
+        assert!(text.contains("dep_harvested dep=1 table=accounts"));
+        assert!(text.ends_with(&format!("{NO_CLOSURE}\n")));
+        assert!(!text.contains("taints"));
+        assert!(!text.contains("tainted by"));
     }
 
     #[test]
     fn transactions_include_event_owners_and_writers() {
         let ex = TraceExplorer::from_snapshot(capture());
         assert_eq!(ex.transactions(), [1, 2, 3, 9].into_iter().collect());
-    }
-
-    #[test]
-    fn dot_focus_styles_closure_and_pruned_edges() {
-        let ex = TraceExplorer::from_snapshot(capture());
-        let rules = vec![FalseDepRule::IgnoreTable("orders".into())];
-        let dot = ex.to_dot(Some(1), &rules);
-        assert!(dot.contains("t1 [label=\"txn_1\", style=filled, fillcolor=indianred1]"));
-        assert!(dot.contains("t2 [label=\"txn_2\", style=filled, fillcolor=orange]"));
-        // txn 3's only edge is pruned, so it stays out of the closure.
-        assert!(dot.contains("t3 [label=\"txn_3\"]"));
-        assert!(dot.contains("t2 -> t3 [style=dashed, color=gray, label=\"pruned\"];"));
     }
 
     #[test]
@@ -358,5 +234,23 @@ mod tests {
         assert_eq!(count_of("txn_begin").as_deref(), Some("4"));
         assert_eq!(count_of("commit").as_deref(), Some("3"));
         assert_eq!(count_of("abort").as_deref(), Some("1"));
+        assert!(s.contains("(capacity 128, 0 earlier events not in capture)"));
+
+        // An overflowed ring, round-tripped as `--trace-out` writes it,
+        // still reports the events it lost.
+        let rec = FlightRecorder::with_capacity(2);
+        rec.set_enabled(true);
+        for txn in 1..=5 {
+            rec.emit(txn, 1, EventKind::TxnBegin);
+        }
+        let live = rec.snapshot();
+        assert_eq!(live.dropped, 3);
+        let events =
+            crate::trace::parse_capture(&resildb_sim::telemetry::trace::to_jsonl(&live)).unwrap();
+        let ex = TraceExplorer::from_snapshot(TraceSnapshot::from_events(events));
+        assert_eq!(ex.snapshot().dropped, 3);
+        assert!(ex
+            .summary()
+            .contains("events: 2 (capacity 2, 3 earlier events not in capture)"));
     }
 }

@@ -206,7 +206,7 @@ impl DepGraph {
     }
 
     /// Provenance list of an edge.
-    pub fn edge(&self, dependent: i64, dependee: i64) -> &[EdgeProvenance] {
+    fn edge(&self, dependent: i64, dependee: i64) -> &[EdgeProvenance] {
         self.edges
             .get(&(dependent, dependee))
             .map_or(&[], Vec::as_slice)

@@ -69,7 +69,7 @@ pub use controller::{
 pub use correlate::TxnCorrelation;
 pub use detect::{detect, AnomalyRule, Detection};
 pub use error::RepairError;
-pub use explore::{CausalChain, TraceExplorer};
+pub use explore::TraceExplorer;
 pub use graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
 pub use record::{NamedRow, RepairOp, RepairRecord, RowAddress};
 pub use whatif::WhatIfSession;

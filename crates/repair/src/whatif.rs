@@ -140,10 +140,16 @@ impl<'a> WhatIfSession<'a> {
         set
     }
 
-    /// Renders the graph with the current undo set highlighted
-    /// (paper Figure 3, driven interactively).
+    /// Renders the graph under the current decisions (paper Figure 3,
+    /// driven interactively): the initial set filled red, the rest of the
+    /// undo set orange, and edges the active rules dismiss dashed gray.
     pub fn to_dot(&self) -> String {
-        self.analysis.to_dot(&self.undo_set())
+        let graph = &self.analysis.graph;
+        graph.to_dot_styled(
+            &self.initial,
+            Some(&self.undo_set()),
+            Some(&graph.pruned_edges(&self.rules)),
+        )
     }
 
     /// A one-line summary for interactive display.
@@ -168,8 +174,10 @@ mod tests {
     use resildb_proxy::{prepare_database, ProxyConfig, TrackingProxy};
     use resildb_wire::{Driver, LinkProfile, NativeDriver};
 
-    /// Three transactions: attack → dependent reader; one independent.
-    fn scenario() -> (Database, i64, i64, i64) {
+    /// Runs `setup` through the tracking proxy unlabelled, then each
+    /// `(label, statements)` as one annotated tracked transaction; returns
+    /// the database and the transactions' proxy ids in order.
+    fn history(setup: &[&str], txns: &[(&str, &[&str])]) -> (Database, Vec<i64>) {
         let db = Database::in_memory(Flavor::Postgres);
         let native = NativeDriver::new(db.clone(), LinkProfile::local());
         prepare_database(&mut *native.connect().unwrap()).unwrap();
@@ -178,22 +186,13 @@ mod tests {
             .build();
         let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), config);
         let mut conn = driver.connect().unwrap();
-        conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-            .unwrap();
-        for (label, stmts) in [
-            ("attack", vec!["INSERT INTO t (id, v) VALUES (1, 666)"]),
-            (
-                "dependent",
-                vec![
-                    "SELECT v FROM t WHERE id = 1",
-                    "INSERT INTO t (id, v) VALUES (2, 1)",
-                ],
-            ),
-            ("independent", vec!["INSERT INTO t (id, v) VALUES (3, 3)"]),
-        ] {
+        for s in setup {
+            conn.execute(s).unwrap();
+        }
+        for (label, stmts) in txns {
             conn.execute(&format!("ANNOTATE {label}")).unwrap();
             conn.execute("BEGIN").unwrap();
-            for s in stmts {
+            for s in *stmts {
                 conn.execute(s).unwrap();
             }
             conn.execute("COMMIT").unwrap();
@@ -209,8 +208,27 @@ mod tests {
                 ref other => panic!("{other:?}"),
             }
         };
-        let (a, d, i) = (id("attack"), id("dependent"), id("independent"));
-        (db, a, d, i)
+        let ids = txns.iter().map(|(label, _)| id(label)).collect();
+        (db, ids)
+    }
+
+    /// Three transactions: attack → dependent reader; one independent.
+    fn scenario() -> (Database, i64, i64, i64) {
+        let (db, ids) = history(
+            &["CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)"],
+            &[
+                ("attack", &["INSERT INTO t (id, v) VALUES (1, 666)"]),
+                (
+                    "dependent",
+                    &[
+                        "SELECT v FROM t WHERE id = 1",
+                        "INSERT INTO t (id, v) VALUES (2, 1)",
+                    ],
+                ),
+                ("independent", &["INSERT INTO t (id, v) VALUES (3, 3)"]),
+            ],
+        );
+        (db, ids[0], ids[1], ids[2])
     }
 
     #[test]
@@ -276,29 +294,67 @@ mod tests {
     }
 
     #[test]
+    fn dot_styles_initial_undo_set_and_pruned_edges() {
+        // The attack writes both tables; one reader depends on it through
+        // `kept`, the other only through `scratch`, which a rule ignores.
+        let (db, ids) = history(
+            &[
+                "CREATE TABLE kept (id INTEGER PRIMARY KEY, v INTEGER)",
+                "CREATE TABLE scratch (id INTEGER PRIMARY KEY, v INTEGER)",
+            ],
+            &[
+                (
+                    "attack",
+                    &[
+                        "INSERT INTO kept (id, v) VALUES (1, 666)",
+                        "INSERT INTO scratch (id, v) VALUES (1, 666)",
+                    ],
+                ),
+                (
+                    "via_kept",
+                    &[
+                        "SELECT v FROM kept WHERE id = 1",
+                        "INSERT INTO kept (id, v) VALUES (2, 1)",
+                    ],
+                ),
+                (
+                    "via_scratch",
+                    &[
+                        "SELECT v FROM scratch WHERE id = 1",
+                        "INSERT INTO scratch (id, v) VALUES (2, 1)",
+                    ],
+                ),
+            ],
+        );
+        let (attack, via_kept, via_scratch) = (ids[0], ids[1], ids[2]);
+        let analysis = crate::RepairController::new(db).analyze().unwrap();
+        let mut wi = WhatIfSession::new(&analysis);
+        wi.add_initial(attack);
+        wi.add_rule(FalseDepRule::IgnoreTable("scratch".into()));
+        assert_eq!(wi.undo_set(), [attack, via_kept].into_iter().collect());
+
+        let dot = wi.to_dot();
+        let node = |txn: i64| {
+            dot.lines()
+                .find(|l| l.trim_start().starts_with(&format!("t{txn} [")))
+                .unwrap_or_else(|| panic!("no node t{txn} in {dot}"))
+        };
+        assert!(node(attack).ends_with("style=filled, fillcolor=indianred1];"));
+        assert!(node(via_kept).ends_with("style=filled, fillcolor=orange];"));
+        // Its only edge is pruned, so it stays out of the closure.
+        assert!(!node(via_scratch).contains("fillcolor"));
+        assert!(dot.contains(&format!(
+            "t{attack} -> t{via_scratch} [style=dashed, color=gray, label=\"pruned\"];"
+        )));
+        assert!(dot.contains(&format!("t{attack} -> t{via_kept};")));
+    }
+
+    #[test]
     fn inferred_derivable_columns_shrink_the_undo_set() {
         // End to end: the static analyzer infers `warehouse.w_ytd` from the
         // workload's own statements, the session consumes the inference via
         // `add_inferred_rules`, and the Payment→New-Order row-level false
         // dependency disappears from the undo set.
-        let db = Database::in_memory(Flavor::Postgres);
-        let native = NativeDriver::new(db.clone(), LinkProfile::local());
-        prepare_database(&mut *native.connect().unwrap()).unwrap();
-        let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), {
-            ProxyConfig::builder(Flavor::Postgres)
-                .record_read_only_deps(true)
-                .build()
-        });
-        let mut conn = driver.connect().unwrap();
-        conn.execute(
-            "CREATE TABLE warehouse (w_id INTEGER PRIMARY KEY, w_tax INTEGER, w_ytd INTEGER)",
-        )
-        .unwrap();
-        conn.execute("CREATE TABLE orders (o_id INTEGER PRIMARY KEY, o_w_id INTEGER)")
-            .unwrap();
-        conn.execute("INSERT INTO warehouse (w_id, w_tax, w_ytd) VALUES (1, 7, 0)")
-            .unwrap();
-
         // The application's statement corpus: Payment bumps the year-to-
         // date accumulator, New-Order reads the tax rate from the same row.
         let payment = ["UPDATE warehouse SET w_ytd = w_ytd + 10 WHERE w_id = 1"];
@@ -306,26 +362,15 @@ mod tests {
             "SELECT w_tax FROM warehouse WHERE w_id = 1",
             "INSERT INTO orders (o_id, o_w_id) VALUES (1, 1)",
         ];
-        for (label, stmts) in [("payment", &payment[..]), ("neworder", &neworder[..])] {
-            conn.execute(&format!("ANNOTATE {label}")).unwrap();
-            conn.execute("BEGIN").unwrap();
-            for s in stmts {
-                conn.execute(s).unwrap();
-            }
-            conn.execute("COMMIT").unwrap();
-        }
-        let id = |label: &str| {
-            let mut s = db.session();
-            match s
-                .query(&format!("SELECT tr_id FROM annot WHERE descr = '{label}'"))
-                .unwrap()
-                .rows[0][0]
-            {
-                Value::Int(v) => v,
-                ref other => panic!("{other:?}"),
-            }
-        };
-        let (payment_id, neworder_id) = (id("payment"), id("neworder"));
+        let (db, ids) = history(
+            &[
+                "CREATE TABLE warehouse (w_id INTEGER PRIMARY KEY, w_tax INTEGER, w_ytd INTEGER)",
+                "CREATE TABLE orders (o_id INTEGER PRIMARY KEY, o_w_id INTEGER)",
+                "INSERT INTO warehouse (w_id, w_tax, w_ytd) VALUES (1, 7, 0)",
+            ],
+            &[("payment", &payment), ("neworder", &neworder)],
+        );
+        let (payment_id, neworder_id) = (ids[0], ids[1]);
 
         // Static inference over the same corpus finds the accumulator.
         let corpus: Vec<resildb_sql::Statement> = payment

@@ -288,7 +288,9 @@ pub struct TraceEvent {
 pub struct TraceSnapshot {
     /// The retained events, oldest first (ascending `seq`).
     pub events: Vec<TraceEvent>,
-    /// Total events evicted by wraparound since creation (monotonic).
+    /// Recorded events that precede the window and are not in it: those
+    /// evicted by wraparound for a live snapshot; for a parsed capture,
+    /// every tick before its first event (evicted or cleared).
     pub dropped: u64,
     /// Ring capacity in events.
     pub capacity: usize,
@@ -296,13 +298,17 @@ pub struct TraceSnapshot {
 
 impl TraceSnapshot {
     /// Wraps parsed capture events (e.g. from `resildb_repair::trace`) as a
-    /// snapshot: the window is exactly the events given, nothing is
-    /// known to have been dropped, and capacity equals the window size.
+    /// snapshot: the window is exactly the events given and capacity
+    /// equals the window size. Ticks are gap-free from 0, so a window
+    /// whose first event has `seq = k` is missing the `k` events recorded
+    /// before it, whether wraparound evicted them or `clear()` discarded
+    /// them; that is its `dropped`.
     pub fn from_events(events: Vec<TraceEvent>) -> Self {
         let capacity = events.len();
+        let dropped = events.first().map_or(0, |e| e.seq);
         Self {
             events,
-            dropped: 0,
+            dropped,
             capacity,
         }
     }

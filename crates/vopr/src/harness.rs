@@ -311,16 +311,18 @@ fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
     let mut analysis = None;
     if !initial.is_empty() {
         let a = rdb.analyze().map_err(|e| format!("analysis failed: {e}"))?;
-        for id in a.undo_set(&initial, &[]) {
-            undo_labels.insert(a.graph.label(id));
+        let closure = a.undo_set(&initial, &[]);
+        for id in &closure {
+            undo_labels.insert(a.graph.label(*id));
         }
         // Kept for the static-soundness oracle: the graph snapshot must
         // predate the repair's own compensating writes.
         analysis = Some(a);
-        scripted_repair(scenario, &rdb, &initial, |init| {
-            rdb.repair(init, &[]).map(|_| ()).map_err(|e| e.to_string())
+        let report = scripted_repair(scenario, &rdb, &initial, |init| {
+            rdb.repair(init, &[]).map_err(|e| e.to_string())
         })
         .map_err(|e| format!("repair failed: {e}"))?;
+        failures.extend(oracle::one_closure(&closure, &report.undo_set));
     }
 
     // --- world B: clean replay (malicious elided, undo set elided) ----
@@ -476,12 +478,12 @@ fn replay_deterministic(
 /// expected to fail (rolling back cleanly — the equality oracle exposes
 /// any leaked compensation, a live attempt must also drop its fence); the
 /// retry after disarming must succeed.
-fn scripted_repair(
+fn scripted_repair<T>(
     scenario: &Scenario,
     rdb: &ResilientDb,
     initial: &[i64],
-    attempt: impl Fn(&[i64]) -> Result<(), String>,
-) -> Result<(), String> {
+    attempt: impl Fn(&[i64]) -> Result<T, String>,
+) -> Result<T, String> {
     let Some(site) = scenario.repair_fault else {
         return attempt(initial);
     };
@@ -492,10 +494,7 @@ fn scripted_repair(
     );
     let first = attempt(initial);
     rdb.database().sim().faults().disarm_all();
-    if first.is_err() {
-        return attempt(initial).map_err(|e| format!("repair retry failed: {e}"));
-    }
-    Ok(())
+    first.or_else(|_| attempt(initial).map_err(|e| format!("repair retry failed: {e}")))
 }
 
 /// Raw rows of `table` through an untracked connection — hidden `trid`

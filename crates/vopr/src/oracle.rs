@@ -12,7 +12,10 @@
 //!    set equals the closure the *generator* computes from its own
 //!    read/write sets. Byte equality alone cannot see a missed closure
 //!    member whose SQL happens to produce identical bytes; this oracle
-//!    can.
+//!    can. Oracle 2b, **one closure** (every thread mode): the undo set
+//!    the controller compensated equals the pre-repair `Analysis`
+//!    closure, the one every closure view (`WhatIfSession`,
+//!    `repair_console`) shows, so oracle 2 checks what was compensated.
 //! 3. **Exactly-one `trans_dep` row** per committed write transaction,
 //!    none for aborted ones (§3.3's bookkeeping invariant).
 //! 4. **Dependency ledger drains** — `proxy.trans_dep.inflight` is zero
@@ -216,6 +219,21 @@ pub fn closure_matches_ground_truth(
          (missed: [{}], unexpected: [{}])",
         missed.join(", "),
         extra.join(", "),
+    )]
+}
+
+/// Oracle 2b: the controller compensated exactly `closure`, the undo set
+/// of the `Analysis` taken before the repair. Valid under any
+/// interleaving: both sides read the same quiesced log.
+pub fn one_closure(closure: &BTreeSet<i64>, compensated: &BTreeSet<i64>) -> Vec<String> {
+    if closure == compensated {
+        return Vec::new();
+    }
+    let missed: Vec<_> = closure.difference(compensated).collect();
+    let extra: Vec<_> = compensated.difference(closure).collect();
+    vec![format!(
+        "one closure: the controller's undo set diverges from the analysis \
+         closure every view shows (missed: {missed:?}, unexpected: {extra:?})"
     )]
 }
 

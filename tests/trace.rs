@@ -1,13 +1,16 @@
 //! Whole-system tests of the flight recorder: transaction lifecycles are
-//! captured exactly once, repair phases show up in the event window, and
-//! a capture round-trips through the forensic exporters into the
-//! `resildb-trace` explorer's causal chain.
+//! captured exactly once, repair phases show up in the event window, a
+//! capture round-trips through the forensic exporters into the
+//! `resildb-trace` explorer, and the explorer never offers a damage
+//! closure of its own.
 
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use resildb_core::telemetry::trace::{to_chrome_trace, to_jsonl};
-use resildb_core::{Flavor, ResilientDb, TraceExplorer, TraceSnapshot};
+use resildb_core::{Flavor, ResilientDb, TraceExplorer, TraceSnapshot, WhatIfSession};
 use resildb_repair::trace::parse_capture;
 
 /// Runs `committed` committed transactions (each annotated `txn_<i>`) and
@@ -107,12 +110,62 @@ fn capture_shows_rewrites_harvests_and_wal_commits() {
     let t2 = rdb.txn_id_by_label("txn_2").unwrap().unwrap();
     assert_eq!(snap.count_for(t2, "dep_harvested"), 1);
     let explorer = TraceExplorer::from_snapshot(snap);
-    assert!(explorer.causal_chain(t2).tainted_by.contains(&t1));
+    assert!(explorer
+        .render_txn(t2)
+        .contains(&format!("dep_harvested dep={t1} table=t")));
+}
+
+/// What `resildb-trace --txn` prints in place of a damage closure.
+const NO_CLOSURE: &str = "damage closure: not available from a capture";
+
+/// Exports the run's capture as JSONL, parses it back and renders
+/// `txn` as `resildb-trace <capture> --txn <txn>` does.
+fn render_from_capture(rdb: &ResilientDb, txn: i64) -> String {
+    let events = parse_capture(&to_jsonl(&rdb.flight_recorder().snapshot())).unwrap();
+    TraceExplorer::from_snapshot(TraceSnapshot::from_events(events)).render_txn(txn)
+}
+
+/// Damage that spreads through an UPDATE is a log dependency the proxy
+/// never harvests online, so a capture cannot see it. The closure comes
+/// from `Analysis` alone; the explorer says so instead of printing a
+/// partial set.
+#[test]
+fn update_spread_damage_is_in_the_one_closure_and_not_guessed_from_a_capture() {
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
+    let mut conn = rdb.connect().unwrap();
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    for (label, stmt) in [
+        ("attack", "INSERT INTO t VALUES (1, 666)"),
+        ("bump", "UPDATE t SET v = v + 1 WHERE id = 1"),
+    ] {
+        conn.execute(&format!("ANNOTATE {label}")).unwrap();
+        conn.execute("BEGIN").unwrap();
+        conn.execute(stmt).unwrap();
+        conn.execute("COMMIT").unwrap();
+    }
+    drop(conn);
+    let attack = rdb.txn_id_by_label("attack").unwrap().unwrap();
+    let bump = rdb.txn_id_by_label("bump").unwrap().unwrap();
+    let expected: BTreeSet<i64> = [attack, bump].into_iter().collect();
+
+    let analysis = rdb.analyze().unwrap();
+    let mut session = WhatIfSession::new(&analysis);
+    session.add_initial(attack);
+    assert_eq!(session.undo_set(), expected);
+
+    assert_eq!(rdb.flight_recorder().snapshot().dropped, 0);
+    let rendered = render_from_capture(&rdb, attack);
+    assert!(rendered.contains(NO_CLOSURE), "{rendered}");
+    assert!(!rendered.contains("taints"), "{rendered}");
+    assert!(!rendered.contains("tainted by"), "{rendered}");
+
+    assert_eq!(rdb.repair(&[attack], &[]).unwrap().undo_set, expected);
 }
 
 /// The acceptance scenario: attack → dependent transactions → repair,
-/// with the capture exported, re-parsed, and explored for the causal
-/// chain — exactly what `resildb-trace <capture> --txn <id>` prints.
+/// with the capture exported, re-parsed, and explored for the attack's
+/// timeline — exactly what `resildb-trace <capture> --txn <id>` prints.
 #[test]
 fn repair_scenario_round_trips_into_causal_chain() {
     let rdb = run_mixed_workload(4, 0);
@@ -121,7 +174,7 @@ fn repair_scenario_round_trips_into_causal_chain() {
     let t2 = rdb.txn_id_by_label("txn_2").unwrap().unwrap();
     let t3 = rdb.txn_id_by_label("txn_3").unwrap().unwrap();
     let report = rdb.repair(&[attack], &[]).unwrap();
-    assert!(report.undo_set.contains(&t3));
+    assert_eq!(report.undo_set, [attack, t2, t3].into_iter().collect());
 
     let snap = rdb.flight_recorder().snapshot();
     // Repair phases made it into the window.
@@ -141,15 +194,12 @@ fn repair_scenario_round_trips_into_causal_chain() {
         let events = parse_capture(&export).unwrap();
         assert_eq!(events, snap.events);
         let explorer = TraceExplorer::from_snapshot(TraceSnapshot::from_events(events));
-        let chain = explorer.causal_chain(attack);
-        assert!(chain.taints.contains(&t2));
-        assert!(chain.taints.contains(&t3));
-        let rendered = explorer.render_chain(attack);
-        assert!(rendered.contains("taints (damage closure):"));
-        assert!(rendered.contains(&t2.to_string()));
-        // The per-transaction timeline is part of the chain output.
+        let rendered = explorer.render_txn(attack);
+        // The per-transaction timeline, ending in its compensation.
         assert!(rendered.contains("txn_begin"));
         assert!(rendered.contains("commit"));
+        assert!(rendered.contains("compensated statements="));
+        assert!(rendered.contains(NO_CLOSURE));
     }
 }
 
