@@ -17,8 +17,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use resildb_core::telemetry::export::format_f64;
 use resildb_core::{
-    ContainmentPolicy, Driver as _, FenceAction, Flavor, IncidentProgress, IncidentRecord,
-    IncidentTimeline, LinkProfile, Micros, ProxyConfig, ResilientDb, SimContext, WireError,
+    Driver as _, Flavor, IncidentProgress, IncidentRecord, IncidentTimeline, LinkProfile, Micros,
+    ProxyConfig, ResilientDb, SimContext, WireError,
 };
 use resildb_tpcc::{Attack, AttackKind, Loader, Mix, TpccConfig, TpccRunner, ATTACK_LABEL};
 
@@ -263,12 +263,7 @@ pub fn run_live_point(
     observe: Option<&ObserveSlot>,
 ) -> LiveMttrPoint {
     let config = TpccConfig::scaled(2);
-    let rdb = Arc::new(
-        ResilientDb::builder(Flavor::Postgres)
-            .containment(ContainmentPolicy::FenceDynamic(FenceAction::Reject))
-            .build()
-            .expect("build"),
-    );
+    let rdb = Arc::new(ResilientDb::new(Flavor::Postgres).expect("build"));
     {
         let mut conn = rdb.connect().expect("connect");
         Loader::new(config.clone(), 5)
@@ -437,7 +432,7 @@ pub fn live_points_json(points: &[LiveMttrPoint]) -> String {
 pub fn render_live(points: &[LiveMttrPoint]) -> String {
     let mut out = String::from(
         "Live repair availability: clean traffic served during the sweep \
-         (W=2, forged payment, FenceDynamic/Reject)\n\n",
+         (W=2, forged payment)\n\n",
     );
     out.push_str(&format!(
         "{:>9} {:>12} {:>10} {:>8} {:>8} {:>13} {:>11} {:>9} {:>6}\n",

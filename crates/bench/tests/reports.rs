@@ -189,7 +189,6 @@ fn live_repair_report_and_incident_timeline() {
     let names = metric_names(&doc, &["counters", "gauges"]);
     for key in [
         "proxy.fence.rejected",
-        "proxy.fence.deferred",
         "proxy.fence.passed",
         "repair.live.fence_size",
     ] {

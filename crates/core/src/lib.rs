@@ -75,9 +75,9 @@ pub use resildb_engine::{
     Session as EngineSession, StmtCacheStats, Value,
 };
 pub use resildb_proxy::{
-    prepare_database, ContainmentPolicy, EnforcementPolicy, Fence, FenceAction, FenceStats,
-    ProxyConfig, ProxyConfigBuilder, ProxyRuntime, TrackerStats, TrackerStatsSnapshot,
-    TrackingGranularity, TrackingProxy, TRACKING_TABLES,
+    prepare_database, EnforcementPolicy, Fence, FenceStats, ProxyConfig, ProxyConfigBuilder,
+    ProxyRuntime, TrackerStats, TrackerStatsSnapshot, TrackingGranularity, TrackingProxy,
+    TRACKING_TABLES,
 };
 pub use resildb_repair::adapters::adapter_for;
 pub use resildb_repair::{

@@ -4,8 +4,7 @@ use std::sync::Arc;
 
 use resildb_engine::{Database, Flavor, Value};
 use resildb_proxy::{
-    prepare_database, ContainmentPolicy, ProxyConfig, ProxyRuntime, TrackingGranularity,
-    TrackingProxy,
+    prepare_database, ProxyConfig, ProxyRuntime, TrackingGranularity, TrackingProxy,
 };
 use resildb_repair::{
     Analysis, FalseDepRule, RepairController, RepairError, RepairOptions, RepairReport,
@@ -49,7 +48,6 @@ pub struct ResilientDbBuilder {
     link: LinkProfile,
     placement: ProxyPlacement,
     granularity: TrackingGranularity,
-    containment: ContainmentPolicy,
 }
 
 impl ResilientDbBuilder {
@@ -59,7 +57,6 @@ impl ResilientDbBuilder {
             link: LinkProfile::local(),
             placement: ProxyPlacement::Single,
             granularity: TrackingGranularity::Row,
-            containment: ContainmentPolicy::default(),
         }
     }
 
@@ -79,14 +76,6 @@ impl ResilientDbBuilder {
     /// dependency tracking.
     pub fn granularity(mut self, granularity: TrackingGranularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// Sets the containment policy live repair fences traffic under
-    /// (default [`ContainmentPolicy::Off`]: statements are never fenced
-    /// and repair requires a quiesced database).
-    pub fn containment(mut self, policy: ContainmentPolicy) -> Self {
-        self.containment = policy;
         self
     }
 
@@ -111,7 +100,6 @@ impl ResilientDbBuilder {
         prepare_database(&mut *native.connect()?)?;
         let config = ProxyConfig::builder(self.flavor)
             .granularity(self.granularity)
-            .containment(self.containment)
             .telemetry(telemetry.clone())
             .build();
         let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
@@ -124,7 +112,6 @@ impl ResilientDbBuilder {
             driver,
             telemetry,
             runtime,
-            containment: self.containment,
         })
     }
 }
@@ -136,7 +123,6 @@ pub struct ResilientDb {
     driver: Box<dyn Driver>,
     telemetry: Telemetry,
     runtime: Arc<ProxyRuntime>,
-    containment: ContainmentPolicy,
 }
 
 impl std::fmt::Debug for ResilientDb {
@@ -230,12 +216,12 @@ impl ResilientDb {
         RepairController::with_options(self.db.clone(), options)
     }
 
-    /// Live-repair options wired to this instance's proxy runtime and
-    /// configured containment policy; refine with the
+    /// Live-repair options wired to this instance's proxy runtime, whose
+    /// connections reject what the repair's fence blocks; refine with the
     /// [`RepairOptions`] builder methods before passing to
     /// [`Self::repair_controller_with`].
     pub fn live_repair_options(&self) -> RepairOptions {
-        RepairOptions::live(self.runtime.clone(), self.containment)
+        RepairOptions::live(self.runtime.clone())
     }
 
     /// The proxy control surface (containment fence, transaction-id

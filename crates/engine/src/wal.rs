@@ -181,7 +181,7 @@ impl Wal {
         Self::default()
     }
 
-    /// Appends an already-staged record (see [`stage_check`]), assigning
+    /// Appends an already-staged record (see `stage_check`), assigning
     /// the next LSN. Infallible and charge-free: all cost accounting and
     /// fault injection happened at stage time, so publication is just the
     /// sequencing step a group-commit writer performs under its ticket.

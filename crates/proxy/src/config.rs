@@ -55,65 +55,6 @@ pub enum EnforcementPolicy {
     Reject,
 }
 
-/// What the proxy does with a statement that intersects an active
-/// containment fence (see [`ContainmentPolicy`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FenceAction {
-    /// Refuse the statement with a client-visible error immediately. The
-    /// client can retry once repair lifts the fence.
-    #[default]
-    Reject,
-    /// Park the session until the fence shrinks past the touched rows or
-    /// lifts, then re-check; reject only after the defer budget expires.
-    /// Trades client latency for availability.
-    Defer,
-}
-
-/// Online-containment policy: what the proxy quarantines while a live
-/// repair is in progress.
-///
-/// The paper repairs offline with the database quiesced. With a fence the
-/// proxy instead quarantines only the damaged portion — the attacker
-/// profile's *static* blast-radius closure at first (whole tables, known
-/// before any log analysis), shrinking to the *dynamic* row-level closure
-/// once correlation catches up — and keeps serving every transaction that
-/// doesn't touch quarantined data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContainmentPolicy {
-    /// No fencing: live repair is refused, repair requires quiescing (the
-    /// paper's behaviour).
-    #[default]
-    Off,
-    /// Fence the static table-level surface for the whole repair; never
-    /// shrink. Simple and sound, but quarantines more than necessary.
-    FenceStatic(FenceAction),
-    /// Fence the static surface instantly, then shrink to row-level
-    /// quarantine as soon as the dependency analysis identifies the
-    /// dynamic closure, extending on the fly if re-analysis grows it.
-    FenceDynamic(FenceAction),
-}
-
-impl ContainmentPolicy {
-    /// Whether any fencing is enabled.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, ContainmentPolicy::Off)
-    }
-
-    /// Whether the fence may shrink from tables to rows mid-repair.
-    pub fn shrinks(&self) -> bool {
-        matches!(self, ContainmentPolicy::FenceDynamic(_))
-    }
-
-    /// The action applied to fenced statements ([`FenceAction::Reject`]
-    /// when containment is off).
-    pub fn action(&self) -> FenceAction {
-        match self {
-            ContainmentPolicy::Off => FenceAction::Reject,
-            ContainmentPolicy::FenceStatic(a) | ContainmentPolicy::FenceDynamic(a) => *a,
-        }
-    }
-}
-
 /// Configuration of the tracking proxy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProxyConfig {
@@ -149,11 +90,6 @@ pub struct ProxyConfig {
     /// What to do with statements the static analyzer classifies as
     /// untracked (dependencies invisible to the tracking layer).
     pub enforcement: EnforcementPolicy,
-    /// Online-containment policy: whether (and how) the proxy fences the
-    /// damage closure during a live repair. Distinct from
-    /// [`Self::enforcement`], which polices *trackability*; containment
-    /// polices *quarantine membership* while repair is in flight.
-    pub containment: ContainmentPolicy,
     /// Telemetry domain the proxy's spans and counters record into. When
     /// `None` (the default) the proxy records into the simulation
     /// context's domain, which is disabled unless the embedder enabled it
@@ -173,7 +109,6 @@ impl ProxyConfig {
             rewrite_cache_capacity: 256,
             granularity: TrackingGranularity::Row,
             enforcement: EnforcementPolicy::Allow,
-            containment: ContainmentPolicy::default(),
             telemetry: None,
         }
     }
@@ -205,7 +140,7 @@ impl ProxyConfig {
     pub fn summary(&self) -> String {
         format!(
             "flavor={} track_reads={} deps_at_commit={} provenance={} ro_deps={} \
-             cache_cap={} granularity={} enforcement={} containment={}",
+             cache_cap={} granularity={} enforcement={}",
             self.flavor.name(),
             self.track_reads,
             self.record_deps_at_commit,
@@ -220,13 +155,6 @@ impl ProxyConfig {
                 EnforcementPolicy::Allow => "allow",
                 EnforcementPolicy::Warn => "warn",
                 EnforcementPolicy::Reject => "reject",
-            },
-            match self.containment {
-                ContainmentPolicy::Off => "off",
-                ContainmentPolicy::FenceStatic(FenceAction::Reject) => "static/reject",
-                ContainmentPolicy::FenceStatic(FenceAction::Defer) => "static/defer",
-                ContainmentPolicy::FenceDynamic(FenceAction::Reject) => "dynamic/reject",
-                ContainmentPolicy::FenceDynamic(FenceAction::Defer) => "dynamic/defer",
             },
         )
     }
@@ -284,13 +212,6 @@ impl ProxyConfigBuilder {
         self
     }
 
-    /// Online-containment policy applied while a live repair is fencing
-    /// the damage closure.
-    pub fn containment(mut self, policy: ContainmentPolicy) -> Self {
-        self.config.containment = policy;
-        self
-    }
-
     /// Telemetry domain for the proxy's spans and counters.
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.config.telemetry = Some(telemetry);
@@ -333,21 +254,6 @@ mod tests {
         let standard = ProxyConfig::new(Flavor::Oracle);
         assert_eq!(built.record_provenance, standard.record_provenance);
         assert_eq!(ProxyConfig::builder(Flavor::Oracle).build(), standard);
-    }
-
-    #[test]
-    fn containment_defaults_off_and_builder_sets_it() {
-        let c = ProxyConfig::new(Flavor::Postgres);
-        assert_eq!(c.containment, ContainmentPolicy::Off);
-        assert!(!c.containment.is_enabled());
-        let c = ProxyConfig::builder(Flavor::Postgres)
-            .containment(ContainmentPolicy::FenceDynamic(FenceAction::Defer))
-            .build();
-        assert!(c.containment.is_enabled());
-        assert!(c.containment.shrinks());
-        assert_eq!(c.containment.action(), FenceAction::Defer);
-        assert!(c.summary().contains("containment=dynamic/defer"));
-        assert!(!ContainmentPolicy::FenceStatic(FenceAction::Reject).shrinks());
     }
 
     #[test]

@@ -8,30 +8,27 @@
 //! then *shrinks* it to row-level quarantine once the dependency analysis
 //! has identified the dynamic closure, *extends* it if re-analysis grows
 //! the closure mid-sweep, and *lifts* it when compensation commits.
-//! Every tracked connection consults the fence on its statement path;
-//! while it is down the check is one relaxed atomic load.
+//! Only a live repair raises the fence, and a fence that is up is always
+//! enforced: every tracked connection consults it on its statement path
+//! (one atomic load while it is down) and a blocked statement is refused
+//! at once with a client-visible error the client can retry once the
+//! fence lifts.
 //!
 //! A statement is blocked when it might touch quarantined data: it
 //! references a wholly-fenced table, or a row-fenced table without a
 //! provable primary-key disjointness (top-level `AND`ed `pk = literal`
-//! equalities that miss every quarantined key). Anything unprovable is
-//! blocked conservatively — soundness of the repair outranks
-//! availability of one statement.
+//! equalities that miss every quarantined key), or it could plant a row
+//! on a quarantined key (an INSERT of that key, an UPDATE that assigns a
+//! key column). Anything unprovable is blocked conservatively — soundness
+//! of the repair outranks availability of one statement.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use resildb_engine::Value;
 use resildb_sim::MetricsSnapshot;
-use resildb_sql::{BinaryOp, Expr, Insert, Literal, Statement, UnaryOp};
-
-use crate::config::FenceAction;
-
-/// How long a [`FenceAction::Defer`]red statement waits for the fence to
-/// shrink or lift before it is rejected after all.
-pub const FENCE_DEFER_BUDGET: Duration = Duration::from_secs(2);
+use resildb_sql::{BinaryOp, Expr, Insert, Literal, Statement, UnaryOp, Update};
 
 /// Separator joining the parts of a composite primary key into one
 /// canonical string (a control character no SQL literal canonicalizes to).
@@ -91,9 +88,6 @@ struct FenceState {
     tables: BTreeSet<String>,
     /// Row-fenced tables (lower-cased): the dynamic phase.
     rows: HashMap<String, RowFence>,
-    /// Bumped on every raise/shrink/lift (forensics; deferred
-    /// statements wake on the condvar, not by polling this).
-    epoch: u64,
 }
 
 impl FenceState {
@@ -110,8 +104,7 @@ impl FenceState {
 pub enum FenceDecision {
     /// The statement provably misses the quarantine; let it through.
     Pass,
-    /// The statement may touch quarantined data; refuse it (after the
-    /// defer budget, under [`FenceAction::Defer`]).
+    /// The statement may touch quarantined data; refuse it.
     Reject,
 }
 
@@ -120,13 +113,10 @@ pub enum FenceDecision {
 #[derive(Debug, Default)]
 pub struct Fence {
     /// Fast-path flag: when false (no repair in flight) the statement
-    /// path pays one relaxed load and nothing else.
+    /// path pays one atomic load and nothing else.
     active: AtomicBool,
     state: Mutex<FenceState>,
-    /// Signalled on shrink/lift so deferred statements re-check.
-    changed: Condvar,
     rejected: AtomicU64,
-    deferred: AtomicU64,
     passed: AtomicU64,
 }
 
@@ -135,8 +125,6 @@ pub struct Fence {
 pub struct FenceStats {
     /// Statements refused because they might touch quarantined data.
     pub rejected: u64,
-    /// Statements that parked at least once under [`FenceAction::Defer`].
-    pub deferred: u64,
     /// Statements admitted while a fence was up.
     pub passed: u64,
 }
@@ -158,15 +146,13 @@ impl Fence {
         let mut state = self.state.lock();
         state.tables = tables.into_iter().map(|t| t.to_lowercase()).collect();
         state.rows.clear();
-        state.epoch += 1;
         let n = state.tables.len();
         self.active.store(true, Ordering::Release);
         n
     }
 
     /// Shrinks the fence to `tables` wholly fenced plus row-level
-    /// quarantines `rows`, waking deferred statements to re-check.
-    /// Returns (wholly-fenced tables, fenced rows).
+    /// quarantines `rows`. Returns (wholly-fenced tables, fenced rows).
     pub fn shrink(
         &self,
         tables: BTreeSet<String>,
@@ -178,22 +164,15 @@ impl Fence {
             .into_iter()
             .map(|(t, r)| (t.to_lowercase(), r))
             .collect();
-        state.epoch += 1;
-        let size = state.size();
-        drop(state);
-        self.changed.notify_all();
-        size
+        state.size()
     }
 
-    /// Lifts the fence (repair finished), waking deferred statements.
+    /// Lifts the fence (repair finished).
     pub fn lift(&self) {
         let mut state = self.state.lock();
         state.tables.clear();
         state.rows.clear();
-        state.epoch += 1;
         self.active.store(false, Ordering::Release);
-        drop(state);
-        self.changed.notify_all();
     }
 
     /// Current fence extent: (wholly-fenced tables, fenced rows).
@@ -205,7 +184,6 @@ impl Fence {
     pub fn stats(&self) -> FenceStats {
         FenceStats {
             rejected: self.rejected.load(Ordering::Relaxed),
-            deferred: self.deferred.load(Ordering::Relaxed),
             passed: self.passed.load(Ordering::Relaxed),
         }
     }
@@ -215,44 +193,25 @@ impl Fence {
     pub fn fold_metrics(&self, snap: &mut MetricsSnapshot) {
         let s = self.stats();
         snap.set_counter("proxy.fence.rejected", s.rejected);
-        snap.set_counter("proxy.fence.deferred", s.deferred);
         snap.set_counter("proxy.fence.passed", s.passed);
         let (tables, rows) = self.size();
         snap.set_gauge("repair.live.fence_size", (tables + rows) as f64);
     }
 
-    /// Presents `stmt` to the fence. Under [`FenceAction::Defer`] a
-    /// blocked statement parks until the fence shrinks past it or lifts,
-    /// up to [`FENCE_DEFER_BUDGET`]; under [`FenceAction::Reject`] it is
-    /// refused immediately.
-    pub fn admit(&self, stmt: &Statement, action: FenceAction) -> FenceDecision {
-        let mut state = self.state.lock();
-        if !self.is_active() || !blocked_by(&state, stmt) {
-            self.passed.fetch_add(1, Ordering::Relaxed);
-            return FenceDecision::Pass;
-        }
-        if action == FenceAction::Reject {
+    /// Presents `stmt` to the fence and counts the decision: a statement
+    /// that may touch quarantined data is rejected, anything else passes.
+    /// Never blocks.
+    pub fn admit(&self, stmt: &Statement) -> FenceDecision {
+        if self.would_block(stmt) {
             self.rejected.fetch_add(1, Ordering::Relaxed);
-            return FenceDecision::Reject;
-        }
-        self.deferred.fetch_add(1, Ordering::Relaxed);
-        let deadline = Instant::now() + FENCE_DEFER_BUDGET;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let timed_out =
-                remaining.is_zero() || { self.changed.wait_for(&mut state, remaining).timed_out() };
-            if !self.is_active() || !blocked_by(&state, stmt) {
-                self.passed.fetch_add(1, Ordering::Relaxed);
-                return FenceDecision::Pass;
-            }
-            if timed_out {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return FenceDecision::Reject;
-            }
+            FenceDecision::Reject
+        } else {
+            self.passed.fetch_add(1, Ordering::Relaxed);
+            FenceDecision::Pass
         }
     }
 
-    /// Non-blocking variant of [`Self::admit`]: would the fence block
+    /// Non-counting variant of [`Self::admit`]: would the fence block
     /// `stmt` right now? (Testing and diagnostics.)
     pub fn would_block(&self, stmt: &Statement) -> bool {
         self.is_active() && blocked_by(&self.state.lock(), stmt)
@@ -277,7 +236,10 @@ fn blocked_by(state: &FenceState, stmt: &Statement) -> bool {
                 )
             })
         }
-        Statement::Update(u) => table_blocked(state, &u.table, None, u.where_clause.as_ref(), true),
+        Statement::Update(u) => {
+            table_blocked(state, &u.table, None, u.where_clause.as_ref(), true)
+                || rekeys_row_fenced_table(state, u)
+        }
         Statement::Delete(d) => table_blocked(state, &d.table, None, d.where_clause.as_ref(), true),
         Statement::Insert(i) => insert_blocked(state, i),
         // Transaction control, DDL on unfenced tables, etc. pass; DDL on a
@@ -358,6 +320,24 @@ fn insert_blocked(state: &FenceState, ins: &Insert) -> bool {
         }
     }
     false
+}
+
+/// Whether an UPDATE assigns a primary-key column of a row-fenced table:
+/// it could move a row onto a quarantined key, which the sweep's restore
+/// would then collide with. Conservative like a positional INSERT — the
+/// new key is not checked against the fenced ones.
+fn rekeys_row_fenced_table(state: &FenceState, u: &Update) -> bool {
+    state
+        .rows
+        .get(&u.table.to_lowercase())
+        .is_some_and(|fence| {
+            u.assignments.iter().any(|a| {
+                fence
+                    .key_columns
+                    .iter()
+                    .any(|k| a.column.eq_ignore_ascii_case(k))
+            })
+        })
 }
 
 /// Canonicalizes a literal (possibly negated) key expression.
@@ -457,14 +437,11 @@ mod tests {
         assert!(f.would_block(&stmt("INSERT INTO account (id) VALUES (99)")));
         assert!(!f.would_block(&stmt("SELECT * FROM customer WHERE id = 1")));
         assert_eq!(
-            f.admit(
-                &stmt("UPDATE account SET b = 1 WHERE id = 1"),
-                FenceAction::Reject
-            ),
+            f.admit(&stmt("UPDATE account SET b = 1 WHERE id = 1")),
             FenceDecision::Reject
         );
         assert_eq!(
-            f.admit(&stmt("SELECT * FROM customer"), FenceAction::Reject),
+            f.admit(&stmt("SELECT * FROM customer")),
             FenceDecision::Pass
         );
         let s = f.stats();
@@ -525,57 +502,22 @@ mod tests {
         assert!(f.would_block(&stmt("INSERT INTO account (id, b) VALUES (7, 0)")));
         // Positional inserts and computed keys are conservative.
         assert!(f.would_block(&stmt("INSERT INTO account VALUES (8, 0)")));
-    }
-
-    #[test]
-    fn deferred_statement_passes_once_the_fence_lifts() {
-        use std::sync::Arc;
-        let f = Arc::new(Fence::new());
-        f.raise(vec!["account".into()]);
-        let f2 = Arc::clone(&f);
-        let waiter = std::thread::spawn(move || {
-            f2.admit(
-                &stmt("SELECT * FROM account WHERE id = 1"),
-                FenceAction::Defer,
-            )
-        });
-        // Give the waiter a moment to park, then lift.
-        std::thread::sleep(Duration::from_millis(50));
-        f.lift();
-        assert_eq!(waiter.join().unwrap(), FenceDecision::Pass);
-        let s = f.stats();
-        assert_eq!((s.deferred, s.passed, s.rejected), (1, 1, 0));
-    }
-
-    #[test]
-    fn deferred_statement_is_rejected_when_the_budget_expires() {
-        let f = Fence::new();
-        f.raise(vec!["account".into()]);
-        let start = std::time::Instant::now();
-        let decision = f.admit(
-            &stmt("SELECT * FROM account WHERE id = 1"),
-            FenceAction::Defer,
-        );
-        assert_eq!(decision, FenceDecision::Reject);
-        assert!(
-            start.elapsed() >= FENCE_DEFER_BUDGET,
-            "rejected before the budget ran out"
-        );
-        let s = f.stats();
-        assert_eq!((s.deferred, s.rejected, s.passed), (1, 1, 0));
+        // An UPDATE that assigns a key column could move a row onto a
+        // fenced key; one that keeps the key passes.
+        assert!(f.would_block(&stmt("UPDATE account SET id = 7 WHERE id = 3")));
+        assert!(!f.would_block(&stmt("UPDATE account SET b = 1 WHERE id = 3")));
     }
 
     #[test]
     fn metrics_fold_counters_and_gauge() {
         let f = Fence::new();
         f.raise(vec!["a".into(), "b".into()]);
-        f.admit(&stmt("SELECT * FROM a"), FenceAction::Reject);
-        f.admit(&stmt("SELECT * FROM c"), FenceAction::Reject);
+        f.admit(&stmt("SELECT * FROM a"));
+        f.admit(&stmt("SELECT * FROM c"));
         let mut snap = MetricsSnapshot::default();
         f.fold_metrics(&mut snap);
         assert_eq!(snap.counter("proxy.fence.rejected"), 1);
         assert_eq!(snap.counter("proxy.fence.passed"), 1);
-        assert_eq!(snap.counter("proxy.fence.deferred"), 0);
         assert_eq!(snap.gauge("repair.live.fence_size"), Some(2.0));
     }
 

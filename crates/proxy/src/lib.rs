@@ -58,13 +58,8 @@ mod setup;
 mod tracker;
 
 pub use cache::RewriteCacheStats;
-pub use config::{
-    ContainmentPolicy, EnforcementPolicy, FenceAction, ProxyConfig, ProxyConfigBuilder,
-    TrackingGranularity,
-};
-pub use fence::{
-    canon_value, composite_key, Fence, FenceDecision, FenceStats, RowFence, FENCE_DEFER_BUDGET,
-};
+pub use config::{EnforcementPolicy, ProxyConfig, ProxyConfigBuilder, TrackingGranularity};
+pub use fence::{canon_value, composite_key, Fence, FenceDecision, FenceStats, RowFence};
 pub use rewrite::{
     is_tracking_column, rewrite_create_table, rewrite_insert, rewrite_select, rewrite_update,
     HarvestSource, SelectOutcome, SelectRewrite, SelectSkip, COLUMN_TRID_PREFIX, IDENTITY_COLUMN,

@@ -881,11 +881,7 @@ impl Tracker {
         let Ok(stmt) = parse_statement(sql) else {
             return Ok(());
         };
-        match self
-            .runtime
-            .fence()
-            .admit(&stmt, self.config.containment.action())
-        {
+        match self.runtime.fence().admit(&stmt) {
             FenceDecision::Pass => Ok(()),
             FenceDecision::Reject => {
                 let table = stmt
@@ -906,9 +902,9 @@ impl Tracker {
     ) -> Result<Response, WireError> {
         self.fault(failpoints::PROXY_BEFORE_REWRITE)?;
 
-        // Containment fast path: one relaxed load while no repair is in
+        // Containment fast path: one atomic load while no repair is in
         // flight; the full parse-and-check only runs under a raised fence.
-        if self.config.containment.is_enabled() && self.runtime.fence().is_active() {
+        if self.runtime.fence().is_active() {
             self.check_fence(sql)?;
         }
 

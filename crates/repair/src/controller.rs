@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use resildb_engine::{Database, Value};
-use resildb_proxy::{canon_value, composite_key, ContainmentPolicy, ProxyRuntime, RowFence};
+use resildb_proxy::{canon_value, composite_key, ProxyRuntime, RowFence};
 use resildb_sim::telemetry::names as span_names;
 use resildb_sim::{failpoints, EventKind, FaultAction, FaultTrigger};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver, Response};
@@ -125,10 +125,6 @@ pub struct RepairOptions {
     /// The proxy runtime whose fence and in-flight ledger a live repair
     /// drives. Required for [`RepairMode::Live`].
     pub runtime: Option<Arc<ProxyRuntime>>,
-    /// The containment policy of a live repair. `FenceDynamic` shrinks
-    /// the fence to row level once the closure is known; `FenceStatic`
-    /// keeps the table-level fence until the sweep commits.
-    pub containment: ContainmentPolicy,
     /// Failpoints to arm on the database's fault plan for the duration of
     /// [`RepairController::execute`] (disarmed on exit, even on error).
     pub faults: Vec<(String, FaultAction, FaultTrigger)>,
@@ -148,20 +144,19 @@ impl RepairOptions {
             rules: Vec::new(),
             static_surface: None,
             runtime: None,
-            containment: ContainmentPolicy::Off,
             faults: Vec::new(),
         }
     }
 
-    /// Options for a live repair driving `runtime`'s fence under
-    /// `containment` (pass the same policy the proxy was configured
-    /// with; [`ContainmentPolicy::Off`] downgrades to table-level
-    /// static fencing for the repair's duration).
-    pub fn live(runtime: Arc<ProxyRuntime>, containment: ContainmentPolicy) -> Self {
+    /// Options for a live repair driving `runtime`'s fence: raised over
+    /// the static table surface, shrunk to the closure's rows once the
+    /// analysis behind it is fresh, extended if the closure grows, and
+    /// lifted when the sweep commits. Every proxy connection on
+    /// `runtime` rejects what the raised fence blocks.
+    pub fn live(runtime: Arc<ProxyRuntime>) -> Self {
         Self {
             mode: RepairMode::Live,
             runtime: Some(runtime),
-            containment,
             ..Self::quiesced()
         }
     }
@@ -712,18 +707,9 @@ impl RepairController {
         self.closure_computed(&plan.initial, undo.len());
 
         // 4. Shrink from the static table surface to the dynamic
-        //    row-level closure (when the policy allows).
+        //    row-level closure.
         repair_fault(&self.db, failpoints::REPAIR_LIVE_BEFORE_SHRINK)?;
-        let shrinks = matches!(
-            self.options.containment,
-            ContainmentPolicy::FenceDynamic(_) | ContainmentPolicy::Off
-        );
-        let (mut whole, mut rows) = if shrinks {
-            self.fence_rows(&analysis, &undo)?
-        } else {
-            // Static policy: keep every table of the closure fenced.
-            (closure_tables(&analysis, &undo), HashMap::new())
-        };
+        let (mut whole, mut rows) = self.fence_rows(&analysis, &undo)?;
         let (shrunk_tables, fenced_rows) = fence.shrink(whole.clone(), rows.clone());
         telemetry.repair_event(
             0,
@@ -783,11 +769,7 @@ impl RepairController {
             }
             // Extend the fence over the new members' rows before they
             // are swept.
-            let (new_whole, new_rows) = if shrinks {
-                self.fence_rows(&analysis, &fresh)?
-            } else {
-                (closure_tables(&analysis, &fresh), HashMap::new())
-            };
+            let (new_whole, new_rows) = self.fence_rows(&analysis, &fresh)?;
             let mut added_rows = 0usize;
             whole.extend(new_whole);
             for (table, rf) in new_rows {
@@ -970,24 +952,6 @@ fn key_by_address(
             "fence key lookup produced {other:?}: {sql}"
         ))),
     }
-}
-
-/// Every user table the undo set's records touch (the static-policy
-/// fence surface after analysis).
-fn closure_tables(analysis: &Analysis, undo: &BTreeSet<i64>) -> BTreeSet<String> {
-    analysis
-        .records
-        .iter()
-        .filter(|rec| {
-            !rec.table.is_empty()
-                && !resildb_proxy::is_tracking_table(&rec.table)
-                && analysis
-                    .correlation
-                    .proxy_id(rec.internal_txn)
-                    .is_some_and(|p| undo.contains(&p))
-        })
-        .map(|rec| rec.table.to_lowercase())
-        .collect()
 }
 
 /// Maps a proxy-level undo set to internal transaction ids.

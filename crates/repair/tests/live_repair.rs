@@ -6,11 +6,9 @@
 
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
+use std::time::{Duration, Instant};
 
-use resildb_core::{
-    failpoints, ContainmentPolicy, FaultAction, FaultTrigger, FenceAction, Flavor, ResilientDb,
-    Value,
-};
+use resildb_core::{failpoints, FaultAction, FaultTrigger, Flavor, ResilientDb, Value};
 use resildb_proxy::RowFence;
 
 /// Loads three accounts, commits an attack on row 1, a dependent
@@ -66,13 +64,6 @@ fn balances(rdb: &ResilientDb) -> Vec<(i64, f64)> {
         .collect()
 }
 
-fn live_rdb() -> ResilientDb {
-    ResilientDb::builder(Flavor::Postgres)
-        .containment(ContainmentPolicy::FenceDynamic(FenceAction::Reject))
-        .build()
-        .unwrap()
-}
-
 #[test]
 fn live_repair_matches_quiesced_and_reports_fence_stats() {
     // Quiesced reference world.
@@ -81,7 +72,7 @@ fn live_repair_matches_quiesced_and_reports_fence_stats() {
     quiesced.repair(&[attack_q], &[]).unwrap();
 
     // Live world: identical history, repaired online.
-    let live = live_rdb();
+    let live = ResilientDb::new(Flavor::Postgres).unwrap();
     let attack = workload(&live);
     let report = live
         .repair_controller_with(live.live_repair_options())
@@ -106,11 +97,7 @@ fn live_repair_matches_quiesced_and_reports_fence_stats() {
         "fence lifted after repair"
     );
     let json = resildb_core::telemetry::export::to_json(&snap);
-    for key in [
-        "proxy.fence.rejected",
-        "proxy.fence.deferred",
-        "proxy.fence.passed",
-    ] {
+    for key in ["proxy.fence.rejected", "proxy.fence.passed"] {
         assert!(json.contains(key), "{key} missing from metrics");
     }
 
@@ -125,7 +112,7 @@ fn live_repair_matches_quiesced_and_reports_fence_stats() {
 
 #[test]
 fn fence_rejects_intersecting_and_passes_disjoint_statements() {
-    let rdb = live_rdb();
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     workload(&rdb);
 
     // Drive the fence exactly as a mid-sweep live repair would: acct
@@ -166,7 +153,7 @@ fn fence_rejects_intersecting_and_passes_disjoint_statements() {
 
 #[test]
 fn failed_live_repair_lifts_fence_and_retry_succeeds() {
-    let rdb = live_rdb();
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let attack = workload(&rdb);
 
     // First attempt errors at the pre-sweep failpoint: no compensation
@@ -199,7 +186,7 @@ fn failed_live_repair_lifts_fence_and_retry_succeeds() {
 
 #[test]
 fn panicking_live_repair_still_lifts_fence() {
-    let rdb = live_rdb();
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let attack = workload(&rdb);
 
     let exploding = rdb.live_repair_options().fault(
@@ -259,7 +246,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
 fn ready_endpoint_flips_across_fence_raise_and_lift() {
     use resildb_core::{MetricsServer, ServerRoutes};
 
-    let rdb = std::sync::Arc::new(live_rdb());
+    let rdb = std::sync::Arc::new(ResilientDb::new(Flavor::Postgres).unwrap());
     workload(&rdb);
 
     // Wire /ready to the real containment fence, exactly as `mttr --live
@@ -303,7 +290,7 @@ fn ready_endpoint_flips_across_fence_raise_and_lift() {
 
 #[test]
 fn incident_timeline_decomposes_live_repair() {
-    let rdb = live_rdb();
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let attack = workload(&rdb);
     rdb.repair_controller_with(rdb.live_repair_options())
         .repair(&[attack])
@@ -347,16 +334,45 @@ fn incident_timeline_decomposes_live_repair() {
 }
 
 #[test]
-fn static_policy_keeps_whole_tables_fenced() {
-    let rdb = ResilientDb::builder(Flavor::Postgres)
-        .containment(ContainmentPolicy::FenceStatic(FenceAction::Reject))
-        .build()
-        .unwrap();
+fn default_instance_enforces_the_fence_a_live_repair_raises() {
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let attack = workload(&rdb);
-    rdb.repair_controller_with(rdb.live_repair_options())
-        .repair(&[attack])
+
+    // A transaction admitted before the fence holds the repair in its
+    // drain phase, with the table fence up.
+    let mut a = rdb.connect().unwrap();
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE acct SET bal = bal + 1.0 WHERE id = 3")
         .unwrap();
-    assert!(fence_progress(&rdb).fence_tables >= 1);
-    assert_eq!(balances(&rdb), vec![(1, 100.0), (2, 50.0), (3, 76.0)]);
-    assert_eq!(rdb.metrics().gauge("repair.live.fence_size"), Some(0.0));
+
+    let fence = rdb.proxy_runtime().fence();
+    let report = std::thread::scope(|scope| {
+        let repair = scope.spawn(|| {
+            rdb.repair_controller_with(rdb.live_repair_options())
+                .repair(&[attack])
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !fence.is_active() {
+            assert!(
+                Instant::now() < deadline,
+                "live repair never raised the fence"
+            );
+            std::thread::yield_now();
+        }
+
+        let mut b = rdb.connect().unwrap();
+        let msg = b
+            .execute("UPDATE acct SET bal = 0.0 WHERE id = 1")
+            .expect_err("a write to the attacked row while the fence is up")
+            .to_string();
+        assert!(msg.contains("containment fence"), "unexpected error: {msg}");
+
+        a.execute("COMMIT").unwrap();
+        repair.join().unwrap()
+    })
+    .unwrap();
+
+    assert_eq!(report.undo_set.len(), 2, "attack + dependent undone");
+    assert_eq!(balances(&rdb), vec![(1, 100.0), (2, 50.0), (3, 77.0)]);
+    assert!(fence.stats().rejected >= 1);
 }

@@ -139,8 +139,7 @@ impl MetricsServer {
         }
     }
 
-    /// Block until the accept loop exits (a `/quit` request or
-    /// [`MetricsServer::shutdown`] from another handle).
+    /// Block until the accept loop exits (a `/quit` request stops it).
     pub fn join(&mut self) {
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();

@@ -20,9 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use parking_lot::Mutex;
-use resildb_core::{
-    Connection, ContainmentPolicy, FenceAction, ResilientDb, Response, TRACKING_TABLES,
-};
+use resildb_core::{Connection, ResilientDb, Response, TRACKING_TABLES};
 use resildb_sim::telemetry::trace::to_jsonl;
 use resildb_sim::TraceSnapshot;
 use resildb_tpcc::{Loader, TPCC_TABLES};
@@ -428,21 +426,13 @@ fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
 /// and the proxy trids of its committed malicious transactions.
 type World = (Arc<ResilientDb>, Vec<Outcome>, Vec<i64>);
 
-/// Replays the full scenario single-threaded against a fresh instance
-/// built with `containment`, and returns the world together with its
-/// outcomes and the proxy trids of its committed malicious transactions.
+/// Replays the full scenario single-threaded against a fresh default
+/// instance, and returns the world together with its outcomes and the
+/// proxy trids of its committed malicious transactions.
 /// Single-threaded replay is deterministic, so two such worlds reach
 /// byte-identical pre-repair states — trid columns included.
-fn replay_deterministic(
-    scenario: &Scenario,
-    containment: ContainmentPolicy,
-) -> Result<World, String> {
-    let rdb = Arc::new(
-        ResilientDb::builder(scenario.flavor)
-            .containment(containment)
-            .build()
-            .map_err(|e| e.to_string())?,
-    );
+fn replay_deterministic(scenario: &Scenario) -> Result<World, String> {
+    let rdb = Arc::new(ResilientDb::new(scenario.flavor).map_err(|e| e.to_string())?);
     {
         let mut conn = rdb.connect().map_err(|e| e.to_string())?;
         Loader::new(tpcc_config(), scenario.seed)
@@ -524,8 +514,8 @@ fn raw_table_rows(rdb: &ResilientDb, table: &str) -> Result<Vec<String>, String>
 /// replay the full scenario single-threaded (identical pre-repair states
 /// by determinism). World Q repairs quiesced — the reference. World L
 /// repairs *online*: containment fence up over the scenario's written
-/// tables, `FenceDynamic(Reject)`, while a probe thread keeps reading a
-/// table no scheduled transaction ever writes. Checked:
+/// tables, shrunk to the closure's rows, while a probe thread keeps
+/// reading a table no scheduled transaction ever writes. Checked:
 ///
 /// - L's final state is byte-identical to Q's — raw rows of every TPC-C
 ///   table *and* the tracking tables, hidden trid columns included;
@@ -558,7 +548,7 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
         .collect();
     let probe_table = TPCC_TABLES.iter().copied().find(|t| !written.contains(t));
 
-    let (rdb_q, outcomes_q, initial_q) = replay_deterministic(scenario, ContainmentPolicy::Off)?;
+    let (rdb_q, outcomes_q, initial_q) = replay_deterministic(scenario)?;
     if initial_q.is_empty() {
         return Ok(failures); // every attack aborted: nothing to repair
     }
@@ -569,10 +559,7 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
             .map_err(|e| e.to_string())
     })?;
 
-    let (rdb_l, outcomes_l, mut initial_l) = replay_deterministic(
-        scenario,
-        ContainmentPolicy::FenceDynamic(FenceAction::Reject),
-    )?;
+    let (rdb_l, outcomes_l, mut initial_l) = replay_deterministic(scenario)?;
     if outcomes_l != outcomes_q {
         return Err("deterministic replays diverged between live and quiesced worlds".into());
     }

@@ -9,7 +9,7 @@
 //! threads. A battery of oracles then checks the intrusion-resilience
 //! invariants the paper promises (see [`oracle`]); any violation is a
 //! finding that reproduces from the seed alone, auto-shrinks
-//! ([`shrink`]), and lands in the checked-in corpus ([`corpus`]).
+//! ([`mod@shrink`]), and lands in the checked-in corpus ([`corpus`]).
 //!
 //! The name is an homage to TigerBeetle's VOPR ("Viewstamped Operation
 //! Replicator"): simulate everything, check everything, keep only seeds.

@@ -562,7 +562,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Length bounds for [`vec`].
+    /// Length bounds for [`fn@vec`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -595,7 +595,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy producing `Vec`s of `element` values; see [`vec`].
+    /// Strategy producing `Vec`s of `element` values; see [`fn@vec`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,
