@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the framework's hot paths: SQL parsing
 //! and printing, Table-1 query rewriting, engine point operations, the
-//! tracked statement path, and repair analysis. These measure *real* CPU
+//! tracked statement path, repair analysis and saving and reopening the
+//! durable log. These measure *real* CPU
 //! time (unlike the fig4/fig5 harnesses, which measure virtual time).
 
 // Harness target: setup failures panic with context by design.
@@ -190,7 +191,8 @@ fn bench_tracked_path(c: &mut Criterion) {
 
 /// A fixed tracked TPC-C history (two warehouses, 1 000 standard-mix
 /// transactions — half the `repair` workload's), built once outside the
-/// timed loops of `repair_scan`, `repair_analyze` and `repair_closure`.
+/// timed loops of `repair_scan`, `repair_analyze`, `repair_closure`,
+/// `wal_save` and `wal_open`.
 fn tpcc_history() -> ResilientDb {
     use resildb_tpcc::{Loader, Mix, TpccConfig, TpccRunner};
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
@@ -206,9 +208,31 @@ fn tpcc_history() -> ResilientDb {
     rdb
 }
 
-fn bench_repair(c: &mut Criterion) {
+fn bench_history(c: &mut Criterion) {
     use resildb_core::adapter_for;
     let rdb = tpcc_history();
+    // Crash recovery's two halves: encode and checksum the whole log, then
+    // verify, decode and replay it into a fresh database.
+    let mut log = Vec::new();
+    rdb.save_wal(&mut log).unwrap();
+    c.bench_function("wal_save", |b| {
+        b.iter(|| {
+            let mut out = Vec::with_capacity(log.len());
+            rdb.save_wal(&mut out).unwrap();
+            out.len()
+        })
+    });
+    c.bench_function("wal_open", |b| {
+        b.iter(|| {
+            resildb_engine::Database::open_from_wal(
+                "reopened",
+                Flavor::Postgres,
+                resildb_sim::SimContext::free(),
+                log.as_slice(),
+            )
+            .unwrap()
+        })
+    });
     let adapter = adapter_for(Flavor::Postgres);
     c.bench_function("repair_scan", |b| {
         b.iter(|| adapter.scan(rdb.database()).unwrap())
@@ -341,6 +365,6 @@ fn bench_page_compaction(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_sql, bench_rewrite, bench_rewrite_cache, bench_engine, bench_tracked_path, bench_repair, bench_failpoints, bench_enforcement, bench_telemetry, bench_page_compaction
+    targets = bench_sql, bench_rewrite, bench_rewrite_cache, bench_engine, bench_tracked_path, bench_history, bench_failpoints, bench_enforcement, bench_telemetry, bench_page_compaction
 );
 criterion_main!(benches);

@@ -315,9 +315,7 @@ impl Database {
                     table, rowid, row, ..
                 } => {
                     let handle = catalog.get(table)?;
-                    handle
-                        .write()
-                        .insert_with_rowid(*rowid, row.clone(), &free)?;
+                    handle.write().insert_with_rowid(*rowid, row, &free)?;
                 }
                 LogOp::Delete { table, rowid, .. } => {
                     let handle = catalog.get(table)?;
@@ -330,7 +328,7 @@ impl Database {
                     ..
                 } => {
                     let handle = catalog.get(table)?;
-                    handle.write().update(*rowid, after.clone(), &free)?;
+                    handle.write().redo_update(*rowid, after, &free)?;
                 }
                 LogOp::Commit | LogOp::Abort => {}
             }

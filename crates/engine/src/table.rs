@@ -420,21 +420,22 @@ impl Table {
     pub fn insert_with_rowid(
         &mut self,
         rowid: RowId,
-        row: Row,
+        row: &Row,
         sim: &SimContext,
     ) -> Result<RowLocation> {
         if self.directory.contains_key(&rowid) {
             return Err(EngineError::Internal(format!("{rowid} already live")));
         }
-        if let Some(key) = self.pk_key(&row) {
-            if self.pk_index.contains_key(&key) {
+        let key = self.pk_key(row);
+        if let Some(key) = &key {
+            if self.pk_index.contains_key(key) {
                 return Err(EngineError::DuplicateKey(format!(
                     "{} primary key {key:?}",
                     self.schema.name
                 )));
             }
         }
-        let image = encode_row(&self.schema, &row)?;
+        let image = encode_row(&self.schema, row)?;
         self.next_rowid = self.next_rowid.max(rowid.0 + 1);
         if let Some(idx) = self.schema.identity_column() {
             if let Some(Value::Int(v)) = row.get(idx) {
@@ -450,7 +451,7 @@ impl Table {
         };
         let offset = self.pages[page_no as usize].insert(rowid, &image);
         self.directory.insert(rowid, page_no);
-        if let Some(key) = self.pk_key(&row) {
+        if let Some(key) = key {
             self.pk_index.insert(key, rowid);
         }
         self.row_count += 1;
@@ -533,13 +534,8 @@ impl Table {
         let Some(&page_no) = self.directory.get(&rowid) else {
             return Ok(None);
         };
-        let page = &mut self.pages[page_no as usize];
-        let image = page
-            .image_of(rowid)
-            .ok_or_else(|| EngineError::Internal(format!("directory stale for {rowid}")))?
-            .to_vec();
-        let row = decode_row(&self.schema, &image)?;
-        let slot: Slot = page
+        let row = decode_row(&self.schema, self.image(rowid, page_no)?)?;
+        let slot: Slot = self.pages[page_no as usize]
             .delete(rowid)
             .ok_or_else(|| EngineError::Internal(format!("directory stale for {rowid}")))?;
         self.directory.remove(&rowid);
@@ -589,15 +585,64 @@ impl Table {
                 .collect();
             Row(coerced?)
         };
-        let page = &mut self.pages[page_no as usize];
-        let old_image = page
-            .image_of(rowid)
-            .ok_or_else(|| EngineError::Internal(format!("directory stale for {rowid}")))?
-            .to_vec();
-        let old_row = decode_row(&self.schema, &old_image)?;
-        // Maintain the PK index if key columns changed.
+        let old_row = decode_row(&self.schema, self.image(rowid, page_no)?)?;
         let old_key = self.pk_key(&old_row);
-        let new_key = self.pk_key(&new_row);
+        let loc = self.write_image(rowid, page_no, old_key, &new_row, sim)?;
+        Ok(Some((old_row, new_row, loc)))
+    }
+
+    /// Redoes a logged update: writes `after`, the stored after-image the
+    /// log carries (already checked and coerced when it was first written),
+    /// over `rowid`, and decodes only the old image's primary-key columns.
+    /// Returns `None` when `rowid` is not live.
+    ///
+    /// # Errors
+    ///
+    /// Duplicate key, encoding failures and a stale directory.
+    pub(crate) fn redo_update(
+        &mut self,
+        rowid: RowId,
+        after: &Row,
+        sim: &SimContext,
+    ) -> Result<Option<RowLocation>> {
+        let Some(&page_no) = self.directory.get(&rowid) else {
+            return Ok(None);
+        };
+        let old_key = if self.schema.primary_key.is_empty() {
+            None
+        } else {
+            let view = RowView::new(&self.schema, self.image(rowid, page_no)?)?;
+            let mut key = Vec::new();
+            for &i in &self.schema.primary_key {
+                encode_key_part(&view.column(i)?, &mut key);
+            }
+            Some(key)
+        };
+        self.write_image(rowid, page_no, old_key, after, sim)
+            .map(Some)
+    }
+
+    /// The stored image of `rowid`, which the directory places on page
+    /// `page_no`.
+    fn image(&self, rowid: RowId, page_no: u64) -> Result<&[u8]> {
+        self.pages[page_no as usize]
+            .image_of(rowid)
+            .ok_or_else(|| EngineError::Internal(format!("directory stale for {rowid}")))
+    }
+
+    /// The one image-writing core of [`Self::update`] and
+    /// [`Self::redo_update`]: writes `new_row` (already of the column
+    /// types) over `rowid` on page `page_no` in place, moving its
+    /// primary-key entry from `old_key` when the key changed.
+    fn write_image(
+        &mut self,
+        rowid: RowId,
+        page_no: u64,
+        old_key: Option<Vec<u8>>,
+        new_row: &Row,
+        sim: &SimContext,
+    ) -> Result<RowLocation> {
+        let new_key = self.pk_key(new_row);
         if old_key != new_key {
             if let Some(nk) = &new_key {
                 if self.pk_index.contains_key(nk) {
@@ -608,9 +653,8 @@ impl Table {
                 }
             }
         }
-        let image = encode_row(&self.schema, &new_row)?;
-        let page = &mut self.pages[page_no as usize];
-        let slot = page
+        let image = encode_row(&self.schema, new_row)?;
+        let slot = self.pages[page_no as usize]
             .update(rowid, &image)
             .ok_or_else(|| EngineError::Internal(format!("directory stale for {rowid}")))?;
         if old_key != new_key {
@@ -622,15 +666,11 @@ impl Table {
             }
         }
         sim.charge_page_write(PageKey::new(self.object_id, page_no));
-        Ok(Some((
-            old_row,
-            new_row,
-            RowLocation {
-                page: page_no,
-                offset: slot.offset,
-                len: slot.len,
-            },
-        )))
+        Ok(RowLocation {
+            page: page_no,
+            offset: slot.offset,
+            len: slot.len,
+        })
     }
 
     /// Scans all rows in storage order, charging one page read per page.

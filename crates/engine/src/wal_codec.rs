@@ -21,9 +21,12 @@ use crate::table::RowLocation;
 use crate::value::{DataType, Value};
 use crate::wal::{InternalTxnId, LogOp, LogRecord, Lsn};
 
-/// One step of the reflected IEEE 802.3 CRC-32 for every possible low byte.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The reflected IEEE 802.3 CRC-32 tables for slicing-by-8: `CRC_TABLES[0]`
+/// is one step for every possible low byte, and `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight input bytes fold
+/// into the CRC with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut byte = 0;
     while byte < 256 {
         let mut crc = byte as u32;
@@ -32,32 +35,42 @@ const CRC_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[byte] = crc;
+        tables[0][byte] = crc;
         byte += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let prev = tables[k - 1][byte];
+            tables[k][byte] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            byte += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`, a table lookup per byte:
-/// saving and reopening a log checksums every byte of it.
+/// CRC-32 (IEEE 802.3, reflected) over `data`, eight bytes per step
+/// (slicing-by-8): saving and reopening a log checksums every byte of it.
 fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
     }
-    !crc
-}
-
-/// The bit-by-bit definition [`crc32`] must agree with.
-#[cfg(test)]
-fn crc32_bitwise(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -110,9 +123,9 @@ fn put_loc(buf: &mut Vec<u8>, loc: &RowLocation) {
     buf.extend_from_slice(&(loc.len as u64).to_le_bytes());
 }
 
-/// Serializes one record to its binary form (without the length prefix).
-fn encode_record(rec: &LogRecord) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
+/// Appends the binary form of one record (without the length prefix) to
+/// `buf`.
+fn encode_record(rec: &LogRecord, buf: &mut Vec<u8>) {
     buf.extend_from_slice(&rec.lsn.0.to_le_bytes());
     buf.extend_from_slice(&rec.txn.0.to_le_bytes());
     match &rec.op {
@@ -123,10 +136,10 @@ fn encode_record(rec: &LogRecord) -> Vec<u8> {
             loc,
         } => {
             buf.push(TAG_INSERT);
-            put_str(&mut buf, table);
+            put_str(buf, table);
             buf.extend_from_slice(&rowid.0.to_le_bytes());
-            put_row(&mut buf, row);
-            put_loc(&mut buf, loc);
+            put_row(buf, row);
+            put_loc(buf, loc);
         }
         LogOp::Delete {
             table,
@@ -135,10 +148,10 @@ fn encode_record(rec: &LogRecord) -> Vec<u8> {
             loc,
         } => {
             buf.push(TAG_DELETE);
-            put_str(&mut buf, table);
+            put_str(buf, table);
             buf.extend_from_slice(&rowid.0.to_le_bytes());
-            put_row(&mut buf, row);
-            put_loc(&mut buf, loc);
+            put_row(buf, row);
+            put_loc(buf, loc);
         }
         LogOp::Update {
             table,
@@ -149,28 +162,27 @@ fn encode_record(rec: &LogRecord) -> Vec<u8> {
             loc,
         } => {
             buf.push(TAG_UPDATE);
-            put_str(&mut buf, table);
+            put_str(buf, table);
             buf.extend_from_slice(&rowid.0.to_le_bytes());
-            put_row(&mut buf, before);
-            put_row(&mut buf, after);
+            put_row(buf, before);
+            put_row(buf, after);
             buf.extend_from_slice(&(changed.len() as u32).to_le_bytes());
             for &c in changed {
                 buf.extend_from_slice(&(c as u32).to_le_bytes());
             }
-            put_loc(&mut buf, loc);
+            put_loc(buf, loc);
         }
         LogOp::CreateTable { schema } => {
             buf.push(TAG_CREATE);
-            put_str(&mut buf, &schema_ddl(schema));
+            put_str(buf, &schema_ddl(schema));
         }
         LogOp::DropTable { name } => {
             buf.push(TAG_DROP);
-            put_str(&mut buf, name);
+            put_str(buf, name);
         }
         LogOp::Commit => buf.push(TAG_COMMIT),
         LogOp::Abort => buf.push(TAG_ABORT),
     }
-    buf
 }
 
 /// Renders a schema back to `CREATE TABLE` DDL (types map onto the storage
@@ -209,19 +221,33 @@ fn schema_ddl(schema: &TableSchema) -> String {
     ddl
 }
 
-/// Writes the whole log to `w` in the durable format.
+/// Encoded bytes [`write_wal`] gathers before handing them to the writer.
+const WRITE_CHUNK: usize = 256 * 1024;
+
+/// Writes the whole log to `w` in the durable format. Every record is
+/// encoded into one reused buffer, its length and CRC patched in front of
+/// it in place, and the buffer goes to `w` in chunks of about 256 KiB.
 ///
 /// # Errors
 ///
 /// I/O failures.
 pub fn write_wal<W: Write>(records: &[LogRecord], mut w: W) -> Result<()> {
+    let write_failed = |e: std::io::Error| EngineError::Internal(format!("WAL write failed: {e}"));
+    let mut buf = Vec::with_capacity(2 * WRITE_CHUNK);
     for rec in records {
-        let body = encode_record(rec);
-        w.write_all(&(body.len() as u32).to_le_bytes())
-            .and_then(|()| w.write_all(&crc32(&body).to_le_bytes()))
-            .and_then(|()| w.write_all(&body))
-            .map_err(|e| EngineError::Internal(format!("WAL write failed: {e}")))?;
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        encode_record(rec, &mut buf);
+        let body = &buf[start + 8..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        if buf.len() >= WRITE_CHUNK {
+            w.write_all(&buf).map_err(write_failed)?;
+            buf.clear();
+        }
     }
+    w.write_all(&buf).map_err(write_failed)?;
     w.flush()
         .map_err(|e| EngineError::Internal(format!("WAL flush failed: {e}")))?;
     Ok(())
@@ -233,6 +259,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self.pos + n;
         let slice = self
@@ -289,7 +319,10 @@ impl<'a> Cursor<'a> {
 
     fn row(&mut self) -> Result<Row> {
         let n = self.u32()? as usize;
-        let mut values = Vec::with_capacity(n);
+        // A count read from the file reserves no more than the record can
+        // hold (a value takes at least one byte): a forged count then fails
+        // as a truncated record instead of a giant allocation.
+        let mut values = Vec::with_capacity(n.min(self.remaining()));
         for _ in 0..n {
             values.push(self.value()?);
         }
@@ -328,7 +361,7 @@ fn decode_record(body: &[u8]) -> Result<LogRecord> {
             let before = c.row()?;
             let after = c.row()?;
             let n = c.u32()? as usize;
-            let mut changed = Vec::with_capacity(n);
+            let mut changed = Vec::with_capacity(n.min(c.remaining() / 4));
             for _ in 0..n {
                 changed.push(c.u32()? as usize);
             }
@@ -466,6 +499,19 @@ mod tests {
         }
     }
 
+    /// The bit-by-bit definition [`crc32`] must agree with.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc_reference_vector() {
         // Standard check value for "123456789".
@@ -487,6 +533,60 @@ mod tests {
             }
             assert_eq!(crc32(&buf), crc32_bitwise(&buf), "length {len}");
         }
+    }
+
+    /// Length and FNV-1a of `write_wal(sample_records())`.
+    const PIN_LEN: usize = 684;
+    const PIN_HASH: u64 = 0xD3B4_BCDA_14CF_09B5;
+
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn durable_format_does_not_move() {
+        // Logs saved by one build must reopen in every other: the exact
+        // bytes of a fixed log are pinned (length and FNV-1a).
+        let mut buf = Vec::new();
+        write_wal(&sample_records(), &mut buf).unwrap();
+        assert_eq!((buf.len(), fnv1a(&buf)), (PIN_LEN, PIN_HASH));
+    }
+
+    /// Frames `body` as one record: length, CRC, body.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(body).to_le_bytes());
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    #[test]
+    fn forged_counts_fail_without_reserving_them() {
+        // CRC-valid records whose element counts claim u32::MAX entries
+        // must fail as truncated, not reserve ~128 GiB up front.
+        let mut head = Vec::new();
+        head.extend_from_slice(&1u64.to_le_bytes()); // lsn
+        head.extend_from_slice(&1u64.to_le_bytes()); // txn
+        let mut insert = head.clone();
+        insert.push(TAG_INSERT);
+        put_str(&mut insert, "t");
+        insert.extend_from_slice(&1u64.to_le_bytes()); // rowid
+        insert.extend_from_slice(&u32::MAX.to_le_bytes()); // row arity
+        insert.push(0); // one NULL
+        assert!(read_wal(&framed(&insert)[..]).is_err());
+        let mut update = head;
+        update.push(TAG_UPDATE);
+        put_str(&mut update, "t");
+        update.extend_from_slice(&1u64.to_le_bytes()); // rowid
+        put_row(&mut update, &Row(vec![Value::Int(1)])); // before
+        put_row(&mut update, &Row(vec![Value::Int(2)])); // after
+        update.extend_from_slice(&u32::MAX.to_le_bytes()); // changed count
+        update.extend_from_slice(&0u32.to_le_bytes()); // one index
+        assert!(read_wal(&framed(&update)[..]).is_err());
     }
 
     #[test]

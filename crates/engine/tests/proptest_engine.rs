@@ -1,6 +1,8 @@
 //! Model-based property tests: the engine must agree with a trivial
-//! in-memory model under arbitrary sequences of inserts, updates, deletes
-//! and transactional rollbacks — on every flavor.
+//! in-memory model under arbitrary sequences of inserts, updates (of the
+//! value and of the primary key), deletes and transactional rollbacks — on
+//! every flavor, live, after in-place crash recovery and after a reopen
+//! from the saved log.
 
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -8,6 +10,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use resildb_engine::{Database, Flavor, Value};
+use resildb_sim::SimContext;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -23,6 +26,11 @@ enum Op {
         id: i64,
         delta: i64,
     },
+    /// Moves a row to another primary key.
+    UpdateKey {
+        id: i64,
+        new_id: i64,
+    },
     Delete {
         id: i64,
     },
@@ -35,6 +43,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0i64..20, 0i64..100).prop_map(|(id, v)| Op::Insert { id, v }),
         (0i64..20, 0i64..100).prop_map(|(id, v)| Op::UpdateSet { id, v }),
         (0i64..20, -5i64..5).prop_map(|(id, delta)| Op::UpdateAdd { id, delta }),
+        (0i64..20, 0i64..20).prop_map(|(id, new_id)| Op::UpdateKey { id, new_id }),
         (0i64..20).prop_map(|id| Op::Delete { id }),
     ];
     leaf.clone().prop_recursive(1, 8, 4, move |_| {
@@ -73,6 +82,22 @@ fn apply_engine(session: &mut resildb_engine::Session, op: &Op, model: &mut BTre
                 .unwrap();
             if let Some(slot) = model.get_mut(id) {
                 *slot += *delta;
+            }
+        }
+        Op::UpdateKey { id, new_id } => {
+            let r = session.execute_sql(&format!("UPDATE t SET id = {new_id} WHERE id = {id}"));
+            let collides = id != new_id && model.contains_key(id) && model.contains_key(new_id);
+            match r {
+                Ok(_) => {
+                    assert!(!collides, "engine moved {id} onto live key {new_id}");
+                    if let Some(v) = model.remove(id) {
+                        model.insert(*new_id, v);
+                    }
+                }
+                Err(resildb_engine::EngineError::DuplicateKey(_)) => {
+                    assert!(collides, "engine refused to move {id} to free key {new_id}");
+                }
+                Err(e) => panic!("unexpected error: {e}"),
             }
         }
         Op::Delete { id } => {
@@ -118,10 +143,39 @@ fn check(flavor: Flavor, ops: &[Op]) {
     for op in ops {
         apply_engine(&mut session, op, &mut model);
     }
-    prop_assert_eq_like(&engine_state(&db), &model);
+    assert_matches(&db, &model);
     // The WAL must replay to the same state.
     db.simulate_crash_and_recover().unwrap();
-    prop_assert_eq_like(&engine_state(&db), &model);
+    assert_matches(&db, &model);
+    // And so must its durable form, reopened.
+    let mut log = Vec::new();
+    db.save_wal(&mut log).unwrap();
+    let reopened =
+        Database::open_from_wal("reopened", flavor, SimContext::free(), &log[..]).unwrap();
+    assert_matches(&reopened, &model);
+}
+
+/// The full scan and a point lookup of every key of the id domain (which
+/// goes through the primary-key index) both agree with `model`: a stale or
+/// missing index entry shows even where the scan agrees.
+fn assert_matches(db: &Database, model: &BTreeMap<i64, i64>) {
+    prop_assert_eq_like(&engine_state(db), model);
+    let mut s = db.session();
+    for id in 0..20 {
+        let rows = s
+            .query(&format!("SELECT v FROM t WHERE id = {id}"))
+            .unwrap()
+            .rows;
+        let got: Vec<i64> = rows
+            .iter()
+            .map(|row| match row[0] {
+                Value::Int(v) => v,
+                ref other => panic!("{other:?}"),
+            })
+            .collect();
+        let want: Vec<i64> = model.get(&id).copied().into_iter().collect();
+        assert_eq!(got, want, "point lookup of id {id}");
+    }
 }
 
 fn prop_assert_eq_like(a: &BTreeMap<i64, i64>, b: &BTreeMap<i64, i64>) {

@@ -1,7 +1,7 @@
 //! The tracking interceptor: per-connection transaction state, harvesting,
 //! and commit-time dependency recording.
 
-use std::collections::BTreeSet;
+use std::collections::{btree_map::Entry, BTreeMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,7 +25,9 @@ use crate::cache::{CachedShape, Plan, RewriteCacheStats};
 use crate::config::{EnforcementPolicy, ProxyConfig};
 use crate::depstore::DepStore;
 use crate::fence::{Fence, FenceDecision};
-use crate::rewrite::{COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN, TRID_COLUMN};
+use crate::rewrite::{
+    HarvestSource, COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN, TRID_COLUMN,
+};
 
 /// A proxy-generated transaction id. Distinct from the DBMS-internal id;
 /// the repair tool correlates the two from the transaction log (§3.3).
@@ -220,8 +222,10 @@ impl TrackingProxy {
 struct TxnTrack {
     trid: i64,
     explicit: bool,
-    deps: BTreeSet<i64>,
-    /// (dep, via_table, read_cols) — deduplicated.
+    /// Every dependency, with the index of its entry in `prov`.
+    deps: BTreeMap<i64, Option<usize>>,
+    /// (dep, via_table, read_cols): one entry per dependency, in the order
+    /// first seen, widened by every later sighting ([`widen_provenance`]).
     prov: Vec<(i64, String, String)>,
     annotation: Option<String>,
     /// Whether the transaction executed any write statement; read-only
@@ -234,11 +238,50 @@ impl TxnTrack {
         Self {
             trid,
             explicit,
-            deps: BTreeSet::new(),
+            deps: BTreeMap::new(),
             prov: Vec::new(),
             annotation,
             wrote: false,
         }
+    }
+}
+
+/// Width of `trans_dep_prov.read_cols`: a longer read-column list is
+/// recorded as unknown (the empty string).
+const READ_COLS_WIDTH: usize = 200;
+
+/// Folds a later sighting of a dependency, read through `src`, into its
+/// provenance entry `(dep, via_table, read_cols)`, so the entry covers
+/// every read of that writer whatever their order. A read through a second
+/// table turns the entry into the unknown-table marker (empty table and
+/// columns), which no rule prunes; a read of the same table adds its
+/// columns; a wildcard read, or a list grown past [`READ_COLS_WIDTH`],
+/// leaves the columns unknown (empty).
+fn widen_provenance(entry: &mut (i64, String, String), src: &HarvestSource) {
+    let (_, table, cols) = entry;
+    if table.is_empty() {
+        return;
+    }
+    if *table != src.table {
+        table.clear();
+        cols.clear();
+        return;
+    }
+    if cols.is_empty() {
+        return;
+    }
+    if src.read_columns.is_empty() {
+        cols.clear();
+        return;
+    }
+    for c in &src.read_columns {
+        if !cols.split(',').any(|known| known == c) {
+            cols.push(',');
+            cols.push_str(c);
+        }
+    }
+    if cols.chars().count() > READ_COLS_WIDTH {
+        cols.clear();
     }
 }
 
@@ -478,7 +521,11 @@ impl Tracker {
                     // wildcard convention. A truncated list would read as
                     // complete and let a false-dependency rule prune an
                     // edge whose derived column fell past the cut.
-                    let cols = if cols.chars().count() > 200 { "" } else { cols };
+                    let cols = if cols.chars().count() > READ_COLS_WIDTH {
+                        ""
+                    } else {
+                        cols
+                    };
                     // Likewise a table name wider than `via_table` (32
                     // chars) is written as the unknown-table marker, which
                     // no rule prunes; a truncated name could be another
@@ -514,7 +561,7 @@ impl Tracker {
         }
         // Space-separated dependency ids, split across rows at 200 chars
         // (the column's declared width).
-        let ids: Vec<String> = t.deps.iter().map(i64::to_string).collect();
+        let ids: Vec<String> = t.deps.keys().map(i64::to_string).collect();
         let mut chunks: Vec<String> = Vec::new();
         let mut cur = String::new();
         for id in ids {
@@ -613,10 +660,15 @@ impl Tracker {
         if let Some(txn) = &mut self.txn {
             for row in &qr.rows {
                 for &(col, k) in &harvest_cols {
-                    if let Some(Value::Int(v)) = row.get(col) {
-                        let v = *v;
-                        if v > 0 && v != txn.trid && txn.deps.insert(v) {
-                            let src = plan.harvested.get(k);
+                    let Some(&Value::Int(v)) = row.get(col) else {
+                        continue;
+                    };
+                    if v <= 0 || v == txn.trid {
+                        continue;
+                    }
+                    let src = plan.harvested.get(k);
+                    match txn.deps.entry(v) {
+                        Entry::Vacant(slot) => {
                             if tracing {
                                 harvested.push((
                                     txn.trid,
@@ -624,9 +676,15 @@ impl Tracker {
                                     src.map(|s| s.table.clone()).unwrap_or_default(),
                                 ));
                             }
-                            if let Some(src) = src {
+                            slot.insert(src.map(|src| {
                                 txn.prov
                                     .push((v, src.table.clone(), src.read_columns.join(",")));
+                                txn.prov.len() - 1
+                            }));
+                        }
+                        Entry::Occupied(seen) => {
+                            if let (Some(src), Some(i)) = (src, *seen.get()) {
+                                widen_provenance(&mut txn.prov[i], src);
                             }
                         }
                     }

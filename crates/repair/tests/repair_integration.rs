@@ -387,6 +387,95 @@ fn overflowing_read_column_list_keeps_the_dependency() {
     );
 }
 
+/// A writer changes the derived `wa.x` and the ordinary `wb.y`; a reader
+/// reads `wa.z` and `wb.w` of those rows, in the order given. The rule on
+/// `wa.x` must not prune the edge: the reader also read the writer through
+/// `wb`, and provenance must cover every sighting, not only the first.
+fn derived_writer_read_through_two_tables(wa_first: bool) {
+    let mut fx = fixture(Flavor::Postgres);
+    fx.exec("CREATE TABLE wa (id INTEGER PRIMARY KEY, x FLOAT, z FLOAT)");
+    fx.exec("CREATE TABLE wb (id INTEGER PRIMARY KEY, y FLOAT, w FLOAT)");
+    fx.txn(
+        "load",
+        &[
+            "INSERT INTO wa (id, x, z) VALUES (1, 0.0, 0.0)",
+            "INSERT INTO wb (id, y, w) VALUES (1, 0.0, 0.0)",
+        ],
+    );
+    fx.txn(
+        "attack",
+        &[
+            "UPDATE wa SET x = x + 5000.0 WHERE id = 1",
+            "UPDATE wb SET y = 7.0 WHERE id = 1",
+        ],
+    );
+    let (read_a, read_b) = (
+        "SELECT z FROM wa WHERE id = 1",
+        "SELECT w FROM wb WHERE id = 1",
+    );
+    let reads = if wa_first {
+        [read_a, read_b]
+    } else {
+        [read_b, read_a]
+    };
+    fx.txn("reader", &reads);
+
+    let analysis = RepairController::new(fx.db.clone()).analyze().unwrap();
+    let rules = vec![FalseDepRule::IgnoreDerivedColumns {
+        table: "wa".into(),
+        columns: vec!["x".into()],
+    }];
+    let undo = analysis.undo_set(&[fx.txn_id("attack")], &rules);
+    assert!(
+        undo.contains(&fx.txn_id("reader")),
+        "the reader read the writer's wb.y row (wa first: {wa_first})"
+    );
+}
+
+#[test]
+fn derived_rule_keeps_a_second_table_read_after_the_derived_one() {
+    derived_writer_read_through_two_tables(true);
+}
+
+#[test]
+fn derived_rule_keeps_a_second_table_read_before_the_derived_one() {
+    derived_writer_read_through_two_tables(false);
+}
+
+/// Two reads of one row, of different columns, in one transaction: the
+/// provenance is their union, so reading the derived column second still
+/// makes the reader a true dependent.
+#[test]
+fn derived_rule_sees_every_column_a_reader_read() {
+    let mut fx = fixture(Flavor::Postgres);
+    fx.exec("CREATE TABLE warehouse (w_id INTEGER PRIMARY KEY, w_tax FLOAT, w_ytd FLOAT)");
+    fx.txn(
+        "load",
+        &["INSERT INTO warehouse (w_id, w_tax, w_ytd) VALUES (1, 0.05, 0.0)"],
+    );
+    fx.txn(
+        "attack",
+        &["UPDATE warehouse SET w_ytd = w_ytd + 5000.0 WHERE w_id = 1"],
+    );
+    fx.txn(
+        "reader",
+        &[
+            "SELECT w_tax FROM warehouse WHERE w_id = 1",
+            "SELECT w_ytd FROM warehouse WHERE w_id = 1",
+        ],
+    );
+    let analysis = RepairController::new(fx.db.clone()).analyze().unwrap();
+    let rules = vec![FalseDepRule::IgnoreDerivedColumns {
+        table: "warehouse".into(),
+        columns: vec!["w_ytd".into()],
+    }];
+    let undo = analysis.undo_set(&[fx.txn_id("attack")], &rules);
+    assert!(
+        undo.contains(&fx.txn_id("reader")),
+        "the reader's second statement read w_ytd"
+    );
+}
+
 #[test]
 fn repair_removes_tracking_rows_of_undone_transactions() {
     let mut fx = fixture(Flavor::Postgres);
