@@ -16,18 +16,17 @@
 //!
 //! This crate is the facade: [`ResilientDb`] wires an emulated DBMS
 //! ([`resildb_engine`], with PostgreSQL/Oracle/Sybase-like [`Flavor`]s),
-//! the proxy deployment of your choice and the repair tool together. Every
-//! way of executing SQL — raw engine session, untracked native connection,
-//! tracked proxy connection — implements the unified [`Session`] trait,
-//! fails with the unified [`enum@Error`], and reports into one telemetry
-//! domain surfaced by [`ResilientDb::metrics`].
+//! the proxy deployment of your choice and the repair tool together.
+//! Clients talk SQL through [`Connection`], which untracked native and
+//! tracked proxy connections alike implement, and every layer reports into
+//! one telemetry domain surfaced by [`ResilientDb::metrics`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use resildb_core::{Error, Flavor, ResilientDb};
+//! use resildb_core::{Flavor, ResilientDb};
 //!
-//! # fn main() -> Result<(), Error> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let rdb = ResilientDb::new(Flavor::Postgres)?;
 //! let mut conn = rdb.connect()?;
 //! conn.execute("CREATE TABLE account (id INTEGER PRIMARY KEY, balance FLOAT)")?;
@@ -58,21 +57,17 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
-mod error;
 mod resilient;
-mod session;
 
-pub use error::{Error, ErrorKind};
 pub use resilient::{ProxyPlacement, ResilientDb, ResilientDbBuilder};
-pub use session::Session;
 
 // The framework's building blocks, re-exported for downstream users.
 pub use resildb_analyze::{
     infer_derivable_columns, Analyzer, CoverageReport, DerivableColumn, SchemaSnapshot, Verdict,
 };
 pub use resildb_engine::{
-    Database, EngineError, ExecOutcome, Flavor, PreparedStatement, QueryResult,
-    Session as EngineSession, StmtCacheStats, Value,
+    Database, EngineError, ExecOutcome, Flavor, PreparedStatement, QueryResult, StmtCacheStats,
+    Value,
 };
 pub use resildb_proxy::{
     prepare_database, EnforcementPolicy, Fence, FenceStats, ProxyConfig, ProxyConfigBuilder,

@@ -31,9 +31,9 @@ pub enum ProxyPlacement {
 /// # Examples
 ///
 /// ```
-/// use resildb_core::{Error, Flavor, LinkProfile, ProxyPlacement, ResilientDb};
+/// use resildb_core::{Flavor, LinkProfile, ProxyPlacement, ResilientDb};
 ///
-/// # fn main() -> Result<(), Error> {
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let rdb = ResilientDb::builder(Flavor::Sybase)
 ///     .client_link(LinkProfile::lan())
 ///     .placement(ProxyPlacement::Dual)

@@ -7,7 +7,7 @@
 //! leaks into those types, which is strictly stronger than any runtime
 //! test: the regression is caught before a single test runs.
 
-use resildb_core::{ResilientDb, Session};
+use resildb_core::ResilientDb;
 use resildb_engine::Database;
 use resildb_wire::{Connection, Driver, DualProxyDriver, NativeDriver};
 
@@ -31,7 +31,6 @@ fn sessions_are_send() {
     // transaction state).
     assert_send::<resildb_engine::Session>();
     assert_send::<Box<dyn Connection>>();
-    assert_send::<Box<dyn Session>>();
 }
 
 #[test]

@@ -119,7 +119,6 @@ impl Database {
         Session {
             db: self.clone(),
             txn: None,
-            prepared: Vec::new(),
         }
     }
 
@@ -256,20 +255,20 @@ impl Database {
         self.read_wal(|records| crate::wal_codec::write_wal(records, w))
     }
 
-    /// Reopens a database from a durable log produced by
+    /// Reopens a database from the bytes of a durable log produced by
     /// [`Self::save_wal`]: the log is restored verbatim and replayed, and
     /// transaction-id/LSN sequences continue where they left off.
     ///
     /// # Errors
     ///
     /// Corrupt logs or replay failures.
-    pub fn open_from_wal<R: std::io::Read>(
+    pub fn open_from_wal(
         name: impl Into<String>,
         flavor: Flavor,
         sim: SimContext,
-        r: R,
+        log: &[u8],
     ) -> Result<Self> {
-        let records = crate::wal_codec::read_wal(r)?;
+        let records = crate::wal_codec::read_wal(log)?;
         let next_txn = records.iter().map(|rec| rec.txn.0 + 1).max().unwrap_or(1);
         let db = Database::new(name, flavor, sim);
         db.replay(&records)?;
@@ -328,7 +327,7 @@ impl Database {
                     ..
                 } => {
                     let handle = catalog.get(table)?;
-                    handle.write().redo_update(*rowid, after, &free)?;
+                    handle.write().rewrite_stored(*rowid, after, &free)?;
                 }
                 LogOp::Commit | LogOp::Abort => {}
             }
@@ -386,7 +385,6 @@ struct TxnState {
 pub struct Session {
     db: Database,
     txn: Option<TxnState>,
-    prepared: Vec<PreparedStatement>,
 }
 
 impl Session {
@@ -447,35 +445,6 @@ impl Session {
         let stmt =
             bind_statement(&prepared.template, params).map_err(resildb_sql::ParseError::from)?;
         self.execute(&stmt)
-    }
-
-    /// Prepares `sql` and stores the statement in a session-local slot,
-    /// returning the slot index — the handle-based shape the unified
-    /// `Session` trait (resildb-core) exposes.
-    ///
-    /// # Errors
-    ///
-    /// Parse errors.
-    pub fn prepare_slot(&mut self, sql: &str) -> Result<u64> {
-        let prepared = self.prepare(sql)?;
-        self.prepared.push(prepared);
-        Ok((self.prepared.len() - 1) as u64)
-    }
-
-    /// Executes the prepared statement stored in `slot` (from
-    /// [`Self::prepare_slot`]) with `params` bound.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Constraint`] on an unknown slot, plus everything
-    /// [`Self::execute_prepared`] can return.
-    pub fn execute_slot(&mut self, slot: u64, params: &[Literal]) -> Result<ExecOutcome> {
-        let prepared = self
-            .prepared
-            .get(slot as usize)
-            .cloned()
-            .ok_or_else(|| EngineError::Constraint(format!("unknown prepared slot {slot}")))?;
-        self.execute_prepared(&prepared, params)
     }
 
     /// Executes an already-parsed statement.
@@ -728,7 +697,7 @@ impl Session {
                     catalog
                         .get(table)?
                         .write()
-                        .update(*rowid, before.clone(), sim)?;
+                        .rewrite_stored(*rowid, before, sim)?;
                 }
             }
         }

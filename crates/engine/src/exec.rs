@@ -1015,9 +1015,13 @@ fn exec_update(ctx: &mut StmtCtx<'_>, upd: &resildb_sql::Update) -> Result<u64> 
         for (idx, value) in &assignments {
             new_row.0[*idx] = eval(value, &scope)?;
         }
-        let Some((before, after, loc)) = handle.write().update(rid, new_row, ctx.sim)? else {
+        let Some((after, loc)) = handle
+            .write()
+            .update(rid, &current[0].1, new_row, ctx.sim)?
+        else {
             continue;
         };
+        let [(_, before)] = current;
         let changed: Vec<usize> = (0..schema.columns.len())
             .filter(|&i| before.0[i] != after.0[i])
             .collect();

@@ -555,13 +555,16 @@ impl Table {
     }
 
     /// Replaces `rowid`'s contents with `new_row` (same schema width, so
-    /// strictly in place). Returns `(old_row, stored_new_row, location)`.
+    /// strictly in place). `before` is the row's current image, which the
+    /// caller has already read under the row's exclusive lock, so it cannot
+    /// have changed since. Returns `(stored_new_row, location)`.
     pub fn update(
         &mut self,
         rowid: RowId,
+        before: &Row,
         new_row: Row,
         sim: &SimContext,
-    ) -> Result<Option<(Row, Row, RowLocation)>> {
+    ) -> Result<Option<(Row, RowLocation)>> {
         let Some(&page_no) = self.directory.get(&rowid) else {
             return Ok(None);
         };
@@ -585,24 +588,22 @@ impl Table {
                 .collect();
             Row(coerced?)
         };
-        let old_row = decode_row(&self.schema, self.image(rowid, page_no)?)?;
-        let old_key = self.pk_key(&old_row);
-        let loc = self.write_image(rowid, page_no, old_key, &new_row, sim)?;
-        Ok(Some((old_row, new_row, loc)))
+        let loc = self.write_image(rowid, page_no, self.pk_key(before), &new_row, sim)?;
+        Ok(Some((new_row, loc)))
     }
 
-    /// Redoes a logged update: writes `after`, the stored after-image the
-    /// log carries (already checked and coerced when it was first written),
-    /// over `rowid`, and decodes only the old image's primary-key columns.
-    /// Returns `None` when `rowid` is not live.
+    /// Writes back `row`, an image already checked and coerced when it was
+    /// first stored (a logged after-image on redo, a before-image on
+    /// rollback), over `rowid`, and decodes only the old image's
+    /// primary-key columns. Returns `None` when `rowid` is not live.
     ///
     /// # Errors
     ///
     /// Duplicate key, encoding failures and a stale directory.
-    pub(crate) fn redo_update(
+    pub(crate) fn rewrite_stored(
         &mut self,
         rowid: RowId,
-        after: &Row,
+        row: &Row,
         sim: &SimContext,
     ) -> Result<Option<RowLocation>> {
         let Some(&page_no) = self.directory.get(&rowid) else {
@@ -618,7 +619,7 @@ impl Table {
             }
             Some(key)
         };
-        self.write_image(rowid, page_no, old_key, after, sim)
+        self.write_image(rowid, page_no, old_key, row, sim)
             .map(Some)
     }
 
@@ -631,7 +632,7 @@ impl Table {
     }
 
     /// The one image-writing core of [`Self::update`] and
-    /// [`Self::redo_update`]: writes `new_row` (already of the column
+    /// [`Self::rewrite_stored`]: writes `new_row` (already of the column
     /// types) over `rowid` on page `page_no` in place, moving its
     /// primary-key entry from `old_key` when the key changed.
     fn write_image(
@@ -817,11 +818,11 @@ mod tests {
     fn update_in_place_and_pk_reindex() {
         let mut t = table("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(8))");
         let s = sim();
-        let (rid, _, loc0) = t
+        let (rid, old, loc0) = t
             .insert(row(vec![Value::Int(1), Value::from("x")]), &s)
             .unwrap();
-        let (old, new, loc1) = t
-            .update(rid, row(vec![Value::Int(2), Value::from("y")]), &s)
+        let (new, loc1) = t
+            .update(rid, &old, row(vec![Value::Int(2), Value::from("y")]), &s)
             .unwrap()
             .unwrap();
         assert_eq!(new.0[0], Value::Int(2));

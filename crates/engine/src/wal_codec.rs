@@ -12,7 +12,7 @@
 //! replayed. Row values use per-value tagging; schemas serialize their DDL
 //! text and are rebuilt through the normal parser.
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use crate::error::{EngineError, Result};
 use crate::row::{Row, RowId};
@@ -393,15 +393,12 @@ fn decode_record(body: &[u8]) -> Result<LogRecord> {
     Ok(LogRecord { lsn, txn, op })
 }
 
-/// Reads a durable log previously produced by [`write_wal`].
+/// Decodes a durable log previously produced by [`write_wal`], in place.
 ///
 /// # Errors
 ///
-/// I/O failures or a corrupt/truncated stream.
-pub fn read_wal<R: Read>(mut r: R) -> Result<Vec<LogRecord>> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)
-        .map_err(|e| EngineError::Internal(format!("WAL read failed: {e}")))?;
+/// A corrupt or truncated log.
+pub fn read_wal(bytes: &[u8]) -> Result<Vec<LogRecord>> {
     let mut records = Vec::new();
     let mut pos = 0;
     while pos < bytes.len() {

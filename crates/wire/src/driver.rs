@@ -41,20 +41,6 @@ impl LinkProfile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatementHandle(u64);
 
-impl StatementHandle {
-    /// Wraps a raw slot index as a handle (for connection adapters that
-    /// manage their own statement storage, e.g. the unified `Session`
-    /// trait over a raw engine session).
-    pub fn from_raw(raw: u64) -> Self {
-        StatementHandle(raw)
-    }
-
-    /// The raw slot index inside this handle.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 /// An open connection executing SQL text.
 pub trait Connection: Send {
     /// Executes one statement.

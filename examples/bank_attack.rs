@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run --example bank_attack`
 
-use resildb_core::{Error, FalseDepRule, Flavor, ResilientDb, Value};
+use resildb_core::{FalseDepRule, Flavor, ResilientDb, Value};
 
-fn main() -> Result<(), Error> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rdb = ResilientDb::new(Flavor::Oracle)?;
     let mut conn = rdb.connect()?;
     conn.execute(

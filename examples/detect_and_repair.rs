@@ -5,9 +5,9 @@
 //!
 //! Run with: `cargo run --example detect_and_repair`
 
-use resildb_core::{AnomalyRule, Error, Flavor, ResilientDb, Value};
+use resildb_core::{AnomalyRule, Flavor, ResilientDb, Value};
 
-fn main() -> Result<(), Error> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rdb = ResilientDb::new(Flavor::Postgres)?;
     let mut conn = rdb.connect()?;
     conn.execute("CREATE TABLE acct (id INTEGER PRIMARY KEY, bal FLOAT)")?;

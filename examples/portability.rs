@@ -5,10 +5,10 @@
 //!
 //! Run with: `cargo run --example portability`
 
-use resildb_core::{Error, Flavor, ResilientDb, Value};
+use resildb_core::{Flavor, ResilientDb, Value};
 use resildb_engine::introspect;
 
-fn main() -> Result<(), Error> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     for flavor in Flavor::ALL {
         println!("==================== {flavor} ====================");
         let rdb = ResilientDb::new(flavor)?;

@@ -3,9 +3,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use resildb_core::{Error, Flavor, ResilientDb};
+use resildb_core::{Flavor, ResilientDb};
 
-fn main() -> Result<(), Error> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. An intrusion-resilient database: an emulated PostgreSQL-like
     //    engine with the SQL-rewriting tracking proxy in front.
     let rdb = ResilientDb::new(Flavor::Postgres)?;

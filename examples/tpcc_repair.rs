@@ -4,10 +4,10 @@
 //! Run with: `cargo run --example tpcc_repair [--dot]`
 //! (`--dot` prints only the DOT graph, ready for `| dot -Tpng`).
 
-use resildb_core::{Error, Flavor, ProxyPlacement, ResilientDb, Value};
+use resildb_core::{Flavor, ProxyPlacement, ResilientDb, Value};
 use resildb_tpcc::{Attack, AttackKind, Loader, Mix, TpccConfig, TpccRunner, ATTACK_LABEL};
 
-fn main() -> Result<(), Error> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dot_only = std::env::args().any(|a| a == "--dot");
 
     // A Sybase-flavor database behind the dual-proxy deployment — the
@@ -90,13 +90,11 @@ fn main() -> Result<(), Error> {
     Ok(())
 }
 
-fn w_ytd(rdb: &ResilientDb) -> Result<f64, Error> {
+fn w_ytd(rdb: &ResilientDb) -> Result<f64, Box<dyn std::error::Error>> {
     let mut s = rdb.database().session();
     let r = s.query("SELECT w_ytd FROM warehouse WHERE w_id = 1")?;
     match r.rows[0][0] {
         Value::Float(v) => Ok(v),
-        ref other => {
-            Err(resildb_core::EngineError::Internal(format!("unexpected {other:?}")).into())
-        }
+        ref other => Err(format!("unexpected {other:?}").into()),
     }
 }

@@ -1,27 +1,37 @@
-//! Integration tests of the unified facade API: the [`Session`] trait over
-//! all three session kinds, the unified [`Error`], and the single
-//! [`ResilientDb::metrics`] snapshot covering proxy, engine, simulation
-//! and repair layers.
+//! Integration tests of the facade's client surface: one generic workload
+//! over the engine session and every [`Connection`] [`ResilientDb`] hands
+//! out, prepared statements where each surface supports them, and the
+//! single [`ResilientDb::metrics`] snapshot covering proxy, engine,
+//! simulation and repair layers.
 
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use resildb_core::{
-    telemetry::export, Error, ErrorKind, Flavor, Literal, ResilientDb, Session, Value,
+    telemetry::export, Connection, EngineError, Flavor, Literal, ResilientDb, Response, Value,
+    WireError,
 };
 
-/// A small workload written once against the trait: runs identically over
-/// an embedded engine session, an untracked native connection, and a
-/// tracked proxy connection.
-fn generic_workload<S: Session>(session: &mut S, table: &str) -> Result<usize, Error> {
-    session.execute(&format!("CREATE TABLE {table} (a INTEGER, b TEXT)"))?;
-    session.execute(&format!(
+/// A small workload written once over an `execute` function: runs
+/// identically over an embedded engine session, an untracked native
+/// connection, and a tracked proxy connection.
+fn generic_workload<E>(
+    mut execute: impl FnMut(&str) -> Result<Response, E>,
+    table: &str,
+) -> Result<usize, E> {
+    execute(&format!("CREATE TABLE {table} (a INTEGER, b TEXT)"))?;
+    execute(&format!(
         "INSERT INTO {table} (a, b) VALUES (1, 'x'), (2, 'y')"
     ))?;
     for i in 0..4 {
-        session.execute(&format!("UPDATE {table} SET b = 'z' WHERE a = {}", i % 2))?;
+        execute(&format!("UPDATE {table} SET b = 'z' WHERE a = {}", i % 2))?;
     }
-    let resp = session.execute(&format!("SELECT a, b FROM {table} ORDER BY a"))?;
+    let resp = execute(&format!("SELECT a, b FROM {table} ORDER BY a"))?;
     Ok(resp.rows().unwrap().rows.len())
+}
+
+/// The workload over any connection the facade hands out.
+fn connection_workload(conn: &mut dyn Connection, table: &str) -> Result<usize, WireError> {
+    generic_workload(|sql| conn.execute(sql), table)
 }
 
 #[test]
@@ -29,13 +39,20 @@ fn generic_workload_runs_over_every_session_kind() {
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
 
     let mut engine = rdb.database().session();
-    assert_eq!(generic_workload(&mut engine, "t_engine").unwrap(), 2);
+    let via_engine = generic_workload(
+        |sql| engine.execute_sql(sql).map(Response::from),
+        "t_engine",
+    );
+    assert_eq!(via_engine.unwrap(), 2);
 
     let mut untracked = rdb.connect_untracked().unwrap();
-    assert_eq!(generic_workload(&mut untracked, "t_native").unwrap(), 2);
+    assert_eq!(
+        connection_workload(untracked.as_mut(), "t_native").unwrap(),
+        2
+    );
 
     let mut tracked = rdb.connect().unwrap();
-    assert_eq!(generic_workload(&mut tracked, "t_proxy").unwrap(), 2);
+    assert_eq!(connection_workload(tracked.as_mut(), "t_proxy").unwrap(), 2);
 
     // The tracked run left dependency records; the others did not.
     assert!(rdb.database().row_count("trans_dep").unwrap() > 0);
@@ -47,52 +64,48 @@ fn prepared_statements_work_where_supported() {
 
     // Engine sessions and native connections support preparation.
     let mut engine = rdb.database().session();
-    Session::execute(&mut engine, "CREATE TABLE p (a INTEGER)").unwrap();
-    let h = Session::prepare(&mut engine, "INSERT INTO p (a) VALUES (?)").unwrap();
-    Session::execute_prepared(&mut engine, h, &[Literal::Int(5)]).unwrap();
-    let resp = Session::execute(&mut engine, "SELECT a FROM p").unwrap();
-    assert_eq!(resp.rows().unwrap().rows, vec![vec![Value::Int(5)]]);
+    engine.execute_sql("CREATE TABLE p (a INTEGER)").unwrap();
+    let ins = engine.prepare("INSERT INTO p (a) VALUES (?)").unwrap();
+    engine.execute_prepared(&ins, &[Literal::Int(5)]).unwrap();
+    let r = engine.query("SELECT a FROM p").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(5)]]);
 
     let mut native = rdb.connect_untracked().unwrap();
-    let h = Session::prepare(&mut native, "SELECT a FROM p WHERE a = ?").unwrap();
-    let resp = Session::execute_prepared(&mut native, h, &[Literal::Int(5)]).unwrap();
+    let h = native.prepare("SELECT a FROM p WHERE a = ?").unwrap();
+    let resp = native.execute_prepared(h, &[Literal::Int(5)]).unwrap();
     assert_eq!(resp.rows().unwrap().rows.len(), 1);
 
     // The tracking proxy refuses: client-side preparation would bypass the
     // SQL rewriting the repair capability rests on.
     let mut tracked = rdb.connect().unwrap();
-    let err = Session::prepare(&mut tracked, "SELECT a FROM p WHERE a = ?").unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::Protocol);
+    assert!(matches!(
+        tracked.prepare("SELECT a FROM p WHERE a = ?"),
+        Err(WireError::Protocol(_))
+    ));
 }
 
 #[test]
-fn unified_error_kinds_are_uniform_across_sessions() {
+fn one_engine_error_surfaces_through_every_session() {
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let mut engine = rdb.database().session();
     let mut tracked = rdb.connect().unwrap();
-    let engine_err = Session::execute(&mut engine, "SELECT * FROM missing").unwrap_err();
-    let tracked_err = Session::execute(&mut tracked, "SELECT * FROM missing").unwrap_err();
-    // Different layers (EngineError vs WireError::Db) — one kind.
-    assert_eq!(engine_err.kind(), ErrorKind::Statement);
-    assert_eq!(tracked_err.kind(), ErrorKind::Statement);
-    assert!(matches!(engine_err, Error::Engine(_)));
-    assert!(matches!(tracked_err, Error::Wire(_)));
+    let engine_err = engine.execute_sql("SELECT * FROM missing").unwrap_err();
+    let tracked_err = tracked.execute("SELECT * FROM missing").unwrap_err();
+    // The engine's error reaches the client unchanged, wrapped once by the
+    // wire layer, and neither is a retryable deadlock.
+    assert!(matches!(engine_err, EngineError::UnknownTable(_)));
+    assert_eq!(tracked_err, WireError::Db(engine_err));
+    assert!(!tracked_err.is_retryable());
 }
 
 #[test]
 fn one_metrics_call_covers_all_four_layers() {
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let mut conn = rdb.connect().unwrap();
-    Session::execute(
-        &mut conn,
-        "CREATE TABLE acct (id INTEGER PRIMARY KEY, bal FLOAT)",
-    )
-    .unwrap();
-    Session::execute(
-        &mut conn,
-        "INSERT INTO acct (id, bal) VALUES (1, 10.0), (2, 20.0)",
-    )
-    .unwrap();
+    conn.execute("CREATE TABLE acct (id INTEGER PRIMARY KEY, bal FLOAT)")
+        .unwrap();
+    conn.execute("INSERT INTO acct (id, bal) VALUES (1, 10.0), (2, 20.0)")
+        .unwrap();
 
     conn.execute("ANNOTATE attack").unwrap();
     conn.execute("BEGIN").unwrap();
@@ -101,7 +114,8 @@ fn one_metrics_call_covers_all_four_layers() {
     conn.execute("COMMIT").unwrap();
     // Repeat a statement shape so the rewrite cache records hits.
     for _ in 0..3 {
-        Session::execute(&mut conn, "UPDATE acct SET bal = bal + 1.0 WHERE id = 2").unwrap();
+        conn.execute("UPDATE acct SET bal = bal + 1.0 WHERE id = 2")
+            .unwrap();
     }
 
     let attack = rdb.txn_id_by_label("attack").unwrap().expect("tracked");
@@ -121,11 +135,11 @@ fn one_metrics_call_covers_all_four_layers() {
         .any(|name| snap.histogram(name).map(|h| h.count).unwrap_or(0) > 0);
     assert!(repair_observed, "no repair-phase histogram recorded");
 
-    // The trait surface reports the same registry (plus proxy folds come
+    // The connection reports the same registry (plus proxy folds come
     // only from the facade, which holds the cache/stats handles).
-    let via_session = Session::metrics(&conn);
+    let via_conn = conn.metrics();
     assert_eq!(
-        via_session.counter("engine.commit.count"),
+        via_conn.counter("engine.commit.count"),
         snap.counter("engine.commit.count")
     );
 }
@@ -134,7 +148,7 @@ fn one_metrics_call_covers_all_four_layers() {
 fn text_and_json_exporters_agree_on_the_same_snapshot() {
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let mut conn = rdb.connect().unwrap();
-    generic_workload(&mut conn, "t_export").unwrap();
+    connection_workload(conn.as_mut(), "t_export").unwrap();
     let snap = rdb.metrics();
 
     let text = export::to_text(&snap);
@@ -160,10 +174,10 @@ fn text_and_json_exporters_agree_on_the_same_snapshot() {
 fn disabling_telemetry_stops_recording() {
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let mut conn = rdb.connect().unwrap();
-    Session::execute(&mut conn, "CREATE TABLE q (a INTEGER)").unwrap();
+    conn.execute("CREATE TABLE q (a INTEGER)").unwrap();
     let before = rdb.metrics().histogram("engine.execute").unwrap().count;
     rdb.telemetry().set_enabled(false);
-    Session::execute(&mut conn, "INSERT INTO q (a) VALUES (1)").unwrap();
+    conn.execute("INSERT INTO q (a) VALUES (1)").unwrap();
     let after = rdb.metrics().histogram("engine.execute").unwrap().count;
     assert_eq!(before, after, "disabled telemetry must not record spans");
 }

@@ -27,7 +27,7 @@ fn save_and_reopen_preserves_data_and_counters() {
         "reopened",
         Flavor::Postgres,
         SimContext::free(),
-        std::fs::File::open(&path).unwrap(),
+        &std::fs::read(&path).unwrap(),
     )
     .unwrap();
     let mut s = db.session();
@@ -73,7 +73,7 @@ fn repair_still_works_after_reopen() {
         "reopened",
         Flavor::Oracle,
         SimContext::free(),
-        std::fs::File::open(&path).unwrap(),
+        &std::fs::read(&path).unwrap(),
     )
     .unwrap();
     let tool = resildb_core::RepairController::new(db.clone());
