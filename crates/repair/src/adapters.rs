@@ -3,6 +3,7 @@
 //! intrusion-resilient DBMS is very database-specific").
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use resildb_engine::introspect::{self, DbccLogRecord, DbccOp, SchemaHistory};
 use resildb_engine::{
@@ -67,74 +68,104 @@ fn require<T>(v: Option<T>, what: &str) -> Result<T> {
     v.ok_or_else(|| EngineError::Internal(format!("log record missing {what}")))
 }
 
-/// `(column, value)` pairs of a full row image, in schema order.
-fn named(columns: &[String], row: &Row) -> NamedRow {
-    columns
-        .iter()
-        .cloned()
-        .zip(row.values().iter().cloned())
-        .collect()
+/// A column's position as an update image carries it.
+fn position(i: usize) -> Result<u16> {
+    u16::try_from(i).map_err(|_| EngineError::Internal(format!("column index {i} out of range")))
+}
+
+/// The table name and column list shared by every image a scan names
+/// with one schema version, keyed by that version's address in the scan's
+/// [`SchemaHistory`]: a new version gets new lists, never an edited one.
+/// Commit and abort records share the empty names.
+#[derive(Default)]
+struct SharedNames {
+    versions: HashMap<*const TableSchema, (Arc<str>, Arc<[String]>)>,
+    none: (Arc<str>, Arc<[String]>),
+}
+
+impl SharedNames {
+    fn of(&mut self, schema: &TableSchema) -> (Arc<str>, Arc<[String]>) {
+        (self.versions.entry(std::ptr::from_ref(schema)))
+            .or_insert_with(|| (schema.name.as_str().into(), schema.column_names().into()))
+            .clone()
+    }
 }
 
 impl LogAdapter for PostgresAdapter {
     fn scan(&self, db: &Database) -> Result<Vec<RepairRecord>> {
-        // table → column names, folded from the log's own DDL records as
+        // table → column list, folded from the log's own DDL records as
         // the scan passes them: each image is named with the schema in
         // effect at its LSN, and no catalog lookup happens under the WAL
-        // lock.
-        let mut columns: HashMap<String, Vec<String>> = HashMap::new();
-        let mut out = Vec::new();
+        // lock. A CREATE installs a new list; images named before keep
+        // the old one.
+        let mut columns: HashMap<Arc<str>, Arc<[String]>> = HashMap::new();
+        let no_table = Arc::<str>::default();
+        let mut changed: Vec<u16> = Vec::new();
+        // One record per log record at most (DDL yields none).
+        let mut out = Vec::with_capacity(db.read_wal(<[_]>::len));
         introspect::waldump(db, |rec| {
-            let names = || {
-                let table = require(rec.table, "table name")?;
-                columns.get(table).map(Vec::as_slice).ok_or_else(|| {
-                    EngineError::UnknownTable(format!("{table} at lsn {}", rec.lsn.0))
-                })
-            };
-            let op = match rec.op_name {
-                "INSERT" => RepairOp::Insert {
-                    address: RowAddress::Pseudo(require(rec.rowid, "insert rowid")?),
-                    row: named(names()?, require(rec.after, "insert after image")?),
-                },
-                "DELETE" => RepairOp::Delete {
-                    address: RowAddress::Pseudo(require(rec.rowid, "delete rowid")?),
-                    row: named(names()?, require(rec.before, "delete before image")?),
-                },
-                "UPDATE" => {
-                    let before_full = require(rec.before, "update before image")?;
-                    let after_full = require(rec.after, "update after image")?;
-                    // Restrict to changed columns, the common denominator.
-                    let mut before = Vec::new();
-                    let mut after = Vec::new();
-                    let images = before_full.values().iter().zip(after_full.values());
-                    for (c, (b, a)) in names()?.iter().zip(images) {
-                        if b != a {
-                            before.push((c.clone(), b.clone()));
-                            after.push((c.clone(), a.clone()));
-                        }
-                    }
-                    RepairOp::Update {
-                        address: RowAddress::Pseudo(require(rec.rowid, "update rowid")?),
-                        before: NamedRow(before),
-                        after: NamedRow(after),
-                    }
-                }
-                "COMMIT" => RepairOp::Commit,
-                "ABORT" => RepairOp::Abort,
-                _ => {
-                    // DDL: a CREATE carries the new schema, a DROP only
-                    // the name.
+            let (table, op) = match rec.op_name {
+                "COMMIT" => (no_table.clone(), RepairOp::Commit),
+                "ABORT" => (no_table.clone(), RepairOp::Abort),
+                "DDL" => {
+                    // A CREATE carries the new schema, a DROP only the name.
                     match rec.schema {
-                        Some(schema) => columns.insert(schema.name.clone(), schema.column_names()),
+                        Some(schema) => columns
+                            .insert(schema.name.as_str().into(), schema.column_names().into()),
                         None => columns.remove(require(rec.table, "table name")?),
                     };
                     return Ok(());
+                }
+                op_name => {
+                    let name = require(rec.table, "table name")?;
+                    let (table, names) = columns.get_key_value(name).ok_or_else(|| {
+                        EngineError::UnknownTable(format!("{name} at lsn {}", rec.lsn.0))
+                    })?;
+                    let full = |image: Option<&Row>, what| -> Result<NamedRow> {
+                        let values = require(image, what)?.values().to_vec();
+                        Ok(NamedRow::full(names.clone(), values))
+                    };
+                    let address = RowAddress::Pseudo(require(rec.rowid, "rowid")?);
+                    let op = match op_name {
+                        "INSERT" => RepairOp::Insert {
+                            address,
+                            row: full(rec.after, "insert after image")?,
+                        },
+                        "DELETE" => RepairOp::Delete {
+                            address,
+                            row: full(rec.before, "delete before image")?,
+                        },
+                        _ => {
+                            let before_full = require(rec.before, "update before image")?;
+                            let after_full = require(rec.after, "update after image")?;
+                            // Restrict to changed columns, the common
+                            // denominator.
+                            changed.clear();
+                            let mut before = Vec::new();
+                            let mut after = Vec::new();
+                            let images = before_full.values().iter().zip(after_full.values());
+                            for (i, (b, a)) in images.enumerate() {
+                                if b != a {
+                                    changed.push(position(i)?);
+                                    before.push(b.clone());
+                                    after.push(a.clone());
+                                }
+                            }
+                            let positions: Arc<[u16]> = Arc::from(changed.as_slice());
+                            RepairOp::Update {
+                                address,
+                                before: NamedRow::partial(names.clone(), positions.clone(), before),
+                                after: NamedRow::partial(names.clone(), positions, after),
+                            }
+                        }
+                    };
+                    (table.clone(), op)
                 }
             };
             out.push(RepairRecord {
                 lsn: rec.lsn,
                 internal_txn: rec.txn,
-                table: rec.table.unwrap_or_default().to_string(),
+                table,
                 op,
             });
             Ok(())
@@ -190,45 +221,82 @@ fn rowid_from_where(w: &Option<Expr>) -> Result<RowId> {
     )))
 }
 
+/// Names the `(column, value)` pairs of a LogMiner statement with the
+/// shared column list `names`: a full image when they cover the list in
+/// order, else a partial one.
+fn name_image<'e>(
+    names: &Arc<[String]>,
+    pairs: impl Iterator<Item = (&'e String, &'e Expr)>,
+) -> Result<NamedRow> {
+    let (mut positions, mut values) = (Vec::new(), Vec::new());
+    for (col, e) in pairs {
+        let i = (names.iter().position(|n| n.eq_ignore_ascii_case(col)))
+            .ok_or_else(|| EngineError::Internal(format!("LogMiner SQL names column {col}")))?;
+        positions.push(position(i)?);
+        values.push(expr_value(e)?);
+    }
+    let in_order = (positions.iter())
+        .enumerate()
+        .all(|(i, &p)| usize::from(p) == i);
+    Ok(if in_order && positions.len() == names.len() {
+        NamedRow::full(names.clone(), values)
+    } else {
+        NamedRow::partial(names.clone(), positions.into(), values)
+    })
+}
+
 /// The row image a LogMiner INSERT statement (`what`) writes.
-fn inserted_image(sql: Option<&String>, what: &str) -> Result<NamedRow> {
+fn inserted_image(sql: Option<&String>, what: &str, names: &Arc<[String]>) -> Result<NamedRow> {
     let Statement::Insert(ins) = parse_stmt(require(sql, what)?)? else {
         return Err(EngineError::Internal(format!("{what} is not an INSERT")));
     };
-    (ins.columns.iter().zip(&ins.rows[0]))
-        .map(|(c, e)| Ok((c.to_ascii_lowercase(), expr_value(e)?)))
-        .collect()
+    name_image(names, ins.columns.iter().zip(&ins.rows[0]))
 }
 
 /// A LogMiner UPDATE statement (`what`): its row id and the values it sets.
-fn update_image(sql: Option<&String>, what: &str) -> Result<(RowId, NamedRow)> {
+fn update_image(
+    sql: Option<&String>,
+    what: &str,
+    names: &Arc<[String]>,
+) -> Result<(RowId, NamedRow)> {
     let Statement::Update(upd) = parse_stmt(require(sql, what)?)? else {
         return Err(EngineError::Internal(format!("{what} is not an UPDATE")));
     };
-    let image = (upd.assignments.iter())
-        .map(|a| Ok((a.column.to_ascii_lowercase(), expr_value(&a.value)?)))
-        .collect::<Result<_>>()?;
-    Ok((rowid_from_where(&upd.where_clause)?, image))
+    let sets = upd.assignments.iter().map(|a| (&a.column, &a.value));
+    Ok((
+        rowid_from_where(&upd.where_clause)?,
+        name_image(names, sets)?,
+    ))
 }
 
 impl LogAdapter for OracleAdapter {
     fn scan(&self, db: &Database) -> Result<Vec<RepairRecord>> {
-        let mut out = Vec::new();
-        for rec in introspect::logminer(db)? {
+        let log = introspect::logminer(db)?;
+        // Folded after the read, so it covers every record of `log`.
+        let schemas = SchemaHistory::of(db);
+        let mut shared = SharedNames::default();
+        let mut out = Vec::with_capacity(log.len());
+        for rec in &log {
             let (redo, undo) = (rec.sql_redo.as_ref(), rec.sql_undo.as_ref());
+            let (table, names) = match (rec.operation.as_str(), &rec.table_name) {
+                ("INSERT" | "DELETE" | "UPDATE", Some(table)) => {
+                    shared.of(schemas.at(table, rec.scn)?)
+                }
+                _ => shared.none.clone(),
+            };
             let op = match rec.operation.as_str() {
                 "INSERT" => RepairOp::Insert {
                     address: RowAddress::Pseudo(require(rec.row_id, "insert rowid")?),
-                    row: inserted_image(redo, "INSERT redo SQL")?,
+                    row: inserted_image(redo, "INSERT redo SQL", &names)?,
                 },
                 // The undo of a DELETE is the re-inserting INSERT.
                 "DELETE" => RepairOp::Delete {
                     address: RowAddress::Pseudo(require(rec.row_id, "delete rowid")?),
-                    row: inserted_image(undo, "DELETE undo SQL")?,
+                    row: inserted_image(undo, "DELETE undo SQL", &names)?,
                 },
                 "UPDATE" => {
-                    let (rowid, after) = update_image(redo, "UPDATE redo SQL")?;
-                    let (_, before) = update_image(undo, "UPDATE undo SQL")?;
+                    let (rowid, after) = update_image(redo, "UPDATE redo SQL", &names)?;
+                    let (_, before) = update_image(undo, "UPDATE undo SQL", &names)?;
                     RepairOp::Update {
                         address: RowAddress::Pseudo(rowid),
                         before,
@@ -242,13 +310,10 @@ impl LogAdapter for OracleAdapter {
             out.push(RepairRecord {
                 lsn: rec.scn,
                 internal_txn: rec.xid,
-                table: rec.table_name.unwrap_or_default(),
+                table,
                 op,
             });
         }
-        // The adapter never needed the catalog, but keep the signature
-        // honest: verify the database really is Oracle-flavored.
-        debug_assert_eq!(db.flavor(), Flavor::Oracle);
         Ok(out)
     }
 
@@ -268,20 +333,19 @@ impl LogAdapter for OracleAdapter {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SybaseAdapter;
 
-/// Decodes a full-row `dbcc` image into a named row.
-fn decode_full(schema: &TableSchema, bytes: &[u8]) -> Result<NamedRow> {
-    let row = decode_row(schema, bytes)?;
-    Ok(schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .zip(row.0)
-        .collect())
+/// Decodes a full-row `dbcc` image into a row named with `names`.
+fn decode_full(schema: &TableSchema, names: &Arc<[String]>, bytes: &[u8]) -> Result<NamedRow> {
+    Ok(NamedRow::full(names.clone(), decode_row(schema, bytes)?.0))
 }
 
 /// Decodes a MODIFY delta: `[col_idx u16][before][after]` groups.
-fn decode_delta(schema: &TableSchema, bytes: &[u8]) -> Result<(NamedRow, NamedRow)> {
+fn decode_delta(
+    schema: &TableSchema,
+    names: &Arc<[String]>,
+    bytes: &[u8],
+) -> Result<(NamedRow, NamedRow)> {
     let mut pos = 0;
+    let mut positions = Vec::new();
     let mut before = Vec::new();
     let mut after = Vec::new();
     while pos < bytes.len() {
@@ -298,10 +362,15 @@ fn decode_delta(schema: &TableSchema, bytes: &[u8]) -> Result<(NamedRow, NamedRo
         pos += used;
         let (a, used) = decode_value(&bytes[pos..], col.ty)?;
         pos += used;
-        before.push((col.name.clone(), b));
-        after.push((col.name.clone(), a));
+        positions.push(idx as u16);
+        before.push(b);
+        after.push(a);
     }
-    Ok((NamedRow(before), NamedRow(after)))
+    let positions: Arc<[u16]> = positions.into();
+    Ok((
+        NamedRow::partial(names.clone(), positions.clone(), before),
+        NamedRow::partial(names.clone(), positions, after),
+    ))
 }
 
 fn identity_address(row: &NamedRow) -> Result<RowAddress> {
@@ -369,18 +438,23 @@ impl LogAdapter for SybaseAdapter {
         // Folded after the read, so it covers every record of `log`.
         let schemas = SchemaHistory::of(db);
         let deletes = PageDeletes::new(&log);
+        let mut shared = SharedNames::default();
         let mut out = Vec::with_capacity(log.len());
         for (i, rec) in log.iter().enumerate() {
+            let (table, names) = match rec.op {
+                DbccOp::Commit | DbccOp::Abort => shared.none.clone(),
+                _ => shared.of(schemas.at(&rec.table, rec.lsn)?),
+            };
             let op = match rec.op {
                 DbccOp::Insert => {
-                    let row = decode_full(schemas.at(&rec.table, rec.lsn)?, &rec.bytes)?;
+                    let row = decode_full(schemas.at(&rec.table, rec.lsn)?, &names, &rec.bytes)?;
                     RepairOp::Insert {
                         address: identity_address(&row)?,
                         row,
                     }
                 }
                 DbccOp::Delete => {
-                    let row = decode_full(schemas.at(&rec.table, rec.lsn)?, &rec.bytes)?;
+                    let row = decode_full(schemas.at(&rec.table, rec.lsn)?, &names, &rec.bytes)?;
                     RepairOp::Delete {
                         address: identity_address(&row)?,
                         row,
@@ -388,7 +462,7 @@ impl LogAdapter for SybaseAdapter {
                 }
                 DbccOp::Modify => {
                     let schema = schemas.at(&rec.table, rec.lsn)?;
-                    let (before, after) = decode_delta(schema, &rec.bytes)?;
+                    let (before, after) = decode_delta(schema, &names, &rec.bytes)?;
                     // Recover the identity attribute via the §4.3 offset
                     // adjustment + dbcc page. A later DELETE of the row
                     // before any DDL on its table carries the image; else
@@ -396,12 +470,12 @@ impl LogAdapter for SybaseAdapter {
                     let dropped = schemas.next_change(&rec.table, rec.lsn);
                     let full = match deletes.adjust(i) {
                         AdjustOutcome::DeletedLater(rd) if dropped.is_none_or(|d| rd.lsn < d) => {
-                            decode_full(schema, &rd.bytes)?
+                            decode_full(schema, &names, &rd.bytes)?
                         }
                         AdjustOutcome::Offset(off) if dropped.is_none() => {
                             let bytes =
                                 introspect::dbcc_page(db, &rec.table, rec.page, off, rec.len)?;
-                            decode_full(schema, &bytes)?
+                            decode_full(schema, &names, &bytes)?
                         }
                         _ => {
                             return Err(EngineError::UnknownTable(format!(
@@ -423,7 +497,7 @@ impl LogAdapter for SybaseAdapter {
             out.push(RepairRecord {
                 lsn: rec.lsn,
                 internal_txn: rec.txn,
-                table: rec.table.clone(),
+                table,
                 op,
             });
         }

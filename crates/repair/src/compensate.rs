@@ -9,6 +9,8 @@
 //! per table and discarded when the row's original INSERT is undone.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 use resildb_engine::{Database, InternalTxnId, Lsn, Value};
 use resildb_sim::{failpoints, EventKind, InjectedFault};
@@ -125,11 +127,11 @@ fn sweep(
 ) -> Result<CompensationOutcome, RepairError> {
     let mut outcome = CompensationOutcome::default();
     // Per-table old→new address remapping.
-    let mut remap: HashMap<String, HashMap<RowAddress, i64>> = HashMap::new();
+    let mut remap: HashMap<Arc<str>, HashMap<RowAddress, i64>> = HashMap::new();
     let addr_col = address.column_name();
 
     let current_addr =
-        |remap: &HashMap<String, HashMap<RowAddress, i64>>, table: &str, a: &RowAddress| {
+        |remap: &HashMap<Arc<str>, HashMap<RowAddress, i64>>, table: &str, a: &RowAddress| {
             remap
                 .get(table)
                 .and_then(|m| m.get(a))
@@ -137,8 +139,18 @@ fn sweep(
                 .unwrap_or_else(|| a.literal())
         };
 
+    let mut last = None;
     for rec in records.iter().rev() {
-        let Some(&proxy) = undo_internal.get(&rec.internal_txn) else {
+        // A transaction's records come in runs: look it up once per run.
+        let proxy = match last {
+            Some((txn, proxy)) if txn == rec.internal_txn => proxy,
+            _ => {
+                let proxy = undo_internal.get(&rec.internal_txn).copied();
+                last = Some((rec.internal_txn, proxy));
+                proxy
+            }
+        };
+        let Some(proxy) = proxy else {
             continue;
         };
         // Extension-round rule (see run_compensation docs): a before-image
@@ -203,16 +215,12 @@ fn sweep(
                     continue;
                 }
                 let cur = current_addr(&remap, &rec.table, a);
-                let sets: Vec<String> = before
-                    .0
-                    .iter()
-                    .map(|(c, v)| format!("{c} = {}", sql_literal(v)))
-                    .collect();
-                let sql = format!(
-                    "UPDATE {} SET {} WHERE {addr_col} = {cur}",
-                    rec.table,
-                    sets.join(", ")
-                );
+                let mut sql = format!("UPDATE {} SET ", rec.table);
+                for (i, (c, v)) in before.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    let _ = write!(sql, "{sep}{c} = {}", sql_literal(v));
+                }
+                let _ = write!(sql, " WHERE {addr_col} = {cur}");
                 let affected = execute_affected(conn, &sql)?;
                 if affected != 1 {
                     return Err(RepairError::Analysis(format!(
@@ -244,7 +252,7 @@ fn execute_affected(conn: &mut dyn Connection, sql: &str) -> Result<u64, RepairE
 
 fn insert_sql(table: &str, row: &NamedRow) -> String {
     let cols: Vec<&str> = row.columns();
-    let vals: Vec<String> = row.0.iter().map(|(_, v)| sql_literal(v)).collect();
+    let vals: Vec<String> = row.values().iter().map(sql_literal).collect();
     format!(
         "INSERT INTO {table} ({}) VALUES ({})",
         cols.join(", "),
@@ -267,10 +275,9 @@ fn discover_address(
         let guard = handle.read();
         let schema = guard.schema();
         let match_cols: Vec<&str> = if schema.primary_key.is_empty() {
-            row.0
-                .iter()
+            row.iter()
                 .filter(|(_, v)| !v.is_null())
-                .map(|(c, _)| c.as_str())
+                .map(|(c, _)| c)
                 .collect()
         } else {
             schema

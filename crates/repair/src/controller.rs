@@ -5,8 +5,8 @@
 //! free-standing `run_compensation` trio. The three phases separate what
 //! the paper's interactive tool interleaves:
 //!
-//! * [`RepairController::analyze`] reads the transaction log and tracking
-//!   tables and builds the dependency graph ([`Analysis`]);
+//! * [`RepairController::analyze`] reads the transaction log and builds
+//!   the dependency graph from it alone ([`Analysis`]);
 //! * [`RepairController::plan`] computes the damage closure for an
 //!   initial attack set under the controller's false-dependency rules
 //!   ([`RepairPlan`] — its `undo_set` is open for interactive what-if
@@ -29,7 +29,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use resildb_engine::{Database, Value};
+use resildb_engine::Database;
 use resildb_proxy::{canon_value, composite_key, ProxyRuntime, RowFence};
 use resildb_sim::telemetry::names as span_names;
 use resildb_sim::{failpoints, EventKind, FaultAction, FaultTrigger};
@@ -39,7 +39,8 @@ use crate::adapters::{adapter_for, LogAdapter};
 use crate::compensate::{repair_fault, run_compensation, CompensationOutcome};
 use crate::correlate::TxnCorrelation;
 use crate::error::RepairError;
-use crate::graph::{DepGraph, EdgeKind, EdgeProvenance, FalseDepRule};
+use crate::fold::dependency_graph;
+use crate::graph::{DepGraph, FalseDepRule};
 use crate::record::{NamedRow, RepairOp, RepairRecord, RowAddress};
 
 /// Everything the analysis phase learns from the database and its log.
@@ -49,8 +50,9 @@ pub struct Analysis {
     pub records: Vec<RepairRecord>,
     /// Proxy ↔ internal id mapping.
     pub correlation: TxnCorrelation,
-    /// The full dependency graph (online read deps + log-reconstructed
-    /// write deps), labelled from `annot`.
+    /// The full dependency graph: online read deps from the `trans_dep`
+    /// and `trans_dep_prov` images in the log, write deps reconstructed
+    /// from pre-image stamps, labels from the `annot` images.
     pub graph: DepGraph,
     /// Incident-clock stamp taken when this analysis began. Analysis
     /// alone leaves no incident behind; [`RepairController::execute`]
@@ -307,12 +309,14 @@ impl RepairController {
         &self.options
     }
 
-    /// Phase 1: reads the log and tracking tables and builds the
-    /// dependency graph.
+    /// Phase 1: reads the log and builds the dependency graph from it
+    /// alone — the tracking tables' contents are folded from their own
+    /// images in the log, so analysis issues no SQL.
     ///
     /// # Errors
     ///
-    /// Log introspection or tracking-table read failures.
+    /// Log introspection failures, and [`RepairError::DuplicateTrid`]
+    /// when one proxy transaction id committed twice.
     pub fn analyze(&self) -> Result<Analysis, RepairError> {
         let telemetry = self.db.sim().telemetry();
         let detected_at_ns = telemetry.incident_stamp();
@@ -328,7 +332,7 @@ impl RepairController {
         );
         let correlation = {
             let _span = telemetry.span(span_names::REPAIR_CORRELATE);
-            TxnCorrelation::from_records(&records)
+            TxnCorrelation::from_records(&records)?
         };
         telemetry.repair_event(
             0,
@@ -336,156 +340,10 @@ impl RepairController {
                 pairs: correlation.len() as u64,
             },
         );
-        let _span = telemetry.span(span_names::REPAIR_GRAPH_BUILD);
-        let mut graph = DepGraph::new();
-
-        // 1. Online (read) dependencies from trans_dep + provenance.
-        let mut session = self.db.session();
-        let prov_rows = session
-            .query("SELECT tr_id, dep_tr_id, via_table, read_cols FROM trans_dep_prov")
-            .map_err(RepairError::Engine)?;
-        // (tr_id, dep_tr_id) → [(mediating table, columns read)], plus how
-        // many trans_dep entries name the pair: the last one moves the
-        // provenance into the graph, any earlier one copies it.
-        type ProvMap = HashMap<(i64, i64), (Vec<(String, Vec<String>)>, usize)>;
-        let mut prov: ProvMap = HashMap::new();
-        for row in prov_rows.rows {
-            if let Ok([Value::Int(tr), Value::Int(dep), Value::Str(table), Value::Str(cols)]) =
-                <[Value; 4]>::try_from(row)
-            {
-                prov.entry((tr, dep)).or_default().0.push((
-                    table,
-                    cols.split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect(),
-                ));
-            }
-        }
-        let dep_rows = session
-            .query("SELECT tr_id, dep_tr_ids FROM trans_dep")
-            .map_err(RepairError::Engine)?;
-        let pairs: Vec<(i64, i64)> = (dep_rows.rows.iter())
-            .filter_map(|row| match (&row[0], &row[1]) {
-                (Value::Int(tr), Value::Str(deps)) => Some((*tr, deps)),
-                _ => None,
-            })
-            .flat_map(|(tr, deps)| {
-                (deps.split_whitespace())
-                    .filter_map(move |dep| dep.parse::<i64>().ok().map(|dep| (tr, dep)))
-            })
-            .collect();
-        for pair in &pairs {
-            if let Some((_, uses)) = prov.get_mut(pair) {
-                *uses += 1;
-            }
-        }
-        for (tr, dep) in pairs {
-            match prov.get_mut(&(tr, dep)) {
-                Some((sources, uses)) => {
-                    *uses -= 1;
-                    let sources = if *uses == 0 {
-                        std::mem::take(sources)
-                    } else {
-                        sources.clone()
-                    };
-                    for (table, read_columns) in sources {
-                        let kind = EdgeKind::Read { read_columns };
-                        graph.add_edge(tr, dep, EdgeProvenance { table, kind });
-                    }
-                }
-                None => {
-                    // No provenance recorded: keep the edge with an
-                    // unknown-table marker (it always survives rules).
-                    graph.add_edge(
-                        tr,
-                        dep,
-                        EdgeProvenance {
-                            table: String::new(),
-                            kind: EdgeKind::Write,
-                        },
-                    );
-                }
-            }
-        }
-
-        // 2. Labels from annot.
-        let annot_rows = session
-            .query("SELECT tr_id, descr FROM annot")
-            .map_err(RepairError::Engine)?;
-        for row in &annot_rows.rows {
-            if let (Value::Int(tr), Value::Str(descr)) = (&row[0], &row[1]) {
-                graph.set_label(*tr, descr.clone());
-            }
-        }
-
-        // 3. Log-reconstructed dependencies (updates/deletes) and writer
-        //    column notes for false-dependency evaluation.
-        for rec in &records {
-            let Some(proxy) = correlation.proxy_id(rec.internal_txn) else {
-                continue; // uncommitted or untracked transaction
-            };
-            if rec.table.is_empty() || resildb_proxy::is_tracking_table(&rec.table) {
-                continue;
-            }
-            match &rec.op {
-                RepairOp::Insert { .. } => graph.note_writer_insert(proxy, &rec.table),
-                RepairOp::Update { after, .. } => graph.note_writer_columns(
-                    proxy,
-                    &rec.table,
-                    (after.0.iter().map(|(c, _)| c.as_str()))
-                        .filter(|c| !resildb_proxy::is_tracking_column(c)),
-                ),
-                _ => {}
-            }
-            // Reconstruct the overwrite dependency from the pre-image.
-            // Under column-level tracking the pre-image carries one
-            // `trid__<col>` stamp per overwritten column, giving precise
-            // per-column edges; otherwise fall back to the row `trid`.
-            let before = match &rec.op {
-                RepairOp::Update { before, .. } => Some(before),
-                RepairOp::Delete { row, .. } => Some(row),
-                _ => None,
-            };
-            if let Some(image) = before {
-                let mut column_edges = 0;
-                for (name, value) in &image.0 {
-                    let Some(col) = name.strip_prefix(resildb_proxy::COLUMN_TRID_PREFIX) else {
-                        continue;
-                    };
-                    if let resildb_engine::Value::Int(dep) = value {
-                        column_edges += 1;
-                        if *dep > 0 && *dep != proxy {
-                            graph.add_edge(
-                                proxy,
-                                *dep,
-                                EdgeProvenance {
-                                    table: rec.table.clone(),
-                                    kind: EdgeKind::Read {
-                                        read_columns: vec![col.to_string()],
-                                    },
-                                },
-                            );
-                        }
-                    }
-                }
-                if column_edges == 0 {
-                    if let Some(dep) = rec.before_trid() {
-                        if dep > 0 && dep != proxy {
-                            graph.add_edge(
-                                proxy,
-                                dep,
-                                EdgeProvenance {
-                                    table: rec.table.clone(),
-                                    kind: EdgeKind::Write,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
+        let graph = {
+            let _span = telemetry.span(span_names::REPAIR_GRAPH_BUILD);
+            dependency_graph(&records, &correlation)
+        };
         Ok(Analysis {
             records,
             correlation,

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 
 use resildb_engine::{InternalTxnId, Value};
 
+use crate::error::RepairError;
 use crate::record::{RepairOp, RepairRecord};
 
 /// Bidirectional proxy/internal id mapping.
@@ -26,7 +27,13 @@ impl TxnCorrelation {
     /// Builds the correlation from a normalized log scan: for every
     /// transaction, the last `trans_dep` insert preceding its commit
     /// supplies the proxy id.
-    pub fn from_records(records: &[RepairRecord]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`RepairError::DuplicateTrid`] when one proxy id commits in two
+    /// internal transactions. Several `trans_dep` rows in one transaction
+    /// (a spilled dependency list) are fine.
+    pub fn from_records(records: &[RepairRecord]) -> Result<Self, RepairError> {
         let mut last_trans_dep_insert: HashMap<InternalTxnId, i64> = HashMap::new();
         let mut out = TxnCorrelation::default();
         for rec in records {
@@ -42,8 +49,13 @@ impl TxnCorrelation {
                 }
                 RepairOp::Commit => {
                     if let Some(tr_id) = last_trans_dep_insert.remove(&rec.internal_txn) {
+                        if let Some(first) = out.internal_of.insert(tr_id, rec.internal_txn) {
+                            return Err(RepairError::DuplicateTrid {
+                                tr_id,
+                                internal: [first, rec.internal_txn],
+                            });
+                        }
                         out.proxy_of.insert(rec.internal_txn, tr_id);
-                        out.internal_of.insert(tr_id, rec.internal_txn);
                     }
                 }
                 RepairOp::Abort => {
@@ -52,7 +64,7 @@ impl TxnCorrelation {
                 _ => {}
             }
         }
-        out
+        Ok(out)
     }
 
     /// The proxy id of an internal transaction, if it was tracked.
@@ -103,7 +115,7 @@ mod tests {
         RepairRecord {
             lsn: Lsn(lsn),
             internal_txn: InternalTxnId(txn),
-            table: String::new(),
+            table: "".into(),
             op: RepairOp::Commit,
         }
     }
@@ -112,7 +124,7 @@ mod tests {
         RepairRecord {
             lsn: Lsn(lsn),
             internal_txn: InternalTxnId(txn),
-            table: String::new(),
+            table: "".into(),
             op: RepairOp::Abort,
         }
     }
@@ -139,7 +151,7 @@ mod tests {
             trans_dep_insert(4, 11, 102),
             commit(5, 11),
         ];
-        let c = TxnCorrelation::from_records(&records);
+        let c = TxnCorrelation::from_records(&records).unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(c.proxy_id(InternalTxnId(10)), Some(101));
         assert_eq!(c.internal_id(102), Some(InternalTxnId(11)));
@@ -148,7 +160,7 @@ mod tests {
     #[test]
     fn aborted_transactions_are_not_correlated() {
         let records = vec![trans_dep_insert(0, 10, 101), abort(1, 10)];
-        let c = TxnCorrelation::from_records(&records);
+        let c = TxnCorrelation::from_records(&records).unwrap();
         assert!(c.is_empty());
     }
 
@@ -160,7 +172,7 @@ mod tests {
             commit(2, 11),
             commit(3, 10),
         ];
-        let c = TxnCorrelation::from_records(&records);
+        let c = TxnCorrelation::from_records(&records).unwrap();
         assert_eq!(c.proxy_id(InternalTxnId(10)), Some(101));
         assert_eq!(c.proxy_id(InternalTxnId(11)), Some(102));
     }
@@ -168,9 +180,30 @@ mod tests {
     #[test]
     fn untracked_transactions_stay_unmapped() {
         let records = vec![user_insert(0, 10), commit(1, 10)];
-        let c = TxnCorrelation::from_records(&records);
+        let c = TxnCorrelation::from_records(&records).unwrap();
         assert!(c.is_empty());
         assert_eq!(c.proxy_id(InternalTxnId(10)), None);
+    }
+
+    #[test]
+    fn one_proxy_id_committed_twice_is_refused() {
+        let records = vec![
+            trans_dep_insert(0, 10, 101),
+            commit(1, 10),
+            // Rolled back: no second commit of 101.
+            trans_dep_insert(2, 12, 101),
+            abort(3, 12),
+            trans_dep_insert(4, 11, 101),
+            commit(5, 11),
+        ];
+        assert_eq!(
+            TxnCorrelation::from_records(&records),
+            Err(RepairError::DuplicateTrid {
+                tr_id: 101,
+                internal: [InternalTxnId(10), InternalTxnId(11)],
+            })
+        );
+        assert!(TxnCorrelation::from_records(&records[..4]).is_ok());
     }
 
     #[test]
@@ -182,7 +215,7 @@ mod tests {
             trans_dep_insert(1, 10, 101),
             commit(2, 10),
         ];
-        let c = TxnCorrelation::from_records(&records);
+        let c = TxnCorrelation::from_records(&records).unwrap();
         assert_eq!(c.proxy_id(InternalTxnId(10)), Some(101));
     }
 }

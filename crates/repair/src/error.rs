@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use resildb_engine::EngineError;
+use resildb_engine::{EngineError, InternalTxnId};
 use resildb_wire::WireError;
 
 /// Errors raised while analyzing the log or executing a repair.
@@ -15,6 +15,15 @@ pub enum RepairError {
     Wire(WireError),
     /// The log or dependency data is inconsistent with expectations.
     Analysis(String),
+    /// One proxy transaction id committed in two internal transactions
+    /// (e.g. a proxy restarted over a reopened database minted it again):
+    /// repair cannot tell whose effects the id names, so it refuses.
+    DuplicateTrid {
+        /// The proxy transaction id.
+        tr_id: i64,
+        /// The internal transactions that both committed it, in log order.
+        internal: [InternalTxnId; 2],
+    },
 }
 
 impl fmt::Display for RepairError {
@@ -23,6 +32,15 @@ impl fmt::Display for RepairError {
             RepairError::Engine(e) => write!(f, "engine error during repair: {e}"),
             RepairError::Wire(e) => write!(f, "wire error during repair: {e}"),
             RepairError::Analysis(m) => write!(f, "repair analysis error: {m}"),
+            RepairError::DuplicateTrid {
+                tr_id,
+                internal: [a, b],
+            } => write!(
+                f,
+                "repair analysis error: proxy transaction id {tr_id} committed in internal \
+                 transactions {} and {}; ids must be unique across proxies and restarts",
+                a.0, b.0
+            ),
         }
     }
 }
@@ -32,7 +50,7 @@ impl Error for RepairError {
         match self {
             RepairError::Engine(e) => Some(e),
             RepairError::Wire(e) => Some(e),
-            RepairError::Analysis(_) => None,
+            RepairError::Analysis(_) | RepairError::DuplicateTrid { .. } => None,
         }
     }
 }

@@ -3,6 +3,7 @@
 //! Figure 3).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use resildb_analyze::{DotBuilder, EdgeStyle, FILL_ATTACK, FILL_CLOSURE};
 
@@ -12,8 +13,9 @@ pub enum EdgeKind {
     /// The dependent transaction's SELECT read a row last written by the
     /// depended-on transaction (harvested online by the proxy).
     Read {
-        /// Columns of the mediating table the reader referenced.
-        read_columns: Vec<String>,
+        /// Columns of the mediating table the reader referenced (shared
+        /// by every edge recorded with the same column list).
+        read_columns: Arc<[String]>,
     },
     /// The dependent transaction updated or deleted a row last written by
     /// the depended-on transaction (reconstructed from the log at repair
@@ -24,8 +26,8 @@ pub enum EdgeKind {
 /// Provenance of one dependency edge (an edge may have several).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeProvenance {
-    /// Table that mediated the dependency.
-    pub table: String,
+    /// Table that mediated the dependency (empty when unknown).
+    pub table: Arc<str>,
     /// How the dependency arose.
     pub kind: EdgeKind,
 }
@@ -71,7 +73,7 @@ impl FalseDepRule {
 
     /// Whether this rule dismisses an edge provenance, given the columns
     /// the *writer* (the depended-on transaction) changed in that table.
-    fn ignores(&self, prov: &EdgeProvenance, writer_changed: Option<&BTreeSet<String>>) -> bool {
+    fn ignores(&self, prov: &EdgeProvenance, writer_changed: Option<&[Arc<str>]>) -> bool {
         match self {
             FalseDepRule::IgnoreTable(t) => t.eq_ignore_ascii_case(&prov.table),
             FalseDepRule::IgnoreDerivedColumns { table, columns } => {
@@ -109,26 +111,71 @@ impl FalseDepRule {
     }
 }
 
+/// What one transaction wrote in one table, for
+/// [`FalseDepRule::IgnoreDerivedColumns`].
+#[derive(Debug, Clone, PartialEq)]
+struct Written {
+    table: Arc<str>,
+    /// It inserted whole rows there: dependencies on those are never
+    /// derived-column artefacts.
+    inserted: bool,
+    /// The union of the columns its updates changed there (`None`: it
+    /// updated nothing there).
+    changed: Option<Vec<Arc<str>>>,
+}
+
 /// The dependency graph over proxy transaction ids.
 ///
 /// Edges point from a transaction to the transactions it *depends on*.
 /// Damage analysis walks the reverse direction: everything that
 /// transitively depends on the attack set is corrupted.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DepGraph {
-    /// txn → set of txns it depends on.
-    deps: BTreeMap<i64, BTreeSet<i64>>,
-    /// txn → set of txns depending on it.
-    rdeps: BTreeMap<i64, BTreeSet<i64>>,
     /// (dependent, dependee) → provenance list.
     edges: HashMap<(i64, i64), Vec<EdgeProvenance>>,
+    /// dependee → its dependents, each once, in the order their first
+    /// edge arrived: the reverse adjacency a closure walks.
+    rdeps: HashMap<i64, Vec<i64>>,
     /// txn → symbolic name (from the `annot` table).
     labels: BTreeMap<i64, String>,
-    /// writer txn → table → columns it changed there (an absent entry
-    /// means the writer inserted whole rows / unknown).
-    writer_changed: HashMap<i64, HashMap<String, BTreeSet<String>>>,
-    /// writer txn → tables it inserted whole rows into.
-    writer_inserted: HashMap<i64, HashSet<String>>,
+    /// writer txn → the tables it wrote and how.
+    writers: HashMap<i64, Vec<Written>>,
+    /// Every table and column name in `writers`, each held once.
+    names: HashSet<Arc<str>>,
+}
+
+/// `name` as held in `names`, added on first use.
+fn intern(names: &mut HashSet<Arc<str>>, name: &str) -> Arc<str> {
+    match names.get(name) {
+        Some(held) => held.clone(),
+        None => {
+            let held: Arc<str> = name.into();
+            names.insert(held.clone());
+            held
+        }
+    }
+}
+
+/// `writer`'s note for `table`, created on first use.
+fn written<'w>(
+    writers: &'w mut HashMap<i64, Vec<Written>>,
+    names: &mut HashSet<Arc<str>>,
+    writer: i64,
+    table: &str,
+) -> &'w mut Written {
+    let tables = writers.entry(writer).or_default();
+    let i = match tables.iter().position(|w| *w.table == *table) {
+        Some(i) => i,
+        None => {
+            tables.push(Written {
+                table: intern(names, table),
+                inserted: false,
+                changed: None,
+            });
+            tables.len() - 1
+        }
+    };
+    &mut tables[i]
 }
 
 impl DepGraph {
@@ -140,8 +187,11 @@ impl DepGraph {
     /// All known transaction ids (nodes).
     pub fn transactions(&self) -> BTreeSet<i64> {
         let mut all: BTreeSet<i64> = self.labels.keys().copied().collect();
-        all.extend(self.deps.keys());
-        all.extend(self.rdeps.keys());
+        all.extend(
+            self.edges
+                .keys()
+                .flat_map(|&(dependent, dependee)| [dependent, dependee]),
+        );
         all
     }
 
@@ -150,12 +200,11 @@ impl DepGraph {
         if dependent == dependee {
             return;
         }
-        self.deps.entry(dependent).or_default().insert(dependee);
-        self.rdeps.entry(dependee).or_default().insert(dependent);
-        self.edges
-            .entry((dependent, dependee))
-            .or_default()
-            .push(prov);
+        let provs = self.edges.entry((dependent, dependee)).or_default();
+        if provs.is_empty() {
+            self.rdeps.entry(dependee).or_default().push(dependent);
+        }
+        provs.push(prov);
     }
 
     /// Names a transaction (for DOT rendering).
@@ -173,20 +222,19 @@ impl DepGraph {
 
     /// Records which columns `writer` changed in `table` (union across its
     /// updates), used by [`FalseDepRule::IgnoreDerivedColumns`].
-    pub fn note_writer_columns<S: AsRef<str>>(
+    pub fn note_writer_columns<'c>(
         &mut self,
         writer: i64,
         table: &str,
-        columns: impl IntoIterator<Item = S>,
+        columns: impl IntoIterator<Item = &'c str>,
     ) {
-        let tables = self.writer_changed.entry(writer).or_default();
-        let changed = match tables.get_mut(table) {
-            Some(changed) => changed,
-            None => tables.entry(table.to_string()).or_default(),
-        };
+        let Self { writers, names, .. } = self;
+        let changed = written(writers, names, writer, table)
+            .changed
+            .get_or_insert_default();
         for column in columns {
-            if !changed.contains(column.as_ref()) {
-                changed.insert(column.as_ref().to_string());
+            if !changed.iter().any(|c| **c == *column) {
+                changed.push(intern(names, column));
             }
         }
     }
@@ -194,35 +242,31 @@ impl DepGraph {
     /// Records that `writer` inserted whole rows into `table` (dependencies
     /// on inserted rows are never derived-column artefacts).
     pub fn note_writer_insert(&mut self, writer: i64, table: &str) {
-        let tables = self.writer_inserted.entry(writer).or_default();
-        if !tables.contains(table) {
-            tables.insert(table.to_string());
-        }
+        written(&mut self.writers, &mut self.names, writer, table).inserted = true;
     }
 
     /// The direct dependencies of `txn`.
     pub fn dependencies_of(&self, txn: i64) -> BTreeSet<i64> {
-        self.deps.get(&txn).cloned().unwrap_or_default()
-    }
-
-    /// Provenance list of an edge.
-    fn edge(&self, dependent: i64, dependee: i64) -> &[EdgeProvenance] {
-        self.edges
-            .get(&(dependent, dependee))
-            .map_or(&[], Vec::as_slice)
+        (self.edges.keys())
+            .filter(|&&(dependent, _)| dependent == txn)
+            .map(|&(_, dependee)| dependee)
+            .collect()
     }
 
     fn edge_survives(&self, dependent: i64, dependee: i64, rules: &[FalseDepRule]) -> bool {
-        let provs = self.edge(dependent, dependee);
+        let provs = self
+            .edges
+            .get(&(dependent, dependee))
+            .map_or(&[][..], Vec::as_slice);
         if provs.is_empty() {
             return true; // no provenance info: keep (safe side)
         }
+        let written = self.writers.get(&dependee).map_or(&[][..], Vec::as_slice);
         provs.iter().any(|p| {
-            let inserted =
-                (self.writer_inserted.get(&dependee)).is_some_and(|t| t.contains(&p.table));
-            let changed = (self.writer_changed.get(&dependee))
-                .and_then(|t| t.get(&p.table))
-                .filter(|_| !inserted);
+            let changed = (written.iter())
+                .find(|w| w.table == p.table)
+                .filter(|w| !w.inserted)
+                .and_then(|w| w.changed.as_deref());
             !rules.iter().any(|r| r.ignores(p, changed))
         })
     }
@@ -234,7 +278,7 @@ impl DepGraph {
         let mut out: BTreeSet<i64> = initial.iter().copied().collect();
         let mut frontier: Vec<i64> = initial.to_vec();
         while let Some(t) = frontier.pop() {
-            for &dep in self.rdeps.get(&t).map_or(&BTreeSet::new(), |s| s).iter() {
+            for &dep in self.rdeps.get(&t).map_or(&[][..], Vec::as_slice) {
                 if !out.contains(&dep) && self.edge_survives(dep, t, rules) {
                     out.insert(dep);
                     frontier.push(dep);
@@ -247,15 +291,9 @@ impl DepGraph {
     /// Every edge `(dependent, dependee)` dismissed by `rules` — the edges
     /// a false-dependency pruning pass removes before closure computation.
     pub fn pruned_edges(&self, rules: &[FalseDepRule]) -> BTreeSet<(i64, i64)> {
-        let mut out = BTreeSet::new();
-        for (dependent, dependees) in &self.deps {
-            for dependee in dependees {
-                if !self.edge_survives(*dependent, *dependee, rules) {
-                    out.insert((*dependent, *dependee));
-                }
-            }
-        }
-        out
+        (self.edges.keys().copied())
+            .filter(|&(dependent, dependee)| !self.edge_survives(dependent, dependee, rules))
+            .collect()
     }
 
     /// Renders the graph in GraphViz DOT (paper Figure 3): nodes carry the
@@ -290,15 +328,15 @@ impl DepGraph {
             dot.node(&format!("t{txn}"), &self.label(txn), fill);
         }
         let pruned_style = EdgeStyle::pruned();
-        for (dependent, dependees) in &self.deps {
-            for dependee in dependees {
-                // Edges drawn from dependee to dependent: data flows from
-                // the earlier transaction to the one depending on it.
-                let style = pruned
-                    .is_some_and(|p| p.contains(&(*dependent, *dependee)))
-                    .then_some(&pruned_style);
-                dot.edge(&format!("t{dependee}"), &format!("t{dependent}"), style);
-            }
+        let mut edges: Vec<(i64, i64)> = self.edges.keys().copied().collect();
+        edges.sort_unstable();
+        for (dependent, dependee) in edges {
+            // Edges drawn from dependee to dependent: data flows from the
+            // earlier transaction to the one depending on it.
+            let style = pruned
+                .is_some_and(|p| p.contains(&(dependent, dependee)))
+                .then_some(&pruned_style);
+            dot.edge(&format!("t{dependee}"), &format!("t{dependent}"), style);
         }
         dot.finish()
     }
@@ -398,7 +436,7 @@ mod tests {
         // reads warehouse.w_tax — a row-level false dependency. A report
         // (txn 3) genuinely reads w_ytd — a true dependency.
         let mut g = DepGraph::new();
-        g.note_writer_columns(1, "warehouse", ["w_ytd".to_string(), "trid".to_string()]);
+        g.note_writer_columns(1, "warehouse", ["w_ytd", "trid"]);
         g.add_edge(2, 1, read_edge(&["w_tax", "w_id"]));
         g.add_edge(3, 1, read_edge(&["w_ytd", "w_id"]));
         let rules = vec![FalseDepRule::IgnoreDerivedColumns {
@@ -425,7 +463,7 @@ mod tests {
     fn derived_rule_keeps_write_write_chains_on_other_columns() {
         // Writer changed w_name too: not purely derived → edge stays.
         let mut g = DepGraph::new();
-        g.note_writer_columns(1, "warehouse", ["w_ytd".to_string(), "w_name".to_string()]);
+        g.note_writer_columns(1, "warehouse", ["w_ytd", "w_name"]);
         g.add_edge(2, 1, write_edge("warehouse"));
         let rules = vec![FalseDepRule::IgnoreDerivedColumns {
             table: "warehouse".into(),
@@ -438,7 +476,7 @@ mod tests {
     fn derived_rule_cuts_ytd_write_chains() {
         // Payment → Payment chains where both only bump w_ytd.
         let mut g = DepGraph::new();
-        g.note_writer_columns(1, "warehouse", ["w_ytd".to_string(), "trid".to_string()]);
+        g.note_writer_columns(1, "warehouse", ["w_ytd", "trid"]);
         g.add_edge(2, 1, write_edge("warehouse"));
         let rules = vec![FalseDepRule::IgnoreDerivedColumns {
             table: "warehouse".into(),
@@ -452,7 +490,7 @@ mod tests {
         // A wildcard select records no read columns; the reader may have
         // consumed w_ytd, so the derived-column rule must not discard it.
         let mut g = DepGraph::new();
-        g.note_writer_columns(1, "warehouse", ["w_ytd".to_string(), "trid".to_string()]);
+        g.note_writer_columns(1, "warehouse", ["w_ytd", "trid"]);
         g.add_edge(2, 1, read_edge(&[]));
         let rules = vec![FalseDepRule::IgnoreDerivedColumns {
             table: "warehouse".into(),
@@ -464,8 +502,8 @@ mod tests {
     #[test]
     fn multi_provenance_edge_survives_if_any_provenance_does() {
         let mut g = DepGraph::new();
-        g.note_writer_columns(1, "warehouse", ["w_ytd".to_string()]);
-        g.note_writer_columns(1, "district", ["d_next_o_id".to_string()]);
+        g.note_writer_columns(1, "warehouse", ["w_ytd"]);
+        g.note_writer_columns(1, "district", ["d_next_o_id"]);
         g.add_edge(2, 1, read_edge(&["w_tax"])); // ignorable
         g.add_edge(
             2,
@@ -473,7 +511,7 @@ mod tests {
             EdgeProvenance {
                 table: "district".into(),
                 kind: EdgeKind::Read {
-                    read_columns: vec!["d_next_o_id".into()],
+                    read_columns: ["d_next_o_id".to_string()].into(),
                 },
             },
         ); // real

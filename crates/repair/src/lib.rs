@@ -10,9 +10,10 @@
 //!    §4.3 in-page row-migration offset adjustment),
 //! 2. correlates proxy and internal transaction ids via the `trans_dep`
 //!    insert that precedes every tracked commit ([`TxnCorrelation`]),
-//! 3. builds the full inter-transaction dependency graph — online read
-//!    dependencies from `trans_dep` plus update/delete dependencies
-//!    reconstructed from pre-image `trid` values ([`DepGraph`]),
+//! 3. builds the full inter-transaction dependency graph from the log
+//!    alone — online read dependencies from the `trans_dep` images in it
+//!    plus update/delete dependencies reconstructed from pre-image `trid`
+//!    values ([`DepGraph`]),
 //! 4. computes the damage closure, optionally discarding DBA-declared
 //!    false dependencies ([`FalseDepRule`], paper §5.3),
 //! 5. walks the log backwards executing compensating statements with
@@ -57,6 +58,7 @@ mod correlate;
 pub mod detect;
 mod error;
 pub mod explore;
+mod fold;
 mod graph;
 mod record;
 pub mod trace;

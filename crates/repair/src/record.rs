@@ -1,6 +1,8 @@
 //! Normalized repair records: the common denominator the three
 //! flavor-specific log adapters produce.
 
+use std::sync::Arc;
+
 use resildb_engine::{InternalTxnId, Lsn, RowId, Value};
 
 /// How a compensating statement can address the affected row.
@@ -22,33 +24,107 @@ impl RowAddress {
     }
 }
 
-/// A row (or partial row) as `(column, value)` pairs in schema order.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NamedRow(pub Vec<(String, Value)>);
+/// A row image, or an update's changed columns, named with the column
+/// list of its table's schema version at the image's LSN.
+///
+/// The list is shared: every image a scan names with one schema version
+/// holds the same `Arc`, and a new schema version gets a new list instead
+/// of editing the old one. A partial image carries the positions of its
+/// values in that list rather than names of its own.
+#[derive(Debug, Clone)]
+pub struct NamedRow {
+    columns: Arc<[String]>,
+    /// Positions in `columns` of `values`; `None` for a full image, whose
+    /// values follow `columns` one for one.
+    positions: Option<Arc<[u16]>>,
+    values: Vec<Value>,
+}
 
 impl NamedRow {
-    /// Value of `col`, if present.
+    /// A full image: `values[i]` is the value of `columns[i]`.
+    pub(crate) fn full(columns: Arc<[String]>, values: Vec<Value>) -> Self {
+        debug_assert_eq!(columns.len(), values.len());
+        Self {
+            columns,
+            positions: None,
+            values,
+        }
+    }
+
+    /// A partial image: `values[i]` is the value of
+    /// `columns[positions[i]]`.
+    pub(crate) fn partial(
+        columns: Arc<[String]>,
+        positions: Arc<[u16]>,
+        values: Vec<Value>,
+    ) -> Self {
+        debug_assert_eq!(positions.len(), values.len());
+        Self {
+            columns,
+            positions: Some(positions),
+            values,
+        }
+    }
+
+    /// The `(column, value)` pairs, in schema order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> + '_ {
+        (0..self.values.len()).map(|i| (self.name(i), &self.values[i]))
+    }
+
+    fn name(&self, i: usize) -> &str {
+        match &self.positions {
+            Some(p) => &self.columns[usize::from(p[i])],
+            None => &self.columns[i],
+        }
+    }
+
+    /// Value of `col`, if present (case-insensitively).
     pub fn get(&self, col: &str) -> Option<&Value> {
-        self.0
-            .iter()
+        self.iter()
             .find(|(c, _)| c.eq_ignore_ascii_case(col))
             .map(|(_, v)| v)
     }
 
     /// Column names, in order.
     pub fn columns(&self) -> Vec<&str> {
-        self.0.iter().map(|(c, _)| c.as_str()).collect()
+        self.iter().map(|(c, _)| c).collect()
+    }
+
+    /// The values, in order.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The shared column list of the schema version this image is named
+    /// with (every column of the table, not only this image's).
+    pub fn schema_columns(&self) -> &Arc<[String]> {
+        &self.columns
     }
 
     /// True when no columns are present.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.values.is_empty()
+    }
+}
+
+impl Default for NamedRow {
+    fn default() -> Self {
+        Self::full(Arc::from(Vec::new()), Vec::new())
+    }
+}
+
+/// Images are equal when they name the same values the same way, whether
+/// or not their column lists are shared.
+impl PartialEq for NamedRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
 impl FromIterator<(String, Value)> for NamedRow {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        NamedRow(iter.into_iter().collect())
+        let (names, values): (Vec<String>, Vec<Value>) = iter.into_iter().unzip();
+        Self::full(names.into(), values)
     }
 }
 
@@ -93,8 +169,9 @@ pub struct RepairRecord {
     pub lsn: Lsn,
     /// DBMS-internal transaction id.
     pub internal_txn: InternalTxnId,
-    /// Table the operation touched (empty for commit/abort).
-    pub table: String,
+    /// Table the operation touched (empty for commit/abort), shared by
+    /// every record of the scan that names the same table.
+    pub table: Arc<str>,
     /// The operation.
     pub op: RepairOp,
 }
@@ -118,15 +195,12 @@ impl RepairRecord {
     /// Columns this operation changed (for updates: the changed set; for
     /// inserts/deletes: every column).
     pub fn changed_columns(&self) -> Vec<String> {
-        match &self.op {
-            RepairOp::Insert { row, .. } | RepairOp::Delete { row, .. } => {
-                row.columns().iter().map(|s| s.to_string()).collect()
-            }
-            RepairOp::Update { after, .. } => {
-                after.columns().iter().map(|s| s.to_string()).collect()
-            }
-            _ => Vec::new(),
-        }
+        let row = match &self.op {
+            RepairOp::Insert { row, .. } | RepairOp::Delete { row, .. } => row,
+            RepairOp::Update { after, .. } => after,
+            _ => return Vec::new(),
+        };
+        row.iter().map(|(c, _)| c.to_string()).collect()
     }
 }
 

@@ -2,6 +2,9 @@
 
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+mod sql_oracle;
+
 use std::collections::BTreeSet;
 
 use resildb_engine::{Database, EngineError, Flavor, LogOp, Value};
@@ -494,6 +497,58 @@ fn repair_removes_tracking_rows_of_undone_transactions() {
     assert_eq!(r.rows, vec![vec![Value::Int(1)]]);
 }
 
+/// Analysis reads the tracking tables from the log: once a repair's
+/// committed compensation has deleted the undone transactions' tracking
+/// rows, a fresh analysis no longer holds their read edges or labels, and
+/// still equals the graph the SQL view of the tracking tables gives.
+fn reanalysis_after_repair_retracts_undone_tracking_rows(flavor: Flavor) {
+    let mut fx = fixture(flavor);
+    fx.exec("CREATE TABLE t (a INTEGER)");
+    fx.exec("CREATE TABLE r (a INTEGER)");
+    fx.txn("keep", &["INSERT INTO t (a) VALUES (1)"]);
+    fx.txn("attack", &["INSERT INTO t (a) VALUES (666)"]);
+    fx.txn(
+        "reader",
+        &[
+            "SELECT a FROM t WHERE a = 666",
+            "INSERT INTO r (a) VALUES (7)",
+        ],
+    );
+    let (keep, attack, reader) = (fx.txn_id("keep"), fx.txn_id("attack"), fx.txn_id("reader"));
+    let tool = RepairController::new(fx.db.clone());
+    let analysis = tool.analyze().unwrap();
+    assert_eq!(analysis.graph.dependencies_of(reader), [attack].into());
+    assert_eq!(analysis.graph.label(attack), "attack", "{flavor}");
+    let plan = tool.plan(&analysis, &[attack]);
+    assert_eq!(plan.undo_set, [attack, reader].into(), "{flavor}");
+    tool.execute(&analysis, &plan).unwrap();
+
+    let again = tool.analyze().unwrap();
+    assert!(again.graph.dependencies_of(reader).is_empty(), "{flavor}");
+    assert_eq!(
+        again.graph.label(attack),
+        format!("txn_{attack}"),
+        "{flavor}"
+    );
+    assert_eq!(
+        again.graph.label(reader),
+        format!("txn_{reader}"),
+        "{flavor}"
+    );
+    assert_eq!(again.graph.label(keep), "keep", "{flavor}");
+    assert!(
+        again.graph == sql_oracle::sql_graph_of(&fx.db, &again),
+        "{flavor}: the fold differs from the SQL join"
+    );
+}
+
+#[test]
+fn reanalysis_after_repair_retracts_undone_tracking_rows_on_all_flavors() {
+    for flavor in [Flavor::Postgres, Flavor::Oracle, Flavor::Sybase] {
+        reanalysis_after_repair_retracts_undone_tracking_rows(flavor);
+    }
+}
+
 #[test]
 fn dot_export_labels_nodes_like_figure_3() {
     let mut fx = fixture(Flavor::Postgres);
@@ -664,7 +719,7 @@ fn images_are_named_with_the_schema_of_their_lsn(flavor: Flavor) {
     let records = adapter_for(flavor).scan(&fx.db).unwrap();
     let inserts: Vec<&NamedRow> = records
         .iter()
-        .filter(|r| r.table == "t")
+        .filter(|r| &*r.table == "t")
         .filter_map(|r| match &r.op {
             RepairOp::Insert { row, .. } => Some(row),
             _ => None,

@@ -7,11 +7,12 @@
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use resildb_engine::{Database, Flavor, LogOp, LogRecord, Row, Value};
 use resildb_proxy::{prepare_database, ProxyConfig, TrackingProxy};
-use resildb_repair::adapters::{LogAdapter, PostgresAdapter};
+use resildb_repair::adapters::{adapter_for, LogAdapter, PostgresAdapter};
 use resildb_repair::{NamedRow, RepairOp, RepairRecord, RowAddress, TxnCorrelation};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver, Response};
 
@@ -104,7 +105,7 @@ fn run_history(conn: &mut dyn Connection, seed: u64) -> usize {
 }
 
 fn named(columns: &[String], row: &Row) -> NamedRow {
-    NamedRow(columns.iter().cloned().zip(row.0.iter().cloned()).collect())
+    columns.iter().cloned().zip(row.0.iter().cloned()).collect()
 }
 
 /// What the scan must return, from the raw log alone: images named with
@@ -152,12 +153,10 @@ fn projection(wal: &[LogRecord]) -> Vec<RepairRecord> {
             } => {
                 let names = &columns[table];
                 let cut = |image: &Row| {
-                    NamedRow(
-                        changed
-                            .iter()
-                            .map(|&i| (names[i].clone(), image.0[i].clone()))
-                            .collect(),
-                    )
+                    changed
+                        .iter()
+                        .map(|&i| (names[i].clone(), image.0[i].clone()))
+                        .collect()
                 };
                 (
                     table.clone(),
@@ -174,7 +173,7 @@ fn projection(wal: &[LogRecord]) -> Vec<RepairRecord> {
         out.push(RepairRecord {
             lsn: rec.lsn,
             internal_txn: rec.txn,
-            table,
+            table: table.into(),
             op,
         });
     }
@@ -220,8 +219,76 @@ proptest! {
         let tracked: BTreeSet<i64> = rows.iter().copied().collect();
         prop_assert!(rows.len() > tracked.len(), "no trans_dep row spilled");
         prop_assert_eq!(tracked.len(), committed);
-        let correlation = TxnCorrelation::from_records(&scan);
+        let correlation = TxnCorrelation::from_records(&scan).unwrap();
         let mapped: BTreeSet<i64> = correlation.internal_of.keys().copied().collect();
         prop_assert_eq!(mapped, tracked);
+    }
+}
+
+/// A table dropped mid-history and re-created with its columns reordered:
+/// on every flavor, each image is named with the schema in effect at its
+/// LSN, every image of one schema version shares that version's column
+/// list, and the re-create installs a new list instead of editing the old
+/// one, so images scanned before it keep their names.
+#[test]
+fn a_recreated_table_gets_a_new_shared_column_list() {
+    for flavor in [Flavor::Postgres, Flavor::Oracle, Flavor::Sybase] {
+        let db = Database::in_memory(flavor);
+        let native = NativeDriver::new(db.clone(), LinkProfile::local());
+        prepare_database(&mut *native.connect().unwrap()).unwrap();
+        let config = ProxyConfig::new(flavor);
+        let driver = TrackingProxy::single_proxy(db.clone(), LinkProfile::local(), config);
+        let mut conn = driver.connect().unwrap();
+        for sql in [
+            "CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)",
+            "INSERT INTO t (a, b) VALUES (1, 10), (2, 20)",
+            "UPDATE t SET b = 11 WHERE a = 1",
+            // Sybase recovers a MODIFY's row only from a later DELETE once
+            // its table is dropped.
+            "DELETE FROM t WHERE a = 1",
+            "DROP TABLE t",
+            "CREATE TABLE t (b INTEGER, c INTEGER, a INTEGER PRIMARY KEY)",
+            "INSERT INTO t (a, b, c) VALUES (3, 30, 300)",
+            "UPDATE t SET a = 4 WHERE a = 3",
+        ] {
+            conn.execute(sql).unwrap();
+        }
+        let records = adapter_for(flavor).scan(&db).unwrap();
+        let images: Vec<(&NamedRow, &Arc<[String]>)> = (records.iter())
+            .filter(|r| &*r.table == "t")
+            .flat_map(|r| match &r.op {
+                RepairOp::Insert { row, .. } | RepairOp::Delete { row, .. } => vec![row],
+                RepairOp::Update { before, after, .. } => vec![before, after],
+                other => panic!("{flavor}: unexpected {other:?}"),
+            })
+            .map(|image| (image, image.schema_columns()))
+            .collect();
+        // Two inserts, an update (before and after) and a delete, then
+        // an insert and an update.
+        assert_eq!(images.len(), 8, "{flavor}");
+        let (first, second) = images.split_at(5);
+        for (incarnation, columns) in [(first, ["a", "b"]), (second, ["b", "c"])] {
+            let list = incarnation[0].1;
+            assert_eq!(list[..2], columns, "{flavor}");
+            for (_, other) in incarnation {
+                assert!(
+                    Arc::ptr_eq(list, other),
+                    "{flavor}: one list per schema version"
+                );
+            }
+        }
+        assert!(!Arc::ptr_eq(first[0].1, second[0].1), "{flavor}");
+        assert_eq!(
+            first[0].1[..2],
+            ["a", "b"],
+            "{flavor}: the old list is unchanged"
+        );
+        // The updates name their changed columns (the value and the
+        // proxy's `trid` stamp) through their version's list.
+        assert_eq!(first[2].0.columns()[0], "b", "{flavor}");
+        assert_eq!(first[3].0.get("b"), Some(&Value::Int(11)), "{flavor}");
+        assert_eq!(second[1].0.columns()[0], "a", "{flavor}");
+        assert_eq!(second[2].0.get("a"), Some(&Value::Int(4)), "{flavor}");
+        assert_eq!(second[0].0.get("c"), Some(&Value::Int(300)), "{flavor}");
     }
 }

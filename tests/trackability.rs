@@ -241,7 +241,7 @@ proptest! {
         let mut dynamic: BTreeMap<&str, BTreeMap<String, DynFootprint>> = BTreeMap::new();
         for rec in &analysis.records {
             if rec.table.is_empty()
-                || resildb_proxy::TRACKING_TABLES.contains(&rec.table.as_str())
+                || resildb_proxy::TRACKING_TABLES.contains(&&*rec.table)
             {
                 continue;
             }
@@ -255,7 +255,7 @@ proptest! {
             let fp = dynamic
                 .entry(class)
                 .or_default()
-                .entry(rec.table.clone())
+                .entry(rec.table.to_string())
                 .or_default();
             match &rec.op {
                 RepairOp::Insert { .. } => fp.inserts = true,
