@@ -1,16 +1,16 @@
 //! The workspace's one JSON reader.
 //!
 //! The workspace is dependency-free by policy, so machine-readable
-//! artifacts are written with hand-rolled emitters and read back with
-//! this recursive-descent parser: lint and blast-radius baselines,
-//! flight-recorder captures, the `/incidents` document, benchmark result
-//! files. It accepts the full JSON grammar — objects, arrays, strings
-//! with `\uXXXX` escapes, numbers, booleans, null — and reports the byte
-//! offset of the first violation otherwise, which is what lets
-//! `resildb-lint` fail *loudly* on a corrupted baseline instead of
-//! silently gating against garbage. Its inputs are operator-supplied
-//! files, so nesting depth is bounded and the integer accessors never
-//! round.
+//! artifacts are written by `resildb_telemetry::json::JsonWriter` (and
+//! this crate's lint reports) and read back with this parser: lint and
+//! blast-radius baselines, flight-recorder captures, the `/incidents`
+//! document, benchmark result files. It accepts the full JSON grammar —
+//! objects, arrays, strings with `\uXXXX` escapes (surrogate pairs
+//! included), numbers, booleans, null — and reports the byte offset of
+//! the first violation otherwise, which is what lets `resildb-lint` fail
+//! *loudly* on a corrupted baseline instead of silently gating against
+//! garbage. Its inputs are operator-supplied files, so nesting depth is
+//! bounded and the integer accessors never round.
 
 use std::collections::BTreeMap;
 
@@ -255,19 +255,7 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not emitted by our exporters;
-                            // map lone surrogates to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(format!(
                                 "invalid escape `\\{}` at byte {}",
@@ -296,6 +284,32 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The scalar of a `\uXXXX` escape whose `\u` is consumed: a high
+    /// surrogate directly followed by a `\u` low surrogate is one
+    /// non-BMP scalar (as `json.dumps("😀")` writes it); a lone surrogate
+    /// is U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos..].starts_with(b"\\u") {
+            self.pos += 2;
+            match self.hex4()? {
+                low @ 0xDC00..=0xDFFF => code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00),
+                // Not a pair: the next escape is read on its own.
+                _ => self.pos -= 6,
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{FFFD}'))
+    }
+
+    /// Exactly four hex digits (no sign, unlike `u32::from_str_radix`).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digit = |i| char::from(*self.bytes.get(self.pos + i)?).to_digit(16);
+        let code = (0..4).try_fold(0, |acc, i| Some(acc * 16 + digit(i)?));
+        let code = code.ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -344,6 +358,37 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse_json(r#""a\"b\\c\nAé""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\nAé"));
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let s = |text: &str| parse_json(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(s(r#""\uD83D\uDE00x""#), "😀x");
+        assert_eq!(s(r#""\udbff\udfff""#), "\u{10FFFF}");
+        assert_eq!(s(r#""\ud83d""#), "\u{FFFD}");
+        assert_eq!(s(r#""\ude00\ud83d""#), "\u{FFFD}\u{FFFD}");
+        assert_eq!(s(r#""\ud83dx""#), "\u{FFFD}x");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{FFFD}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{FFFD}😀");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            parse_json(r#""\u00e9\u00C9""#).unwrap().as_str(),
+            Some("éÉ")
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\u004g""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+        assert!(parse_json(r#""\ud83d\u+de0""#).is_err());
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use derive::{infer_derivable_columns, DerivableColumn};
 pub use dot::{DotBuilder, EdgeStyle, FILL_ATTACK, FILL_CLOSURE};
 pub use jsonish::{parse_json, JsonValue};
 pub use profile::{group_transactions, profiles_from_groups, TxnProfile, WriteFootprint};
-pub use report::{escape_json, CoverageReport, StatementReport};
+pub use report::{CoverageReport, StatementReport};
 // Re-exported so profile consumers can inspect footprints without a
 // direct dependency on the SQL crate.
 pub use resildb_sql::ColumnSet;

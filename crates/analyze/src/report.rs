@@ -213,9 +213,9 @@ fn truncate(s: &str, max: usize) -> String {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control characters).
-// A copy of `resildb_telemetry::export::json_string`'s escaping: this crate
+// A copy of `resildb_telemetry::json::JsonWriter`'s escaping: this crate
 // cannot depend on telemetry until `benchmark/Cargo.lock` is refreshed.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -16,9 +16,10 @@
 
 // Harness target: setup failures panic with context by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use resildb_bench::fig4::{cells_json, render, run, Scale};
+use resildb_bench::fig4::{self, render, run, Scale};
 use resildb_bench::json::{self, Probe};
-use resildb_bench::threads::{self, scaling_json, thread_counts};
+use resildb_bench::threads::{self, thread_counts};
+use resildb_core::telemetry::json::JsonWriter;
 
 fn main() {
     let flags = json::flags_or_exit(
@@ -41,23 +42,25 @@ fn main() {
         }
     }
 
-    let (bench, results) = if let Some(n) = threads {
+    let report = |bench: &str, results: &dyn Fn(&mut JsonWriter)| {
+        if let (Some(path), Some(probe)) = (json_out, &probe) {
+            json::write_report(path, bench, results, &probe.snapshot(), &probe.run_meta())
+                .expect("write json report");
+            println!("\nJSON report written to {path}");
+        }
+    };
+    if let Some(n) = threads {
         // Threaded wall-clock mode (--wall-clock is implied).
         let cells = threads::run(&thread_counts(n as usize), scale, probe.as_ref());
         print!("{}", threads::render(&cells));
-        ("fig4-threads", scaling_json(&cells))
+        report("fig4-threads", &|w| threads::write_json(w, &cells));
     } else {
         if !rewrite_cache {
             println!("(proxy statement-template rewrite cache DISABLED)");
         }
         let cells = run(scale, rewrite_cache, probe.as_ref());
         print!("{}", render(&cells));
-        ("fig4", cells_json(&cells))
-    };
-    if let (Some(path), Some(probe)) = (json_out, &probe) {
-        json::write_report(path, bench, &results, &probe.snapshot(), &probe.run_meta())
-            .expect("write json report");
-        println!("\nJSON report written to {path}");
+        report("fig4", &|w| fig4::write_json(w, &cells));
     }
     if let (Some(path), Some(probe)) = (trace_out, &probe) {
         json::write_trace(path, &probe.telemetry().flight().snapshot())

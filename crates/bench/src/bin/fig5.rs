@@ -8,26 +8,21 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use resildb_bench::fig5::Point;
 use resildb_bench::json::{self, Probe};
-use resildb_core::telemetry::export::format_f64;
+use resildb_core::telemetry::json::JsonWriter;
 
-fn points_json(points: &[Point]) -> String {
-    let items: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"w\":{},\"t_detect\":{},\"rolled_back_all\":{},\
-                 \"saved_pct_all\":{},\"rolled_back_filtered\":{},\
-                 \"saved_pct_filtered\":{}}}",
-                p.w,
-                p.t_detect,
-                p.rolled_back_all,
-                format_f64(p.saved_pct_all),
-                p.rolled_back_filtered,
-                format_f64(p.saved_pct_filtered),
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+fn write_points(w: &mut JsonWriter, points: &[Point]) {
+    w.array(|w| {
+        for p in points {
+            w.object(|w| {
+                w.field("w", p.w)
+                    .field("t_detect", p.t_detect)
+                    .field("rolled_back_all", p.rolled_back_all)
+                    .field("saved_pct_all", p.saved_pct_all)
+                    .field("rolled_back_filtered", p.rolled_back_filtered)
+                    .field("saved_pct_filtered", p.saved_pct_filtered);
+            });
+        }
+    });
 }
 
 fn main() {
@@ -45,7 +40,7 @@ fn main() {
         json::write_report(
             path,
             "fig5",
-            &points_json(&points),
+            |w| write_points(w, &points),
             &probe.snapshot(),
             &probe.run_meta(),
         )

@@ -20,7 +20,8 @@ use std::sync::Arc;
 
 use resildb_bench::json::{self, Probe};
 use resildb_bench::mttr::{self, lock_slot, ObserveSlot};
-use resildb_core::{MetricsServer, MetricsSnapshot, ServerRoutes};
+use resildb_core::telemetry::json::JsonWriter;
+use resildb_core::{IncidentTimeline, MetricsServer, MetricsSnapshot, ServerRoutes};
 
 /// Builds the endpoint routes over the shared observation slot. Before
 /// a point installs itself the endpoint serves empty-but-valid data, so
@@ -43,7 +44,7 @@ fn observe_routes(slot: &Arc<ObserveSlot>) -> ServerRoutes {
         })
         .incidents(move || match &*lock_slot(&incidents_slot) {
             Some(rdb) => rdb.telemetry().timeline().to_json(),
-            None => "{\"incidents\":[]}".to_string(),
+            None => IncidentTimeline::default().to_json(),
         })
         .allow_quit(true)
 }
@@ -78,20 +79,22 @@ fn main() {
         println!("observability endpoint on http://{}/", server.addr());
         server
     });
-    let (bench, results) = if live {
+    let report = |bench: &str, results: &dyn Fn(&mut JsonWriter)| {
+        if let (Some(path), Some(probe)) = (json_out, &probe) {
+            json::write_report(path, bench, results, &probe.snapshot(), &probe.run_meta())
+                .expect("write json report");
+            println!("\nJSON report written to {path}");
+        }
+    };
+    if live {
         let observe = server.as_ref().map(|_| &*slot);
         let points = mttr::run_live(&grid, probe.as_ref(), observe);
         print!("{}", mttr::render_live(&points));
-        ("mttr-live", mttr::live_points_json(&points))
+        report("mttr-live", &|w| mttr::write_live_json(w, &points));
     } else {
         let points = mttr::run(&grid, probe.as_ref());
         print!("{}", mttr::render(&points));
-        ("mttr", mttr::points_json(&points))
-    };
-    if let (Some(path), Some(probe)) = (json_out, &probe) {
-        json::write_report(path, bench, &results, &probe.snapshot(), &probe.run_meta())
-            .expect("write json report");
-        println!("\nJSON report written to {path}");
+        report("mttr", &|w| mttr::write_json(w, &points));
     }
     if let (Some(path), Some(probe)) = (trace_out, &probe) {
         json::write_trace(path, &probe.telemetry().flight().snapshot())

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use resildb_core::telemetry::export::{format_f64, json_string};
+use resildb_core::telemetry::json::JsonWriter;
 use resildb_core::{Flavor, LinkProfile};
 use resildb_tpcc::{Mix, TpccConfig, TpccRunner};
 
@@ -232,26 +232,21 @@ pub fn run(scale: Scale, rewrite_cache: bool, probe: Option<&Probe>) -> Vec<Cell
     out
 }
 
-/// The cells as the `results` array of the `--json-out` report.
-pub fn cells_json(cells: &[Cell]) -> String {
-    let items: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"flavor\":{},\"networked\":{},\"read_intensive\":{},\
-                 \"large_footprint\":{},\"base_tps\":{},\"proxy_tps\":{},\
-                 \"overhead_pct\":{}}}",
-                json_string(c.flavor.name()),
-                c.networked,
-                c.read_intensive,
-                c.large_footprint,
-                format_f64(c.base_tps),
-                format_f64(c.proxy_tps),
-                format_f64(c.overhead_pct()),
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+/// Writes the cells as the `results` array of the `--json-out` report.
+pub fn write_json(w: &mut JsonWriter, cells: &[Cell]) {
+    w.array(|w| {
+        for c in cells {
+            w.object(|w| {
+                w.field("flavor", c.flavor.name())
+                    .field("networked", c.networked)
+                    .field("read_intensive", c.read_intensive)
+                    .field("large_footprint", c.large_footprint)
+                    .field("base_tps", c.base_tps)
+                    .field("proxy_tps", c.proxy_tps)
+                    .field("overhead_pct", c.overhead_pct());
+            });
+        }
+    });
 }
 
 /// Renders the four panels the way the paper lays them out.

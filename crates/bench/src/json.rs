@@ -10,7 +10,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use resildb_core::telemetry::export::{self, json_string};
+use resildb_core::telemetry::export;
+use resildb_core::telemetry::json::JsonWriter;
 use resildb_core::{telemetry::trace, MetricsSnapshot, ProxyConfig, ProxyConfigBuilder, Telemetry};
 
 /// A bench binary's parsed command line: each flag given, with its value
@@ -119,17 +120,14 @@ impl RunMeta {
         }
     }
 
-    /// Renders the meta block as a JSON object.
-    pub fn to_json(&self) -> String {
-        let proxy = match &self.proxy_config {
-            Some(s) => json_string(s),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"git_sha\":{},\"timestamp_utc\":{},\"proxy_config\":{proxy}}}",
-            json_string(&self.git_sha),
-            json_string(&self.timestamp_utc),
-        )
+    /// Writes the meta block as a JSON object (`proxy_config` is `null`
+    /// when the bench did not run through the proxy).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("git_sha", self.git_sha.as_str())
+                .field("timestamp_utc", self.timestamp_utc.as_str())
+                .field("proxy_config", self.proxy_config.as_deref());
+        });
     }
 }
 
@@ -245,8 +243,8 @@ impl Probe {
     }
 }
 
-/// Writes the combined document: `results` must already be a JSON value
-/// (array or object) rendered by the caller.
+/// Writes the combined document `{"bench":..,"meta":..,"results":..,
+/// "metrics":..}`; `results` writes the figure's one results value.
 ///
 /// # Errors
 ///
@@ -254,16 +252,19 @@ impl Probe {
 pub fn write_report(
     path: &str,
     bench: &str,
-    results: &str,
+    results: impl FnOnce(&mut JsonWriter),
     snapshot: &MetricsSnapshot,
     meta: &RunMeta,
 ) -> std::io::Result<()> {
-    let doc = format!(
-        "{{\"bench\":\"{bench}\",\"meta\":{},\"results\":{results},\"metrics\":{}}}\n",
-        meta.to_json(),
-        export::to_json(snapshot)
-    );
-    write_creating_dir(path, doc)
+    let doc = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.field("bench", bench);
+            meta.write_json(w.key("meta"));
+            results(w.key("results"));
+            export::write_json(w.key("metrics"), snapshot);
+        });
+    });
+    write_creating_dir(path, doc + "\n")
 }
 
 /// Writes a flight-recorder capture: JSONL when `path` ends in `.jsonl`,
@@ -358,7 +359,7 @@ mod tests {
     #[test]
     fn run_meta_renders_valid_fields() {
         let meta = RunMeta::collect(Some("flavor=postgres".into()));
-        let json = meta.to_json();
+        let json = JsonWriter::render(|w| meta.write_json(w));
         assert!(json.contains("\"git_sha\":\""));
         assert!(json.contains("\"proxy_config\":\"flavor=postgres\""));
         // ISO-8601: YYYY-MM-DDThh:mm:ssZ.
@@ -368,7 +369,7 @@ mod tests {
         assert_eq!(&ts[10..11], "T");
         assert!(ts.ends_with('Z'));
         assert!(ts.starts_with("20"), "unix-era year: {ts}");
-        let no_proxy = RunMeta::collect(None).to_json();
+        let no_proxy = JsonWriter::render(|w| RunMeta::collect(None).write_json(w));
         assert!(no_proxy.contains("\"proxy_config\":null"));
     }
 

@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use resildb_core::telemetry::export::format_f64;
+use resildb_core::telemetry::json::{JsonWriter, Scalar};
 use resildb_core::{
     Driver as _, Flavor, IncidentProgress, IncidentRecord, IncidentTimeline, LinkProfile, Micros,
     ProxyConfig, ResilientDb, SimContext, WireError,
@@ -157,24 +157,19 @@ pub fn run(t_detects: &[usize], probe: Option<&Probe>) -> Vec<MttrPoint> {
     t_detects.iter().map(|&t| run_point(t, probe)).collect()
 }
 
-/// The points as the `results` array of the `--json-out` report.
-pub fn points_json(points: &[MttrPoint]) -> String {
-    let items: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"t_detect\":{},\"selective_repair_us\":{},\
-                 \"compensating_statements\":{},\"restore_and_replay_us\":{},\
-                 \"speedup\":{}}}",
-                p.t_detect,
-                p.selective_repair.as_micros(),
-                p.compensating_statements,
-                p.restore_and_replay.as_micros(),
-                format_f64(p.speedup()),
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+/// Writes the points as the `results` array of the `--json-out` report.
+pub fn write_json(w: &mut JsonWriter, points: &[MttrPoint]) {
+    w.array(|w| {
+        for p in points {
+            w.object(|w| {
+                w.field("t_detect", p.t_detect)
+                    .field("selective_repair_us", p.selective_repair.as_micros())
+                    .field("compensating_statements", p.compensating_statements)
+                    .field("restore_and_replay_us", p.restore_and_replay.as_micros())
+                    .field("speedup", p.speedup());
+            });
+        }
+    });
 }
 
 /// Renders the comparison table.
@@ -376,56 +371,34 @@ pub fn run_live(
         .collect()
 }
 
-/// The per-incident timeline of a live point: phase marks plus the
-/// MTTD/MTTC/MTTR decomposition (nanoseconds, so the three phases sum
-/// to the wall time *exactly* — microsecond rounding would break that).
-fn timeline_json(p: &LiveMttrPoint) -> String {
-    let Some(incident) = &p.incident else {
-        return "null".to_string();
-    };
-    let d = incident.decomposition();
-    let marks: Vec<String> = incident
-        .marks
-        .iter()
-        .map(|m| format!("{{\"phase\":\"{}\",\"at_ns\":{}}}", m.phase.name(), m.at_ns))
-        .collect();
-    format!(
-        "{{\"incident\":{},\"marks\":[{}],\"mttd_ns\":{},\"mttc_ns\":{},\
-         \"mttr_ns\":{},\"wall_ns\":{}}}",
-        incident.id,
-        marks.join(","),
-        d.mttd_ns,
-        d.mttc_ns,
-        d.mttr_ns,
-        d.wall_ns,
-    )
-}
-
-/// The live points as the `results` array of the `--json-out` report.
-pub fn live_points_json(points: &[LiveMttrPoint]) -> String {
-    let items: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"t_detect\":{},\"repair_wall_us\":{},\"attempted\":{},\
-                 \"served\":{},\"fenced\":{},\"availability\":{},\
-                 \"fenced_tables\":{},\"fenced_rows\":{},\
-                 \"extension_rounds\":{},\"undo_set\":{},\"timeline\":{}}}",
-                p.t_detect,
-                p.repair_wall.as_micros(),
-                p.attempted,
-                p.served,
-                p.fenced,
-                format_f64(p.availability()),
-                p.fence().fence_tables,
-                p.fence().fence_rows,
-                p.fence().extension_rounds,
-                p.undo_set,
-                timeline_json(p),
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
+/// Writes the live points as the `results` array of the `--json-out`
+/// report. Each point's `"timeline"` is its incident as `/incidents`
+/// serves it ([`IncidentRecord::write_json`]), or `null`.
+pub fn write_live_json(w: &mut JsonWriter, points: &[LiveMttrPoint]) {
+    w.array(|w| {
+        for p in points {
+            let fence = p.fence();
+            let repair_wall_us = u64::try_from(p.repair_wall.as_micros()).unwrap_or(u64::MAX);
+            w.object(|w| {
+                w.field("t_detect", p.t_detect)
+                    .field("repair_wall_us", repair_wall_us)
+                    .field("attempted", p.attempted)
+                    .field("served", p.served)
+                    .field("fenced", p.fenced)
+                    .field("availability", p.availability())
+                    .field("fenced_tables", fence.fence_tables)
+                    .field("fenced_rows", fence.fence_rows)
+                    .field("extension_rounds", fence.extension_rounds)
+                    .field("undo_set", p.undo_set);
+                match &p.incident {
+                    Some(incident) => incident.write_json(w.key("timeline")),
+                    None => {
+                        w.field("timeline", Scalar::Null);
+                    }
+                }
+            });
+        }
+    });
 }
 
 /// Renders the live-availability table.

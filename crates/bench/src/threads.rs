@@ -21,7 +21,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use resildb_core::telemetry::export::format_f64;
+use resildb_core::telemetry::json::JsonWriter;
 use resildb_core::{
     prepare_database, CostModel, Database, Driver, Flavor, LinkProfile, MetricsSnapshot, Micros,
     NativeDriver, Telemetry, TrackingProxy,
@@ -228,29 +228,28 @@ pub fn run(counts: &[usize], scale: Scale, probe: Option<&Probe>) -> Vec<ThreadC
         .collect()
 }
 
-/// The scaling curve as the `results` object of the `--json-out` report.
-pub fn scaling_json(cells: &[ThreadCell]) -> String {
+/// Writes the scaling curve as the `results` object of the `--json-out`
+/// report.
+pub fn write_json(w: &mut JsonWriter, cells: &[ThreadCell]) {
     let anchor = cells.first().map_or(0.0, |c| c.base_tps);
-    let items: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            let scaling = if anchor > 0.0 {
-                c.base_tps / anchor
-            } else {
-                0.0
-            };
-            format!(
-                "{{\"threads\":{},\"base_tps\":{},\"proxy_tps\":{},\
-                 \"overhead_pct\":{},\"base_scaling\":{}}}",
-                c.threads,
-                format_f64(c.base_tps),
-                format_f64(c.proxy_tps),
-                format_f64(c.overhead_pct()),
-                format_f64(scaling),
-            )
-        })
-        .collect();
-    format!("{{\"scaling\":[{}]}}", items.join(","))
+    w.object(|w| {
+        w.key("scaling").array(|w| {
+            for c in cells {
+                let scaling = if anchor > 0.0 {
+                    c.base_tps / anchor
+                } else {
+                    0.0
+                };
+                w.object(|w| {
+                    w.field("threads", c.threads)
+                        .field("base_tps", c.base_tps)
+                        .field("proxy_tps", c.proxy_tps)
+                        .field("overhead_pct", c.overhead_pct())
+                        .field("base_scaling", scaling);
+                });
+            }
+        });
+    });
 }
 
 /// Renders the scaling curve as a report table.

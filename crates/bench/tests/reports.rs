@@ -12,10 +12,15 @@ use resildb_bench::fig4::{self, Scale};
 use resildb_bench::json::{write_report, write_trace, Probe};
 use resildb_bench::mttr::{self, lock_slot, ObserveSlot};
 use resildb_bench::threads::{self, thread_counts};
-use resildb_core::telemetry::to_prometheus;
+use resildb_core::telemetry::{json::JsonWriter, to_prometheus};
 
 /// Writes the report the way the binaries do and reads it back.
-fn report(name: &str, bench: &str, results: &str, probe: &Probe) -> JsonValue {
+fn report(
+    name: &str,
+    bench: &str,
+    results: impl FnOnce(&mut JsonWriter),
+    probe: &Probe,
+) -> JsonValue {
     let path = format!("{}/{name}", env!("CARGO_TARGET_TMPDIR"));
     write_report(&path, bench, results, &probe.snapshot(), &probe.run_meta()).unwrap();
     let doc = parse_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
@@ -62,7 +67,7 @@ fn fig4_report_and_chrome_trace() {
     let probe = Probe::new();
     probe.enable_tracing();
     let cells = fig4::run(Scale::Quick, true, Some(&probe));
-    let doc = report("fig4.json", "fig4", &fig4::cells_json(&cells), &probe);
+    let doc = report("fig4.json", "fig4", |w| fig4::write_json(w, &cells), &probe);
     let results = at(&doc, &["results"]).as_array().unwrap();
     assert_eq!(results.len(), 24);
     let cell_keys =
@@ -121,7 +126,7 @@ fn thread_scaling_report() {
     let doc = report(
         "threads.json",
         "fig4-threads",
-        &threads::scaling_json(&cells),
+        |w| threads::write_json(w, &cells),
         &probe,
     );
     let scaling = at(&doc, &["results", "scaling"]).as_array().unwrap();
@@ -153,7 +158,7 @@ fn live_repair_report_and_incident_timeline() {
     let doc = report(
         "mttr-live.json",
         "mttr-live",
-        &mttr::live_points_json(&points),
+        |w| mttr::write_live_json(w, &points),
         &probe,
     );
     let results = at(&doc, &["results"]).as_array().unwrap();
@@ -166,7 +171,7 @@ fn live_repair_report_and_incident_timeline() {
         // The decomposition sums to the wall time exactly; the marks cover
         // every phase and are strictly monotonic.
         let t = at(p, &["timeline"]);
-        let ns = |key| at(t, &[key]).as_u64().unwrap();
+        let ns = |key| at(t, &["decomposition", key]).as_u64().unwrap();
         assert_eq!(ns("mttd_ns") + ns("mttc_ns") + ns("mttr_ns"), ns("wall_ns"));
         let marks = at(t, &["marks"]).as_array().unwrap();
         let phases = strings(marks, &["phase"]);

@@ -186,7 +186,7 @@ impl ResilientDb {
     /// cache, enforcement), engine (statement cache, commits, span
     /// histograms), simulation substrate (buffer pool, WAL, link), and
     /// repair (phase histograms). Render it with
-    /// [`resildb_sim::telemetry::export::to_text`] or
+    /// [`resildb_sim::telemetry::to_prometheus`] or
     /// [`resildb_sim::telemetry::export::to_json`].
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.db.metrics();

@@ -1,110 +1,49 @@
-//! Text and JSON exporters for [`MetricsSnapshot`].
-//!
-//! Both exporters emit the same names and values in the same (sorted)
-//! order, so a text report and a JSON report of one snapshot are
-//! line-for-line comparable; a unit test below enforces the parity.
+//! The JSON exporter for [`MetricsSnapshot`]; the text format is
+//! Prometheus ([`crate::to_prometheus`]). Names appear in sorted order
+//! (the snapshot's maps are ordered), so two exports of one registry
+//! state are byte-identical and bench artifacts diff cleanly.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-
-/// Render a snapshot as a stable, line-oriented text report.
-///
-/// Format (names sorted within each section):
-/// ```text
-/// counter <name> <value>
-/// gauge <name> <value>
-/// histogram <name> count=<n> p50_ns=<n> p95_ns=<n> p99_ns=<n> max_ns=<n> sum_ns=<n>
-/// ```
-pub fn to_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for (name, v) in &snap.counters {
-        out.push_str(&format!("counter {name} {v}\n"));
-    }
-    for (name, v) in &snap.gauges {
-        out.push_str(&format!("gauge {name} {}\n", format_f64(*v)));
-    }
-    for (name, h) in &snap.histograms {
-        out.push_str(&format!(
-            "histogram {name} count={} p50_ns={} p95_ns={} p99_ns={} max_ns={} sum_ns={}\n",
-            h.count, h.p50_ns, h.p95_ns, h.p99_ns, h.max_ns, h.sum_ns
-        ));
-    }
-    out
-}
+use crate::json::JsonWriter;
+use crate::metrics::MetricsSnapshot;
 
 /// Render a snapshot as a JSON object with `counters`, `gauges` and
-/// `histograms` maps — the same names and values as [`to_text`].
+/// `histograms` maps, each keyed by metric name.
 pub fn to_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{");
-    out.push_str("\"counters\":{");
-    push_entries(
-        &mut out,
-        snap.counters.iter().map(|(k, v)| (k, v.to_string())),
-    );
-    out.push_str("},\"gauges\":{");
-    push_entries(
-        &mut out,
-        snap.gauges.iter().map(|(k, v)| (k, format_f64(*v))),
-    );
-    out.push_str("},\"histograms\":{");
-    push_entries(
-        &mut out,
-        snap.histograms.iter().map(|(k, h)| (k, histogram_json(h))),
-    );
-    out.push_str("}}");
-    out
+    JsonWriter::render(|w| write_json(w, snap))
 }
 
-fn push_entries<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
-    let mut first = true;
-    for (name, value) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&json_string(name));
-        out.push(':');
-        out.push_str(&value);
-    }
-}
-
-fn histogram_json(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"sum_ns\":{}}}",
-        h.count, h.p50_ns, h.p95_ns, h.p99_ns, h.max_ns, h.sum_ns
-    )
-}
-
-/// Escape a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format an `f64` as a valid JSON number (finite; NaN/inf become 0).
-pub fn format_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
+/// Write the [`to_json`] object into a larger document.
+pub fn write_json(w: &mut JsonWriter, snap: &MetricsSnapshot) {
+    w.object(|w| {
+        w.key("counters").object(|w| {
+            for (name, v) in &snap.counters {
+                w.field(name, *v);
+            }
+        });
+        w.key("gauges").object(|w| {
+            for (name, v) in &snap.gauges {
+                w.field(name, *v);
+            }
+        });
+        w.key("histograms").object(|w| {
+            for (name, h) in &snap.histograms {
+                w.key(name).object(|w| {
+                    w.field("count", h.count)
+                        .field("p50_ns", h.p50_ns)
+                        .field("p95_ns", h.p95_ns)
+                        .field("p99_ns", h.p99_ns)
+                        .field("max_ns", h.max_ns)
+                        .field("sum_ns", h.sum_ns);
+                });
+            }
+        });
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::HistogramSnapshot;
 
     fn sample_snapshot() -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
@@ -127,16 +66,6 @@ mod tests {
     }
 
     #[test]
-    fn text_is_sorted_and_stable() {
-        let text = to_text(&sample_snapshot());
-        let expected = "counter engine.commit.count 7\n\
-                        counter proxy.rewrite_cache.hits 42\n\
-                        gauge sim.pool.hit_ratio 0.96875\n\
-                        histogram engine.execute count=10 p50_ns=1023 p95_ns=4000 p99_ns=4000 max_ns=4000 sum_ns=12345\n";
-        assert_eq!(text, expected);
-    }
-
-    #[test]
     fn json_parses_shape() {
         let json = to_json(&sample_snapshot());
         assert!(json.starts_with('{') && json.ends_with('}'));
@@ -144,52 +73,6 @@ mod tests {
         assert!(json.contains("\"engine.commit.count\":7"));
         assert!(json.contains("\"sim.pool.hit_ratio\":0.96875"));
         assert!(json.contains("\"p95_ns\":4000"));
-    }
-
-    /// Text and JSON exporters must serialize the *same* names and
-    /// values in the same order — the acceptance criterion's
-    /// "serialized identically" check.
-    #[test]
-    fn text_and_json_export_identical_data() {
-        let snap = sample_snapshot();
-        let text = to_text(&snap);
-        let json = to_json(&snap);
-        // Every counter/gauge line in the text report has a matching
-        // key/value pair in the JSON report, and vice versa (counts
-        // match, so a bijection).
-        let mut text_pairs = Vec::new();
-        for line in text.lines() {
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().unwrap();
-            let name = parts.next().unwrap();
-            match kind {
-                "counter" | "gauge" => {
-                    text_pairs.push((name.to_string(), parts.next().unwrap().to_string()));
-                }
-                "histogram" => {
-                    for kv in parts {
-                        let (k, v) = kv.split_once('=').unwrap();
-                        text_pairs.push((format!("{name}.{k}"), v.to_string()));
-                    }
-                }
-                other => panic!("unexpected line kind {other}"),
-            }
-        }
-        for (name, value) in &text_pairs {
-            // histogram fields appear as "name":{..."field":value...}
-            let direct = format!("{}:{}", json_string(name), value);
-            let nested = name
-                .rsplit_once('.')
-                .map(|(_, field)| format!("\"{field}\":{value}"));
-            assert!(
-                json.contains(&direct) || nested.map(|n| json.contains(&n)).unwrap_or(false),
-                "text pair {name}={value} missing from JSON: {json}"
-            );
-        }
-        assert_eq!(
-            text_pairs.len(),
-            2 /* counters */ + 1 /* gauge */ + 6, /* histogram fields */
-        );
     }
 
     /// Exports are deterministic: two snapshots of the same registry
@@ -205,24 +88,27 @@ mod tests {
             registry.histogram("engine.execute").record(ns);
         }
         let (a, b) = (registry.snapshot(), registry.snapshot());
-        assert_eq!(to_text(&a).into_bytes(), to_text(&b).into_bytes());
         assert_eq!(to_json(&a).into_bytes(), to_json(&b).into_bytes());
         // Keys appear in sorted order, independent of insertion order.
-        let text = to_text(&a);
-        let engine = text.find("counter engine.commit.count").unwrap();
-        let proxy = text.find("counter proxy.rewrite_cache.hits").unwrap();
+        let json = to_json(&a);
+        let engine = json.find("\"engine.commit.count\"").unwrap();
+        let proxy = json.find("\"proxy.rewrite_cache.hits\"").unwrap();
         assert!(engine < proxy);
     }
 
     #[test]
     fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        let mut snap = MetricsSnapshot::default();
+        snap.set_counter("a\"b\\c\n", 1);
+        assert!(to_json(&snap).contains("{\"a\\\"b\\\\c\\n\":1}"));
     }
 
     #[test]
     fn nonfinite_gauges_serialize_as_zero() {
-        assert_eq!(format_f64(f64::NAN), "0");
-        assert_eq!(format_f64(f64::INFINITY), "0");
-        assert_eq!(format_f64(1.5), "1.5");
+        let mut snap = MetricsSnapshot::default();
+        snap.set_gauge("a", f64::NAN);
+        snap.set_gauge("b", f64::INFINITY);
+        snap.set_gauge("c", 1.5);
+        assert!(to_json(&snap).contains("{\"a\":0,\"b\":0,\"c\":1.5}"));
     }
 }

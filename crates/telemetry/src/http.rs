@@ -47,7 +47,7 @@ impl Default for ServerRoutes {
         ServerRoutes {
             metrics: Box::new(MetricsSnapshot::default),
             ready: Box::new(|| true),
-            incidents: Box::new(|| "{\"incidents\":[]}".to_string()),
+            incidents: Box::new(|| crate::IncidentTimeline::default().to_json()),
             allow_quit: false,
         }
     }
@@ -131,14 +131,6 @@ impl MetricsServer {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Stop the accept loop and join the server thread.
-    pub(crate) fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-
     /// Block until the accept loop exits (a `/quit` request stops it).
     pub fn join(&mut self) {
         if let Some(thread) = self.thread.take() {
@@ -149,7 +141,8 @@ impl MetricsServer {
 
 impl Drop for MetricsServer {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop.store(true, Ordering::Relaxed);
+        self.join();
     }
 }
 

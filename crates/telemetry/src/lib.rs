@@ -9,8 +9,9 @@
 //!   registry; when disabled, starting a span costs one relaxed atomic
 //!   load (mirroring the disarmed-failpoint fast path in
 //!   `crates/sim/src/fault.rs`);
-//! * [`export::to_text`] / [`export::to_json`] — stable exporters that
-//!   serialize a [`MetricsSnapshot`] identically;
+//! * [`export::to_json`] / [`to_prometheus`] — the JSON and text
+//!   exporters of a [`MetricsSnapshot`], the former (like every JSON
+//!   document on the runtime side) written by [`json::JsonWriter`];
 //! * [`FlightRecorder`] — a bounded ring buffer of typed lifecycle
 //!   [`TraceEvent`]s (see [`trace`]) forming per-transaction causal
 //!   timelines, exportable as JSONL or Chrome Trace Event Format;
@@ -45,6 +46,7 @@
 
 pub mod export;
 pub mod http;
+pub mod json;
 mod metrics;
 pub mod prometheus;
 mod span;

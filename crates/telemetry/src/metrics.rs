@@ -182,6 +182,18 @@ impl Default for HistogramSnapshot {
     }
 }
 
+/// The metric named `name` in `map`, created on first use (a hit does
+/// not allocate).
+fn get_or_create<T: Default>(map: &Mutex<HashMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = lock(map);
+    if let Some(metric) = map.get(name) {
+        return Arc::clone(metric);
+    }
+    let metric = Arc::<T>::default();
+    map.insert(name.to_string(), Arc::clone(&metric));
+    metric
+}
+
 /// A registry of named metrics. Handles are `Arc`s, so callers can cache
 /// them and record without touching the registry lock again.
 #[derive(Debug, Default)]
@@ -199,41 +211,17 @@ impl MetricsRegistry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = lock(&self.counters);
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(Counter::default());
-                map.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
+        get_or_create(&self.counters, name)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = lock(&self.gauges);
-        match map.get(name) {
-            Some(g) => Arc::clone(g),
-            None => {
-                let g = Arc::new(Gauge::default());
-                map.insert(name.to_string(), Arc::clone(&g));
-                g
-            }
-        }
+        get_or_create(&self.gauges, name)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = lock(&self.histograms);
-        match map.get(name) {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(Histogram::default());
-                map.insert(name.to_string(), Arc::clone(&h));
-                h
-            }
-        }
+        get_or_create(&self.histograms, name)
     }
 
     /// Snapshot every registered metric.

@@ -8,6 +8,7 @@
 //! failpoint check in `crates/sim/src/fault.rs`, so the hot statement
 //! path pays effectively nothing.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,16 +119,10 @@ impl Telemetry {
     /// wall-clock duration when dropped. Disabled telemetry returns an
     /// inert guard after a single relaxed atomic load — no clock read.
     pub fn span(&self, name: &'static str) -> Span<'_> {
-        if !self.inner.enabled.load(Ordering::Relaxed) {
-            return Span { active: None };
-        }
-        Span {
-            active: Some(ActiveSpan {
-                telemetry: self,
-                name,
-                started: Instant::now(),
-            }),
-        }
+        let active = self
+            .is_enabled()
+            .then(|| (Cow::Borrowed(self), name, Instant::now()));
+        Span { active }
     }
 
     /// Like [`Self::span`], but the guard owns a clone of the telemetry
@@ -135,16 +130,10 @@ impl Telemetry {
     /// need `&mut self` while the span is live. Disabled telemetry still
     /// pays only the one relaxed load (no clone, no clock read).
     pub fn owned_span(&self, name: &'static str) -> OwnedSpan {
-        if !self.inner.enabled.load(Ordering::Relaxed) {
-            return OwnedSpan { active: None };
-        }
-        OwnedSpan {
-            active: Some(OwnedActiveSpan {
-                telemetry: self.clone(),
-                name,
-                started: Instant::now(),
-            }),
-        }
+        let active = self
+            .is_enabled()
+            .then(|| (Cow::Owned(self.clone()), name, Instant::now()));
+        Span { active }
     }
 
     /// Add `delta` to counter `name` (no-op when disabled).
@@ -164,16 +153,14 @@ impl Telemetry {
     }
 }
 
-struct ActiveSpan<'a> {
-    telemetry: &'a Telemetry,
-    name: &'static str,
-    started: Instant,
+/// RAII guard measuring one timed region; see [`Telemetry::span`]. It
+/// borrows the telemetry handle, or owns a clone of it ([`OwnedSpan`]).
+pub struct Span<'a> {
+    active: Option<(Cow<'a, Telemetry>, &'static str, Instant)>,
 }
 
-/// RAII guard measuring one timed region; see [`Telemetry::span`].
-pub struct Span<'a> {
-    active: Option<ActiveSpan<'a>>,
-}
+/// Owning variant of [`Span`]; see [`Telemetry::owned_span`].
+pub type OwnedSpan = Span<'static>;
 
 impl Span<'_> {
     /// Whether this span is live (telemetry was enabled at creation).
@@ -184,40 +171,9 @@ impl Span<'_> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if let Some(active) = self.active.take() {
-            let nanos = active.started.elapsed().as_nanos();
-            let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-            let registry = &active.telemetry.inner.registry;
-            registry.histogram(active.name).record(nanos);
-        }
-    }
-}
-
-struct OwnedActiveSpan {
-    telemetry: Telemetry,
-    name: &'static str,
-    started: Instant,
-}
-
-/// Owning variant of [`Span`]; see [`Telemetry::owned_span`].
-pub struct OwnedSpan {
-    active: Option<OwnedActiveSpan>,
-}
-
-impl OwnedSpan {
-    /// Whether this span is live (telemetry was enabled at creation).
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
-}
-
-impl Drop for OwnedSpan {
-    fn drop(&mut self) {
-        if let Some(active) = self.active.take() {
-            let nanos = active.started.elapsed().as_nanos();
-            let nanos = u64::try_from(nanos).unwrap_or(u64::MAX);
-            let registry = &active.telemetry.inner.registry;
-            registry.histogram(active.name).record(nanos);
+        if let Some((telemetry, name, started)) = self.active.take() {
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            telemetry.inner.registry.histogram(name).record(nanos);
         }
     }
 }

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::export::json_string;
+use crate::json::JsonWriter;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::{EventKind, TraceEvent};
 
@@ -177,6 +177,29 @@ impl IncidentRecord {
             wall_ns: last.at_ns.saturating_sub(first.at_ns),
         }
     }
+
+    /// The one JSON rendering of an incident (`/incidents`, `mttr --live`):
+    /// `{"id","open","marks":[{"phase","at_ns"}],"decomposition":{..}}`.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        let d = self.decomposition();
+        w.object(|w| {
+            w.field("id", self.id).field("open", self.open);
+            w.key("marks").array(|w| {
+                for mark in &self.marks {
+                    w.object(|w| {
+                        w.field("phase", mark.phase.name())
+                            .field("at_ns", mark.at_ns);
+                    });
+                }
+            });
+            w.key("decomposition").object(|w| {
+                w.field("mttd_ns", d.mttd_ns)
+                    .field("mttc_ns", d.mttc_ns)
+                    .field("mttr_ns", d.mttr_ns)
+                    .field("wall_ns", d.wall_ns);
+            });
+        });
+    }
 }
 
 #[derive(Debug, Default)]
@@ -316,36 +339,17 @@ impl IncidentTimeline {
     }
 
     /// Render every incident as the `/incidents` JSON document:
-    /// `{"incidents":[{"id":..,"open":..,"marks":[{"phase":..,"at_ns":..}],
-    /// "decomposition":{"mttd_ns":..,"mttc_ns":..,"mttr_ns":..,"wall_ns":..}}]}`.
+    /// `{"incidents":[..]}`, each as [`IncidentRecord::write_json`] writes it.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"incidents\":[");
-        for (i, incident) in self.lock().incidents.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let d = incident.decomposition();
-            out.push_str(&format!(
-                "{{\"id\":{},\"open\":{},\"marks\":[",
-                incident.id, incident.open
-            ));
-            for (j, mark) in incident.marks.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"phase\":{},\"at_ns\":{}}}",
-                    json_string(mark.phase.name()),
-                    mark.at_ns
-                ));
-            }
-            out.push_str(&format!(
-                "],\"decomposition\":{{\"mttd_ns\":{},\"mttc_ns\":{},\"mttr_ns\":{},\"wall_ns\":{}}}}}",
-                d.mttd_ns, d.mttc_ns, d.mttr_ns, d.wall_ns
-            ));
-        }
-        out.push_str("]}");
-        out
+        JsonWriter::render(|w| {
+            w.object(|w| {
+                w.key("incidents").array(|w| {
+                    for incident in &self.lock().incidents {
+                        incident.write_json(w);
+                    }
+                });
+            });
+        })
     }
 
     /// Fold the latest incident into a metrics snapshot as the

@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::export::json_string;
+use crate::json::{JsonWriter, Scalar};
 
 /// Default ring capacity (events) of a [`FlightRecorder`].
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
@@ -203,13 +203,9 @@ impl EventKind {
         }
     }
 
-    /// The detail fields this kind carries, in wire order, each rendered
-    /// to text with a flag saying whether it is a string (quoted in
-    /// JSON). The JSON exporters and `Display` both print from this list.
-    fn fields(&self) -> Vec<(&'static str, String, bool)> {
-        fn num(key: &'static str, v: impl ToString) -> (&'static str, String, bool) {
-            (key, v.to_string(), false)
-        }
+    /// The detail fields this kind carries, in wire order, as typed
+    /// values. The JSON exporters and `Display` both print from this list.
+    fn fields(&self) -> Vec<(&'static str, Scalar<'_>)> {
         match self {
             EventKind::TxnBegin
             | EventKind::Commit
@@ -217,41 +213,39 @@ impl EventKind {
             | EventKind::IncidentClosed
             | EventKind::FenceLifted => Vec::new(),
             EventKind::StmtRewrite { cache_hit, verdict } => vec![
-                num("cache_hit", cache_hit),
-                ("verdict", verdict.as_str().to_string(), true),
+                ("cache_hit", (*cache_hit).into()),
+                ("verdict", verdict.as_str().into()),
             ],
             EventKind::DepHarvested { dep, table } => {
-                vec![num("dep", dep), ("table", table.clone(), true)]
+                vec![("dep", (*dep).into()), ("table", table.as_str().into())]
             }
-            EventKind::TransDepInsert { deps } => vec![num("deps", deps)],
+            EventKind::TransDepInsert { deps } => vec![("deps", (*deps).into())],
             EventKind::WalCommit { internal } | EventKind::WalAbort { internal } => {
-                vec![num("internal", internal)]
+                vec![("internal", (*internal).into())]
             }
-            EventKind::FaultHit { failpoint } => vec![("failpoint", failpoint.clone(), true)],
-            EventKind::LogScan { records } => vec![num("records", records)],
-            EventKind::Correlate { pairs } => vec![num("pairs", pairs)],
+            EventKind::FaultHit { failpoint } => vec![("failpoint", failpoint.as_str().into())],
+            EventKind::LogScan { records } => vec![("records", (*records).into())],
+            EventKind::Correlate { pairs } => vec![("pairs", (*pairs).into())],
             EventKind::ClosureComputed { initial, nodes } => {
-                vec![num("initial", initial), num("nodes", nodes)]
+                vec![("initial", (*initial).into()), ("nodes", (*nodes).into())]
             }
-            EventKind::Compensated { statements } => vec![num("statements", statements)],
-            EventKind::IncidentDetected { at_ns } => vec![num("at_ns", at_ns)],
-            EventKind::SweepComplete { rounds } => vec![num("rounds", rounds)],
-            EventKind::FenceRaised { tables } => vec![num("tables", tables)],
+            EventKind::Compensated { statements } => vec![("statements", (*statements).into())],
+            EventKind::IncidentDetected { at_ns } => vec![("at_ns", (*at_ns).into())],
+            EventKind::SweepComplete { rounds } => vec![("rounds", (*rounds).into())],
+            EventKind::FenceRaised { tables } => vec![("tables", (*tables).into())],
             EventKind::FenceShrunk { tables, rows } => {
-                vec![num("tables", tables), num("rows", rows)]
+                vec![("tables", (*tables).into()), ("rows", (*rows).into())]
             }
-            EventKind::FenceExtended { rows } => vec![num("rows", rows)],
+            EventKind::FenceExtended { rows } => vec![("rows", (*rows).into())],
         }
     }
 
-    /// Extra JSON fields (`,"k":v...`) carried by this kind; empty for
-    /// payload-free kinds.
-    fn detail_json(&self) -> String {
-        let json = |(key, value, is_str): (&str, String, bool)| {
-            let value = if is_str { json_string(&value) } else { value };
-            format!(",\"{key}\":{value}")
-        };
-        self.fields().into_iter().map(json).collect()
+    /// Writes the `"event"` name and the detail fields as object members.
+    fn write_members(&self, w: &mut JsonWriter) {
+        w.field("event", self.name());
+        for (key, value) in self.fields() {
+            w.field(key, value);
+        }
     }
 }
 
@@ -262,7 +256,7 @@ impl std::fmt::Display for EventKind {
         f.write_str(self.name())?;
         self.fields()
             .iter()
-            .try_for_each(|(key, value, _)| write!(f, " {key}={value}"))
+            .try_for_each(|(key, value)| write!(f, " {key}={value}"))
     }
 }
 
@@ -451,26 +445,20 @@ impl FlightRecorder {
 // Exporters
 // ---------------------------------------------------------------------------
 
-fn event_jsonl(e: &TraceEvent) -> String {
-    format!(
-        "{{\"seq\":{},\"txn\":{},\"session\":{},\"event\":\"{}\"{}}}",
-        e.seq,
-        e.txn,
-        e.session,
-        e.kind.name(),
-        e.kind.detail_json()
-    )
-}
-
 /// Exports a snapshot as JSONL: one event object per line, ascending
 /// `seq`. Grep-friendly and concatenation-safe across captures.
 pub fn to_jsonl(snap: &TraceSnapshot) -> String {
-    let mut out = String::new();
-    for e in &snap.events {
-        out.push_str(&event_jsonl(e));
-        out.push('\n');
-    }
-    out
+    let line = |e: &TraceEvent| {
+        JsonWriter::render(|w| {
+            w.object(|w| {
+                w.field("seq", e.seq)
+                    .field("txn", e.txn)
+                    .field("session", e.session);
+                e.kind.write_members(w);
+            });
+        }) + "\n"
+    };
+    snap.events.iter().map(line).collect()
 }
 
 /// Exports a snapshot in Chrome Trace Event Format (a `traceEvents`
@@ -481,28 +469,33 @@ pub fn to_jsonl(snap: &TraceSnapshot) -> String {
 /// monotonic tick doubles as the timestamp, so causality — not
 /// wall-clock — orders the view.
 pub fn to_chrome_trace(snap: &TraceSnapshot) -> String {
-    let mut items: Vec<String> = Vec::with_capacity(snap.events.len());
-    for e in &snap.events {
-        let (name, ph, scope) = match &e.kind {
-            EventKind::TxnBegin => ("txn", "B", ""),
-            EventKind::Commit | EventKind::Abort => ("txn", "E", ""),
-            other => (other.name(), "i", ",\"s\":\"g\""),
-        };
-        items.push(format!(
-            "{{\"name\":\"{name}\",\"cat\":\"resildb\",\"ph\":\"{ph}\"{scope},\
-             \"ts\":{},\"pid\":{},\"tid\":{},\
-             \"args\":{{\"event\":\"{}\"{}}}}}",
-            e.seq,
-            e.txn,
-            e.session,
-            e.kind.name(),
-            e.kind.detail_json()
-        ));
-    }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}\n",
-        items.join(",")
-    )
+    let doc = JsonWriter::render(|w| {
+        w.object(|w| {
+            w.field("displayTimeUnit", "ms");
+            w.key("traceEvents").array(|w| {
+                for e in &snap.events {
+                    let (name, ph) = match &e.kind {
+                        EventKind::TxnBegin => ("txn", "B"),
+                        EventKind::Commit | EventKind::Abort => ("txn", "E"),
+                        other => (other.name(), "i"),
+                    };
+                    w.object(|w| {
+                        w.field("name", name)
+                            .field("cat", "resildb")
+                            .field("ph", ph);
+                        if ph == "i" {
+                            w.field("s", "g");
+                        }
+                        w.field("ts", e.seq)
+                            .field("pid", e.txn)
+                            .field("tid", e.session);
+                        w.key("args").object(|w| e.kind.write_members(w));
+                    });
+                }
+            });
+        });
+    });
+    doc + "\n"
 }
 
 #[cfg(test)]

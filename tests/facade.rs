@@ -7,8 +7,8 @@
 // Test crate: unwrap/expect are the idiomatic assertion style here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use resildb_core::{
-    telemetry::export, Connection, EngineError, Flavor, Literal, ResilientDb, Response, Value,
-    WireError,
+    telemetry::{export, to_prometheus},
+    Connection, EngineError, Flavor, Literal, ResilientDb, Response, Value, WireError,
 };
 
 /// A small workload written once over an `execute` function: runs
@@ -151,22 +151,30 @@ fn text_and_json_exporters_agree_on_the_same_snapshot() {
     connection_workload(conn.as_mut(), "t_export").unwrap();
     let snap = rdb.metrics();
 
-    let text = export::to_text(&snap);
+    // The text exporter is Prometheus: each metric is introduced by a
+    // HELP line naming it, and its sample follows the TYPE line.
+    let text = to_prometheus(&snap);
     let json = export::to_json(&snap);
+    let after_help = |help: String| {
+        let (_, rest) = text
+            .split_once(&help)
+            .unwrap_or_else(|| panic!("text export missing {help:?}"));
+        rest.lines().skip(1).map(str::to_string).collect::<Vec<_>>()
+    };
     // Every counter appears in both renderings with the same value.
     for (name, value) in &snap.counters {
-        assert!(
-            text.contains(&format!("counter {name} {value}")),
-            "text export missing {name}"
-        );
+        let sample = &after_help(format!(" Counter {name}.\n"))[0];
+        assert!(sample.ends_with(&format!("_total {value}")), "{sample}");
         assert!(
             json.contains(&format!("\"{name}\":{value}")),
             "json export missing {name}"
         );
     }
-    for name in snap.histograms.keys() {
-        assert!(text.contains(&format!("histogram {name} ")));
-        assert!(json.contains(&format!("\"{name}\":{{\"count\"")));
+    for (name, h) in &snap.histograms {
+        let lines = after_help(format!(" Latency histogram for {name} (nanoseconds).\n"));
+        let count = lines.iter().find(|l| l.contains("_ns_count ")).unwrap();
+        assert!(count.ends_with(&format!(" {}", h.count)), "{count}");
+        assert!(json.contains(&format!("\"{name}\":{{\"count\":{}", h.count)));
     }
 }
 
