@@ -3,15 +3,15 @@
 //! [`Analyzer::classify`] answers, for one statement, the question the
 //! paper leaves implicit: *will the rewriting proxy capture every
 //! dependency this statement induces?* The rules mirror the rewriter's
-//! behaviour exactly — every branch where `rewrite_*` backs off or loses
-//! precision corresponds to one [`Reason`] here, turning a scattered set
-//! of "not rewritten" special cases into an audited soundness contract.
+//! behaviour exactly — every branch where `rewrite_*` passes a statement
+//! through or loses precision corresponds to one [`Reason`] here, and so
+//! does every write to tracking state, which the proxy refuses.
 
 use std::collections::BTreeMap;
 
 use resildb_sql::{Expr, Select, SelectItem, Statement};
 
-use crate::columns::is_tracking_column;
+use crate::columns::{is_tracking_column, is_tracking_table};
 use crate::verdict::{Granularity, Reason, Verdict};
 
 /// A point-in-time snapshot of table schemas (lower-cased names), used to
@@ -229,10 +229,10 @@ fn classify_select(sel: &Select, granularity: Granularity) -> Vec<Reason> {
 }
 
 /// Classifies one parsed statement for a deployment tracking at
-/// `granularity`. This is the hot-path entry the proxy consults at rewrite
-/// time; it allocates only when a statement is not sound.
+/// `granularity`. The proxy consults it once per statement shape, when it
+/// plans the shape.
 pub fn classify_statement(stmt: &Statement, granularity: Granularity) -> Verdict {
-    let reasons = match stmt {
+    let mut reasons = match stmt {
         Statement::Select(sel) => classify_select(sel, granularity),
         Statement::Insert(ins) => {
             let mut reasons = Vec::new();
@@ -284,6 +284,12 @@ pub fn classify_statement(stmt: &Statement, granularity: Granularity) -> Verdict
         Statement::DropTable(_) => vec![Reason::DropsTrackedHistory],
         Statement::Begin | Statement::Commit | Statement::Rollback => Vec::new(),
     };
+    // Only the proxy writes the tracking tables.
+    if !matches!(stmt, Statement::Select(_))
+        && stmt.referenced_tables().into_iter().any(is_tracking_table)
+    {
+        reasons.push(Reason::WritesTrackingTable);
+    }
     Verdict::from_reasons(reasons)
 }
 
@@ -338,6 +344,47 @@ mod tests {
         assert!(classify("CREATE TABLE t (a INTEGER, trid INTEGER)").is_untracked());
         assert!(classify_col("UPDATE t SET trid__a = 7").is_untracked());
         assert!(classify("INSERT INTO t (a, rid) VALUES (1, 7)").is_untracked());
+    }
+
+    #[test]
+    fn writes_to_tracking_tables_are_untracked() {
+        for table in crate::TRACKING_TABLES {
+            for sql in [
+                format!("INSERT INTO {table} (tr_id) VALUES (9)"),
+                format!("UPDATE {table} SET tr_id = 9 WHERE tr_id = 3"),
+                format!("DELETE FROM {table} WHERE tr_id = 3"),
+                format!("CREATE TABLE {table} (tr_id INTEGER)"),
+                format!("DROP TABLE {} ", table.to_ascii_uppercase()),
+            ] {
+                let v = classify(&sql);
+                assert!(v.is_untracked() && v.tampers(), "{sql}: {v}");
+                assert!(
+                    v.reasons().contains(&Reason::WritesTrackingTable),
+                    "{sql}: {v}"
+                );
+            }
+            // Reads stay allowed: a SELECT is never a tracking write.
+            let v = classify(&format!("SELECT tr_id FROM {table} WHERE tr_id = 3"));
+            assert_eq!(v, Verdict::Sound);
+        }
+        // The three statements `resildb-lint` used to call sound or merely
+        // degraded.
+        for (sql, shown) in [
+            (
+                "DELETE FROM trans_dep WHERE tr_id = 3",
+                "untracked [U-TRACKING-WRITE]",
+            ),
+            (
+                "INSERT INTO annot (tr_id, descr) VALUES (9, 'x')",
+                "untracked [U-TRACKING-WRITE]",
+            ),
+            (
+                "DROP TABLE trans_dep",
+                "untracked [U-TRACKING-WRITE, D-DROP]",
+            ),
+        ] {
+            assert_eq!(classify(sql).to_string(), shown, "{sql}");
+        }
     }
 
     #[test]

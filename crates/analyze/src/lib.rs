@@ -15,11 +15,12 @@
 //! * [`CoverageReport`] turns both into workload lint reports, consumed by
 //!   the `resildb-lint` binary and the CI coverage gate.
 //!
-//! The proxy consults [`classify_statement`] at rewrite time to enforce a
-//! warn/reject policy; the repair tool consumes the inferred derivable
-//! columns as false-dependency discard rules. The tracking-column
-//! vocabulary ([`TRID_COLUMN`] and friends) lives here, the lowest layer
-//! all three share.
+//! The proxy consults [`classify_statement`] when it plans a statement: it
+//! refuses writes to tracking state under every policy and enforces a
+//! warn/reject policy on the rest. The repair tool consumes the inferred
+//! derivable columns as false-dependency discard rules. The tracking
+//! vocabulary ([`TRID_COLUMN`], [`TRACKING_TABLES`] and friends) lives
+//! here, the lowest layer all three share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +41,10 @@ pub use blast::{BaselineVerdict, BlastRadius, ProfileClosure};
 pub use classify::{
     classify_statement, columns_read_for, select_has_aggregate, Analyzer, SchemaSnapshot,
 };
-pub use columns::{is_tracking_column, COLUMN_TRID_PREFIX, IDENTITY_COLUMN, TRID_COLUMN};
+pub use columns::{
+    is_tracking_column, is_tracking_table, ANNOT_TABLE, COLUMN_TRID_PREFIX, IDENTITY_COLUMN,
+    PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE, TRID_COLUMN,
+};
 pub use conflict::{ConflictGraph, ConflictKind, ConflictProvenance, ProfileEdge};
 pub use derive::{infer_derivable_columns, DerivableColumn};
 pub use dot::{DotBuilder, EdgeStyle, FILL_ATTACK, FILL_CLOSURE};

@@ -28,13 +28,17 @@ pub enum Reason {
     /// untracked.
     DistinctRead,
     /// An INSERT or UPDATE that assigns a tracking column itself
-    /// (`trid`, `trid__<col>`, `rid`): the rewriter backs off and the
-    /// client-supplied value forges the last-writer stamp.
+    /// (`trid`, `trid__<col>`, `rid`): the client-supplied value would
+    /// forge the last-writer stamp. The proxy refuses it.
     WritesTrackingColumn,
     /// `CREATE TABLE` declaring a column that collides with a tracking
-    /// name: the rewriter skips injection for it, so user data and
-    /// last-writer stamps share a column.
+    /// name: user data and last-writer stamps would share a column. The
+    /// proxy refuses it.
     ShadowsTrackingColumn,
+    /// An INSERT, UPDATE, DELETE, CREATE TABLE or DROP TABLE whose target
+    /// is one of the tracking tables: the client would forge or erase the
+    /// dependency record repair reads. The proxy refuses it.
+    WritesTrackingTable,
     /// The statement does not parse in the proxy's dialect, so the proxy
     /// rejects it before it ever reaches the DBMS. (Subqueries, derived
     /// tables and multi-table writes fall in this class: the dialect —
@@ -73,6 +77,7 @@ impl Reason {
             Reason::DistinctRead => "U-DISTINCT",
             Reason::WritesTrackingColumn => "U-TRID-WRITE",
             Reason::ShadowsTrackingColumn => "U-TRID-SHADOW",
+            Reason::WritesTrackingTable => "U-TRACKING-WRITE",
             Reason::ParseError => "U-PARSE",
             Reason::ReadsTrackingColumn => "D-TRID-READ",
             Reason::WildcardProvenance => "D-WILDCARD",
@@ -91,6 +96,7 @@ impl Reason {
                 | Reason::DistinctRead
                 | Reason::WritesTrackingColumn
                 | Reason::ShadowsTrackingColumn
+                | Reason::WritesTrackingTable
                 | Reason::ParseError
         )
     }
@@ -109,6 +115,9 @@ impl Reason {
             }
             Reason::ShadowsTrackingColumn => {
                 "table declares a column shadowing a tracking column name"
+            }
+            Reason::WritesTrackingTable => {
+                "statement writes a tracking table, forging or erasing dependency records"
             }
             Reason::ParseError => "statement does not parse in the proxy's dialect",
             Reason::ReadsTrackingColumn => {
@@ -166,6 +175,20 @@ impl Verdict {
         } else {
             Verdict::Degraded(reasons)
         }
+    }
+
+    /// Whether the statement writes the tracking layer's own state — a
+    /// tracking column or a tracking table — which only the proxy may
+    /// write: the proxy refuses it under every enforcement policy.
+    pub fn tampers(&self) -> bool {
+        self.reasons().iter().any(|r| {
+            matches!(
+                r,
+                Reason::WritesTrackingColumn
+                    | Reason::ShadowsTrackingColumn
+                    | Reason::WritesTrackingTable
+            )
+        })
     }
 
     /// Whether the statement is fully soundly tracked.
@@ -236,6 +259,7 @@ mod tests {
             Reason::DistinctRead,
             Reason::WritesTrackingColumn,
             Reason::ShadowsTrackingColumn,
+            Reason::WritesTrackingTable,
             Reason::ParseError,
         ] {
             assert!(r.is_untracked(), "{r:?}");
@@ -251,6 +275,20 @@ mod tests {
             assert!(!r.is_untracked(), "{r:?}");
             assert!(r.code().starts_with("D-"), "{r:?}");
         }
+    }
+
+    #[test]
+    fn only_writes_to_tracking_state_tamper() {
+        for r in [
+            Reason::WritesTrackingColumn,
+            Reason::ShadowsTrackingColumn,
+            Reason::WritesTrackingTable,
+        ] {
+            assert!(Verdict::from_reasons(vec![Reason::WildcardProvenance, r]).tampers());
+        }
+        assert!(!Verdict::Sound.tampers());
+        assert!(!Verdict::from_reasons(vec![Reason::AggregateRead, Reason::ParseError]).tampers());
+        assert!(!Verdict::from_reasons(vec![Reason::ReadsTrackingColumn]).tampers());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use resildb_core::{Flavor, ResilientDb};
 use resildb_proxy::{prepare_database, ProxyConfig, ProxyConfigBuilder, TrackingProxy};
-use resildb_sql::{parse_statement, Expr, Statement};
+use resildb_sql::{parse_statement, Statement};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver};
 
 const SELECT_SQL: &str = "SELECT c.c_balance, c.c_first, o.o_id FROM customer c, orders o \
@@ -37,21 +37,6 @@ fn bench_rewrite(c: &mut Criterion) {
             )
             .rewritten()
             .unwrap()
-        })
-    });
-    let Statement::Update(upd) = parse_statement(
-        "UPDATE stock SET s_quantity = 10, s_ytd = s_ytd + 5 WHERE s_w_id = 1 AND s_i_id = 7",
-    )
-    .unwrap() else {
-        unreachable!()
-    };
-    c.bench_function("proxy_rewrite_update", |b| {
-        b.iter(|| {
-            resildb_proxy::rewrite_update(
-                std::hint::black_box(&upd),
-                Expr::int(42),
-                resildb_proxy::TrackingGranularity::Row,
-            )
         })
     });
 }

@@ -104,15 +104,16 @@ pub struct RunMeta {
     pub git_sha: String,
     /// UTC wall-clock time of the run, ISO-8601 (`YYYY-MM-DDThh:mm:ssZ`).
     pub timestamp_utc: String,
-    /// Active proxy configuration summary (from `ProxyConfig::summary`),
-    /// when the benchmark ran through the proxy.
-    pub proxy_config: Option<String>,
+    /// Every distinct proxy configuration summary (from
+    /// `ProxyConfig::summary`) the run built, in build order; empty when
+    /// the benchmark did not run through the proxy.
+    pub proxy_config: Vec<String>,
 }
 
 impl RunMeta {
-    /// Collects the current provenance. `proxy_config` is the active
-    /// configuration summary, if the bench exercised the proxy.
-    pub fn collect(proxy_config: Option<String>) -> Self {
+    /// Collects the current provenance. `proxy_config` lists the
+    /// configuration summaries the bench built.
+    pub fn collect(proxy_config: Vec<String>) -> Self {
         Self {
             git_sha: git_head_sha(),
             timestamp_utc: utc_timestamp(),
@@ -120,13 +121,18 @@ impl RunMeta {
         }
     }
 
-    /// Writes the meta block as a JSON object (`proxy_config` is `null`
+    /// Writes the meta block as a JSON object (`proxy_config` is `[]`
     /// when the bench did not run through the proxy).
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.object(|w| {
             w.field("git_sha", self.git_sha.as_str())
                 .field("timestamp_utc", self.timestamp_utc.as_str())
-                .field("proxy_config", self.proxy_config.as_deref());
+                .key("proxy_config")
+                .array(|w| {
+                    for c in &self.proxy_config {
+                        w.value(c.as_str());
+                    }
+                });
         });
     }
 }
@@ -176,7 +182,7 @@ fn utc_timestamp() -> String {
 pub struct Probe {
     telemetry: Telemetry,
     captured: RefCell<Option<MetricsSnapshot>>,
-    proxy_config: RefCell<Option<String>>,
+    proxy_config: RefCell<Vec<String>>,
 }
 
 impl Default for Probe {
@@ -191,7 +197,7 @@ impl Probe {
         Self {
             telemetry: Telemetry::recording(),
             captured: RefCell::new(None),
-            proxy_config: RefCell::new(None),
+            proxy_config: RefCell::new(Vec::new()),
         }
     }
 
@@ -203,14 +209,17 @@ impl Probe {
 
     /// Finishes `builder` for a run `probe` (if any) observes: the proxy
     /// records into the probe's telemetry domain, and the configuration
-    /// summary is noted for the report's meta block (later calls win;
-    /// figures run one configuration).
+    /// summary is noted for the report's meta block, once per distinct
+    /// configuration, in build order.
     pub fn proxy_config(probe: Option<&Probe>, builder: ProxyConfigBuilder) -> ProxyConfig {
         let Some(probe) = probe else {
             return builder.build();
         };
         let config = builder.telemetry(probe.telemetry.clone()).build();
-        *probe.proxy_config.borrow_mut() = Some(config.summary());
+        let (mut noted, summary) = (probe.proxy_config.borrow_mut(), config.summary());
+        if !noted.contains(&summary) {
+            noted.push(summary);
+        }
         config
     }
 
@@ -358,10 +367,10 @@ mod tests {
 
     #[test]
     fn run_meta_renders_valid_fields() {
-        let meta = RunMeta::collect(Some("flavor=postgres".into()));
+        let meta = RunMeta::collect(vec!["flavor=postgres".into(), "flavor=oracle".into()]);
         let json = JsonWriter::render(|w| meta.write_json(w));
         assert!(json.contains("\"git_sha\":\""));
-        assert!(json.contains("\"proxy_config\":\"flavor=postgres\""));
+        assert!(json.contains("\"proxy_config\":[\"flavor=postgres\",\"flavor=oracle\"]"));
         // ISO-8601: YYYY-MM-DDThh:mm:ssZ.
         let ts = &meta.timestamp_utc;
         assert_eq!(ts.len(), 20, "timestamp {ts}");
@@ -369,18 +378,24 @@ mod tests {
         assert_eq!(&ts[10..11], "T");
         assert!(ts.ends_with('Z'));
         assert!(ts.starts_with("20"), "unix-era year: {ts}");
-        let no_proxy = JsonWriter::render(|w| RunMeta::collect(None).write_json(w));
-        assert!(no_proxy.contains("\"proxy_config\":null"));
+        let no_proxy = JsonWriter::render(|w| RunMeta::collect(Vec::new()).write_json(w));
+        assert!(no_proxy.contains("\"proxy_config\":[]"));
     }
 
     #[test]
     fn probe_notes_proxy_config_into_meta() {
         let probe = Probe::new();
-        assert_eq!(probe.run_meta().proxy_config, None);
-        let builder = ProxyConfig::builder(resildb_core::Flavor::Postgres);
-        let config = Probe::proxy_config(Some(&probe), builder);
-        assert_eq!(config.telemetry.as_ref(), Some(probe.telemetry()));
-        assert_eq!(probe.run_meta().proxy_config, Some(config.summary()));
+        assert!(probe.run_meta().proxy_config.is_empty());
+        let note = |flavor| Probe::proxy_config(Some(&probe), ProxyConfig::builder(flavor));
+        let pg = note(resildb_core::Flavor::Postgres);
+        assert_eq!(pg.telemetry.as_ref(), Some(probe.telemetry()));
+        // Every distinct configuration, once, in build order.
+        let syb = note(resildb_core::Flavor::Sybase);
+        note(resildb_core::Flavor::Postgres);
+        assert_eq!(
+            probe.run_meta().proxy_config,
+            vec![pg.summary(), syb.summary()]
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! module defines what the proxy stores in it and the slot-count admission
 //! check every lookup applies.
 
-use resildb_analyze::Verdict;
+use resildb_analyze::{is_tracking_table, Verdict};
 use resildb_sql::{Expr, SqlTemplate, Statement, TRID_PARAM};
 
 use crate::config::ProxyConfig;
@@ -26,16 +26,12 @@ use crate::rewrite::{
     rewrite_create_table, rewrite_insert, rewrite_select, rewrite_update, SelectOutcome,
     SelectRewrite,
 };
-use crate::setup::is_tracking_table;
 
 /// What the proxy does with one statement: the paper's Table 1 rule that
 /// applies to it, with any rewrite already printed. The cache stores
 /// exactly what a miss executes.
 #[derive(Debug)]
 pub(crate) enum Plan {
-    /// Statement on a tracking table: forwarded untouched, exempt from
-    /// enforcement, no transaction bookkeeping.
-    Tracking,
     /// `BEGIN`: opens an explicit tracked transaction.
     Begin,
     /// `COMMIT`: writes the tracking rows, then commits.
@@ -45,9 +41,9 @@ pub(crate) enum Plan {
     /// DDL, forwarded without bookkeeping: the rewritten CREATE TABLE, or
     /// `None` for a DROP forwarded as sent.
     Ddl(Option<String>),
-    /// SELECT that is not rewritten (aggregates, DISTINCT, no FROM, or
-    /// read tracking disabled): forwarded raw, tracking columns stripped
-    /// from the result.
+    /// SELECT that is not rewritten (aggregates, DISTINCT, no FROM, reads
+    /// of the tracking tables, or read tracking disabled): forwarded raw,
+    /// tracking columns stripped from the result.
     Strip,
     /// Rewritten SELECT: splice literals into the template, execute, then
     /// harvest dependencies per the harvest plan.
@@ -77,14 +73,9 @@ impl Plan {
     /// parsed and `literals` is 0, so a `?` the client wrote is forwarded
     /// as written. The trid is a template slot, so one plan serves every
     /// transaction. `None` if a rewrite cannot be captured as a template.
+    /// A statement that writes tracking state is refused before it is
+    /// planned: every write planned here is to user columns of a user table.
     pub(crate) fn new(stmt: &Statement, literals: usize, config: &ProxyConfig) -> Option<Plan> {
-        // Tracking tables have no trid column: their statements pass
-        // through untouched.
-        if let Some(first) = stmt.referenced_tables().first() {
-            if is_tracking_table(first) {
-                return Some(Plan::Tracking);
-            }
-        }
         let trid = Expr::Param(TRID_PARAM);
         let (rewritten, harvest) = match stmt {
             Statement::Begin => return Some(Plan::Begin),
@@ -96,7 +87,12 @@ impl Plan {
             }
             Statement::DropTable(_) => return Some(Plan::Ddl(None)),
             Statement::Delete(_) => return Some(Plan::WriteRaw),
-            Statement::Select(_) if !config.track_reads => return Some(Plan::Strip),
+            // The tracking tables have no trid column to harvest.
+            Statement::Select(sel)
+                if !config.track_reads || sel.from.iter().all(|t| is_tracking_table(&t.name)) =>
+            {
+                return Some(Plan::Strip)
+            }
             Statement::Select(sel) => match rewrite_select(sel, config.granularity) {
                 SelectOutcome::Rewritten { select, plan } => {
                     (Statement::Select(select), Some(plan))
@@ -143,8 +139,7 @@ pub(crate) struct CachedShape {
     /// What the proxy does with the statement.
     pub(crate) plan: Plan,
     /// Trackability verdict; `None` when the policy is
-    /// [`crate::EnforcementPolicy::Allow`] or for the proxy's own
-    /// tracking-table statements, which are exempt from enforcement.
+    /// [`crate::EnforcementPolicy::Allow`].
     pub(crate) verdict: Option<Verdict>,
 }
 
@@ -207,14 +202,14 @@ mod tests {
     }
 
     #[test]
-    fn tracking_tables_are_planned_before_the_statement_kind() {
+    fn selects_of_the_tracking_tables_plan_as_a_strip() {
         let config = ProxyConfig::new(Flavor::Postgres);
         for sql in [
             "SELECT * FROM trans_dep",
-            "DELETE FROM ANNOT WHERE tr_id = 1",
+            "SELECT a.descr FROM ANNOT a, trans_dep_prov p WHERE a.tr_id = p.tr_id",
         ] {
             let stmt = parse_statement(sql).unwrap();
-            assert!(matches!(Plan::new(&stmt, 0, &config), Some(Plan::Tracking)));
+            assert!(matches!(Plan::new(&stmt, 0, &config), Some(Plan::Strip)));
         }
     }
 }

@@ -34,7 +34,8 @@ impl From<TrackingGranularity> for resildb_analyze::Granularity {
 
 /// What the proxy does with statements the static analyzer says the
 /// tracking layer cannot soundly follow (aggregate/DISTINCT reads,
-/// tracking-column writes, unparsable statements).
+/// unparsable statements). Writes to tracking state — a tracking column or
+/// table — are refused under every policy.
 ///
 /// The paper treats these as documented limitations and forwards them
 /// silently; with the analyzer in the loop the operator can choose the

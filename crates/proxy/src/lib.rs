@@ -6,7 +6,7 @@
 //! Oracle and Sybase. The mechanism (paper §3.2 and Table 1):
 //!
 //! * every user table transparently gains a `trid INTEGER` column holding
-//!   the proxy transaction id of the last writer ([`rewrite_create_table`]
+//!   the proxy transaction id of the last writer (the CREATE TABLE rewrite
 //!   also injects a Sybase identity column where the flavor lacks a row-id
 //!   pseudo-column);
 //! * `SELECT`s are rewritten to additionally return each table's `trid`;
@@ -19,6 +19,10 @@
 //!   table (plus a symbolic name into `annot` and column-level provenance
 //!   into `trans_dep_prov`), and only then is the commit forwarded, making
 //!   the dependency record atomic with the transaction.
+//!
+//! The proxy is the only writer of that tracking state: a client statement
+//! that assigns a tracking column or writes a tracking table is refused
+//! before the DBMS under every [`EnforcementPolicy`].
 //!
 //! # Examples
 //!
@@ -60,12 +64,12 @@ mod tracker;
 pub use cache::RewriteCacheStats;
 pub use config::{EnforcementPolicy, ProxyConfig, ProxyConfigBuilder, TrackingGranularity};
 pub use fence::{canon_value, composite_key, Fence, FenceDecision, FenceStats, RowFence};
+pub use resildb_analyze::{
+    is_tracking_table, ANNOT_TABLE, PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE,
+};
 pub use rewrite::{
-    is_tracking_column, rewrite_create_table, rewrite_insert, rewrite_select, rewrite_update,
-    HarvestSource, SelectOutcome, SelectRewrite, SelectSkip, COLUMN_TRID_PREFIX, IDENTITY_COLUMN,
-    TRID_COLUMN,
+    is_tracking_column, rewrite_select, HarvestSource, SelectOutcome, SelectRewrite, SelectSkip,
+    COLUMN_TRID_PREFIX, IDENTITY_COLUMN, TRID_COLUMN,
 };
-pub use setup::{
-    is_tracking_table, prepare_database, ANNOT_TABLE, PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE,
-};
+pub use setup::prepare_database;
 pub use tracker::{ProxyRuntime, ProxyTxnId, TrackerStats, TrackerStatsSnapshot, TrackingProxy};

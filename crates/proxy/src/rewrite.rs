@@ -163,43 +163,29 @@ pub fn rewrite_select(sel: &Select, granularity: TrackingGranularity) -> SelectO
 }
 
 /// Rewrites an UPDATE per Table 1: appends `trid = <trid_expr>` to the SET
-/// list (unless the client, illegally, already assigns it). The stamp is
-/// an expression: the proxy plans with `Expr::Param(TRID_PARAM)`, a splice
-/// slot for the current transaction id; `Expr::int(n)` stamps `n`.
-pub fn rewrite_update(upd: &Update, trid_expr: Expr, granularity: TrackingGranularity) -> Update {
+/// list (after a `trid__<col>` stamp per assigned column at column
+/// granularity). The stamp is an expression: the proxy plans with
+/// `Expr::Param(TRID_PARAM)`, a splice slot for the current transaction
+/// id; `Expr::int(n)` stamps `n`.
+pub(crate) fn rewrite_update(
+    upd: &Update,
+    trid_expr: Expr,
+    granularity: TrackingGranularity,
+) -> Update {
     let mut rewritten = upd.clone();
     if granularity == TrackingGranularity::Column {
-        // Stamp the per-column last-writer of every assigned user column.
-        let assigned: Vec<String> = rewritten
+        // Stamp the per-column last-writer of every assigned column.
+        rewritten
             .assignments
-            .iter()
-            .map(|a| a.column.to_ascii_lowercase())
-            .filter(|c| !is_tracking_column(c))
-            .collect();
-        for col in assigned {
-            let stamp = format!("{COLUMN_TRID_PREFIX}{col}");
-            if !rewritten
-                .assignments
-                .iter()
-                .any(|a| a.column.eq_ignore_ascii_case(&stamp))
-            {
-                rewritten.assignments.push(Assignment {
-                    column: stamp,
-                    value: trid_expr.clone(),
-                });
-            }
-        }
+            .extend(upd.assignments.iter().map(|a| Assignment {
+                column: format!("{COLUMN_TRID_PREFIX}{}", a.column.to_ascii_lowercase()),
+                value: trid_expr.clone(),
+            }));
     }
-    if !rewritten
-        .assignments
-        .iter()
-        .any(|a| a.column.eq_ignore_ascii_case(TRID_COLUMN))
-    {
-        rewritten.assignments.push(Assignment {
-            column: TRID_COLUMN.to_string(),
-            value: trid_expr,
-        });
-    }
+    rewritten.assignments.push(Assignment {
+        column: TRID_COLUMN.to_string(),
+        value: trid_expr,
+    });
     rewritten
 }
 
@@ -209,7 +195,7 @@ pub fn rewrite_update(upd: &Update, trid_expr: Expr, granularity: TrackingGranul
 /// column is always appended right after the client's columns by
 /// [`rewrite_create_table`]); on flavors with an injected identity column
 /// a NULL is appended for it so the engine auto-numbers.
-pub fn rewrite_insert(
+pub(crate) fn rewrite_insert(
     ins: &Insert,
     trid_expr: Expr,
     flavor: Flavor,
@@ -227,22 +213,11 @@ pub fn rewrite_insert(
             }
         }
     } else {
-        if rewritten
-            .columns
-            .iter()
-            .any(|c| c.eq_ignore_ascii_case(TRID_COLUMN))
-        {
-            return rewritten;
-        }
         if granularity == TrackingGranularity::Column {
-            let listed: Vec<String> = rewritten
-                .columns
-                .iter()
-                .map(|c| c.to_ascii_lowercase())
-                .filter(|c| !is_tracking_column(c))
-                .collect();
-            for col in listed {
-                rewritten.columns.push(format!("{COLUMN_TRID_PREFIX}{col}"));
+            for col in &ins.columns {
+                rewritten
+                    .columns
+                    .push(format!("{COLUMN_TRID_PREFIX}{}", col.to_ascii_lowercase()));
                 for row in &mut rewritten.rows {
                     row.push(trid_expr.clone());
                 }
@@ -256,40 +231,27 @@ pub fn rewrite_insert(
     rewritten
 }
 
-/// Rewrites CREATE TABLE: appends `trid INTEGER`, and on flavors without a
-/// row-id pseudo-column also `rid INTEGER IDENTITY` (paper §4.3's Sybase
-/// workaround). Existing columns with those names are left alone.
-pub fn rewrite_create_table(
+/// Rewrites CREATE TABLE: appends `trid INTEGER` (after one
+/// `trid__<col> INTEGER` per column at column granularity), and on flavors
+/// without a row-id pseudo-column also `rid INTEGER IDENTITY` (paper
+/// §4.3's Sybase workaround). The proxy refuses a table that declares a
+/// tracking column itself, so the injected names never collide.
+pub(crate) fn rewrite_create_table(
     ct: &CreateTable,
     flavor: Flavor,
     granularity: TrackingGranularity,
 ) -> CreateTable {
     let mut rewritten = ct.clone();
-    fn has(ct: &CreateTable, name: &str) -> bool {
-        ct.columns.iter().any(|c| c.name.eq_ignore_ascii_case(name))
-    }
     if granularity == TrackingGranularity::Column {
-        let user_cols: Vec<String> = rewritten
-            .columns
-            .iter()
-            .map(|c| c.name.to_ascii_lowercase())
-            .filter(|c| !is_tracking_column(c))
-            .collect();
-        for col in user_cols {
-            let stamp = format!("{COLUMN_TRID_PREFIX}{col}");
-            if !has(&rewritten, &stamp) {
-                rewritten
-                    .columns
-                    .push(ColumnDef::new(stamp, TypeName::Integer));
-            }
-        }
+        rewritten.columns.extend(ct.columns.iter().map(|c| {
+            let stamp = format!("{COLUMN_TRID_PREFIX}{}", c.name.to_ascii_lowercase());
+            ColumnDef::new(stamp, TypeName::Integer)
+        }));
     }
-    if !has(&rewritten, TRID_COLUMN) {
-        rewritten
-            .columns
-            .push(ColumnDef::new(TRID_COLUMN, TypeName::Integer));
-    }
-    if flavor.rowid_pseudocolumn().is_none() && !has(&rewritten, IDENTITY_COLUMN) {
+    rewritten
+        .columns
+        .push(ColumnDef::new(TRID_COLUMN, TypeName::Integer));
+    if flavor.rowid_pseudocolumn().is_none() {
         let mut rid = ColumnDef::new(IDENTITY_COLUMN, TypeName::Integer);
         rid.identity = true;
         rewritten.columns.push(rid);
@@ -462,27 +424,6 @@ mod tests {
         assert_eq!(
             syb.to_string(),
             "CREATE TABLE t (a INTEGER PRIMARY KEY, trid INTEGER, rid INTEGER IDENTITY)"
-        );
-    }
-
-    #[test]
-    fn rewrites_are_idempotent_on_already_tracked_statements() {
-        let Statement::CreateTable(ct) =
-            parse_statement("CREATE TABLE t (a INTEGER, trid INTEGER)").unwrap()
-        else {
-            unreachable!()
-        };
-        let r = rewrite_create_table(&ct, Flavor::Postgres, TrackingGranularity::Row);
-        assert_eq!(r.columns.len(), 2, "no duplicate trid column");
-
-        let Statement::Update(u) = parse_statement("UPDATE t SET a = 1, trid = 5").unwrap() else {
-            unreachable!()
-        };
-        assert_eq!(
-            rewrite_update(&u, Expr::int(9), TrackingGranularity::Row)
-                .assignments
-                .len(),
-            2
         );
     }
 

@@ -2,31 +2,8 @@
 
 use resildb_wire::{Connection, WireError};
 
-/// Table recording, per committed transaction, the set of transactions it
-/// depends on (`tr_id INTEGER, dep_tr_ids VARCHAR` — the paper's exact
-/// schema; IDs are space-separated, long sets spill onto multiple rows).
-pub const TRANS_DEP_TABLE: &str = "trans_dep";
-
-/// Table giving each transaction a symbolic name for graph visualisation.
-pub const ANNOT_TABLE: &str = "annot";
-
-/// Companion provenance table: one row per dependency edge with the table
-/// that mediated it and the columns the reader touched — machine-checkable
-/// input for the false-dependency filtering of paper §5.3.
-pub const PROV_TABLE: &str = "trans_dep_prov";
-
-/// All tracking tables, in creation order.
-pub const TRACKING_TABLES: [&str; 3] = [TRANS_DEP_TABLE, ANNOT_TABLE, PROV_TABLE];
-
-/// Whether `name` is one of the [`TRACKING_TABLES`] (case-insensitively):
-/// the proxy's own bookkeeping, not user data. Statements on them pass
-/// the proxy untouched, and repair never treats their rows as damage.
-pub fn is_tracking_table(name: &str) -> bool {
-    TRACKING_TABLES.iter().any(|t| t.eq_ignore_ascii_case(name))
-}
-
-/// Creates the tracking tables on a *raw* (non-proxy) connection. The
-/// tables deliberately bypass the proxy's CREATE TABLE interception: they
+/// Creates the tracking tables on a *raw* (non-proxy) connection: the
+/// proxy refuses every client write to them, this DDL included. They
 /// carry no `trid` column themselves, and the `trans_dep` insert that lands
 /// right before each COMMIT in the transaction log is the anchor the repair
 /// tool uses to correlate proxy and internal transaction ids.
@@ -68,6 +45,7 @@ pub fn prepare_database(conn: &mut dyn Connection) -> Result<(), WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TRACKING_TABLES;
     use resildb_engine::{Database, Flavor};
     use resildb_wire::{Driver, LinkProfile, NativeDriver};
 

@@ -11,9 +11,7 @@ use resildb_sim::{
     failpoints, EventKind, InjectedFault, MetricsSnapshot, Micros, OwnedSpan, ShapeCache,
     SimContext, Telemetry, TraceVerdict,
 };
-use resildb_sql::{
-    parse_statement, parse_template, scan_statement, LiteralSpan, Statement, StatementScan,
-};
+use resildb_sql::{parse_statement, parse_template, scan_statement, LiteralSpan, StatementScan};
 use resildb_wire::{
     single_proxy, Connection, InterceptDriver, Interceptor, InterceptorFactory, LinkProfile,
     NativeDriver, Response, WireError,
@@ -25,9 +23,7 @@ use crate::cache::{CachedShape, Plan, RewriteCacheStats};
 use crate::config::{EnforcementPolicy, ProxyConfig};
 use crate::depstore::DepStore;
 use crate::fence::{Fence, FenceDecision};
-use crate::rewrite::{
-    HarvestSource, COLUMN_TRID_PREFIX, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN, TRID_COLUMN,
-};
+use crate::rewrite::{is_tracking_column, HarvestSource, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN};
 
 /// A proxy-generated transaction id. Distinct from the DBMS-internal id;
 /// the repair tool correlates the two from the transaction log (§3.3).
@@ -41,10 +37,11 @@ impl std::fmt::Display for ProxyTxnId {
 }
 
 /// Shared counters of the static-analysis enforcement layer: how many
-/// statements of each verdict class the proxy saw, and how many the
-/// [`EnforcementPolicy::Reject`] policy refused. Counted only when the
-/// policy is `Warn` or `Reject`; under `Allow` (the paper's behaviour) the
-/// classifier stays entirely off the statement path.
+/// statements of each verdict class the proxy saw, and how many it
+/// refused. Verdicts are counted only when the policy is `Warn` or
+/// `Reject`. Refusals are counted under every policy: a statement that
+/// writes tracking state is refused even under `Allow` (the paper's
+/// behaviour otherwise), and so is every untracked one under `Reject`.
 #[derive(Debug, Default)]
 pub struct TrackerStats {
     sound: AtomicU64,
@@ -61,10 +58,6 @@ impl TrackerStats {
             Verdict::Untracked(_) => &self.untracked,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current counters.
@@ -97,7 +90,9 @@ pub struct TrackerStatsSnapshot {
     pub degraded: u64,
     /// Statements classified untracked (dependencies lost).
     pub untracked: u64,
-    /// Untracked statements refused under [`EnforcementPolicy::Reject`].
+    /// Statements refused: writes to tracking state under every policy,
+    /// and every other untracked statement under
+    /// [`EnforcementPolicy::Reject`].
     pub rejected: u64,
 }
 
@@ -413,8 +408,8 @@ impl Tracker {
             None => TraceVerdict::Unchecked,
             Some(Verdict::Sound) => TraceVerdict::Sound,
             Some(Verdict::Degraded(_)) => TraceVerdict::Degraded,
-            Some(Verdict::Untracked(_)) => {
-                if self.config.enforcement == EnforcementPolicy::Reject {
+            Some(v @ Verdict::Untracked(_)) => {
+                if v.tampers() || self.config.enforcement == EnforcementPolicy::Reject {
                     TraceVerdict::Rejected
                 } else {
                     TraceVerdict::Untracked
@@ -468,28 +463,27 @@ impl Tracker {
         }
     }
 
-    /// Classifies `stmt` for enforcement, or `None` when it is exempt
-    /// (planned as the proxy's own tracking-table bookkeeping) or the
-    /// policy is [`EnforcementPolicy::Allow`] (classifier off the
-    /// statement path, the paper's behaviour).
-    fn classify_for_enforcement(&self, stmt: &Statement, plan: &Plan) -> Option<Verdict> {
-        if self.config.enforcement == EnforcementPolicy::Allow || matches!(plan, Plan::Tracking) {
-            return None;
-        }
-        Some(classify_statement(stmt, self.config.granularity.into()))
-    }
-
     /// Counts `verdict` and, under [`EnforcementPolicy::Reject`], refuses
     /// untracked statements before they reach the DBMS.
     fn enforce(&self, verdict: &Verdict) -> Result<(), WireError> {
-        self.runtime.stats.count(verdict);
         if verdict.is_untracked() && self.config.enforcement == EnforcementPolicy::Reject {
-            self.runtime.stats.count_rejected();
-            return Err(WireError::Protocol(format!(
-                "statement refused by tracking enforcement policy: {verdict}"
-            )));
+            return Err(self.refuse(verdict));
         }
+        self.runtime.stats.count(verdict);
         Ok(())
+    }
+
+    /// Refuses the statement `verdict` classifies, before it reaches the
+    /// DBMS: counts the verdict (not under [`EnforcementPolicy::Allow`])
+    /// and the refusal, and names the reason codes in the error.
+    fn refuse(&self, verdict: &Verdict) -> WireError {
+        if self.config.enforcement != EnforcementPolicy::Allow {
+            self.runtime.stats.count(verdict);
+        }
+        self.runtime.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        WireError::Protocol(format!(
+            "statement refused by tracking enforcement policy: {verdict}"
+        ))
     }
 
     /// Forgets the current transaction and rolls the downstream one back,
@@ -598,16 +592,10 @@ impl Tracker {
     /// per-column `trid__*` stamps, and (only where the flavor needed the
     /// identity workaround) the injected `rid` column.
     fn is_hidden_column(&self, name: &str) -> bool {
-        // `get` rather than direct slicing: a multi-byte column name whose
-        // char boundaries straddle the prefix length must compare unequal,
-        // not panic.
         name.starts_with(HARVEST_ALIAS_PREFIX)
-            || name.eq_ignore_ascii_case(TRID_COLUMN)
-            || name
-                .get(..COLUMN_TRID_PREFIX.len())
-                .is_some_and(|p| p.eq_ignore_ascii_case(COLUMN_TRID_PREFIX))
-            || self.config.flavor.rowid_pseudocolumn().is_none()
-                && name.eq_ignore_ascii_case(IDENTITY_COLUMN)
+            || is_tracking_column(name)
+                && (self.config.flavor.rowid_pseudocolumn().is_none()
+                    || !name.eq_ignore_ascii_case(IDENTITY_COLUMN))
     }
 
     /// Strips tracking columns from a pass-through result (aggregate or
@@ -804,8 +792,10 @@ impl Tracker {
     }
 
     /// The miss path: parses `sql` — as a template when the scanner
-    /// admitted it — then plans and classifies it once. A template's plan
-    /// is cached for every later statement of its shape.
+    /// admitted it — then classifies and plans it once. A statement that
+    /// writes tracking state is refused here, under every policy, and never
+    /// cached; any other template's plan is cached for every later
+    /// statement of its shape.
     fn plan_statement(
         &self,
         sql: &str,
@@ -822,11 +812,16 @@ impl Tracker {
             ),
         };
         self.charge_rewrite();
+        let verdict = classify_statement(&stmt, self.config.granularity.into());
+        if verdict.tampers() {
+            self.trace_rewrite(false, Some(&verdict));
+            return Err(self.refuse(&verdict));
+        }
         let literals = scan.map_or(0, |scan| scan.spans.len());
         let plan = Plan::new(&stmt, literals, &self.config).ok_or_else(|| {
             WireError::Protocol("proxy cannot template its rewrite of the statement".into())
         })?;
-        let verdict = self.classify_for_enforcement(&stmt, &plan);
+        let verdict = (self.config.enforcement != EnforcementPolicy::Allow).then_some(verdict);
         let shape = CachedShape { plan, verdict };
         Ok(match scan {
             Some(scan) => self.runtime.cache.insert(scan.fingerprint, shape),
@@ -845,7 +840,7 @@ impl Tracker {
         downstream: &mut dyn Connection,
     ) -> Result<Response, WireError> {
         match plan {
-            Plan::Tracking | Plan::Ddl(None) => downstream.execute(sql),
+            Plan::Ddl(None) => downstream.execute(sql),
             Plan::Ddl(Some(rewritten)) => downstream.execute(rewritten),
             Plan::Begin => {
                 if self.txn.as_ref().is_some_and(|t| t.explicit) {

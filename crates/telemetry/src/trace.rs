@@ -32,8 +32,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// Enforcement verdict attached to a [`EventKind::StmtRewrite`] event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceVerdict {
-    /// The classifier was off the statement path (enforcement `Allow`,
-    /// the paper's behaviour) or the statement was exempt.
+    /// No verdict kept: enforcement `Allow` (the paper's behaviour) and
+    /// the statement does not write tracking state.
     Unchecked,
     /// Classified fully soundly tracked.
     Sound,
@@ -41,7 +41,8 @@ pub enum TraceVerdict {
     Degraded,
     /// Classified untracked (dependencies invisible), but forwarded.
     Untracked,
-    /// Classified untracked and refused by the `Reject` policy.
+    /// Classified untracked and refused: by the `Reject` policy, or under
+    /// every policy for a write to tracking state.
     Rejected,
 }
 

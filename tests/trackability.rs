@@ -11,9 +11,12 @@ use proptest::prelude::*;
 use resildb_analyze::{
     is_tracking_column, profiles_from_groups, Analyzer, Granularity, TxnProfile,
 };
-use resildb_core::ResilientDb;
+use resildb_core::{EventKind, ResilientDb, Telemetry, TraceVerdict};
 use resildb_engine::{Database, Flavor, Value};
-use resildb_proxy::{prepare_database, EnforcementPolicy, ProxyConfig, TrackingProxy};
+use resildb_proxy::{
+    prepare_database, EnforcementPolicy, ProxyConfig, TrackingGranularity, TrackingProxy,
+    TRACKING_TABLES,
+};
 use resildb_repair::RepairOp;
 use resildb_tpcc::{record_profiled_corpus, Loader, TpccConfig, TpccRunner, TxnKind};
 use resildb_wire::{single_proxy, Connection, Driver, LinkProfile, NativeDriver, WireError};
@@ -28,13 +31,26 @@ fn proxy_with(
     Box<dyn Connection>,
     std::sync::Arc<resildb_proxy::ProxyRuntime>,
 ) {
-    let db = Database::in_memory(Flavor::Postgres);
+    proxy_over(
+        ProxyConfig::builder(Flavor::Postgres)
+            .enforcement(policy)
+            .record_read_only_deps(read_only_deps)
+            .build(),
+    )
+}
+
+/// A tracking proxy configured by `config`, plus its runtime handle, over
+/// a fresh database of the configured flavor.
+fn proxy_over(
+    config: ProxyConfig,
+) -> (
+    Database,
+    Box<dyn Connection>,
+    std::sync::Arc<resildb_proxy::ProxyRuntime>,
+) {
+    let db = Database::in_memory(config.flavor);
     let native = NativeDriver::new(db.clone(), LinkProfile::local());
     prepare_database(&mut *native.connect().unwrap()).unwrap();
-    let config = ProxyConfig::builder(Flavor::Postgres)
-        .enforcement(policy)
-        .record_read_only_deps(read_only_deps)
-        .build();
     let (factory, runtime) = TrackingProxy::new(config, db.sim().clone());
     let conn = single_proxy(db.clone(), LinkProfile::local(), factory)
         .connect()
@@ -105,7 +121,7 @@ fn warn_policy_forwards_but_counts() {
 }
 
 #[test]
-fn allow_policy_keeps_the_classifier_off_the_statement_path() {
+fn allow_policy_counts_nothing() {
     let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Allow, false);
     conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         .unwrap();
@@ -118,6 +134,172 @@ fn allow_policy_keeps_the_classifier_off_the_statement_path() {
         (snap.sound, snap.degraded, snap.untracked, snap.rejected),
         (0, 0, 0, 0)
     );
+}
+
+const POLICIES: [EnforcementPolicy; 3] = [
+    EnforcementPolicy::Allow,
+    EnforcementPolicy::Warn,
+    EnforcementPolicy::Reject,
+];
+
+/// Every shape of client write to tracking state, with the granularity it
+/// is tried at and the reason code its refusal must name: tracking columns
+/// of a user table `t(id, v)`, then each tracking table.
+fn tamper_statements() -> Vec<(String, TrackingGranularity, &'static str)> {
+    let row = TrackingGranularity::Row;
+    let mut out = vec![
+        (
+            "INSERT INTO t (id, v, trid) VALUES (2, 20, 1)".to_string(),
+            row,
+            "U-TRID-WRITE",
+        ),
+        (
+            "UPDATE t SET v = 11, trid = 1 WHERE id = 1".to_string(),
+            row,
+            "U-TRID-WRITE",
+        ),
+        (
+            "UPDATE t SET v = 11, trid__v = 1 WHERE id = 1".to_string(),
+            TrackingGranularity::Column,
+            "U-TRID-WRITE",
+        ),
+        (
+            "CREATE TABLE u (a INTEGER, trid INTEGER)".to_string(),
+            row,
+            "U-TRID-SHADOW",
+        ),
+    ];
+    for table in TRACKING_TABLES {
+        for sql in [
+            format!("INSERT INTO {table} (tr_id) VALUES (99)"),
+            format!("UPDATE {table} SET tr_id = 99 WHERE tr_id = 1"),
+            format!("DELETE FROM {table} WHERE tr_id = 1"),
+            format!("DROP TABLE {table}"),
+        ] {
+            out.push((sql, row, "U-TRACKING-WRITE"));
+        }
+    }
+    out
+}
+
+/// The refusal matrix: under every policy, on first and repeated
+/// execution, every write to tracking state is refused before the DBMS
+/// (no WAL record), counted as rejected, flight-recorded as rejected and
+/// never cached; its verdict is counted only where the policy classifies.
+#[test]
+fn writes_to_tracking_state_are_refused_under_every_policy() {
+    for policy in POLICIES {
+        for (sql, granularity, code) in tamper_statements() {
+            let at = format!("{policy:?}, {granularity:?}: {sql}");
+            let tel = Telemetry::recording();
+            tel.flight().set_enabled(true);
+            let (db, mut conn, runtime) = proxy_over(
+                ProxyConfig::builder(Flavor::Postgres)
+                    .enforcement(policy)
+                    .granularity(granularity)
+                    .telemetry(tel.clone())
+                    .build(),
+            );
+            conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+                .unwrap();
+            conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
+                .unwrap();
+            let wal = db.wal_records().len();
+            let stats = runtime.tracker_stats().snapshot();
+            let cached = runtime.rewrite_cache_stats().entries;
+            tel.flight().clear();
+            for run in ["first", "repeated"] {
+                match conn.execute(&sql) {
+                    Err(WireError::Protocol(msg)) => {
+                        assert!(msg.contains("refused") && msg.contains(code), "{at}: {msg}");
+                    }
+                    other => panic!("{at}: {run} execution must be refused, got {other:?}"),
+                }
+            }
+            assert_eq!(db.wal_records().len(), wal, "{at}: reached the DBMS");
+            assert_eq!(runtime.rewrite_cache_stats().entries, cached, "{at}");
+            let now = runtime.tracker_stats().snapshot();
+            assert_eq!(now.rejected - stats.rejected, 2, "{at}");
+            let classified = if policy == EnforcementPolicy::Allow {
+                0
+            } else {
+                2
+            };
+            assert_eq!(now.untracked - stats.untracked, classified, "{at}");
+            assert_eq!(now.sound + now.degraded, stats.sound + stats.degraded);
+            let rejected = tel
+                .flight()
+                .snapshot()
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        EventKind::StmtRewrite {
+                            cache_hit: false,
+                            verdict: TraceVerdict::Rejected
+                        }
+                    )
+                })
+                .count();
+            assert_eq!(rejected, 2, "{at}");
+            // The connection is still usable, and the tracking state is
+            // the proxy's alone: the user write commits with its record.
+            conn.execute("INSERT INTO t (id, v) VALUES (3, 30)")
+                .unwrap();
+            assert_eq!(db.row_count("trans_dep").unwrap(), 2, "{at}");
+        }
+    }
+}
+
+/// The spoofed-stamp attack is refused on every flavor, with the engine's
+/// row and log untouched.
+#[test]
+fn a_spoofed_stamp_is_refused_on_every_flavor() {
+    for flavor in [Flavor::Postgres, Flavor::Oracle, Flavor::Sybase] {
+        let rdb = ResilientDb::new(flavor).unwrap();
+        let mut conn = rdb.connect().unwrap();
+        conn.execute("CREATE TABLE account (id INTEGER PRIMARY KEY, balance FLOAT)")
+            .unwrap();
+        conn.execute("INSERT INTO account (id, balance) VALUES (1, 100.0)")
+            .unwrap();
+        let wal = rdb.database().wal_records().len();
+        let err = conn
+            .execute("UPDATE account SET balance = 1000000.0, trid = 1 WHERE id = 1")
+            .unwrap_err();
+        assert!(
+            matches!(&err, WireError::Protocol(m) if m.contains("U-TRID-WRITE")),
+            "{flavor:?}: {err}"
+        );
+        assert_eq!(rdb.database().wal_records().len(), wal, "{flavor:?}");
+        let mut s = rdb.database().session();
+        let r = s.query("SELECT balance FROM account WHERE id = 1").unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Float(100.0)]], "{flavor:?}");
+    }
+}
+
+/// Reads of the tracking tables are not writes: they pass even under
+/// `Reject`, with the rows the tables hold.
+#[test]
+fn reads_of_the_tracking_tables_pass_under_reject() {
+    let (db, mut conn, runtime) = proxy_with(EnforcementPolicy::Reject, false);
+    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    conn.execute("ANNOTATE writer").unwrap();
+    conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
+        .unwrap();
+    for table in TRACKING_TABLES {
+        for sql in [
+            format!("SELECT tr_id FROM {table}"),
+            format!("SELECT * FROM {table} WHERE tr_id > 0"),
+        ] {
+            let resp = conn.execute(&sql).unwrap();
+            let rows = resp.rows().unwrap().rows.len() as u64;
+            assert_eq!(rows, db.row_count(table).unwrap(), "{sql}");
+        }
+    }
+    assert_eq!(db.row_count("trans_dep").unwrap(), 1);
+    assert_eq!(runtime.tracker_stats().snapshot().rejected, 0);
 }
 
 /// Reader statement shapes spanning the verdict lattice.
