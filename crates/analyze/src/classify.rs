@@ -217,9 +217,9 @@ fn classify_select(sel: &Select, granularity: Granularity) -> Vec<Reason> {
     if granularity == Granularity::Column {
         // Mirror the rewriter's fallback: a binding with no resolvable
         // read columns harvests the row stamp instead of column stamps.
-        let falls_back = sel
-            .from
-            .iter()
+        // Tracking tables are never harvested.
+        let falls_back = (sel.from.iter())
+            .filter(|t| !is_tracking_table(&t.name))
             .any(|t| columns_read_for(sel, t.binding_name()).is_empty());
         if falls_back {
             reasons.push(Reason::ColumnFallback);

@@ -673,7 +673,7 @@ impl Session {
         };
         let catalog = self.db.inner.catalog.read();
         let sim = self.db.sim();
-        for action in txn.undo.iter().rev() {
+        let undo = |action: &UndoAction| -> Result<()> {
             match action {
                 UndoAction::UnInsert { table, rowid } => {
                     catalog.get(table)?.write().delete(*rowid, sim)?;
@@ -683,11 +683,15 @@ impl Session {
                     rowid,
                     row,
                     loc,
+                    after,
                 } => {
-                    catalog
-                        .get(table)?
-                        .write()
-                        .restore_at(*rowid, row.clone(), *loc, sim)?;
+                    catalog.get(table)?.write().restore_at(
+                        *rowid,
+                        row.clone(),
+                        *loc,
+                        *after,
+                        sim,
+                    )?;
                 }
                 UndoAction::UnUpdate {
                     table,
@@ -699,6 +703,15 @@ impl Session {
                         .write()
                         .rewrite_stored(*rowid, before, sim)?;
                 }
+            }
+            Ok(())
+        };
+        // Every undo action runs even after one fails, and the locks are
+        // released regardless; the first failure is reported at the end.
+        let mut first_err = None;
+        for action in txn.undo.iter().rev() {
+            if let Err(e) = undo(action) {
+                first_err.get_or_insert(e);
             }
         }
         drop(catalog);
@@ -722,7 +735,7 @@ impl Session {
             0,
             resildb_sim::EventKind::WalAbort { internal: txn.id.0 },
         );
-        Ok(())
+        first_err.map_or(Ok(()), Err)
     }
 }
 
@@ -739,6 +752,89 @@ impl Drop for Session {
 mod tests {
     use super::*;
     use crate::value::Value;
+
+    /// A rolled-back DELETE puts its row back between its surviving
+    /// neighbours after another session compacted the page, and on another
+    /// page after another session filled it; a rollback whose undo fails
+    /// still runs every other undo action and releases every lock.
+    #[test]
+    fn rollback_survives_concurrent_page_compaction() {
+        for flavor in [Flavor::Postgres, Flavor::Oracle, Flavor::Sybase] {
+            let db = Database::in_memory(flavor);
+            let (mut a, mut b) = (db.session(), db.session());
+            a.execute_sql("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+                .unwrap();
+            for id in 1..=4 {
+                a.execute_sql(&format!("INSERT INTO t (id, v) VALUES ({id}, {id})"))
+                    .unwrap();
+            }
+            // Physical order: a full scan walks the page front to back.
+            let rows = |s: &mut Session| s.query("SELECT id, v FROM t").unwrap().rows;
+            let int = |v: i64| Value::Int(v);
+
+            // A's delete of 3 is undone after B compacted 1 away: 3 goes
+            // back behind 2, not at its stale offset (behind 4).
+            a.execute_sql("BEGIN").unwrap();
+            a.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
+            b.execute_sql("DELETE FROM t WHERE id = 1").unwrap();
+            a.execute_sql("ROLLBACK").unwrap();
+            let ids: Vec<_> = rows(&mut a).into_iter().map(|r| r[0].clone()).collect();
+            assert_eq!(ids, [int(2), int(3), int(4)], "{flavor:?}");
+
+            // The stale offset now lies past the packed region.
+            a.execute_sql("BEGIN").unwrap();
+            a.execute_sql("DELETE FROM t WHERE id = 4").unwrap();
+            b.execute_sql("BEGIN").unwrap();
+            b.execute_sql("DELETE FROM t WHERE id = 2").unwrap();
+            b.execute_sql("COMMIT").unwrap();
+            a.execute_sql("ROLLBACK").unwrap();
+            let ids: Vec<_> = rows(&mut a).into_iter().map(|r| r[0].clone()).collect();
+            assert_eq!(ids, [int(3), int(4)], "{flavor:?}");
+
+            // B re-uses the key A deleted, so undoing that delete fails;
+            // the earlier delete is still undone and A's locks released.
+            a.execute_sql("BEGIN").unwrap();
+            a.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
+            a.execute_sql("DELETE FROM t WHERE id = 4").unwrap();
+            let txn = a.txn.as_ref().unwrap().id;
+            b.execute_sql("INSERT INTO t (id, v) VALUES (4, 40)")
+                .unwrap();
+            let err = a.execute_sql("ROLLBACK").unwrap_err();
+            assert!(matches!(err, EngineError::DuplicateKey(_)), "{err:?}");
+            assert_eq!(db.inner.locks.held_by(txn), 0, "{flavor:?}");
+            assert_eq!(
+                rows(&mut b),
+                [vec![int(3), int(3)], vec![int(4), int(40)]],
+                "{flavor:?}"
+            );
+
+            // `n` rows fill page 0 of `u` but for less than one row's width.
+            a.execute_sql("CREATE TABLE u (id INTEGER PRIMARY KEY)")
+                .unwrap();
+            let pages = || db.table("u").unwrap().read().page_count();
+            let mut n = 0;
+            while pages() < 2 {
+                n += 1;
+                a.execute_sql(&format!("INSERT INTO u (id) VALUES ({n})"))
+                    .unwrap();
+            }
+            a.execute_sql("DROP TABLE u").unwrap();
+            a.execute_sql("CREATE TABLE u (id INTEGER PRIMARY KEY)")
+                .unwrap();
+            for id in 1..n {
+                a.execute_sql(&format!("INSERT INTO u (id) VALUES ({id})"))
+                    .unwrap();
+            }
+            // B's insert takes the space A's delete freed on the one page.
+            a.execute_sql("BEGIN").unwrap();
+            a.execute_sql("DELETE FROM u WHERE id = 1").unwrap();
+            b.execute_sql(&format!("INSERT INTO u (id) VALUES ({n})"))
+                .unwrap();
+            assert_eq!(pages(), 1, "{flavor:?}");
+            a.execute_sql("ROLLBACK").unwrap();
+            assert_eq!(db.row_count("u").unwrap(), n as u64, "{flavor:?}");
+        }
+    }
 
     #[test]
     fn stmt_cache_hits_on_repeated_shapes() {

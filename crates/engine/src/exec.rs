@@ -93,10 +93,10 @@ pub enum UndoAction {
         rowid: RowId,
     },
     /// Undo a delete: re-insert the saved image under its original id, at
-    /// the physical slot it occupied. Restoring the exact location matters:
-    /// an aborted transaction publishes no log records, so any layout
-    /// change it left behind would be invisible to the Sybase offset
-    /// recovery of paper §4.3.
+    /// the physical slot it occupied ([`crate::Table::restore_at`]).
+    /// Restoring the location matters: an aborted transaction publishes no
+    /// log records, so any layout change it left behind would be invisible
+    /// to the Sybase offset recovery of paper §4.3.
     ReInsert {
         /// Table name.
         table: String,
@@ -106,6 +106,8 @@ pub enum UndoAction {
         row: Row,
         /// Physical location the row occupied before the delete.
         loc: crate::table::RowLocation,
+        /// The row that preceded it on its page, if any.
+        after: Option<RowId>,
     },
     /// Undo an update: restore the before-image.
     UnUpdate {
@@ -1073,15 +1075,19 @@ fn exec_delete(ctx: &mut StmtCtx<'_>, del: &resildb_sql::Delete) -> Result<u64> 
         if !passes(&conjuncts, &RowsScope(&[(rid, current)]))? {
             continue;
         }
-        let Some((row, loc)) = handle.write().delete(rid, ctx.sim)? else {
+        let mut table = handle.write();
+        let Some((row, loc)) = table.delete(rid, ctx.sim)? else {
             continue;
         };
+        let after = table.row_before(loc);
+        drop(table);
         // Undo entry first so a failed append still re-inserts the row.
         ctx.undo.push(UndoAction::ReInsert {
             table: schema.name.clone(),
             rowid: rid,
             row: row.clone(),
             loc,
+            after,
         });
         let op = LogOp::Delete {
             table: schema.name.clone(),

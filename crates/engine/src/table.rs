@@ -463,25 +463,32 @@ impl Table {
         })
     }
 
-    /// Restores a deleted row at the *exact* physical location it occupied
-    /// before the delete — the rollback path. Unlike
-    /// [`Self::insert_with_rowid`], which appends to the last page, this
-    /// splices the image back where it was so an aborted transaction's
-    /// page churn is fully reversed. Required by the Sybase repair
-    /// algorithm (paper §4.3): it resolves logged offsets against the
-    /// current page, and a rolled-back transaction — which left no log
-    /// records — must therefore leave no physical footprint either.
+    /// Restores a deleted row on the page it occupied, between its
+    /// surviving neighbours — the rollback path. `after` is the row that
+    /// preceded it when it was deleted (`Table::row_before`); the image is
+    /// spliced in right behind that row, or, once another session has
+    /// deleted that row too, at the last row boundary at or before the
+    /// recorded offset. While no other session touched the page this is
+    /// the exact pre-delete layout. Unlike [`Self::insert_with_rowid`],
+    /// which appends to the last page, this reverses an aborted
+    /// transaction's page churn. Required by the Sybase repair algorithm
+    /// (paper §4.3): it resolves logged offsets against the current page,
+    /// and a rolled-back transaction — which left no log records — must
+    /// therefore leave no physical footprint either. Only when another
+    /// session's insert has taken the freed space does the row go where
+    /// [`Self::insert_with_rowid`] puts it.
     ///
     /// # Errors
     ///
     /// Fails if `rowid` is already live, the primary key collides, the
     /// image width differs from the recorded slot, or `loc` no longer
-    /// names a valid splice point.
+    /// names a page.
     pub fn restore_at(
         &mut self,
         rowid: RowId,
         row: Row,
         loc: RowLocation,
+        after: Option<RowId>,
         sim: &SimContext,
     ) -> Result<()> {
         if self.directory.contains_key(&rowid) {
@@ -507,7 +514,20 @@ impl Table {
             .pages
             .get_mut(loc.page as usize)
             .ok_or_else(|| EngineError::Internal(format!("restore_at page {} gone", loc.page)))?;
-        page.insert_at(rowid, &image, loc.offset);
+        if image.len() > page.free_space() {
+            // Another session filled what the delete freed: the row keeps
+            // its id on another page rather than being lost.
+            return self.insert_with_rowid(rowid, &row, sim).map(drop);
+        }
+        let offset = match after.and_then(|prev| page.slot_of(prev)) {
+            Some(prev) => prev.offset + prev.len,
+            None => (page.slots().iter())
+                .map(|s| s.offset + s.len)
+                .filter(|&end| end <= loc.offset)
+                .max()
+                .unwrap_or(0),
+        };
+        page.insert_at(rowid, &image, offset);
         self.next_rowid = self.next_rowid.max(rowid.0 + 1);
         self.directory.insert(rowid, loc.page);
         if let Some(key) = self.pk_key(&row) {
@@ -526,6 +546,15 @@ impl Table {
             Ok(false)
         })?;
         Ok(row)
+    }
+
+    /// The row whose image ends where `loc` begins: right after a delete,
+    /// the deleted row's predecessor on its page (`None` if it was first).
+    pub(crate) fn row_before(&self, loc: RowLocation) -> Option<RowId> {
+        let page = self.pages.get(loc.page as usize)?;
+        (page.slots().iter())
+            .find(|s| s.offset + s.len == loc.offset)
+            .map(|s| s.rowid)
     }
 
     /// Deletes `rowid`, returning the deleted row and the location it

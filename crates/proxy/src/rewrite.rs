@@ -12,7 +12,7 @@ use crate::config::TrackingGranularity;
 // The tracking-column vocabulary is shared with the static analyzer and
 // the repair tool; it lives in `resildb-analyze` (the lowest common layer)
 // and is re-exported here for the proxy's historical public API.
-use resildb_analyze::{columns_read_for, select_has_aggregate};
+use resildb_analyze::{columns_read_for, is_tracking_table, select_has_aggregate};
 pub use resildb_analyze::{is_tracking_column, COLUMN_TRID_PREFIX, IDENTITY_COLUMN, TRID_COLUMN};
 
 /// Prefix of the aliases given to harvested trid projection items, so the
@@ -84,10 +84,11 @@ impl SelectOutcome {
 }
 
 /// Rewrites a SELECT per Table 1: appends one `t.trid AS __tridN` item per
-/// FROM-table. Aggregate/grouped and DISTINCT queries are passed through
-/// with an explicit [`SelectSkip`], exactly as in the paper — per-row
-/// trids are meaningless under aggregation, a documented source of lost
-/// dependencies.
+/// FROM-table, tracking tables excepted (they carry no trid, and reading
+/// them induces no dependency). Aggregate/grouped and DISTINCT queries are
+/// passed through with an explicit [`SelectSkip`], exactly as in the paper
+/// — per-row trids are meaningless under aggregation, a documented source
+/// of lost dependencies.
 pub fn rewrite_select(sel: &Select, granularity: TrackingGranularity) -> SelectOutcome {
     if select_has_aggregate(sel) {
         return SelectOutcome::Passthrough(SelectSkip::Aggregate);
@@ -113,7 +114,7 @@ pub fn rewrite_select(sel: &Select, granularity: TrackingGranularity) -> SelectO
             harvested.push(source);
             k += 1;
         };
-    for t in &sel.from {
+    for t in sel.from.iter().filter(|t| !is_tracking_table(&t.name)) {
         let binding = t.binding_name().to_string();
         let table = t.name.to_ascii_lowercase();
         let read_columns = columns_read_for(sel, &binding);

@@ -1,11 +1,11 @@
 //! Scenario execution: track → attack → repair → clean replay, with the
 //! oracle battery evaluated at the end.
 //!
-//! The harness runs a [`Scenario`] against a fresh [`ResilientDb`]
-//! ("world A"): loads the scaled TPC-C footprint, executes the schedule
-//! (optionally across real OS threads), disarms the fault plan, repairs
-//! from the committed malicious transactions, and then builds a second
-//! fresh instance ("world B") that replays only the clean survivors.
+//! One builder makes every world: a fresh [`ResilientDb`] that loads the
+//! scaled TPC-C footprint, runs a schedule (optionally across real OS
+//! threads) and disarms the fault plan. World A runs the [`Scenario`] and
+//! repairs from the committed malicious transactions; world B runs only
+//! the clean survivors, in world A's commit order, with no fault armed.
 //! Every oracle in [`crate::oracle`] is then checked; a non-empty failure
 //! list is a fuzzer finding.
 //!
@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use parking_lot::Mutex;
-use resildb_core::{Connection, ResilientDb, Response, TRACKING_TABLES};
+use resildb_core::{Connection, ResilientDb, TRACKING_TABLES};
 use resildb_sim::telemetry::trace::to_jsonl;
 use resildb_sim::TraceSnapshot;
 use resildb_tpcc::{Loader, TPCC_TABLES};
@@ -30,12 +30,13 @@ use crate::oracle;
 use crate::scenario::{generate, tpcc_config, Scenario, ScenarioTxn};
 
 /// What happened to one scheduled transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
     /// COMMIT succeeded end-to-end.
     Committed,
-    /// Any failure: statement error, disconnect, injected panic, rollback.
-    Aborted,
+    /// Any failure: statement error, disconnect, injected panic, rollback;
+    /// the message says which.
+    Aborted(String),
 }
 
 /// Deliberately-injected harness bugs, used to prove the oracle battery
@@ -71,17 +72,13 @@ impl Default for RunOptions {
     }
 }
 
-/// Everything a run produced: outcomes, oracle failures, forensics.
+/// Everything a run produced: oracle failures and forensics.
 #[derive(Debug)]
 pub struct RunReport {
     /// The generating seed.
     pub seed: u64,
-    /// Per-schedule-index outcome.
-    pub outcomes: Vec<Outcome>,
     /// Oracle failures; empty means the run passed.
     pub failures: Vec<String>,
-    /// Labels of the transactions the repair undid.
-    pub undo_labels: BTreeSet<String>,
     /// Flight-recorder capture (JSONL), kept when the run failed.
     pub capture: Option<String>,
 }
@@ -90,16 +87,6 @@ impl RunReport {
     /// Whether every oracle held.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
-    }
-
-    fn harness_error(seed: u64, msg: String) -> Self {
-        Self {
-            seed,
-            outcomes: Vec::new(),
-            failures: vec![msg],
-            undo_labels: BTreeSet::new(),
-            capture: None,
-        }
     }
 }
 
@@ -131,10 +118,11 @@ fn silence_injected_panics() {
 /// Runs an explicit scenario (the shrinker edits scenarios directly).
 pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> RunReport {
     silence_injected_panics();
-    match try_run(scenario, opts) {
-        Ok(report) => report,
-        Err(e) => RunReport::harness_error(scenario.seed, format!("harness error: {e}")),
-    }
+    try_run(scenario, opts).unwrap_or_else(|e| RunReport {
+        seed: scenario.seed,
+        failures: vec![format!("harness error: {e}")],
+        capture: None,
+    })
 }
 
 /// Executes one scheduled transaction over a possibly-dead connection
@@ -181,11 +169,11 @@ fn exec_txn(
                 // either side. Harmless when the commit path already did.
                 let _ = c.execute("ROLLBACK");
             }
-            Outcome::Aborted
+            Outcome::Aborted(e.to_string())
         }
         Err(_) => {
             *conn = None; // injected panic: discard the wedged connection
-            Outcome::Aborted
+            Outcome::Aborted("panicked".into())
         }
     }
 }
@@ -200,15 +188,17 @@ fn arm_faults(rdb: &ResilientDb, scenario: &Scenario, i: usize) {
     }
 }
 
+/// Runs the schedule, serially or on `threads` workers; returns each
+/// transaction's outcome and the committed indices in commit order.
 fn run_workload(
     rdb: &Arc<ResilientDb>,
     scenario: &Scenario,
-    opts: &RunOptions,
+    threads: usize,
 ) -> Result<(Vec<Outcome>, Vec<usize>), String> {
     let n = scenario.txns.len();
     let commit_order = Mutex::new(Vec::with_capacity(n));
-    if opts.threads <= 1 {
-        let mut outcomes = vec![Outcome::Aborted; n];
+    if threads <= 1 {
+        let mut outcomes = Vec::with_capacity(n);
         let mut conn: Option<Box<dyn Connection>> = None;
         for (i, txn) in scenario.txns.iter().enumerate() {
             if scenario.crash_before == Some(i) {
@@ -218,7 +208,7 @@ fn run_workload(
                     .map_err(|e| format!("crash-recovery failed: {e}"))?;
             }
             arm_faults(rdb, scenario, i);
-            outcomes[i] = exec_txn(rdb, &mut conn, txn, i, &commit_order);
+            outcomes.push(exec_txn(rdb, &mut conn, txn, i, &commit_order));
         }
         return Ok((outcomes, commit_order.into_inner()));
     }
@@ -226,10 +216,10 @@ fn run_workload(
     // Threaded: worker t owns schedule indices i ≡ t (mod threads), in
     // order. Crash points are skipped (in-place recovery cannot run under
     // concurrent sessions); everything else is identical.
-    let outcomes = Mutex::new(vec![Outcome::Aborted; n]);
-    let barrier = Barrier::new(opts.threads);
+    let outcomes = Mutex::new(vec![Outcome::Aborted("not run".into()); n]);
+    let barrier = Barrier::new(threads);
     std::thread::scope(|scope| {
-        for t in 0..opts.threads {
+        for t in 0..threads {
             let (rdb, outcomes, barrier, commit_order) =
                 (Arc::clone(rdb), &outcomes, &barrier, &commit_order);
             scope.spawn(move || {
@@ -239,7 +229,7 @@ fn run_workload(
                     .txns
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| i % opts.threads == t)
+                    .filter(|(i, _)| i % threads == t)
                 {
                     arm_faults(&rdb, scenario, i);
                     let o = exec_txn(&rdb, &mut conn, txn, i, commit_order);
@@ -251,54 +241,82 @@ fn run_workload(
     Ok((outcomes.into_inner(), commit_order.into_inner()))
 }
 
-fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
-    let cfg = tpcc_config();
+/// One world: a fresh instance that loaded the seeded TPC-C footprint and
+/// ran a schedule, with what the run recorded.
+struct World {
+    rdb: Arc<ResilientDb>,
+    /// Per-schedule-index outcome.
+    outcomes: Vec<Outcome>,
+    /// Committed schedule indices, in commit order.
+    commit_order: Vec<usize>,
+    /// Label → proxy trid of every committed write transaction, read
+    /// before a repair compensates the undone ones' annot rows away.
+    label_trids: BTreeMap<String, i64>,
+}
 
-    // --- world A: track → attack -------------------------------------
-    let rdb = Arc::new(ResilientDb::new(scenario.flavor).map_err(|e| e.to_string())?);
-    {
+impl World {
+    /// The one world builder: a fresh instance of the scenario's flavor,
+    /// the seeded TPC-C load, then `scenario`'s schedule through
+    /// [`run_workload`] on `threads` workers, faults disarmed afterwards.
+    /// A committed write transaction without an annot row is untraceable:
+    /// it is reported to `failures`.
+    fn build(
+        scenario: &Scenario,
+        threads: usize,
+        failures: &mut Vec<String>,
+    ) -> Result<World, String> {
+        let rdb = Arc::new(ResilientDb::new(scenario.flavor).map_err(|e| e.to_string())?);
         let mut conn = rdb.connect().map_err(|e| e.to_string())?;
-        Loader::new(cfg.clone(), scenario.seed)
+        Loader::new(tpcc_config(), scenario.seed)
             .load(&mut *conn)
             .map_err(|e| format!("load failed: {e}"))?;
+        drop(conn);
+        let (outcomes, commit_order) = run_workload(&rdb, scenario, threads)?;
+        rdb.database().sim().faults().disarm_all();
+
+        let mut label_trids = BTreeMap::new();
+        for (txn, outcome) in scenario.txns.iter().zip(&outcomes) {
+            if !txn.wrote || *outcome != Outcome::Committed {
+                continue;
+            }
+            match rdb.txn_id_by_label(&txn.label) {
+                Ok(Some(trid)) => {
+                    label_trids.insert(txn.label.clone(), trid);
+                }
+                Ok(None) => failures.push(format!(
+                    "committed write txn {} left no annot row (untraceable)",
+                    txn.label
+                )),
+                Err(e) => failures.push(format!("annot lookup failed for {}: {e}", txn.label)),
+            }
+        }
+        Ok(World {
+            rdb,
+            outcomes,
+            commit_order,
+            label_trids,
+        })
     }
 
-    let (outcomes, commit_order) = run_workload(&rdb, scenario, opts)?;
-    rdb.database().sim().faults().disarm_all();
+    /// Proxy trids of the committed malicious transactions: the repair's
+    /// initial set.
+    fn attacks(&self, scenario: &Scenario) -> Vec<i64> {
+        (scenario.txns.iter())
+            .filter(|t| t.malicious)
+            .filter_map(|t| self.label_trids.get(&t.label).copied())
+            .collect()
+    }
+}
 
+fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> {
     let mut failures: Vec<String> = Vec::new();
 
-    // Capture the label → proxy-trid mapping NOW: a successful repair
-    // compensates away the tracking rows (annot, trans_dep) of everything
-    // it undoes — they were INSERTs inside the undone transaction — so
-    // after repair the labels of undone transactions resolve to nothing.
-    // Every committed write transaction must be resolvable here; a miss
-    // is itself an oracle failure (an untraceable transaction).
-    let mut label_trids: BTreeMap<String, i64> = BTreeMap::new();
-    for (i, txn) in scenario.txns.iter().enumerate() {
-        if outcomes[i] != Outcome::Committed || !txn.wrote {
-            continue;
-        }
-        match rdb.txn_id_by_label(&txn.label) {
-            Ok(Some(trid)) => {
-                label_trids.insert(txn.label.clone(), trid);
-            }
-            Ok(None) => failures.push(format!(
-                "committed write txn {} left no annot row (untraceable)",
-                txn.label
-            )),
-            Err(e) => failures.push(format!("annot lookup failed for {}: {e}", txn.label)),
-        }
-    }
+    // --- world A: track → attack -------------------------------------
+    let world_a = World::build(scenario, opts.threads, &mut failures)?;
+    let rdb = &world_a.rdb;
 
     // Committed malicious transactions form the repair's initial set.
-    let mut initial: Vec<i64> = scenario
-        .txns
-        .iter()
-        .enumerate()
-        .filter(|(i, txn)| txn.malicious && outcomes[*i] == Outcome::Committed)
-        .filter_map(|(_, txn)| label_trids.get(&txn.label).copied())
-        .collect();
+    let mut initial = world_a.attacks(scenario);
     if opts.canary == Canary::SkipFinalAttack {
         initial.pop(); // the injected bug: one attack goes unrepaired
     }
@@ -316,44 +334,32 @@ fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
         // Kept for the static-soundness oracle: the graph snapshot must
         // predate the repair's own compensating writes.
         analysis = Some(a);
-        let report = scripted_repair(scenario, &rdb, &initial, |init| {
+        let report = scripted_repair(scenario, rdb, &initial, |init| {
             rdb.repair(init, &[]).map_err(|e| e.to_string())
         })
         .map_err(|e| format!("repair failed: {e}"))?;
         failures.extend(oracle::one_closure(&closure, &report.undo_set));
     }
 
-    // --- world B: clean replay (malicious elided, undo set elided) ----
-    let rdb_b = ResilientDb::new(scenario.flavor).map_err(|e| e.to_string())?;
-    {
-        let mut conn = rdb_b.connect().map_err(|e| e.to_string())?;
-        Loader::new(cfg, scenario.seed)
-            .load(&mut *conn)
-            .map_err(|e| format!("replay load failed: {e}"))?;
-        // Replay in the recorded *commit* order — world A's serialization
-        // order. Under threads it can differ from schedule order, and
-        // replaying conflicting survivors out of order would diverge for
-        // reasons that are not bugs.
-        for &i in &commit_order {
-            let txn = &scenario.txns[i];
-            let survived = outcomes[i] == Outcome::Committed
-                && !txn.malicious
-                && !undo_labels.contains(&txn.label);
-            if !survived {
-                continue;
-            }
-            let replayed = (|| -> Result<(), WireError> {
-                conn.execute(&format!("ANNOTATE {}", txn.label))?;
-                conn.execute("BEGIN")?;
-                for s in &txn.statements {
-                    conn.execute(s)?;
-                }
-                conn.execute("COMMIT")?;
-                Ok(())
-            })();
-            if let Err(e) = replayed {
-                failures.push(format!("clean replay of {} failed: {e}", txn.label));
-            }
+    // --- world B: clean replay of the survivors -----------------------
+    // Survivors are replayed in the recorded *commit* order — world A's
+    // serialization order. Under threads it can differ from schedule
+    // order, and replaying conflicting survivors out of order would
+    // diverge for reasons that are not bugs.
+    let survivors = Scenario {
+        txns: (world_a.commit_order.iter())
+            .map(|&i| &scenario.txns[i])
+            .filter(|t| !t.malicious && !undo_labels.contains(&t.label))
+            .cloned()
+            .collect(),
+        faults: Vec::new(),
+        crash_before: None,
+        ..scenario.clone()
+    };
+    let world_b = World::build(&survivors, 1, &mut failures)?;
+    for (txn, o) in survivors.txns.iter().zip(&world_b.outcomes) {
+        if let Outcome::Aborted(e) = o {
+            failures.push(format!("clean replay of {} failed: {e}", txn.label));
         }
     }
 
@@ -364,35 +370,35 @@ fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
         // history is equivalent to the schedule order — true only when one
         // thread ran it. The engine is read-committed (readers take no
         // locks), so a threaded history need not match *any* serial replay.
-        failures.extend(oracle::byte_equality(&rdb, &rdb_b));
+        failures.extend(oracle::byte_equality(rdb, &world_b.rdb));
         failures.extend(oracle::closure_matches_ground_truth(
             scenario,
-            &outcomes,
+            &world_a.outcomes,
             &undo_labels,
         ));
     }
-    failures.extend(oracle::attack_eradicated(&rdb, &rdb_b));
+    failures.extend(oracle::attack_eradicated(rdb, &world_b.rdb));
     failures.extend(oracle::trans_dep_exactly_once(
-        &rdb,
+        rdb,
         scenario,
-        &outcomes,
+        &world_a.outcomes,
         &undo_labels,
-        &label_trids,
+        &world_a.label_trids,
     ));
     failures.extend(oracle::static_soundness(
         scenario,
-        &outcomes,
+        &world_a.outcomes,
         analysis.as_ref(),
         &initial,
         &undo_labels,
     ));
-    failures.extend(oracle::inflight_drained(&rdb, "world A"));
-    failures.extend(oracle::inflight_drained(&rdb_b, "world B"));
+    failures.extend(oracle::inflight_drained(rdb, "world A"));
+    failures.extend(oracle::inflight_drained(&world_b.rdb, "world B"));
     failures.extend(oracle::flight_lifecycle(
         &flight,
         scenario,
-        &outcomes,
-        &label_trids,
+        &world_a.outcomes,
+        &world_a.label_trids,
     ));
     // Oracle 9: world A repairs quiesced, so its incidents must be
     // closed, strictly monotonic, decomposition-exact and fence-free.
@@ -415,51 +421,9 @@ fn try_run(scenario: &Scenario, opts: &RunOptions) -> Result<RunReport, String> 
     let capture = (!failures.is_empty()).then(|| to_jsonl(&flight));
     Ok(RunReport {
         seed: scenario.seed,
-        outcomes,
         failures,
-        undo_labels,
         capture,
     })
-}
-
-/// A deterministic world: the instance, its per-transaction outcomes,
-/// and the proxy trids of its committed malicious transactions.
-type World = (Arc<ResilientDb>, Vec<Outcome>, Vec<i64>);
-
-/// Replays the full scenario single-threaded against a fresh default
-/// instance, and returns the world together with its outcomes and the
-/// proxy trids of its committed malicious transactions.
-/// Single-threaded replay is deterministic, so two such worlds reach
-/// byte-identical pre-repair states — trid columns included.
-fn replay_deterministic(scenario: &Scenario) -> Result<World, String> {
-    let rdb = Arc::new(ResilientDb::new(scenario.flavor).map_err(|e| e.to_string())?);
-    {
-        let mut conn = rdb.connect().map_err(|e| e.to_string())?;
-        Loader::new(tpcc_config(), scenario.seed)
-            .load(&mut *conn)
-            .map_err(|e| format!("load failed: {e}"))?;
-    }
-    let opts = RunOptions {
-        threads: 1,
-        canary: Canary::None,
-    };
-    let (outcomes, _) = run_workload(&rdb, scenario, &opts)?;
-    rdb.database().sim().faults().disarm_all();
-
-    let mut initial = Vec::new();
-    for (i, txn) in scenario.txns.iter().enumerate() {
-        if !(txn.malicious && outcomes[i] == Outcome::Committed) {
-            continue;
-        }
-        match rdb.txn_id_by_label(&txn.label) {
-            Ok(Some(trid)) => initial.push(trid),
-            Ok(None) => {
-                return Err(format!("committed attack {} left no annot row", txn.label));
-            }
-            Err(e) => return Err(format!("annot lookup failed for {}: {e}", txn.label)),
-        }
-    }
-    Ok((rdb, outcomes, initial))
 }
 
 /// Runs a repair attempt honoring the scenario's scripted repair-phase
@@ -487,32 +451,9 @@ fn scripted_repair<T>(
     first.or_else(|_| attempt(initial).map_err(|e| format!("repair retry failed: {e}")))
 }
 
-/// Raw rows of `table` through an untracked connection — hidden `trid`
-/// columns *included*, since the two deterministic worlds allocate
-/// identical proxy transaction ids.
-fn raw_table_rows(rdb: &ResilientDb, table: &str) -> Result<Vec<String>, String> {
-    let mut conn = rdb
-        .connect_untracked()
-        .map_err(|e| format!("untracked connect failed: {e}"))?;
-    match conn
-        .execute(&format!("SELECT * FROM {table}"))
-        .map_err(|e| format!("SELECT * FROM {table} failed: {e}"))?
-    {
-        Response::Rows(qr) => {
-            let mut rows: Vec<String> = qr.rows.iter().map(|r| format!("{r:?}")).collect();
-            rows.sort();
-            rows.insert(0, format!("{:?}", qr.columns));
-            Ok(rows)
-        }
-        other => Err(format!(
-            "SELECT * FROM {table}: expected rows, got {other:?}"
-        )),
-    }
-}
-
-/// Oracle 8: **live repair ≡ quiesced repair**. Two more fresh worlds
-/// replay the full scenario single-threaded (identical pre-repair states
-/// by determinism). World Q repairs quiesced — the reference. World L
+/// Oracle 8: **live repair ≡ quiesced repair**. The builder makes two more
+/// worlds of the full scenario, single-threaded (identical pre-repair
+/// states by determinism). World Q repairs quiesced — the reference. World L
 /// repairs *online*: containment fence up over the scenario's written
 /// tables, shrunk to the closure's rows, while a probe thread keeps
 /// reading a table no scheduled transaction ever writes. Checked:
@@ -535,32 +476,26 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
     // Tables any scheduled transaction writes: a sound static fence
     // surface (damage spreads only through writes), whose complement
     // yields a provably-clean probe table.
-    let written: BTreeSet<&str> = scenario
-        .txns
-        .iter()
-        .flat_map(|t| {
-            t.writes
-                .iter()
-                .chain(t.preimages.iter())
-                .chain(t.deletes.iter())
-        })
+    let written: BTreeSet<&str> = (scenario.txns.iter())
+        .flat_map(|t| t.writes.iter().chain(&t.preimages).chain(&t.deletes))
         .map(|r| r.table)
         .collect();
     let probe_table = TPCC_TABLES.iter().copied().find(|t| !written.contains(t));
 
-    let (rdb_q, outcomes_q, initial_q) = replay_deterministic(scenario)?;
+    // Single-threaded replay is deterministic, so the two worlds reach
+    // byte-identical pre-repair states, trid columns included.
+    let world_q = World::build(scenario, 1, &mut failures)?;
+    let (rdb_q, initial_q) = (&world_q.rdb, world_q.attacks(scenario));
     if initial_q.is_empty() {
         return Ok(failures); // every attack aborted: nothing to repair
     }
-    scripted_repair(scenario, &rdb_q, &initial_q, |init| {
-        rdb_q
-            .repair(init, &[])
-            .map(|_| ())
-            .map_err(|e| e.to_string())
+    scripted_repair(scenario, rdb_q, &initial_q, |init| {
+        rdb_q.repair(init, &[]).map_err(|e| e.to_string())
     })?;
 
-    let (rdb_l, outcomes_l, mut initial_l) = replay_deterministic(scenario)?;
-    if outcomes_l != outcomes_q {
+    let world_l = World::build(scenario, 1, &mut failures)?;
+    let (rdb_l, mut initial_l) = (&world_l.rdb, world_l.attacks(scenario));
+    if world_l.outcomes != world_q.outcomes {
         return Err("deterministic replays diverged between live and quiesced worlds".into());
     }
     if canary == Canary::SkipFinalAttack {
@@ -573,7 +508,7 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
     let done = AtomicBool::new(false);
     let repair_result = std::thread::scope(|scope| {
         if let Some(table) = probe_table {
-            let (rdb_l, done, probe_failures) = (&rdb_l, &done, &probe_failures);
+            let (done, probe_failures) = (&done, &probe_failures);
             scope.spawn(move || {
                 let Ok(mut conn) = rdb_l.connect() else {
                     return;
@@ -595,7 +530,7 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
                 }
             });
         }
-        let result = scripted_repair(scenario, &rdb_l, &initial_l, |init| {
+        let result = scripted_repair(scenario, rdb_l, &initial_l, |init| {
             let options = rdb_l
                 .live_repair_options()
                 .static_surface(surface.iter().cloned());
@@ -634,32 +569,13 @@ fn live_vs_quiesced(scenario: &Scenario, canary: Canary) -> Result<Vec<String>, 
     ));
     failures.extend(oracle::timeline_well_formed("world L", &incidents_l, true));
 
-    for table in TPCC_TABLES
-        .iter()
-        .copied()
-        .chain(TRACKING_TABLES.iter().copied())
-    {
-        match (raw_table_rows(&rdb_l, table), raw_table_rows(&rdb_q, table)) {
-            (Ok(rl), Ok(rq)) => {
-                if rl != rq {
-                    let diff = rl
-                        .iter()
-                        .filter(|r| !rq.contains(r))
-                        .chain(rq.iter().filter(|r| !rl.contains(r)))
-                        .take(4)
-                        .cloned()
-                        .collect::<Vec<_>>()
-                        .join(" | ");
-                    failures.push(format!(
-                        "live-repair: table {table} diverges between live and quiesced \
-                         repair ({} vs {} rows; e.g. {diff})",
-                        rl.len() - 1,
-                        rq.len() - 1,
-                    ));
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => failures.push(e),
-        }
-    }
+    // Raw rows, hidden trid columns included: the two deterministic
+    // worlds allocate identical proxy transaction ids.
+    failures.extend(oracle::diverging_tables(
+        ("live-repair", "live and quiesced repair"),
+        TPCC_TABLES.iter().chain(&TRACKING_TABLES).copied(),
+        (rdb_l, rdb_q),
+        false,
+    ));
     Ok(failures)
 }

@@ -39,8 +39,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use resildb_analyze::{profiles_from_groups, ConflictGraph};
 use resildb_core::{
-    infer_derivable_columns, parse_statement, Analysis, FalseDepRule, ResilientDb, Response,
-    SchemaSnapshot, Value,
+    infer_derivable_columns, parse_statement, Analysis, Connection, FalseDepRule, ResilientDb,
+    Response, SchemaSnapshot, Value,
 };
 use resildb_sim::{IncidentPhase, IncidentRecord, TraceSnapshot};
 use resildb_tpcc::TPCC_TABLES;
@@ -48,14 +48,13 @@ use resildb_tpcc::TPCC_TABLES;
 use crate::harness::Outcome;
 use crate::scenario::{RowKey, Scenario};
 
-/// Client-visible rows of `table`, sorted — the unit of byte comparison.
-fn table_rows(rdb: &ResilientDb, table: &str) -> Result<Vec<String>, String> {
-    let mut conn = rdb
-        .connect()
-        .map_err(|e| format!("oracle connect failed: {e}"))?;
+/// Rows of `table` through `conn`, sorted, column header first — the
+/// unit of table comparison. A tracked connection hides the trid columns,
+/// an untracked one shows them. `ctx` opens a failed SELECT's message.
+fn table_rows(conn: &mut dyn Connection, table: &str, ctx: &str) -> Result<Vec<String>, String> {
     match conn
         .execute(&format!("SELECT * FROM {table}"))
-        .map_err(|e| format!("oracle SELECT * FROM {table} failed: {e}"))?
+        .map_err(|e| format!("{ctx}SELECT * FROM {table} failed: {e}"))?
     {
         Response::Rows(qr) => {
             let mut rows: Vec<String> = qr.rows.iter().map(|r| format!("{r:?}")).collect();
@@ -69,36 +68,64 @@ fn table_rows(rdb: &ResilientDb, table: &str) -> Result<Vec<String>, String> {
     }
 }
 
+/// A connection for the oracles' reads: tracked (the client's view, trid
+/// columns hidden) or untracked (trid columns shown).
+fn oracle_conn(rdb: &ResilientDb, tracked: bool) -> Result<Box<dyn Connection>, String> {
+    if tracked {
+        (rdb.connect()).map_err(|e| format!("oracle connect failed: {e}"))
+    } else {
+        (rdb.connect_untracked()).map_err(|e| format!("untracked connect failed: {e}"))
+    }
+}
+
+/// The table comparison of oracles 1 and 8: each of `tables` whose rows
+/// differ between worlds `a` and `b`, as `{check}: table T diverges
+/// between {worlds} (…)` with up to four differing rows.
+pub(crate) fn diverging_tables<'t>(
+    (check, worlds): (&str, &str),
+    tables: impl IntoIterator<Item = &'t str>,
+    (a, b): (&ResilientDb, &ResilientDb),
+    tracked: bool,
+) -> Vec<String> {
+    let (mut ca, mut cb) = match (oracle_conn(a, tracked), oracle_conn(b, tracked)) {
+        (Ok(ca), Ok(cb)) => (ca, cb),
+        (Err(e), _) | (_, Err(e)) => return vec![e],
+    };
+    let ctx = if tracked { "oracle " } else { "" };
+    let mut failures = Vec::new();
+    for table in tables {
+        match (
+            table_rows(&mut *ca, table, ctx),
+            table_rows(&mut *cb, table, ctx),
+        ) {
+            (Ok(ra), Ok(rb)) if ra != rb => {
+                let diff = (ra.iter().filter(|r| !rb.contains(r)))
+                    .chain(rb.iter().filter(|r| !ra.contains(r)))
+                    .take(4)
+                    .cloned()
+                    .collect::<Vec<_>>()
+                    .join(" | ");
+                failures.push(format!(
+                    "{check}: table {table} diverges between {worlds} \
+                     ({} vs {} rows; e.g. {diff})",
+                    ra.len() - 1,
+                    rb.len() - 1,
+                ));
+            }
+            (Err(e), _) | (_, Err(e)) => failures.push(e),
+            _ => {}
+        }
+    }
+    failures
+}
+
 /// Oracle 1: repaired world A byte-equals clean-replay world B on every
 /// TPC-C table, through tracked connections (hidden columns stripped, so
 /// the differing proxy txn ids of the two worlds are invisible — exactly
 /// the client's view).
 pub fn byte_equality(a: &ResilientDb, b: &ResilientDb) -> Vec<String> {
-    let mut failures = Vec::new();
-    for table in TPCC_TABLES {
-        match (table_rows(a, table), table_rows(b, table)) {
-            (Ok(ra), Ok(rb)) => {
-                if ra != rb {
-                    let diff = ra
-                        .iter()
-                        .filter(|r| !rb.contains(r))
-                        .chain(rb.iter().filter(|r| !ra.contains(r)))
-                        .take(4)
-                        .cloned()
-                        .collect::<Vec<_>>()
-                        .join(" | ");
-                    failures.push(format!(
-                        "byte-equality: table {table} diverges between repaired state \
-                         and clean replay ({} vs {} rows; e.g. {diff})",
-                        ra.len() - 1,
-                        rb.len() - 1,
-                    ));
-                }
-            }
-            (Err(e), _) | (_, Err(e)) => failures.push(e),
-        }
-    }
-    failures
+    let check = ("byte-equality", "repaired state and clean replay");
+    diverging_tables(check, TPCC_TABLES, (a, b), true)
 }
 
 /// Oracle 1b: the attack is *eradicated* — valid under any interleaving,
@@ -124,9 +151,7 @@ pub fn attack_eradicated(a: &ResilientDb, b: &ResilientDb) -> Vec<String> {
         ("customer", "c_balance"),
     ] {
         let poisoned = (|| -> Result<usize, String> {
-            let mut conn = a
-                .connect()
-                .map_err(|e| format!("oracle connect failed: {e}"))?;
+            let mut conn = oracle_conn(a, true)?;
             match conn
                 .execute(&format!("SELECT {col} FROM {table}"))
                 .map_err(|e| format!("oracle SELECT {col} FROM {table} failed: {e}"))?
@@ -151,7 +176,8 @@ pub fn attack_eradicated(a: &ResilientDb, b: &ResilientDb) -> Vec<String> {
             Err(e) => failures.push(e),
         }
     }
-    match (table_rows(a, "item"), table_rows(b, "item")) {
+    let item = |rdb| table_rows(&mut *oracle_conn(rdb, true)?, "item", "oracle ");
+    match (item(a), item(b)) {
         (Ok(ra), Ok(rb)) if ra != rb => failures.push(
             "eradication: item table (written only by malicious txns) \
              diverges from clean replay"
@@ -258,9 +284,7 @@ pub fn trans_dep_exactly_once(
     let mut failures = Vec::new();
     let mut counts: BTreeMap<i64, usize> = BTreeMap::new();
     let trids = (|| -> Result<Vec<i64>, String> {
-        let mut conn = rdb
-            .connect_untracked()
-            .map_err(|e| format!("untracked connect failed: {e}"))?;
+        let mut conn = oracle_conn(rdb, false)?;
         match conn
             .execute("SELECT tr_id FROM trans_dep")
             .map_err(|e| format!("trans_dep scan failed: {e}"))?

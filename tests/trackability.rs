@@ -302,6 +302,57 @@ fn reads_of_the_tracking_tables_pass_under_reject() {
     assert_eq!(runtime.tracker_stats().snapshot().rejected, 0);
 }
 
+/// A join of a user table with a tracking table harvests the user
+/// table's trid alone, in either FROM order: the tracking table has no
+/// trid, and reading it induces no dependency. The analyzer agrees at
+/// both granularities.
+#[test]
+fn a_join_with_a_tracking_table_is_tracked_through_the_user_table() {
+    let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
+    let mut conn = rdb.connect().unwrap();
+    conn.execute("CREATE TABLE account (id INTEGER PRIMARY KEY, balance INTEGER)")
+        .unwrap();
+    conn.execute("CREATE TABLE note (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    conn.execute("ANNOTATE writer").unwrap();
+    conn.execute("INSERT INTO account (id, balance) VALUES (1, 10)")
+        .unwrap();
+    let writer = rdb.txn_id_by_label("writer").unwrap().unwrap();
+    for (i, from) in ["account a, trans_dep d", "trans_dep d, account a"]
+        .into_iter()
+        .enumerate()
+    {
+        let sql = format!(
+            "SELECT a.balance, d.dep_tr_ids FROM {from} WHERE a.id = 1 AND d.tr_id = {writer}"
+        );
+        let label = format!("reader{i}");
+        conn.execute(&format!("ANNOTATE {label}")).unwrap();
+        conn.execute("BEGIN").unwrap();
+        let resp = conn.execute(&sql).unwrap();
+        let rows = &resp.rows().unwrap().rows;
+        assert_eq!(
+            rows,
+            &[vec![Value::Int(10), Value::Str(String::new())]],
+            "{sql}"
+        );
+        conn.execute(&format!("INSERT INTO note (id) VALUES ({i})"))
+            .unwrap();
+        conn.execute("COMMIT").unwrap();
+        let reader = rdb.txn_id_by_label(&label).unwrap().unwrap();
+        assert_eq!(deps_of(rdb.database(), reader), [writer], "{sql}");
+
+        // A tracking-table binding with no columns read is no fallback.
+        let sql = format!(
+            "SELECT a.balance FROM {} WHERE a.id = 1",
+            from.replace("trans_dep", "annot")
+        );
+        for granularity in [Granularity::Row, Granularity::Column] {
+            let v = Analyzer::new(granularity).classify_sql(&sql);
+            assert!(v.is_sound(), "{sql} at {granularity:?}: {v}");
+        }
+    }
+}
+
 /// Reader statement shapes spanning the verdict lattice.
 #[derive(Debug, Clone)]
 enum ReaderShape {
