@@ -2,16 +2,18 @@
 //!
 //! [`Analyzer::classify`] answers, for one statement, the question the
 //! paper leaves implicit: *will the rewriting proxy capture every
-//! dependency this statement induces?* The rules mirror the rewriter's
-//! behaviour exactly — every branch where `rewrite_*` passes a statement
-//! through or loses precision corresponds to one [`Reason`] here, and so
-//! does every write to tracking state, which the proxy refuses.
+//! dependency this statement induces?* What a SELECT harvests is decided
+//! once, by [`select_harvest`], which the proxy's rewriter carries out and
+//! this classifier judges: the decision is shared, not mirrored. Every
+//! other loss of precision, and every write to tracking state (which the
+//! proxy refuses), is one [`Reason`] here.
 
 use std::collections::BTreeMap;
 
 use resildb_sql::{Expr, Select, SelectItem, Statement};
 
-use crate::columns::{is_tracking_column, is_tracking_table};
+use crate::columns::{is_tracking_column, is_tracking_table, TRID_COLUMN};
+use crate::harvest::{select_harvest, Harvest};
 use crate::verdict::{Granularity, Reason, Verdict};
 
 /// A point-in-time snapshot of table schemas (lower-cased names), used to
@@ -121,55 +123,6 @@ impl Analyzer {
     }
 }
 
-/// Whether the rewriter refuses this SELECT shape (aggregate / `GROUP BY`).
-/// Mirrors the aggregate test in the proxy's `rewrite_select` exactly.
-pub fn select_has_aggregate(sel: &Select) -> bool {
-    !sel.group_by.is_empty()
-        || sel.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        })
-}
-
-/// Columns of `binding` referenced anywhere in the statement (projection,
-/// WHERE, ORDER BY). Unqualified references are attributed to every
-/// binding, which errs toward keeping dependencies (false-positive-safe).
-/// This is the provenance rule the proxy's rewriter uses; it lives here so
-/// the static analyzer and the dynamic rewriter cannot drift apart.
-pub fn columns_read_for(sel: &Select, binding: &str) -> Vec<String> {
-    let mut cols: Vec<String> = Vec::new();
-    let mut push = |c: &resildb_sql::ColumnRef| {
-        let attribute = match &c.table {
-            Some(t) => t.eq_ignore_ascii_case(binding),
-            None => true,
-        };
-        if attribute {
-            let name = c.column.to_ascii_lowercase();
-            if !is_tracking_column(&name) && !cols.contains(&name) {
-                cols.push(name);
-            }
-        }
-    };
-    for item in &sel.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            for c in expr.referenced_columns() {
-                push(&c);
-            }
-        }
-    }
-    if let Some(w) = &sel.where_clause {
-        for c in w.referenced_columns() {
-            push(&c);
-        }
-    }
-    for ob in &sel.order_by {
-        for c in ob.expr.referenced_columns() {
-            push(&c);
-        }
-    }
-    cols
-}
-
 fn expr_reads_tracking_column(e: &Expr) -> bool {
     e.referenced_columns()
         .iter()
@@ -177,17 +130,19 @@ fn expr_reads_tracking_column(e: &Expr) -> bool {
 }
 
 fn classify_select(sel: &Select, granularity: Granularity) -> Vec<Reason> {
-    let mut reasons = Vec::new();
-    if sel.from.is_empty() {
+    let mut reasons = match select_harvest(sel, granularity) {
         // `SELECT 1`: reads no table, induces no dependency.
-        return reasons;
-    }
-    if select_has_aggregate(sel) {
-        reasons.push(Reason::AggregateRead);
-    }
-    if sel.distinct {
-        reasons.push(Reason::DistinctRead);
-    }
+        Harvest::NoFrom => return Vec::new(),
+        Harvest::Lost(lost) => lost,
+        // At column granularity a row-stamp harvest is the fallback.
+        Harvest::Sources(sources)
+            if granularity == Granularity::Column
+                && sources.iter().any(|s| s.stamp == TRID_COLUMN) =>
+        {
+            vec![Reason::ColumnFallback]
+        }
+        Harvest::TrackingTablesOnly | Harvest::Sources(_) => Vec::new(),
+    };
     let mut has_wildcard = false;
     let mut reads_tracking = false;
     for item in &sel.items {
@@ -213,17 +168,6 @@ fn classify_select(sel: &Select, granularity: Granularity) -> Vec<Reason> {
     }
     if has_wildcard {
         reasons.push(Reason::WildcardProvenance);
-    }
-    if granularity == Granularity::Column {
-        // Mirror the rewriter's fallback: a binding with no resolvable
-        // read columns harvests the row stamp instead of column stamps.
-        // Tracking tables are never harvested.
-        let falls_back = (sel.from.iter())
-            .filter(|t| !is_tracking_table(&t.name))
-            .any(|t| columns_read_for(sel, t.binding_name()).is_empty());
-        if falls_back {
-            reasons.push(Reason::ColumnFallback);
-        }
     }
     reasons
 }

@@ -16,10 +16,12 @@
 //!   the `resildb-lint` binary and the CI coverage gate.
 //!
 //! The proxy consults [`classify_statement`] when it plans a statement: it
-//! refuses writes to tracking state under every policy and enforces a
-//! warn/reject policy on the rest. The repair tool consumes the inferred
-//! derivable columns as false-dependency discard rules. The tracking
-//! vocabulary ([`TRID_COLUMN`], [`TRACKING_TABLES`] and friends) lives
+//! counts every verdict, refuses writes to tracking state under every
+//! policy and, under its reject policy, every other untracked statement.
+//! It rewrites a SELECT by [`select_harvest`], the decision the classifier
+//! judges. The repair tool consumes the inferred derivable columns as
+//! false-dependency discard rules. The tracking vocabulary
+//! ([`TRID_COLUMN`], [`TRACKING_TABLES`] and friends) lives
 //! here, the lowest layer all three share.
 
 #![forbid(unsafe_code)]
@@ -32,15 +34,14 @@ mod columns;
 mod conflict;
 mod derive;
 mod dot;
+mod harvest;
 mod jsonish;
 mod profile;
 mod report;
 mod verdict;
 
 pub use blast::{BaselineVerdict, BlastRadius, ProfileClosure};
-pub use classify::{
-    classify_statement, columns_read_for, select_has_aggregate, Analyzer, SchemaSnapshot,
-};
+pub use classify::{classify_statement, Analyzer, SchemaSnapshot};
 pub use columns::{
     is_tracking_column, is_tracking_table, ANNOT_TABLE, COLUMN_TRID_PREFIX, IDENTITY_COLUMN,
     PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE, TRID_COLUMN,
@@ -48,6 +49,7 @@ pub use columns::{
 pub use conflict::{ConflictGraph, ConflictKind, ConflictProvenance, ProfileEdge};
 pub use derive::{infer_derivable_columns, DerivableColumn};
 pub use dot::{DotBuilder, EdgeStyle, FILL_ATTACK, FILL_CLOSURE};
+pub use harvest::{select_harvest, Harvest, HarvestSource};
 pub use jsonish::{parse_json, JsonValue};
 pub use profile::{group_transactions, profiles_from_groups, TxnProfile, WriteFootprint};
 pub use report::{CoverageReport, StatementReport};

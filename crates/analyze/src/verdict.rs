@@ -1,7 +1,18 @@
 //! The trackability verdict lattice and its machine-readable reason codes.
 
-/// Granularity of dependency tracking, mirrored from the proxy
-/// configuration so the analyzer can be used without depending on it.
+/// Granularity of dependency tracking: the one enum the analyzer judges
+/// by and the proxy configures (`resildb_proxy` re-exports it as
+/// `TrackingGranularity`).
+///
+/// The paper tracks at **row** granularity and notes (§6) that an
+/// attribute-level `tr_id` "is required to minimize false sharing and to
+/// support suppression of false dependency", leaving the efficient
+/// implementation open. [`Granularity::Column`] is this implementation's
+/// answer: every user column gets a companion `trid__<column>` stamp,
+/// reads harvest exactly the stamps of the columns they touch, and
+/// update/delete dependencies are reconstructed from the per-column stamps
+/// in the pre-update images. The cost is wider rows and log records —
+/// measurable with the `granularity` benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Granularity {
     /// One `trid` per row (the paper's design).

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use resildb_core::{Flavor, ResilientDb};
 use resildb_proxy::{prepare_database, ProxyConfig, ProxyConfigBuilder, TrackingProxy};
-use resildb_sql::{parse_statement, Statement};
+use resildb_sql::{parse_statement, Select, Statement};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver};
 
 const SELECT_SQL: &str = "SELECT c.c_balance, c.c_first, o.o_id FROM customer c, orders o \
@@ -25,19 +25,22 @@ fn bench_sql(c: &mut Criterion) {
     c.bench_function("sql_print_select", |b| b.iter(|| ast.to_string()));
 }
 
+/// The proxy's SELECT rewrite at row granularity: the harvest decision,
+/// then the clone with the stamp columns appended.
+fn rewrite(sel: &Select) -> Select {
+    use resildb_analyze::{select_harvest, Granularity, Harvest};
+    let Harvest::Sources(harvest) = select_harvest(sel, Granularity::Row) else {
+        unreachable!("the benchmark SELECT harvests")
+    };
+    resildb_proxy::rewrite_select(sel, &harvest)
+}
+
 fn bench_rewrite(c: &mut Criterion) {
     let Statement::Select(sel) = parse_statement(SELECT_SQL).unwrap() else {
         unreachable!()
     };
     c.bench_function("proxy_rewrite_select", |b| {
-        b.iter(|| {
-            resildb_proxy::rewrite_select(
-                std::hint::black_box(&sel),
-                resildb_proxy::TrackingGranularity::Row,
-            )
-            .rewritten()
-            .unwrap()
-        })
+        b.iter(|| rewrite(std::hint::black_box(&sel)))
     });
 }
 
@@ -52,11 +55,7 @@ fn bench_rewrite_cache(c: &mut Criterion) {
             else {
                 unreachable!()
             };
-            let (rewritten, _plan) =
-                resildb_proxy::rewrite_select(&sel, resildb_proxy::TrackingGranularity::Row)
-                    .rewritten()
-                    .unwrap();
-            rewritten.to_string()
+            rewrite(&sel).to_string()
         })
     });
 
@@ -66,11 +65,7 @@ fn bench_rewrite_cache(c: &mut Criterion) {
     let Statement::Select(sel) = parse_template(SELECT_SQL, &scan).unwrap() else {
         unreachable!()
     };
-    let (rewritten, _plan) =
-        resildb_proxy::rewrite_select(&sel, resildb_proxy::TrackingGranularity::Row)
-            .rewritten()
-            .unwrap();
-    let tmpl = SqlTemplate::of(Statement::Select(rewritten), scan.spans.len()).unwrap();
+    let tmpl = SqlTemplate::of(Statement::Select(rewrite(&sel)), scan.spans.len()).unwrap();
     c.bench_function("rewrite_cached", |b| {
         b.iter(|| {
             let scan = scan_statement(std::hint::black_box(SELECT_SQL)).unwrap();
@@ -250,7 +245,6 @@ fn bench_failpoints(c: &mut Criterion) {
 
 fn bench_enforcement(c: &mut Criterion) {
     use resildb_analyze::{classify_statement, Granularity};
-    use resildb_proxy::EnforcementPolicy;
 
     // The raw classifier cost a cold statement pays once per shape.
     let stmt = parse_statement(SELECT_SQL).unwrap();
@@ -258,18 +252,13 @@ fn bench_enforcement(c: &mut Criterion) {
         b.iter(|| classify_statement(std::hint::black_box(&stmt), Granularity::Row))
     });
 
-    // Steady-state tracked selects with the rewrite cache warm: the only
-    // difference between the two is the memoised-verdict inspection, which
-    // must stay invisible next to parse/splice/execute. This guards the
-    // claim that enforcement costs nothing on the hot path.
-    let enforcing = |policy| proxied(ProxyConfig::builder(Flavor::Postgres).enforcement(policy));
-    let mut off = enforcing(EnforcementPolicy::Allow);
-    c.bench_function("tracked_select_enforcement_off", |b| {
-        b.iter(|| off.execute("SELECT v FROM t WHERE id = 250").unwrap())
-    });
-    let mut warn = enforcing(EnforcementPolicy::Warn);
-    c.bench_function("tracked_select_enforcement_warn", |b| {
-        b.iter(|| warn.execute("SELECT v FROM t WHERE id = 250").unwrap())
+    // Steady-state tracked selects with the rewrite cache warm: each one
+    // inspects and counts its memoised verdict, which must stay invisible
+    // next to parse/splice/execute. This guards the claim that enforcement
+    // costs nothing on the hot path.
+    let mut conn = proxied(ProxyConfig::builder(Flavor::Postgres));
+    c.bench_function("tracked_select_enforcement", |b| {
+        b.iter(|| conn.execute("SELECT v FROM t WHERE id = 250").unwrap())
     });
 }
 

@@ -755,8 +755,10 @@ mod tests {
 
     /// A rolled-back DELETE puts its row back between its surviving
     /// neighbours after another session compacted the page, and on another
-    /// page after another session filled it; a rollback whose undo fails
-    /// still runs every other undo action and releases every lock.
+    /// page after another session filled it; a key an open DELETE or
+    /// key-moving UPDATE freed is not reused before it ends; a rollback
+    /// whose undo fails still runs every other undo action and releases
+    /// every lock.
     #[test]
     fn rollback_survives_concurrent_page_compaction() {
         for flavor in [Flavor::Postgres, Flavor::Oracle, Flavor::Sybase] {
@@ -791,20 +793,52 @@ mod tests {
             let ids: Vec<_> = rows(&mut a).into_iter().map(|r| r[0].clone()).collect();
             assert_eq!(ids, [int(3), int(4)], "{flavor:?}");
 
-            // B re-uses the key A deleted, so undoing that delete fails;
-            // the earlier delete is still undone and A's locks released.
+            // B's insert of a key A's open DELETE, or A's key-moving
+            // UPDATE, freed waits for A; A's rollback puts the row back,
+            // so the insert then fails on the duplicate key.
+            for free in [
+                "DELETE FROM t WHERE id = 4",
+                "UPDATE t SET id = 5 WHERE id = 4",
+            ] {
+                a.execute_sql("BEGIN").unwrap();
+                a.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
+                a.execute_sql(free).unwrap();
+                let txn = a.txn.as_ref().unwrap().id;
+                let insert = std::thread::scope(|scope| {
+                    let b = scope.spawn(|| b.execute_sql("INSERT INTO t (id, v) VALUES (4, 40)"));
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    a.execute_sql("ROLLBACK").unwrap();
+                    b.join().unwrap()
+                });
+                let err = insert.unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "duplicate key: t primary key (4)",
+                    "{flavor:?}: {free}"
+                );
+                assert_eq!(db.inner.locks.held_by(txn), 0, "{flavor:?}");
+                assert_eq!(
+                    rows(&mut b),
+                    [vec![int(3), int(3)], vec![int(4), int(4)]],
+                    "{flavor:?}: {free}"
+                );
+            }
+
+            // An undo that fails (B dropped a table A wrote) still lets
+            // every other undo run, and A's locks are released.
+            a.execute_sql("CREATE TABLE w (id INTEGER PRIMARY KEY)")
+                .unwrap();
+            a.execute_sql("INSERT INTO w (id) VALUES (1)").unwrap();
             a.execute_sql("BEGIN").unwrap();
             a.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
-            a.execute_sql("DELETE FROM t WHERE id = 4").unwrap();
+            a.execute_sql("DELETE FROM w WHERE id = 1").unwrap();
             let txn = a.txn.as_ref().unwrap().id;
-            b.execute_sql("INSERT INTO t (id, v) VALUES (4, 40)")
-                .unwrap();
-            let err = a.execute_sql("ROLLBACK").unwrap_err();
-            assert!(matches!(err, EngineError::DuplicateKey(_)), "{err:?}");
+            b.execute_sql("DROP TABLE w").unwrap();
+            a.execute_sql("ROLLBACK").unwrap_err();
             assert_eq!(db.inner.locks.held_by(txn), 0, "{flavor:?}");
             assert_eq!(
                 rows(&mut b),
-                [vec![int(3), int(3)], vec![int(4), int(40)]],
+                [vec![int(3), int(3)], vec![int(4), int(4)]],
                 "{flavor:?}"
             );
 

@@ -25,7 +25,7 @@ use crate::flavor::Flavor;
 use crate::lock::{LockManager, ResourceId};
 use crate::row::{Row, RowId, RowView};
 use crate::schema::TableSchema;
-use crate::table::{encode_key_part, AccessPath, Table};
+use crate::table::{encode_key_part, index_key, AccessPath, Table};
 use crate::value::{DataType, Value};
 use crate::wal::{stage_check, InternalTxnId, LogOp};
 
@@ -951,7 +951,19 @@ fn exec_insert(ctx: &mut StmtCtx<'_>, ins: &resildb_sql::Insert) -> Result<u64> 
             }
             Row(vals)
         };
-        let (rowid, stored, loc) = handle.write().insert(row, ctx.sim)?;
+        // A key an open transaction freed is not reused before it ends:
+        // while any key is locked, wait for this one's lock.
+        let mut table = handle.write();
+        if ctx.locks.keys_locked() {
+            if let Some(key) = index_key(schema, &row)? {
+                drop(table);
+                ctx.locks
+                    .lock_exclusive(ctx.txn, ResourceId::Key(binding.object_id, key))?;
+                table = handle.write();
+            }
+        }
+        let (rowid, stored, loc) = table.insert(row, ctx.sim)?;
+        drop(table);
         ctx.locks
             .lock_exclusive(ctx.txn, ResourceId::Row(binding.object_id, rowid))?;
         // Undo entry first: the row is already in the table, so a failed
@@ -1000,6 +1012,7 @@ fn exec_update(ctx: &mut StmtCtx<'_>, upd: &resildb_sql::Update) -> Result<u64> 
             ))
         })
         .collect::<Result<Vec<(usize, BoundExpr)>>>()?;
+    let moves_key = (assignments.iter()).any(|(idx, _)| schema.primary_key.contains(idx));
     let mut affected = 0u64;
     for rid in matching_rowids(ctx, &handle, &binding, &conjuncts)? {
         ctx.locks
@@ -1016,6 +1029,20 @@ fn exec_update(ctx: &mut StmtCtx<'_>, upd: &resildb_sql::Update) -> Result<u64> 
         let mut new_row = current[0].1.clone();
         for (idx, value) in &assignments {
             new_row.0[*idx] = eval(value, &scope)?;
+        }
+        // A key-moving UPDATE frees one key and takes another; both are
+        // locked before the table's write lock is taken.
+        if moves_key {
+            let (old, new) = (
+                index_key(schema, &current[0].1)?,
+                index_key(schema, &new_row)?,
+            );
+            if old != new {
+                for key in [old, new].into_iter().flatten() {
+                    ctx.locks
+                        .lock_exclusive(ctx.txn, ResourceId::Key(binding.object_id, key))?;
+                }
+            }
         }
         let Some((after, loc)) = handle
             .write()
@@ -1072,8 +1099,15 @@ fn exec_delete(ctx: &mut StmtCtx<'_>, del: &resildb_sql::Delete) -> Result<u64> 
         let Some(current) = handle.read().get(rid, ctx.sim)? else {
             continue;
         };
-        if !passes(&conjuncts, &RowsScope(&[(rid, current)]))? {
+        let current = [(rid, current)];
+        if !passes(&conjuncts, &RowsScope(&current))? {
             continue;
+        }
+        // The freed key is locked before the table's write lock is taken
+        // (see `LockManager::keys_locked`).
+        if let Some(key) = index_key(schema, &current[0].1)? {
+            ctx.locks
+                .lock_exclusive(ctx.txn, ResourceId::Key(binding.object_id, key))?;
         }
         let mut table = handle.write();
         let Some((row, loc)) = table.delete(rid, ctx.sim)? else {

@@ -1,7 +1,12 @@
 //! Striped row-level exclusive locking with deadlock detection.
 //!
 //! Writers (and `SELECT ... FOR UPDATE`) take exclusive row locks held
-//! until commit/rollback (strict two-phase locking). Readers run at
+//! until commit/rollback (strict two-phase locking). A DELETE and a
+//! key-moving UPDATE also lock each primary-key value they free (and the
+//! UPDATE the one it takes), and while any key lock is held an INSERT takes
+//! its key's lock too, so a key an open transaction freed is not reused
+//! before it ends: the INSERT waits, and fails if that transaction rolls
+//! back. Readers run at
 //! read-committed isolation without locks. Deadlocks are detected by cycle
 //! search over the wait-for graph; the requesting transaction is the victim
 //! and receives [`EngineError::Deadlock`].
@@ -16,6 +21,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,6 +46,8 @@ pub enum ResourceId {
     /// One row of a table, named by the table's buffer-pool object id: a
     /// row lock neither copies nor hashes the table name.
     Row(u32, RowId),
+    /// One primary-key value of a table (object id, encoded index key).
+    Key(u32, Vec<u8>),
     /// A whole table (used by DDL).
     Table(String),
 }
@@ -77,6 +85,8 @@ pub struct LockManager {
     /// the only global lock, taken exclusively on the blocking path.
     waiting: Mutex<HashMap<InternalTxnId, InternalTxnId>>,
     released: Condvar,
+    /// [`ResourceId::Key`] locks held, over every transaction.
+    key_locks: AtomicUsize,
 }
 
 impl Default for LockManager {
@@ -86,6 +96,7 @@ impl Default for LockManager {
             owned: (0..OWNED_SHARDS).map(|_| Mutex::default()).collect(),
             waiting: Mutex::default(),
             released: Condvar::new(),
+            key_locks: AtomicUsize::new(0),
         }
     }
 }
@@ -124,6 +135,9 @@ impl LockManager {
                 let mut stripe = self.stripe(&res).lock();
                 match stripe.get(&res) {
                     None => {
+                        if matches!(res, ResourceId::Key(..)) {
+                            self.key_locks.fetch_add(1, Ordering::SeqCst);
+                        }
                         stripe.insert(res.clone(), txn);
                         drop(stripe);
                         // A transaction runs on one thread, so its own
@@ -170,12 +184,23 @@ impl LockManager {
         if let Some(resources) = resources {
             for r in resources {
                 self.stripe(&r).lock().remove(&r);
+                if matches!(r, ResourceId::Key(..)) {
+                    self.key_locks.fetch_sub(1, Ordering::SeqCst);
+                }
             }
         }
         let mut waiting = self.waiting.lock();
         waiting.remove(&txn);
         drop(waiting);
         self.released.notify_all();
+    }
+
+    /// Whether any transaction holds a [`ResourceId::Key`] lock. A DELETE
+    /// or key-moving UPDATE locks the keys it frees before it takes the
+    /// table's write lock, so an INSERT that reads `false` under that lock
+    /// knows no open transaction has freed its key.
+    pub fn keys_locked(&self) -> bool {
+        self.key_locks.load(Ordering::SeqCst) > 0
     }
 
     /// Number of locks currently held by `txn` (diagnostics).
@@ -234,6 +259,19 @@ mod tests {
         assert_eq!(err, EngineError::Deadlock);
         lm.release_all(InternalTxnId(1));
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn key_locks_are_counted_until_released() {
+        let lm = LockManager::new();
+        lm.lock_exclusive(InternalTxnId(1), row(1)).unwrap();
+        assert!(!lm.keys_locked());
+        let key = ResourceId::Key(7, vec![1]);
+        lm.lock_exclusive(InternalTxnId(1), key.clone()).unwrap();
+        lm.lock_exclusive(InternalTxnId(1), key).unwrap();
+        assert!(lm.keys_locked());
+        lm.release_all(InternalTxnId(1));
+        assert!(!lm.keys_locked());
     }
 
     #[test]

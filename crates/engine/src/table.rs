@@ -159,6 +159,23 @@ impl Table {
         Some(key)
     }
 
+    /// Refuses a write that would store `row` under `key`, its index key,
+    /// while another row holds that key: the one duplicate-key check of
+    /// every write path. The error names the key values.
+    fn check_key_free(&self, key: &[u8], row: &Row) -> Result<()> {
+        if !self.pk_index.contains_key(key) {
+            return Ok(());
+        }
+        let values: Vec<String> = (self.schema.primary_key.iter())
+            .map(|&i| row.0[i].to_sql_literal())
+            .collect();
+        Err(EngineError::DuplicateKey(format!(
+            "{} primary key ({})",
+            self.schema.name,
+            values.join(", ")
+        )))
+    }
+
     /// Looks up a row id by full primary key values (in PK column order).
     pub fn lookup_pk(&self, values: &[Value]) -> Option<RowId> {
         self.pk_index.get(encode_key(values).as_slice()).copied()
@@ -372,12 +389,7 @@ impl Table {
         let row = self.prepare_insert(row)?;
         let key = self.pk_key(&row);
         if let Some(key) = &key {
-            if self.pk_index.contains_key(key) {
-                return Err(EngineError::DuplicateKey(format!(
-                    "{} primary key {key:?}",
-                    self.schema.name
-                )));
-            }
+            self.check_key_free(key, &row)?;
         }
         let image = encode_row(&self.schema, &row)?;
         let rowid = RowId(self.next_rowid);
@@ -428,12 +440,7 @@ impl Table {
         }
         let key = self.pk_key(row);
         if let Some(key) = &key {
-            if self.pk_index.contains_key(key) {
-                return Err(EngineError::DuplicateKey(format!(
-                    "{} primary key {key:?}",
-                    self.schema.name
-                )));
-            }
+            self.check_key_free(key, row)?;
         }
         let image = encode_row(&self.schema, row)?;
         self.next_rowid = self.next_rowid.max(rowid.0 + 1);
@@ -495,12 +502,7 @@ impl Table {
             return Err(EngineError::Internal(format!("{rowid} already live")));
         }
         if let Some(key) = self.pk_key(&row) {
-            if self.pk_index.contains_key(&key) {
-                return Err(EngineError::DuplicateKey(format!(
-                    "{} primary key {key:?}",
-                    self.schema.name
-                )));
-            }
+            self.check_key_free(&key, &row)?;
         }
         let image = encode_row(&self.schema, &row)?;
         if image.len() != loc.len {
@@ -675,12 +677,7 @@ impl Table {
         let new_key = self.pk_key(new_row);
         if old_key != new_key {
             if let Some(nk) = &new_key {
-                if self.pk_index.contains_key(nk) {
-                    return Err(EngineError::DuplicateKey(format!(
-                        "{} primary key {nk:?}",
-                        self.schema.name
-                    )));
-                }
+                self.check_key_free(nk, new_row)?;
             }
         }
         let image = encode_row(&self.schema, new_row)?;
@@ -721,6 +718,26 @@ impl Table {
     pub fn read_page_bytes(&self, page: u64, offset: usize, len: usize) -> Option<&[u8]> {
         self.pages.get(page as usize)?.read_at(offset, len)
     }
+}
+
+/// The primary-key index key a write would store `row` under, its key
+/// columns coerced to their types: what the executor key-locks before an
+/// INSERT, a DELETE or a key-moving UPDATE. `None` without a primary key,
+/// or when the key includes a NULL identity column, whose value the insert
+/// assigns fresh.
+pub(crate) fn index_key(schema: &TableSchema, row: &Row) -> Result<Option<Vec<u8>>> {
+    if schema.primary_key.is_empty() {
+        return Ok(None);
+    }
+    let mut key = Vec::new();
+    for &i in &schema.primary_key {
+        let column = &schema.columns[i];
+        if column.identity && row.0[i].is_null() {
+            return Ok(None);
+        }
+        encode_key_part(&row.0[i].coerce_to(column.ty)?, &mut key);
+    }
+    Ok(Some(key))
 }
 
 /// The index key (or key prefix) of `values`, given in key-column order.

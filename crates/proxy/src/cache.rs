@@ -18,14 +18,11 @@
 //! module defines what the proxy stores in it and the slot-count admission
 //! check every lookup applies.
 
-use resildb_analyze::{is_tracking_table, Verdict};
+use resildb_analyze::{select_harvest, Harvest, HarvestSource, Verdict};
 use resildb_sql::{Expr, SqlTemplate, Statement, TRID_PARAM};
 
 use crate::config::ProxyConfig;
-use crate::rewrite::{
-    rewrite_create_table, rewrite_insert, rewrite_select, rewrite_update, SelectOutcome,
-    SelectRewrite,
-};
+use crate::rewrite::{rewrite_create_table, rewrite_insert, rewrite_select, rewrite_update};
 
 /// What the proxy does with one statement: the paper's Table 1 rule that
 /// applies to it, with any rewrite already printed. The cache stores
@@ -41,18 +38,18 @@ pub(crate) enum Plan {
     /// DDL, forwarded without bookkeeping: the rewritten CREATE TABLE, or
     /// `None` for a DROP forwarded as sent.
     Ddl(Option<String>),
-    /// SELECT that is not rewritten (aggregates, DISTINCT, no FROM, reads
-    /// of the tracking tables, or read tracking disabled): forwarded raw,
-    /// tracking columns stripped from the result.
+    /// SELECT that harvests nothing ([`select_harvest`] says so, or read
+    /// tracking is disabled): forwarded raw, tracking columns stripped
+    /// from the result.
     Strip,
     /// Rewritten SELECT: splice literals into the template, execute, then
-    /// harvest dependencies per the harvest plan.
+    /// harvest dependencies per the harvest list.
     Select {
         /// Printed rewrite with literal splice slots.
         tmpl: SqlTemplate,
-        /// What the appended columns carry (it depends only on the
-        /// statement shape, never on literals).
-        harvest: SelectRewrite,
+        /// What the appended columns carry, in order (it depends only on
+        /// the statement shape, never on literals).
+        harvest: Vec<HarvestSource>,
     },
     /// Rewritten INSERT/UPDATE: splice literals and the current trid,
     /// execute under write-transaction bookkeeping.
@@ -87,19 +84,13 @@ impl Plan {
             }
             Statement::DropTable(_) => return Some(Plan::Ddl(None)),
             Statement::Delete(_) => return Some(Plan::WriteRaw),
-            // The tracking tables have no trid column to harvest.
-            Statement::Select(sel)
-                if !config.track_reads || sel.from.iter().all(|t| is_tracking_table(&t.name)) =>
-            {
-                return Some(Plan::Strip)
-            }
-            Statement::Select(sel) => match rewrite_select(sel, config.granularity) {
-                SelectOutcome::Rewritten { select, plan } => {
-                    (Statement::Select(select), Some(plan))
-                }
-                // The skip reason is already accounted for by the
-                // statically computed verdict (enforcement layer).
-                SelectOutcome::Passthrough(_) => return Some(Plan::Strip),
+            Statement::Select(_) if !config.track_reads => return Some(Plan::Strip),
+            Statement::Select(sel) => match select_harvest(sel, config.granularity) {
+                Harvest::Sources(harvest) => (
+                    Statement::Select(rewrite_select(sel, &harvest)),
+                    Some(harvest),
+                ),
+                _ => return Some(Plan::Strip),
             },
             Statement::Insert(ins) => {
                 let ins = rewrite_insert(ins, trid, config.flavor, config.granularity);
@@ -138,9 +129,8 @@ impl Plan {
 pub(crate) struct CachedShape {
     /// What the proxy does with the statement.
     pub(crate) plan: Plan,
-    /// Trackability verdict; `None` when the policy is
-    /// [`crate::EnforcementPolicy::Allow`].
-    pub(crate) verdict: Option<Verdict>,
+    /// Trackability verdict of the statement.
+    pub(crate) verdict: Verdict,
 }
 
 /// Point-in-time counters of the rewrite cache.

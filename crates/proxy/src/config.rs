@@ -1,56 +1,25 @@
 //! Proxy configuration.
 
+use resildb_analyze::Granularity;
 use resildb_engine::Flavor;
 use resildb_sim::Telemetry;
 
-/// Granularity of dependency tracking.
+/// What the proxy does with statements the static analyzer classifies as
+/// untracked (aggregate/DISTINCT reads, unparsable statements). Every
+/// verdict is counted in [`crate::TrackerStats`] under either policy, and
+/// writes to tracking state — a tracking column or table — are refused
+/// under either.
 ///
-/// The paper tracks at **row** granularity and notes (§6) that an
-/// attribute-level `tr_id` "is required to minimize false sharing and to
-/// support suppression of false dependency", leaving the efficient
-/// implementation open. [`TrackingGranularity::Column`] is this
-/// implementation's answer: every user column gets a companion
-/// `trid__<column>` stamp, reads harvest exactly the stamps of the columns
-/// they touch, and update/delete dependencies are reconstructed from the
-/// per-column stamps in the pre-update images. The cost is wider rows and
-/// log records — measurable with the `granularity` benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrackingGranularity {
-    /// One `trid` per row (the paper's design).
-    #[default]
-    Row,
-    /// `trid` per row plus `trid__<col>` per column (§6 extension).
-    Column,
-}
-
-impl From<TrackingGranularity> for resildb_analyze::Granularity {
-    fn from(g: TrackingGranularity) -> Self {
-        match g {
-            TrackingGranularity::Row => resildb_analyze::Granularity::Row,
-            TrackingGranularity::Column => resildb_analyze::Granularity::Column,
-        }
-    }
-}
-
-/// What the proxy does with statements the static analyzer says the
-/// tracking layer cannot soundly follow (aggregate/DISTINCT reads,
-/// unparsable statements). Writes to tracking state — a tracking column or
-/// table — are refused under every policy.
-///
-/// The paper treats these as documented limitations and forwards them
-/// silently; with the analyzer in the loop the operator can choose the
-/// contract instead. `Reject` turns the soundness guarantee from "best
+/// The paper treats untracked statements as documented limitations and
+/// forwards them; with the analyzer in the loop the operator can choose
+/// the contract instead. `Reject` turns the soundness guarantee from "best
 /// effort" into an invariant: every statement the DBMS executes is one
 /// whose dependencies the repair capability can see.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EnforcementPolicy {
-    /// Forward untracked statements silently (the paper's behaviour).
+    /// Forward untracked statements (the paper's behaviour).
     #[default]
     Allow,
-    /// Forward untracked statements but count them in
-    /// [`crate::TrackerStats`], so deployments can audit how much of the
-    /// workload escapes tracking.
-    Warn,
     /// Refuse untracked statements with a client-visible error before
     /// they reach the DBMS. Degraded statements still pass.
     Reject,
@@ -87,7 +56,7 @@ pub struct ProxyConfig {
     /// (ablation benchmarks, `fig4 --no-rewrite-cache`).
     pub rewrite_cache_capacity: usize,
     /// Row-level (paper) or column-level (§6 extension) tracking.
-    pub granularity: TrackingGranularity,
+    pub granularity: Granularity,
     /// What to do with statements the static analyzer classifies as
     /// untracked (dependencies invisible to the tracking layer).
     pub enforcement: EnforcementPolicy,
@@ -108,7 +77,7 @@ impl ProxyConfig {
             record_provenance: true,
             record_read_only_deps: false,
             rewrite_cache_capacity: 256,
-            granularity: TrackingGranularity::Row,
+            granularity: Granularity::Row,
             enforcement: EnforcementPolicy::Allow,
             telemetry: None,
         }
@@ -122,11 +91,11 @@ impl ProxyConfig {
     ///
     /// let config = ProxyConfig::builder(Flavor::Postgres)
     ///     .rewrite_cache_capacity(64)
-    ///     .enforcement(EnforcementPolicy::Warn)
+    ///     .enforcement(EnforcementPolicy::Reject)
     ///     .record_read_only_deps(true)
     ///     .build();
     /// assert_eq!(config.rewrite_cache_capacity, 64);
-    /// assert_eq!(config.enforcement, EnforcementPolicy::Warn);
+    /// assert_eq!(config.enforcement, EnforcementPolicy::Reject);
     /// assert!(config.record_read_only_deps);
     /// ```
     pub fn builder(flavor: Flavor) -> ProxyConfigBuilder {
@@ -149,12 +118,11 @@ impl ProxyConfig {
             self.record_read_only_deps,
             self.rewrite_cache_capacity,
             match self.granularity {
-                TrackingGranularity::Row => "row",
-                TrackingGranularity::Column => "column",
+                Granularity::Row => "row",
+                Granularity::Column => "column",
             },
             match self.enforcement {
                 EnforcementPolicy::Allow => "allow",
-                EnforcementPolicy::Warn => "warn",
                 EnforcementPolicy::Reject => "reject",
             },
         )
@@ -202,7 +170,7 @@ impl ProxyConfigBuilder {
     }
 
     /// Row-level or column-level tracking.
-    pub fn granularity(mut self, granularity: TrackingGranularity) -> Self {
+    pub fn granularity(mut self, granularity: Granularity) -> Self {
         self.config.granularity = granularity;
         self
     }
@@ -236,7 +204,7 @@ mod tests {
         assert!(c.record_deps_at_commit);
         assert!(!c.record_read_only_deps);
         assert_eq!(c.flavor, Flavor::Sybase);
-        assert_eq!(c.granularity, TrackingGranularity::Row);
+        assert_eq!(c.granularity, Granularity::Row);
     }
 
     #[test]
@@ -244,12 +212,12 @@ mod tests {
         let built = ProxyConfig::builder(Flavor::Oracle)
             .track_reads(false)
             .rewrite_cache_capacity(8)
-            .granularity(TrackingGranularity::Column)
+            .granularity(Granularity::Column)
             .enforcement(EnforcementPolicy::Reject)
             .build();
         assert!(!built.track_reads);
         assert_eq!(built.rewrite_cache_capacity, 8);
-        assert_eq!(built.granularity, TrackingGranularity::Column);
+        assert_eq!(built.granularity, Granularity::Column);
         assert_eq!(built.enforcement, EnforcementPolicy::Reject);
         // Everything not named keeps the standard value.
         let standard = ProxyConfig::new(Flavor::Oracle);

@@ -62,14 +62,14 @@ mod setup;
 mod tracker;
 
 pub use cache::RewriteCacheStats;
-pub use config::{EnforcementPolicy, ProxyConfig, ProxyConfigBuilder, TrackingGranularity};
+pub use config::{EnforcementPolicy, ProxyConfig, ProxyConfigBuilder};
 pub use fence::{canon_value, composite_key, Fence, FenceDecision, FenceStats, RowFence};
+pub use resildb_analyze::Granularity as TrackingGranularity;
 pub use resildb_analyze::{
-    is_tracking_table, ANNOT_TABLE, PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE,
+    is_tracking_table, HarvestSource, ANNOT_TABLE, PROV_TABLE, TRACKING_TABLES, TRANS_DEP_TABLE,
 };
 pub use rewrite::{
-    is_tracking_column, rewrite_select, HarvestSource, SelectOutcome, SelectRewrite, SelectSkip,
-    COLUMN_TRID_PREFIX, IDENTITY_COLUMN, TRID_COLUMN,
+    is_tracking_column, rewrite_select, COLUMN_TRID_PREFIX, IDENTITY_COLUMN, TRID_COLUMN,
 };
 pub use setup::prepare_database;
 pub use tracker::{ProxyRuntime, ProxyTxnId, TrackerStats, TrackerStatsSnapshot, TrackingProxy};

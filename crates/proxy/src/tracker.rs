@@ -17,13 +17,13 @@ use resildb_wire::{
     NativeDriver, Response, WireError,
 };
 
-use resildb_analyze::{classify_statement, Verdict};
+use resildb_analyze::{classify_statement, HarvestSource, Verdict};
 
 use crate::cache::{CachedShape, Plan, RewriteCacheStats};
 use crate::config::{EnforcementPolicy, ProxyConfig};
 use crate::depstore::DepStore;
 use crate::fence::{Fence, FenceDecision};
-use crate::rewrite::{is_tracking_column, HarvestSource, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN};
+use crate::rewrite::{is_tracking_column, HARVEST_ALIAS_PREFIX, IDENTITY_COLUMN};
 
 /// A proxy-generated transaction id. Distinct from the DBMS-internal id;
 /// the repair tool correlates the two from the transaction log (§3.3).
@@ -38,10 +38,9 @@ impl std::fmt::Display for ProxyTxnId {
 
 /// Shared counters of the static-analysis enforcement layer: how many
 /// statements of each verdict class the proxy saw, and how many it
-/// refused. Verdicts are counted only when the policy is `Warn` or
-/// `Reject`. Refusals are counted under every policy: a statement that
-/// writes tracking state is refused even under `Allow` (the paper's
-/// behaviour otherwise), and so is every untracked one under `Reject`.
+/// refused, under every policy. A statement that writes tracking state is
+/// refused even under `Allow`, and so is every untracked one under
+/// `Reject`.
 #[derive(Debug, Default)]
 pub struct TrackerStats {
     sound: AtomicU64,
@@ -400,15 +399,14 @@ impl Tracker {
 
     /// Records the statement-interception event: rewrite-cache outcome
     /// plus the enforcement verdict the statement got.
-    fn trace_rewrite(&self, cache_hit: bool, verdict: Option<&Verdict>) {
+    fn trace_rewrite(&self, cache_hit: bool, verdict: &Verdict) {
         if !self.tracing() {
             return;
         }
         let verdict = match verdict {
-            None => TraceVerdict::Unchecked,
-            Some(Verdict::Sound) => TraceVerdict::Sound,
-            Some(Verdict::Degraded(_)) => TraceVerdict::Degraded,
-            Some(v @ Verdict::Untracked(_)) => {
+            Verdict::Sound => TraceVerdict::Sound,
+            Verdict::Degraded(_) => TraceVerdict::Degraded,
+            v @ Verdict::Untracked(_) => {
                 if v.tampers() || self.config.enforcement == EnforcementPolicy::Reject {
                     TraceVerdict::Rejected
                 } else {
@@ -474,12 +472,10 @@ impl Tracker {
     }
 
     /// Refuses the statement `verdict` classifies, before it reaches the
-    /// DBMS: counts the verdict (not under [`EnforcementPolicy::Allow`])
-    /// and the refusal, and names the reason codes in the error.
+    /// DBMS: counts the verdict and the refusal, and names the reason codes
+    /// in the error.
     fn refuse(&self, verdict: &Verdict) -> WireError {
-        if self.config.enforcement != EnforcementPolicy::Allow {
-            self.runtime.stats.count(verdict);
-        }
+        self.runtime.stats.count(verdict);
         self.runtime.stats.rejected.fetch_add(1, Ordering::Relaxed);
         WireError::Protocol(format!(
             "statement refused by tracking enforcement policy: {verdict}"
@@ -621,7 +617,7 @@ impl Tracker {
     fn harvest_and_strip(
         &mut self,
         resp: Response,
-        plan: &crate::rewrite::SelectRewrite,
+        harvest: &[HarvestSource],
     ) -> Result<Response, WireError> {
         let _span = self.tel_span(span_names::PROXY_HARVEST);
         self.fault(failpoints::PROXY_HARVEST)?;
@@ -654,7 +650,7 @@ impl Tracker {
                     if v <= 0 || v == txn.trid {
                         continue;
                     }
-                    let src = plan.harvested.get(k);
+                    let src = harvest.get(k);
                     match txn.deps.entry(v) {
                         Entry::Vacant(slot) => {
                             if tracing {
@@ -812,16 +808,15 @@ impl Tracker {
             ),
         };
         self.charge_rewrite();
-        let verdict = classify_statement(&stmt, self.config.granularity.into());
+        let verdict = classify_statement(&stmt, self.config.granularity);
         if verdict.tampers() {
-            self.trace_rewrite(false, Some(&verdict));
+            self.trace_rewrite(false, &verdict);
             return Err(self.refuse(&verdict));
         }
         let literals = scan.map_or(0, |scan| scan.spans.len());
         let plan = Plan::new(&stmt, literals, &self.config).ok_or_else(|| {
             WireError::Protocol("proxy cannot template its rewrite of the statement".into())
         })?;
-        let verdict = (self.config.enforcement != EnforcementPolicy::Allow).then_some(verdict);
         let shape = CachedShape { plan, verdict };
         Ok(match scan {
             Some(scan) => self.runtime.cache.insert(scan.fingerprint, shape),
@@ -983,12 +978,10 @@ impl Tracker {
             }
             None => self.plan_statement(sql, scan.as_ref())?,
         };
-        self.trace_rewrite(cache_hit, shape.verdict.as_ref());
+        self.trace_rewrite(cache_hit, &shape.verdict);
         // The verdict was computed once, when the shape was planned; on
         // hits enforcement costs one enum inspection.
-        if let Some(v) = &shape.verdict {
-            self.enforce(v)?;
-        }
+        self.enforce(&shape.verdict)?;
         let spans = scan.as_ref().map_or(&[][..], |scan| &scan.spans);
         self.execute(&shape.plan, sql, spans, downstream)
     }

@@ -20,10 +20,9 @@
 //!   sweeps while clean traffic keeps flowing, and extends the fence if
 //!   re-analysis grows the closure mid-sweep.
 //!
-//! Options are carried by the [`RepairOptions`] builder, which also hooks
-//! the simulator's fault plan so deterministic tests can inject failures
-//! at the repair failpoints without reaching into [`resildb_sim`]
-//! internals.
+//! Options are carried by the [`RepairOptions`] builder. Deterministic
+//! tests inject failures at the repair failpoints by arming the database's
+//! fault plan (`sim().faults()`), as every other failpoint is armed.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 use resildb_engine::Database;
 use resildb_proxy::{canon_value, composite_key, ProxyRuntime, RowFence};
 use resildb_sim::telemetry::names as span_names;
-use resildb_sim::{failpoints, EventKind, FaultAction, FaultTrigger};
+use resildb_sim::{failpoints, EventKind};
 use resildb_wire::{Connection, Driver, LinkProfile, NativeDriver, Response};
 
 use crate::adapters::{adapter_for, LogAdapter};
@@ -105,8 +104,7 @@ const MAX_EXTENSION_ROUNDS: usize = 8;
 ///
 /// ```ignore
 /// let opts = RepairOptions::quiesced()
-///     .rule(FalseDepRule::IgnoreTable("scratch".into()))
-///     .fault(failpoints::REPAIR_MID_SWEEP, FaultAction::Error, FaultTrigger::Once);
+///     .rule(FalseDepRule::IgnoreTable("scratch".into()));
 /// ```
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
@@ -127,9 +125,6 @@ pub struct RepairOptions {
     /// The proxy runtime whose fence and in-flight ledger a live repair
     /// drives. Required for [`RepairMode::Live`].
     pub runtime: Option<Arc<ProxyRuntime>>,
-    /// Failpoints to arm on the database's fault plan for the duration of
-    /// [`RepairController::execute`] (disarmed on exit, even on error).
-    pub faults: Vec<(String, FaultAction, FaultTrigger)>,
 }
 
 impl Default for RepairOptions {
@@ -146,7 +141,6 @@ impl RepairOptions {
             rules: Vec::new(),
             static_surface: None,
             runtime: None,
-            faults: Vec::new(),
         }
     }
 
@@ -185,21 +179,6 @@ impl RepairOptions {
     #[must_use]
     pub fn static_surface(mut self, tables: impl IntoIterator<Item = impl Into<String>>) -> Self {
         self.static_surface = Some(tables.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Arms `name` on the database's fault plan for the duration of
-    /// [`RepairController::execute`] — the deterministic-failure hook
-    /// for the repair failpoints (`repair.mid_sweep`,
-    /// `repair.before_commit`, `repair.live.before_shrink`, ...).
-    #[must_use]
-    pub fn fault(
-        mut self,
-        name: impl Into<String>,
-        action: FaultAction,
-        trigger: FaultTrigger,
-    ) -> Self {
-        self.faults.push((name.into(), action, trigger));
         self
     }
 }
@@ -269,21 +248,6 @@ impl std::fmt::Debug for RepairController {
             .field("flavor", &self.db.flavor())
             .field("mode", &self.options.mode)
             .finish_non_exhaustive()
-    }
-}
-
-/// Arms a set of failpoints and disarms them on drop, so an injected
-/// error cannot leave the plan armed for unrelated later work.
-struct ArmedFaults<'a> {
-    plan: &'a resildb_sim::FaultPlan,
-    names: Vec<String>,
-}
-
-impl Drop for ArmedFaults<'_> {
-    fn drop(&mut self) {
-        for name in &self.names {
-            self.plan.disarm(name);
-        }
     }
 }
 
@@ -367,8 +331,7 @@ impl RepairController {
     }
 
     /// Phase 3: executes the compensation sweep for `plan`, in the mode
-    /// the options select. Failpoints named in the options are armed for
-    /// the duration of this call.
+    /// the options select.
     ///
     /// # Errors
     ///
@@ -380,19 +343,6 @@ impl RepairController {
         analysis: &Analysis,
         plan: &RepairPlan,
     ) -> Result<RepairReport, RepairError> {
-        let fault_plan = self.db.sim().faults();
-        let _armed = ArmedFaults {
-            plan: fault_plan,
-            names: self
-                .options
-                .faults
-                .iter()
-                .map(|(name, action, trigger)| {
-                    fault_plan.arm(name, *action, *trigger);
-                    name.clone()
-                })
-                .collect(),
-        };
         // The incident lives exactly as long as this call: it opens here,
         // `detected` when `analysis` began, and closes on every exit path
         // — success, error, or a panic unwinding out of a failpoint. For

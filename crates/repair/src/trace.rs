@@ -27,7 +27,6 @@ fn str_field<'a>(obj: &'a JsonValue, key: &str) -> Option<&'a str> {
 
 fn verdict_from_str(s: &str) -> Option<TraceVerdict> {
     [
-        TraceVerdict::Unchecked,
         TraceVerdict::Sound,
         TraceVerdict::Degraded,
         TraceVerdict::Untracked,

@@ -158,14 +158,15 @@ fn failed_live_repair_lifts_fence_and_retry_succeeds() {
 
     // First attempt errors at the pre-sweep failpoint: no compensation
     // ran, and the fence must come down with the error.
-    let failing = rdb.live_repair_options().fault(
+    rdb.database().sim().faults().arm(
         failpoints::REPAIR_LIVE_BEFORE_SHRINK,
         FaultAction::Error,
         FaultTrigger::Once,
     );
-    rdb.repair_controller_with(failing)
+    rdb.repair_controller_with(rdb.live_repair_options())
         .repair(&[attack])
         .expect_err("armed failpoint aborts the live repair");
+    rdb.database().sim().faults().disarm_all();
     assert_eq!(rdb.metrics().gauge("repair.live.fence_size"), Some(0.0));
     assert_eq!(
         balances(&rdb)[0],
@@ -189,15 +190,18 @@ fn panicking_live_repair_still_lifts_fence() {
     let rdb = ResilientDb::new(Flavor::Postgres).unwrap();
     let attack = workload(&rdb);
 
-    let exploding = rdb.live_repair_options().fault(
+    rdb.database().sim().faults().arm(
         failpoints::REPAIR_LIVE_BEFORE_SHRINK,
         FaultAction::Panic,
         FaultTrigger::Once,
     );
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let _ = rdb.repair_controller_with(exploding).repair(&[attack]);
+        let _ = rdb
+            .repair_controller_with(rdb.live_repair_options())
+            .repair(&[attack]);
     }));
     assert!(result.is_err(), "the armed failpoint panics");
+    rdb.database().sim().faults().disarm_all();
     assert_eq!(
         rdb.metrics().gauge("repair.live.fence_size"),
         Some(0.0),

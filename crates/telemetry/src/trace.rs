@@ -32,9 +32,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// Enforcement verdict attached to a [`EventKind::StmtRewrite`] event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceVerdict {
-    /// No verdict kept: enforcement `Allow` (the paper's behaviour) and
-    /// the statement does not write tracking state.
-    Unchecked,
     /// Classified fully soundly tracked.
     Sound,
     /// Classified degraded (tracked, but coarser).
@@ -50,7 +47,6 @@ impl TraceVerdict {
     /// Stable wire name of the verdict.
     pub fn as_str(self) -> &'static str {
         match self {
-            TraceVerdict::Unchecked => "unchecked",
             TraceVerdict::Sound => "sound",
             TraceVerdict::Degraded => "degraded",
             TraceVerdict::Untracked => "untracked",

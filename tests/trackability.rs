@@ -105,8 +105,8 @@ fn reject_policy_applies_on_rewrite_cache_hits_too() {
 }
 
 #[test]
-fn warn_policy_forwards_but_counts() {
-    let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Warn, false);
+fn allow_policy_forwards_but_counts() {
+    let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Allow, false);
     conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
         .unwrap();
     conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
@@ -120,27 +120,7 @@ fn warn_policy_forwards_but_counts() {
     assert!(snap.sound >= 2, "{snap:?}");
 }
 
-#[test]
-fn allow_policy_counts_nothing() {
-    let (_db, mut conn, runtime) = proxy_with(EnforcementPolicy::Allow, false);
-    conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        .unwrap();
-    conn.execute("INSERT INTO t (id, v) VALUES (1, 10)")
-        .unwrap();
-    conn.execute("SELECT COUNT(v) FROM t").unwrap();
-    // The paper's behaviour: nothing classified, nothing counted.
-    let snap = runtime.tracker_stats().snapshot();
-    assert_eq!(
-        (snap.sound, snap.degraded, snap.untracked, snap.rejected),
-        (0, 0, 0, 0)
-    );
-}
-
-const POLICIES: [EnforcementPolicy; 3] = [
-    EnforcementPolicy::Allow,
-    EnforcementPolicy::Warn,
-    EnforcementPolicy::Reject,
-];
+const POLICIES: [EnforcementPolicy; 2] = [EnforcementPolicy::Allow, EnforcementPolicy::Reject];
 
 /// Every shape of client write to tracking state, with the granularity it
 /// is tried at and the reason code its refusal must name: tracking columns
@@ -184,8 +164,8 @@ fn tamper_statements() -> Vec<(String, TrackingGranularity, &'static str)> {
 
 /// The refusal matrix: under every policy, on first and repeated
 /// execution, every write to tracking state is refused before the DBMS
-/// (no WAL record), counted as rejected, flight-recorded as rejected and
-/// never cached; its verdict is counted only where the policy classifies.
+/// (no WAL record), counted as rejected and as untracked, flight-recorded
+/// as rejected and never cached.
 #[test]
 fn writes_to_tracking_state_are_refused_under_every_policy() {
     for policy in POLICIES {
@@ -220,12 +200,7 @@ fn writes_to_tracking_state_are_refused_under_every_policy() {
             assert_eq!(runtime.rewrite_cache_stats().entries, cached, "{at}");
             let now = runtime.tracker_stats().snapshot();
             assert_eq!(now.rejected - stats.rejected, 2, "{at}");
-            let classified = if policy == EnforcementPolicy::Allow {
-                0
-            } else {
-                2
-            };
-            assert_eq!(now.untracked - stats.untracked, classified, "{at}");
+            assert_eq!(now.untracked - stats.untracked, 2, "{at}");
             assert_eq!(now.sound + now.degraded, stats.sound + stats.degraded);
             let rejected = tel
                 .flight()
@@ -366,6 +341,12 @@ enum ReaderShape {
     Max,
     /// `SELECT DISTINCT v FROM t` — untracked (U-DISTINCT).
     Distinct,
+    /// `SELECT * FROM t` — degraded (D-WILDCARD; D-COL-FALLBACK too at
+    /// column granularity).
+    Star,
+    /// `SELECT t.v, a.descr FROM t, annot a WHERE …` — a join with a
+    /// tracking table, tracked through `t`: sound.
+    JoinAnnot,
 }
 
 impl ReaderShape {
@@ -376,6 +357,10 @@ impl ReaderShape {
             ReaderShape::Count => "SELECT COUNT(v) FROM t".into(),
             ReaderShape::Max => "SELECT MAX(v) FROM t".into(),
             ReaderShape::Distinct => "SELECT DISTINCT v FROM t".into(),
+            ReaderShape::Star => "SELECT * FROM t".into(),
+            ReaderShape::JoinAnnot => format!(
+                "SELECT t.v, a.descr FROM t, annot a WHERE t.id = {k} AND a.descr = 'writer'"
+            ),
         }
     }
 }
@@ -387,6 +372,8 @@ fn reader_shape() -> impl Strategy<Value = ReaderShape> {
         Just(ReaderShape::Count),
         Just(ReaderShape::Max),
         Just(ReaderShape::Distinct),
+        Just(ReaderShape::Star),
+        Just(ReaderShape::JoinAnnot),
     ]
 }
 
@@ -570,15 +557,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Differential check of the static verdict against the dynamic
-    /// tracker: a statement the analyzer calls *sound* must yield the
-    /// writer in the reader's recorded dependency set, and a statement it
-    /// calls *untracked* must demonstrably lose that dependency.
+    /// tracker, at either granularity: a statement the analyzer calls
+    /// *sound* or *degraded* (tracked, only coarser) must yield the writer
+    /// in the reader's recorded dependency set, and a statement it calls
+    /// *untracked* must demonstrably lose that dependency.
     #[test]
     fn static_verdict_predicts_dynamic_dependency_capture(
         k in 1i64..50,
         shape in reader_shape(),
+        granularity in prop_oneof![Just(Granularity::Row), Just(Granularity::Column)],
     ) {
-        let (db, mut conn, _runtime) = proxy_with(EnforcementPolicy::Allow, true);
+        let (db, mut conn, _runtime) = proxy_over(
+            ProxyConfig::builder(Flavor::Postgres)
+                .record_read_only_deps(true)
+                .granularity(granularity)
+                .build(),
+        );
         conn.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)").unwrap();
 
         conn.execute("ANNOTATE writer").unwrap();
@@ -594,17 +588,16 @@ proptest! {
         let reader = txn_id(&db, "reader");
         let deps = deps_of(&db, reader);
 
-        let verdict = Analyzer::new(Granularity::Row).classify_sql(&sql);
-        if verdict.is_sound() {
-            prop_assert!(
-                deps.contains(&writer),
-                "sound {sql:?} must capture writer {writer} in {deps:?}"
-            );
-        } else {
-            prop_assert!(verdict.is_untracked(), "{sql:?} → {verdict}");
+        let verdict = Analyzer::new(granularity).classify_sql(&sql);
+        if verdict.is_untracked() {
             prop_assert!(
                 !deps.contains(&writer),
                 "untracked {sql:?} should demonstrably miss writer {writer}, got {deps:?}"
+            );
+        } else {
+            prop_assert!(
+                deps.contains(&writer),
+                "{verdict} {sql:?} at {granularity:?} must capture writer {writer} in {deps:?}"
             );
         }
     }
